@@ -18,7 +18,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import jsonschema
@@ -76,6 +77,9 @@ def _num(**bounds) -> dict:
     return {"type": "number", **bounds}
 
 
+_WEIGHT = _num(minimum=0, exclusiveMaximum=1)  # EquationParams and PhiProfile need m in [0, 1)
+
+
 _EQUATION_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -96,14 +100,14 @@ SOLVE_SCHEMA = {
     "properties": {
         "seed": {"type": "integer"},
         "equation": _EQUATION_SCHEMA,
-        "m": _num(minimum=0),
+        "m": _WEIGHT,
         "s": _NUMBER,
         "grid": {
             "type": "object",
             "additionalProperties": False,
             "required": ["num_points", "length"],
             "properties": {
-                "num_points": {"type": "integer", "minimum": 2},
+                "num_points": {"type": "integer", "minimum": 2, "multipleOf": 2},
                 "length": _num(exclusiveMinimum=0),
             },
         },
@@ -113,7 +117,7 @@ SOLVE_SCHEMA = {
             "required": ["horizon", "nodes"],
             "properties": {
                 "horizon": _num(exclusiveMinimum=0),
-                "nodes": {"type": "integer", "minimum": 1},
+                "nodes": {"type": "integer", "minimum": 2},
             },
         },
         "picard": {
@@ -147,7 +151,7 @@ _PROBE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["a", "b", "t", "omega", "m", "xi"],
-    "properties": {key: _NUMBER for key in ("a", "b", "t", "omega", "m", "xi")},
+    "properties": {**{key: _NUMBER for key in ("a", "b", "t", "omega", "xi")}, "m": _WEIGHT},
 }
 
 OSCILLATORY_SCHEMA = {
@@ -162,7 +166,7 @@ OSCILLATORY_SCHEMA = {
             "items": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
             "minItems": 1,
         },
-        "m_values": {"type": "array", "items": _num(minimum=0), "minItems": 1},
+        "m_values": {"type": "array", "items": _WEIGHT, "minItems": 1},
         "t_request": _num(exclusiveMinimum=0),
         "near_fracs": {"type": "array", "items": _num(exclusiveMinimum=0, maximum=1)},
         "far_fracs": {"type": "array", "items": _num(exclusiveMinimum=1)},
@@ -210,14 +214,7 @@ class RunManifest:
     duration_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "version": self.version,
-            "duration_seconds": self.duration_seconds,
-        }
+        return asdict(self)
 
 
 def _json_ready(value):
@@ -245,13 +242,32 @@ def write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+@contextmanager
+def _config_field(where: str):
+    """Turn a domain ValueError raised inside into a ConfigError naming the field."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_config(path, schema) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    def finite(literal: str) -> float:
+        # NaN, Infinity and -Infinity literals, and float literals too big for a double
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: {literal} is not a finite number")
+        return value
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
@@ -295,26 +311,26 @@ def _equation_from(config: dict, default: dict | None = None) -> EquationParams:
                 f"config.equation: give a preset or coefficients, not both "
                 f"(unexpected: {', '.join(extras)})"
             )
-        try:
+        with _config_field("config.equation.preset"):
             params = reduction_preset(equation["preset"])
-        except ValueError as exc:
-            raise ConfigError(f"config.equation.preset: {exc}") from exc
     else:
         for key in ("a", "b"):
             if key not in equation:
                 raise ConfigError(
                     f"config.equation: coefficient '{key}' is required without a preset"
                 )
-        params = EquationParams(
-            a=equation["a"],
-            b=equation["b"],
-            c=equation.get("c", 0.0),
-            d=equation.get("d", 0.0),
-            e=equation.get("e", 0.0),
-        )
+        with _config_field("config.equation"):
+            params = EquationParams(
+                a=equation["a"],
+                b=equation["b"],
+                c=equation.get("c", 0.0),
+                d=equation.get("d", 0.0),
+                e=equation.get("e", 0.0),
+            )
     overrides = {key: config[key] for key in ("m", "s") if key in config}
     if overrides:
-        params = replace(params, **overrides)
+        with _config_field("config.m"):
+            params = replace(params, **overrides)
     return params
 
 
@@ -330,12 +346,10 @@ def _initial_field(spec: dict, grid: Grid) -> GridFunction:
         return GridFunction(grid, values)
     if "name" not in spec:
         raise ConfigError("config.initial_data: soliton data needs a 'name'")
-    try:
+    with _config_field("config.initial_data"):
         soliton = soliton_oracle(
             spec["name"], spec.get("amplitude", 1.0), spec.get("x_shift", 0.0)
         )
-    except ValueError as exc:
-        raise ConfigError(f"config.initial_data: {exc}") from exc
     return GridFunction(grid, soliton(grid.x, 0.0))
 
 
@@ -346,10 +360,11 @@ def _initial_field(spec: dict, grid: Grid) -> GridFunction:
 def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
     del seed, threads  # the solve path is deterministic and single-threaded
     params = _equation_from(config)
-    grid = Grid(config["grid"]["num_points"], config["grid"]["length"])
+    with _config_field("config.grid"):
+        grid = Grid(config["grid"]["num_points"], config["grid"]["length"])
     u0 = _initial_field(config["initial_data"], grid)
     picard = config.get("picard", {})
-    try:
+    with _config_field("config.picard"):
         solver_config = PicardConfig(
             horizon=config["time"]["horizon"],
             time_nodes=config["time"]["nodes"],
@@ -359,16 +374,13 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
             dealias=picard.get("dealias", True),
             full_derivative_mode=picard.get("full_derivative_mode", False),
         )
-    except ValueError as exc:
-        raise ConfigError(f"config.picard: {exc}") from exc
 
     try:
-        u, contraction = picard_iterate(u0, params, solver_config)
+        with _config_field("config.picard"):
+            u, contraction = picard_iterate(u0, params, solver_config)
     except NonContractionError as exc:
         print(f"non-contraction: {exc}", file=sys.stderr)
         return EXIT_NON_CONTRACTION
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     norms = persistence_report(u, params)
     rows = [
@@ -401,12 +413,10 @@ def _probe_tuples(config: dict) -> list:
     if "probes" in config:
         tuples = []
         for i, probe in enumerate(config["probes"]):
-            try:
+            with _config_field(f"config.probes[{i}]"):
                 admissible = admissible_parameters(
                     probe["a"], probe["b"], probe["t"], probe["omega"]
                 )
-            except ValueError as exc:
-                raise ConfigError(f"config.probes[{i}]: {exc}") from exc
             if not admissible:
                 raise ConfigError(
                     f"config.probes[{i}]: omega/(|b| t) must be at least "
@@ -437,7 +447,8 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
     del seed  # probes are deterministic; the seed is only manifest metadata
     tuples = _probe_tuples(config)
     for m in sorted({tp[4] for tp in tuples}):
-        PhiProfile.cached(m)  # build serially before the parallel map
+        with _config_field("config.probes" if "probes" in config else "config.m_values"):
+            PhiProfile.cached(m)  # build serially before the parallel map
     try:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             probes = list(pool.map(lambda tp: run_probe(*tp), tuples))
@@ -550,53 +561,34 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
     return EXIT_OK
 
 
-_ESTIMATE_NAMES = (
-    "smoothing",
-    "sup-embedding",
-    "commutator",
-    "leibniz-band",
-    "chain-rule",
-    "leibniz-two-sided",
-)
-
-
-def _run_estimate(name: str, params: EquationParams, alpha: float, samples, seed: int):
-    keywords = {"seed": seed}
-    if samples is not None:
-        keywords["samples"] = samples
-    if name == "smoothing":
-        return check_smoothing(params, **keywords)
-    if name == "sup-embedding":
-        return check_sup_embedding(**keywords)
-    if name == "commutator":
-        return check_commutator(alpha=alpha, **keywords)
-    if name == "leibniz-band":
-        return check_leibniz_band(alpha=alpha, **keywords)
-    if name == "chain-rule":
-        return check_chain_rules(alpha=alpha, **keywords)
-    return check_leibniz_two_sided(
-        alpha=alpha, alpha_first=alpha / 2.0, alpha_second=alpha / 2.0, **keywords
-    )
+# sweep name -> run(params, alpha, **keywords); the table order is the default run order
+_ESTIMATES = {
+    "smoothing": lambda params, alpha, **kw: check_smoothing(params, **kw),
+    "sup-embedding": lambda params, alpha, **kw: check_sup_embedding(**kw),
+    "commutator": lambda params, alpha, **kw: check_commutator(alpha=alpha, **kw),
+    "leibniz-band": lambda params, alpha, **kw: check_leibniz_band(alpha=alpha, **kw),
+    "chain-rule": lambda params, alpha, **kw: check_chain_rules(alpha=alpha, **kw),
+    "leibniz-two-sided": lambda params, alpha, **kw: check_leibniz_two_sided(
+        alpha=alpha, alpha_first=alpha / 2.0, alpha_second=alpha / 2.0, **kw
+    ),
+}
 
 
 def cmd_verify_estimates(config: dict, out: Path, seed: int, threads: int) -> int:
-    names = list(dict.fromkeys(config.get("estimates", _ESTIMATE_NAMES)))
-    unknown = [name for name in names if name not in _ESTIMATE_NAMES]
+    names = list(dict.fromkeys(config.get("estimates", _ESTIMATES)))
+    unknown = [name for name in names if name not in _ESTIMATES]
     if unknown:
         raise ConfigError(
             f"config.estimates: unknown estimate '{unknown[0]}' "
-            f"(choose from {', '.join(_ESTIMATE_NAMES)})"
+            f"(choose from {', '.join(_ESTIMATES)})"
         )
     params = _equation_from(config, default={"a": 0.0, "b": 1.0})
     alpha = config.get("alpha", 0.25)
-    samples = config.get("samples")
-    try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda name: _run_estimate(name, params, alpha, samples, seed), names
-            ))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    keywords = {"seed": seed}
+    if "samples" in config:
+        keywords["samples"] = config["samples"]
+    with _config_field("config"), ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda name: _ESTIMATES[name](params, alpha, **keywords), names))
 
     rows = []
     for result in results:
@@ -609,17 +601,9 @@ def cmd_verify_estimates(config: dict, out: Path, seed: int, threads: int) -> in
         ("estimate", "seed", "sample_id", "lhs", "rhs", "ratio"),
         rows,
     )
+    per_sample = ("name", "lhs", "rhs", "ratios")  # estimates.csv holds these
     summary = {
-        result.name: {
-            "seed": result.seed,
-            "sample_count": result.sample_count,
-            "discarded": result.discarded,
-            "max_ratio": result.max_ratio,
-            "max_ratio_refined": result.max_ratio_refined,
-            "drift": result.drift,
-            "refinement_stable": result.refinement_stable,
-            "exponent_fit": result.exponent_fit,
-        }
+        result.name: {k: v for k, v in result.to_dict().items() if k not in per_sample}
         for result in results
     }
     write_json(out / "estimates_summary.json", summary)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from .norms import SpaceTimeField, l2_norm, mixed_norm_t_x, mixed_norm_x_t, sup_
 from .spectral import (
     Grid,
     GridFunction,
+    duhamel_flow,
     fractional_derivative,
-    qn_apply,
-    qn_m_apply,
-    qn_resolvable,
+    qn_bands,
+    qn_pieces,
 )
 
 __all__ = [
@@ -184,20 +184,7 @@ class EstimateSweepResult:
         return abs(self.max_ratio_refined - self.max_ratio) / self.max_ratio
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "lhs": [float(v) for v in self.lhs],
-            "rhs": [float(v) for v in self.rhs],
-            "ratios": [float(v) for v in self.ratios],
-            "max_ratio": self.max_ratio,
-            "max_ratio_refined": self.max_ratio_refined,
-            "drift": self.drift,
-            "discarded": self.discarded,
-            "refinement_stable": self.refinement_stable,
-            "exponent_fit": self.exponent_fit,
-        }
+        return {**asdict(self), "sample_count": self.sample_count, "drift": self.drift}
 
 
 def _assemble(name, seed, base_fields, fine_fields, evaluate, exponent_fit=math.nan):
@@ -254,10 +241,6 @@ def _field_sets(fields, samples, seed, maker, anchors=()):
     return list(anchors) + fine[:samples], list(anchors) + fine
 
 
-def _grid(scale: int, points: int, length: float) -> Grid:
-    return Grid(points * scale, length)
-
-
 # ---------------------------------------------------------------------------
 # The six sweeps.
 # ---------------------------------------------------------------------------
@@ -284,20 +267,16 @@ def check_smoothing(
     base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
 
     def evaluate(f, scale):
-        grid = _grid(scale, grid_points, length)
+        grid = Grid(grid_points * scale, length)
         times = np.linspace(0.0, horizon, time_nodes * scale + 1)
         frames = f.sample(grid.x, times)
-        xi = np.fft.ifftshift(grid.xi)
-        pol = params.a * xi**2 + params.b * xi**3
-        pulled = np.exp(-1j * times[:, None] * pol[None, :]) * np.fft.fft(frames, axis=1)
-        steps = np.diff(times)[:, None] / 2.0 * (pulled[1:] + pulled[:-1])
-        cumulative = np.concatenate(
-            [np.zeros((1, grid.num_points), dtype=np.complex128), np.cumsum(steps, axis=0)]
+        # from zero data the flow is minus the Duhamel integral; norms ignore the sign
+        integral = duhamel_flow(
+            grid, params, np.zeros(grid.num_points, dtype=np.complex128), times,
+            np.fft.fft(frames, axis=1),
         )
-        out = np.fft.ifft(
-            1j * xi[None, :] * np.exp(1j * times[:, None] * pol[None, :]) * cumulative, axis=1
-        )
-        lhs = float(np.max(np.sqrt(grid.spacing * np.sum(np.abs(out) ** 2, axis=1))))
+        dx_integral = np.fft.ifft(1j * grid.xi_fft * integral, axis=1)
+        lhs = mixed_norm_t_x(SpaceTimeField(grid, times, dx_integral), math.inf, 2)
         rhs = mixed_norm_x_t(SpaceTimeField(grid, times, frames), 1, 2)
         return [(lhs, rhs)]
 
@@ -326,7 +305,7 @@ def check_sup_embedding(
     base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
 
     def raw_pairs(f, scale):
-        grid = _grid(scale, grid_points, length)
+        grid = Grid(grid_points * scale, length)
         pairs = []
         for horizon in horizons:
             times = np.linspace(0.0, horizon, time_nodes * scale + 1)
@@ -393,7 +372,7 @@ def check_commutator(
     base, fine = _field_sets(fields, samples, seed, random_wave_packets, anchors)
 
     def evaluate(f, scale):
-        grid = _grid(scale, grid_points, length)
+        grid = Grid(grid_points * scale, length)
         vals = f.sample(grid.x)
         phi = envelope(grid.x)
         inner = fractional_derivative(GridFunction(grid, phi * vals), alpha).values
@@ -404,12 +383,6 @@ def check_commutator(
         return [(lhs, rhs)]
 
     return _assemble("commutator", seed, base, fine, evaluate)
-
-
-def _band_range(grid: Grid):
-    lo = math.floor(math.log2(2.0 * np.pi / grid.length)) + 1
-    hi = math.ceil(math.log2(grid.nyquist))
-    return [n for n in range(lo, hi + 1) if qn_resolvable(grid, n)]
 
 
 def check_leibniz_band(
@@ -445,26 +418,22 @@ def check_leibniz_band(
 
     def evaluate(pair, scale):
         f, g = pair
-        grid = _grid(scale, grid_points, length)
+        grid = Grid(grid_points * scale, length)
         fv, gv = f.sample(grid.x), g.sample(grid.x)
         df = fractional_derivative(GridFunction(grid, fv), alpha)
         dg = fractional_derivative(GridFunction(grid, gv), alpha)
         dfg = fractional_derivative(GridFunction(grid, fv * gv), alpha)
         lhs = l2_norm(GridFunction(grid, dfg.values - gv * df.values))
 
-        bands = _band_range(grid)
+        bands = qn_bands(grid)
         band_abs = np.zeros(grid.num_points)
-        for n in bands:
-            piece = (
-                qn_m_apply(dg, n, weight) if weight != 0.0 else qn_apply(dg, n)
-            )
-            band_abs += np.abs(piece.values)
+        for _, piece in qn_pieces(dg, bands, weight):
+            band_abs += np.abs(piece)
         rhs = float(np.max(band_abs)) * l2_norm(GridFunction(grid, fv))
 
-        covered = (np.abs(grid.xi) >= 2.0 ** (min(bands) - 1)) & (
-            np.abs(grid.xi) <= 2.0 ** (max(bands) + 1)
-        )
-        spectrum = np.abs(np.fft.fftshift(np.fft.fft(dg.values))) ** 2
+        ay = np.abs(grid.xi_fft)
+        covered = (ay >= 2.0 ** (min(bands) - 1)) & (ay <= 2.0 ** (max(bands) + 1))
+        spectrum = np.abs(np.fft.fft(dg.values)) ** 2
         total = float(np.sum(spectrum))
         if total > 0 and float(np.sum(spectrum[~covered])) > 0.01 * total:
             warnings.warn(
@@ -499,7 +468,7 @@ def check_chain_rules(
     base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
 
     def evaluate(f, scale):
-        grid = _grid(scale, grid_points, length)
+        grid = Grid(grid_points * scale, length)
         times = np.linspace(0.0, horizon, time_nodes * scale + 1)
         u = SpaceTimeField(grid, times, f.sample(grid.x, times))
         cubic = SpaceTimeField(grid, times, np.abs(u.frames) ** 2 * u.frames)
@@ -565,7 +534,7 @@ def check_leibniz_two_sided(
 
     def evaluate(pair, scale):
         f, g = pair
-        grid = _grid(scale, grid_points, length)
+        grid = Grid(grid_points * scale, length)
         times = np.linspace(0.0, horizon, time_nodes * scale + 1)
         uf = SpaceTimeField(grid, times, f.sample(grid.x, times))
         ug = SpaceTimeField(grid, times, g.sample(grid.x, times))

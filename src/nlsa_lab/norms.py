@@ -8,7 +8,7 @@ points (fields are smooth, so the grid max converges to the sup).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -16,9 +16,7 @@ from .spectral import (
     EquationParams,
     Grid,
     GridFunction,
-    apply_multiplier,
-    dft_forward,
-    weight_multiply,
+    _forward_samples,
 )
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "NormReport",
     "l2_norm",
     "sup_norm",
-    "lp_norm",
     "sobolev_norm",
     "mixed_norm_x_t",
     "mixed_norm_t_x",
@@ -57,10 +54,6 @@ class SpaceTimeField:
                 f"({self.times.size}, {self.grid.num_points})"
             )
 
-    @property
-    def T(self) -> float:
-        return float(self.times[-1])
-
     def frame(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.frames[k])
 
@@ -87,34 +80,28 @@ class NormReport:
     weighted_ratio: float = math.nan
 
     def to_dict(self) -> dict:
-        return {
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "mu3": self.mu3,
-            "mu4": self.mu4,
-            "mu5": self.mu5,
-            "y_norm": self.y_norm,
-            "weighted_sup": self.weighted_sup,
-            "x_norm": self.x_norm,
-            "h_quarter_history": list(self.h_quarter_history),
-            "weighted_history": list(self.weighted_history),
-            "h_quarter_ratio": self.h_quarter_ratio,
-            "weighted_ratio": self.weighted_ratio,
-        }
+        return asdict(self)
+
+
+def _l2(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """L^2 norm in x along the last axis (one per frame for a frame stack)."""
+    return np.sqrt(grid.spacing * np.sum(np.abs(values) ** 2, axis=-1))
+
+
+def _sobolev(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
+    """H^s norm along the last axis (one per frame for a frame stack)."""
+    fgrid = grid.conjugate()
+    weight = (1.0 + fgrid.x**2) ** s
+    total = fgrid.spacing * np.sum(weight * np.abs(_forward_samples(grid, values)) ** 2, axis=-1)
+    return np.sqrt(total / (2 * np.pi))
 
 
 def l2_norm(f: GridFunction) -> float:
-    return float(np.sqrt(f.grid.spacing * np.sum(np.abs(f.values) ** 2)))
+    return float(_l2(f.grid, f.values))
 
 
 def sup_norm(f: GridFunction) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-def lp_norm(f: GridFunction, p) -> float:
-    if p == math.inf:
-        return sup_norm(f)
-    return float((f.grid.spacing * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
 def sobolev_norm(f: GridFunction, s: float) -> float:
@@ -122,10 +109,7 @@ def sobolev_norm(f: GridFunction, s: float) -> float:
 
     At s=0 this reduces to the L^2 norm by the Plancherel bookkeeping.
     """
-    fhat = dft_forward(f)
-    weight = (1.0 + fhat.grid.x**2) ** s
-    total = fhat.grid.spacing * np.sum(weight * np.abs(fhat.values) ** 2)
-    return float(np.sqrt(total / (2 * np.pi)))
+    return float(_sobolev(f.grid, f.values, s))
 
 
 def _time_inner(u: SpaceTimeField, q) -> np.ndarray:
@@ -160,20 +144,18 @@ def mixed_norm_t_x(u: SpaceTimeField, q, p) -> float:
     return float(np.trapezoid(g**q, x=u.times) ** (1.0 / q))
 
 
+def _weighted_history(u: SpaceTimeField, m: float) -> list:
+    """Weighted L^2 norm || |x|^m u(t) || at every time node."""
+    return _l2(u.grid, np.abs(u.grid.x) ** m * u.frames).tolist()
+
+
 def weighted_sup_norm(u: SpaceTimeField, m: float) -> float:
     """sup over time nodes of the weighted L^2 norm || |x|^m u(t) ||."""
-    return max(l2_norm(weight_multiply(u.frame(k), m)) for k in range(u.times.size))
+    return max(_weighted_history(u, m))
 
 
-def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
-    """All five mixed norms of the fixed-point space plus the weighted component.
-
-    mu1 = ||u|| + ||D^(1/4) u|| in L^inf_T L^2_x
-    mu2 = ||u_x|| + ||D^(1/4) u_x|| in L^inf_x L^2_T
-    mu3 = ||u_x|| in L^20_x L^(5/2)_T
-    mu4 = ||u|| + ||D^(1/4) u|| in L^5_x L^10_T
-    mu5 = ||u|| in L^4_x L^inf_T
-    """
+def _mu_parts(u: SpaceTimeField) -> tuple:
+    """(mu1, ..., mu5) of u; see mu_norms."""
     if u.times.size < 2:
         raise ValueError("mu norms need at least two time nodes")
     xi = u.grid.xi
@@ -187,25 +169,34 @@ def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
     mu3 = mixed_norm_x_t(du, 20, 2.5)
     mu4 = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(dq_u, 5, 10)
     mu5 = mixed_norm_x_t(u, 4, math.inf)
-    y_norm = mu1 + mu2 + mu3 + mu4 + mu5
+    return mu1, mu2, mu3, mu4, mu5
 
-    h_hist = [sobolev_norm(u.frame(k), params.s) for k in range(u.times.size)]
-    w_hist = [l2_norm(weight_multiply(u.frame(k), params.m)) for k in range(u.times.size)]
+
+def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
+    """All five mixed norms of the fixed-point space plus the weighted component.
+
+    mu1 = ||u|| + ||D^(1/4) u|| in L^inf_T L^2_x
+    mu2 = ||u_x|| + ||D^(1/4) u_x|| in L^inf_x L^2_T
+    mu3 = ||u_x|| in L^20_x L^(5/2)_T
+    mu4 = ||u|| + ||D^(1/4) u|| in L^5_x L^10_T
+    mu5 = ||u|| in L^4_x L^inf_T
+
+    The histories hold the H^s and weighted L^2 norms of every frame.
+    """
+    mus = _mu_parts(u)
+    y_norm = sum(mus)
+    w_hist = _weighted_history(u, params.m)
     weighted = max(w_hist)
     return NormReport(
-        mu1=mu1,
-        mu2=mu2,
-        mu3=mu3,
-        mu4=mu4,
-        mu5=mu5,
+        *mus,
         y_norm=y_norm,
         weighted_sup=weighted,
         x_norm=y_norm + weighted,
-        h_quarter_history=h_hist,
+        h_quarter_history=_sobolev(u.grid, u.frames, params.s).tolist(),
         weighted_history=w_hist,
     )
 
 
 def xt_norm(u: SpaceTimeField, params: EquationParams) -> float:
     """Composite fixed-point norm: sum of the five mu norms plus the weighted sup."""
-    return mu_norms(u, params).x_norm
+    return sum(_mu_parts(u)) + weighted_sup_norm(u, params.m)

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import make_interp_spline
 
-from .spectral import Grid, GridFunction, eta, qn_m_apply, qn_resolvable
+from .spectral import Grid, GridFunction, eta, qn_bands, qn_pieces
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -269,7 +269,6 @@ class PhiProfile:
         self.l1 = float(
             2.0 * np.trapezoid(np.abs(table), dx=dv_fine) + self.tail_l1
         )
-        self.peak = float(np.abs(table).max())
         self.value_at_zero = complex(table[0])
 
     # -- evaluation ---------------------------------------------------
@@ -874,22 +873,24 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0,
         raise ValueError("t must be positive")
     grid = Grid(num_points, length)
     x = grid.x
-    phase = t * (a * x * x + b * x ** 3)
-    g = GridFunction(grid, np.exp(1j * phase) * (1.0 + x * x) ** (-m))
-
-    n_lo = n_hi = None
-    for n in range(-30, 40):
-        if qn_resolvable(grid, n):
-            n_lo = n if n_lo is None else n_lo
-            n_hi = n
-    if n_lo is None:
+    bands = qn_bands(grid)
+    if not bands:
         raise ValueError("grid resolves no dyadic band")
+    n_lo, n_hi = bands[0], bands[-1]
 
+    # g is built inline so that only its spectrum outlives the first band
+    pieces = qn_pieces(
+        GridFunction(grid, np.exp(1j * (t * (a * x * x + b * x ** 3))) * (1.0 + x * x) ** (-m)),
+        bands,
+        m,
+    )
     interior = np.abs(x) <= length * interior_fraction
     total = np.zeros(num_points)
+    term = np.empty(num_points)
     band_sups = {}
-    for n in range(n_lo, n_hi + 1):
-        term = 2.0 ** (n * m) * np.abs(qn_m_apply(g, n, m).values)
+    for n, piece in pieces:
+        np.abs(piece, out=term)
+        term *= 2.0 ** (n * m)
         total += term
         band_sups[n] = float(term[interior].max())
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .norms import SpaceTimeField, NormReport, l2_norm, mu_norms, sobolev_norm, xt_norm
-from .spectral import EquationParams, Grid, GridFunction, weight_multiply
+from .spectral import EquationParams, Grid, GridFunction, duhamel_flow, weight_multiply
 
 __all__ = [
     "BoundaryMassWarning",
@@ -119,26 +119,12 @@ class ContractionReport:
         return len(self.distances)
 
     def to_dict(self) -> dict:
-        return {
-            "distances": [float(d) for d in self.distances],
-            "ratio": self.ratio,
-            "radius": self.radius,
-            "horizon": self.horizon,
-            "converged": self.converged,
-            "horizon_exponent_fit": self.horizon_exponent_fit,
-            "iterations": self.iterations,
-        }
+        return {**asdict(self), "iterations": self.iterations}
 
 
 # ---------------------------------------------------------------------------
 # Free flow and nonlinearity.
 # ---------------------------------------------------------------------------
-
-def _dispersion_poly(grid: Grid, params: EquationParams) -> np.ndarray:
-    """a*xi^2 + b*xi^3 in FFT (unshifted) frequency order."""
-    xi = np.fft.ifftshift(grid.xi)
-    return params.a * xi**2 + params.b * xi**3
-
 
 def _warn_boundary_mass(u0: GridFunction) -> None:
     peak = float(np.max(np.abs(u0.values)))
@@ -162,9 +148,7 @@ def semigroup_evolve(u0: GridFunction, times, params: EquationParams) -> SpaceTi
     """Free dispersive flow of u0 sampled at the given times (starting at 0)."""
     _warn_boundary_mass(u0)
     times = np.asarray(times, dtype=float)
-    pol = _dispersion_poly(u0.grid, params)
-    u0_hat = np.fft.fft(u0.values)
-    frames = np.fft.ifft(np.exp(1j * times[:, None] * pol[None, :]) * u0_hat[None, :], axis=1)
+    frames = np.fft.ifft(duhamel_flow(u0.grid, params, np.fft.fft(u0.values), times), axis=1)
     frames[0] = u0.values
     return SpaceTimeField(u0.grid, times, frames)
 
@@ -173,7 +157,11 @@ def _nonlinearity_frames(
     frames: np.ndarray, grid: Grid, params: EquationParams, full_derivative_mode: bool
 ) -> np.ndarray:
     """N(u) = i*c*|u|^2 u + d*|u|^2 u_x + e*u^2 conj(u)_x applied frame-wise."""
-    ixi = 1j * np.fft.ifftshift(grid.xi)
+    if full_derivative_mode and not params.full_derivative_ok:
+        raise ValueError(
+            f"full-derivative evaluation needs d = 2e, got d={params.d}, e={params.e}"
+        )
+    ixi = 1j * grid.xi_fft
     mag2 = frames.real**2 + frames.imag**2
     cubic = mag2 * frames
     if full_derivative_mode:
@@ -192,10 +180,6 @@ def nonlinearity_eval(
     e*(|u|^2 u)_x, which agrees with the term-by-term route exactly when
     d = 2e and is rejected otherwise.
     """
-    if full_derivative_mode and not params.full_derivative_ok:
-        raise ValueError(
-            f"full-derivative evaluation needs d = 2e, got d={params.d}, e={params.e}"
-        )
     vals = _nonlinearity_frames(u.values[None, :], u.grid, params, full_derivative_mode)
     return GridFunction(u.grid, vals[0])
 
@@ -230,32 +214,18 @@ def duhamel_apply(
     grid = u.grid
     if grid != u0.grid:
         raise ValueError("iterate and initial data live on different grids")
-    if config.full_derivative_mode and not params.full_derivative_ok:
-        raise ValueError(
-            f"full-derivative evaluation needs d = 2e, got d={params.d}, e={params.e}"
-        )
     _warn_boundary_mass(u0)
-    pol = _dispersion_poly(grid, params)
     u0_hat = np.fft.fft(u0.values)
-
     if params.c == 0 and params.d == 0 and params.e == 0:
-        integral = np.zeros((u.times.size, grid.num_points), dtype=np.complex128)
+        out_hat = duhamel_flow(grid, params, u0_hat, u.times)
     else:
         tau, fine = _refined_times_and_frames(u, config.substeps)
         n_hat = np.fft.fft(
             _nonlinearity_frames(fine, grid, params, config.full_derivative_mode), axis=1
         )
         if config.dealias:
-            keep = np.abs(np.fft.ifftshift(grid.xi)) <= (2.0 / 3.0) * grid.nyquist
-            n_hat *= keep[None, :]
-        pulled_back = np.exp(-1j * tau[:, None] * pol[None, :]) * n_hat
-        steps = np.diff(tau)[:, None] / 2.0 * (pulled_back[1:] + pulled_back[:-1])
-        cumulative = np.concatenate(
-            [np.zeros((1, grid.num_points), dtype=np.complex128), np.cumsum(steps, axis=0)]
-        )
-        integral = cumulative[:: config.substeps]
-
-    out_hat = np.exp(1j * u.times[:, None] * pol[None, :]) * (u0_hat[None, :] - integral)
+            n_hat *= grid.dealias_mask[None, :]
+        out_hat = duhamel_flow(grid, params, u0_hat, tau, n_hat, config.substeps)
     frames = np.fft.ifft(out_hat, axis=1)
     frames[0] = u0.values
     return SpaceTimeField(grid, u.times, frames)

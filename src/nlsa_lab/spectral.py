@@ -11,6 +11,7 @@ side without reordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,7 @@ __all__ = [
     "apply_multiplier",
     "propagator_apply",
     "propagator_symbol",
+    "duhamel_flow",
     "fractional_derivative",
     "bracket_multiplier",
     "spatial_derivative",
@@ -36,7 +38,9 @@ __all__ = [
     "qn_symbol",
     "qn_apply",
     "qn_m_apply",
+    "qn_pieces",
     "qn_resolvable",
+    "qn_bands",
 ]
 
 
@@ -67,15 +71,23 @@ class Grid:
         return -self.length / 2 + self.spacing * np.arange(self.num_points)
 
     @cached_property
+    def xi_fft(self) -> np.ndarray:
+        """Frequencies 2*pi*k/length in the order np.fft.fft returns them."""
+        return 2 * np.pi * np.fft.fftfreq(self.num_points, d=self.spacing)
+
+    @cached_property
     def xi(self) -> np.ndarray:
         """Ascending frequencies 2*pi*k/length; Nyquist kept on the negative side."""
-        return 2 * np.pi * np.fft.fftshift(
-            np.fft.fftfreq(self.num_points, d=self.spacing)
-        )
+        return np.fft.fftshift(self.xi_fft)
 
     @cached_property
     def nyquist(self) -> float:
         return np.pi / self.spacing
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """Modes kept by the 2/3 rule (|xi| <= 2/3 nyquist), in FFT order."""
+        return np.abs(self.xi_fft) <= (2.0 / 3.0) * self.nyquist
 
     def conjugate(self) -> "Grid":
         """Grid on which the transform samples live (spacing 2*pi/length)."""
@@ -133,11 +145,14 @@ class EquationParams:
 
 def dft_forward(f: GridFunction) -> GridFunction:
     """Transform samples; output lives on f.grid.conjugate(), frequencies ascending."""
-    g = f.grid
-    spectrum = np.fft.fftshift(np.fft.fft(f.values)) * g.spacing
-    fgrid = g.conjugate()
-    spectrum *= np.exp(-1j * fgrid.x * g.x[0])
-    return GridFunction(fgrid, spectrum)
+    return GridFunction(f.grid.conjugate(), _forward_samples(f.grid, f.values))
+
+
+def _forward_samples(g: Grid, values: np.ndarray) -> np.ndarray:
+    """dft_forward of samples on g along the last axis (one row per frame)."""
+    spectrum = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1) * g.spacing
+    spectrum *= np.exp(-1j * g.conjugate().x * g.x[0])
+    return spectrum
 
 
 def dft_inverse(F: GridFunction) -> GridFunction:
@@ -156,8 +171,13 @@ def apply_multiplier(f: GridFunction, symbol: np.ndarray) -> GridFunction:
     return GridFunction(f.grid, np.fft.ifft(spec))
 
 
+def _dispersion(xi: np.ndarray, a: float, b: float) -> np.ndarray:
+    """a*xi^2 + b*xi^3: the free flow multiplies frequency xi by exp(it times this)."""
+    return a * xi**2 + b * xi**3
+
+
 def propagator_symbol(xi: np.ndarray, t: float, a: float, b: float) -> np.ndarray:
-    return np.exp(1j * t * (a * xi**2 + b * xi**3))
+    return np.exp(1j * t * _dispersion(xi, a, b))
 
 
 def propagator_apply(f: GridFunction, t: float, params: EquationParams) -> GridFunction:
@@ -186,8 +206,42 @@ def weight_multiply(f: GridFunction, m: float) -> GridFunction:
 
 def dealias(f: GridFunction) -> GridFunction:
     """Zero all modes above two thirds of the Nyquist frequency (idempotent)."""
-    keep = np.abs(f.grid.xi) <= (2.0 / 3.0) * f.grid.nyquist
-    return apply_multiplier(f, keep.astype(float))
+    spec = np.fft.fft(f.values)
+    spec *= f.grid.dealias_mask
+    return GridFunction(f.grid, np.fft.ifft(spec))
+
+
+def duhamel_flow(
+    grid: Grid,
+    params: EquationParams,
+    start_hat: np.ndarray,
+    tau: np.ndarray,
+    forcing_hat: np.ndarray | None = None,
+    stride: int = 1,
+) -> np.ndarray:
+    """Transform-side solution of v_t = i*(a*xi^2 + b*xi^3)*v - F with v(0) = start.
+
+    Returns exp(itL) * (start_hat - int_0^t exp(-it'L) F(t') dt') at the times
+    t = tau[::stride], one row per time, in FFT frequency order.  The integral
+    is taken in the interaction picture: every forcing sample (rows of
+    forcing_hat, at the times tau) is pulled back to t = 0, a cumulative
+    trapezoid runs over tau, and each output row costs one forward flow.
+    Without forcing this is the free flow of start_hat.
+    """
+    pol = _dispersion(grid.xi_fft, params.a, params.b)
+    if forcing_hat is None:
+        held = start_hat[None, :]
+    else:
+        pulled = np.exp(-1j * tau[:, None] * pol[None, :]) * forcing_hat
+        steps = np.diff(tau)[:, None] / 2.0 * (pulled[1:] + pulled[:-1])
+        del pulled  # at most three frame stacks are alive at once
+        held = np.zeros(forcing_hat.shape, dtype=np.complex128)
+        np.cumsum(steps, axis=0, out=held[1:])
+        del steps
+        held = np.subtract(start_hat[None, :], held, out=held)[::stride]
+    # the flow stays the left factor: numpy's vectorised complex product can
+    # round differently in the last bit when its operands are swapped
+    return np.exp(1j * tau[::stride, None] * pol[None, :]) * held
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +290,33 @@ def qn_resolvable(grid: Grid, N: int) -> bool:
     return 2.0 ** (N - 1) >= conj_res and 2.0 ** (N + 1) <= grid.nyquist
 
 
+def qn_bands(grid: Grid) -> list:
+    """Every band N that qn_resolvable accepts on grid, ascending."""
+    lo = math.floor(math.log2(2.0 * np.pi / grid.length)) + 1
+    hi = math.ceil(math.log2(grid.nyquist))
+    return [n for n in range(lo, hi + 1) if qn_resolvable(grid, n)]
+
+
+def qn_pieces(F: GridFunction, bands, m: float = 0.0):
+    """Yield (N, values of Q_N^m F) for each N in bands, from one transform of F.
+
+    Each band symbol |2^-N y|^m eta(2^-N y) is evaluated only where it can
+    be nonzero, on 2^(N-1) < |y| < 2^(N+1); bands beyond the conjugate grid
+    are truncated to the available frequencies.  One array holds every
+    piece in turn: consume (or copy) each before asking for the next.
+    """
+    grid = F.grid
+    spec = np.fft.fft(F.values)
+    del F  # drops the last reference when the caller passed a temporary
+    ay = np.abs(grid.xi_fft)
+    piece = np.empty_like(spec)
+    for n in bands:
+        support = np.flatnonzero((ay > 2.0 ** (n - 1)) & (ay < 2.0 ** (n + 1)))
+        piece.fill(0.0)
+        piece[support] = spec[support] * qn_symbol(ay[support], n, m)
+        yield n, np.fft.ifft(piece, out=piece)
+
+
 def qn_apply(F: GridFunction, N: int, strict: bool = True) -> GridFunction:
     """Dyadic piece of F selecting |y| in [2^(N-1), 2^(N+1)] of the conjugate variable.
 
@@ -243,12 +324,7 @@ def qn_apply(F: GridFunction, N: int, strict: bool = True) -> GridFunction:
     strict=False the multiplier is simply truncated to the available
     conjugate frequencies (the natural choice inside partition sums).
     """
-    if strict and not qn_resolvable(F.grid, N):
-        raise BandRangeError(
-            f"band N={N} outside conjugate range of grid "
-            f"(resolution {2 * np.pi / F.grid.length:.3g}, nyquist {F.grid.nyquist:.3g})"
-        )
-    return apply_multiplier(F, qn_symbol(F.grid.xi, N))
+    return qn_m_apply(F, N, 0.0, strict)
 
 
 def qn_m_apply(F: GridFunction, N: int, m: float, strict: bool = True) -> GridFunction:
@@ -259,4 +335,5 @@ def qn_m_apply(F: GridFunction, N: int, m: float, strict: bool = True) -> GridFu
             f"band N={N} outside conjugate range of grid "
             f"(resolution {2 * np.pi / F.grid.length:.3g}, nyquist {F.grid.nyquist:.3g})"
         )
-    return apply_multiplier(F, qn_symbol(F.grid.xi, N, m))
+    ((_, values),) = qn_pieces(F, [N], m)
+    return GridFunction(F.grid, values)

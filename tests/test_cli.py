@@ -9,6 +9,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nlsa_lab.cli import main
 
 
@@ -326,3 +328,40 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "verify-oscillatory" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# values the schema used to pass and the program then rejected
+# ---------------------------------------------------------------------------
+
+_PROBE = {"a": 0.0, "b": 1.0, "t": 1.0, "omega": 1024.0, "m": 1.5, "xi": 1.0}
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("solve", solve_payload(m=1.5), "config.m"),
+    ("solve", solve_payload(grid={"num_points": 255, "length": 60.0}),
+     "config.grid.num_points"),
+    ("solve", solve_payload(time={"horizon": 0.05, "nodes": 1}), "config.time.nodes"),
+    ("verify-oscillatory", {"probes": [_PROBE]}, "config.probes[0].m"),
+    ("verify-oscillatory",
+     {"omegas": [256.0], "ab_pairs": [[0.0, 1.0]], "m_values": [0.0, 1.5]},
+     "config.m_values[1]"),
+])
+def test_out_of_domain_values_name_the_field(tmp_path, capsys, command, payload, field):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_rejected(tmp_path, capsys, literal):
+    text = json.dumps(solve_payload()).replace('"horizon": 0.05', f'"horizon": {literal}')
+    assert literal in text
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{literal} is not a finite number" in err
+    assert "times must increase" not in err

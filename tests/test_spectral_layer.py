@@ -1,0 +1,154 @@
+"""The shared spectral paths: one-transform band pieces, the Duhamel flow
+kernel, batched norm histories, and identities checked as properties."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from nlsa_lab.norms import SpaceTimeField, l2_norm, mu_norms, sobolev_norm, xt_norm
+from nlsa_lab.spectral import (
+    EquationParams,
+    Grid,
+    GridFunction,
+    apply_multiplier,
+    dft_forward,
+    duhamel_flow,
+    eta,
+    propagator_apply,
+    qn_m_apply,
+    qn_pieces,
+    qn_resolvable,
+    qn_symbol,
+    weight_multiply,
+)
+
+SEED = 271828
+PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
+
+
+def random_function(grid, rng):
+    return GridFunction(
+        grid, rng.standard_normal(grid.num_points) + 1j * rng.standard_normal(grid.num_points)
+    )
+
+
+def test_fft_order_frequencies_are_the_shifted_grid():
+    g = Grid(2048, 37.0)
+    assert np.array_equal(g.xi_fft, np.fft.ifftshift(g.xi))
+    assert np.array_equal(g.xi, np.fft.fftshift(g.xi_fft))
+
+
+def test_pieces_equal_single_band_operator_bit_for_bit():
+    g = Grid(1024, 16 * np.pi)
+    F = random_function(g, np.random.default_rng(SEED))
+    bands = range(-3, 9)  # resolvable bands plus truncated ones at both ends
+    for m in (0.0, 0.125):
+        seen = []
+        for n, piece in qn_pieces(F, bands, m):
+            seen.append(n)
+            full_symbol = apply_multiplier(F, qn_symbol(g.xi, n, m)).values
+            assert np.array_equal(piece, full_symbol)
+            assert np.array_equal(piece, qn_m_apply(F, n, m, strict=False).values)
+        assert seen == list(bands)
+
+
+def test_pieces_sum_to_identity_on_band_support():
+    g = Grid(1024, 16 * np.pi)
+    F = random_function(g, np.random.default_rng(SEED + 1))
+    bands = [n for n in range(-20, 20) if qn_resolvable(g, n)]
+    total = sum(piece.copy() for _, piece in qn_pieces(F, bands))
+    ay = np.abs(g.xi_fft)
+    inside = (ay >= 2.0 ** min(bands)) & (ay <= 2.0 ** max(bands))
+    outside = (ay <= 2.0 ** (min(bands) - 1)) | (ay >= 2.0 ** (max(bands) + 1))
+    spec, spec_total = np.fft.fft(F.values), np.fft.fft(total)
+    scale = np.max(np.abs(spec))
+    assert np.max(np.abs(spec_total[inside] - spec[inside])) < 1e-12 * scale
+    assert np.max(np.abs(spec_total[outside])) < 1e-12 * scale
+
+
+def test_batched_histories_equal_per_frame_norms():
+    g = Grid(256, 30.0)
+    rng = np.random.default_rng(SEED + 2)
+    times = np.linspace(0.0, 0.5, 9)
+    frames = (rng.standard_normal((9, 256)) + 1j * rng.standard_normal((9, 256))) * np.exp(
+        -g.x**2 / 20
+    )
+    u = SpaceTimeField(g, times, frames)
+    params = EquationParams(a=1.0, b=1.0, m=0.125, s=0.25)
+    report = mu_norms(u, params)
+    assert report.h_quarter_history == [sobolev_norm(u.frame(k), params.s) for k in range(9)]
+    assert report.weighted_history == [
+        l2_norm(weight_multiply(u.frame(k), params.m)) for k in range(9)
+    ]
+    assert all(type(v) is float for v in report.h_quarter_history + report.weighted_history)
+    assert xt_norm(u, params) == report.x_norm
+
+
+def test_duhamel_flow_linear_in_forcing():
+    g = Grid(256, 40.0)
+    rng = np.random.default_rng(SEED + 3)
+    params = EquationParams(a=1.0, b=-0.5)
+    tau = np.linspace(0.0, 0.3, 13)
+    start = np.fft.fft(random_function(g, rng).values)
+    f1, f2 = (rng.standard_normal((13, 256)) + 1j * rng.standard_normal((13, 256)) for _ in "ab")
+    zero = np.zeros(256, dtype=complex)
+    alpha, beta = 0.7 - 0.2j, -1.3
+    for stride in (1, 2, 3):
+        combined = duhamel_flow(g, params, zero, tau, alpha * f1 + beta * f2, stride)
+        separate = alpha * duhamel_flow(g, params, zero, tau, f1, stride) + beta * duhamel_flow(
+            g, params, zero, tau, f2, stride
+        )
+        assert combined.shape == (tau[::stride].size, 256)
+        assert np.max(np.abs(combined - separate)) < 1e-12 * np.max(np.abs(separate))
+        # the data enters additively: free flow of the data plus the zero-data flow
+        with_data = duhamel_flow(g, params, start, tau, f1, stride)
+        split = duhamel_flow(g, params, start, tau[::stride]) + duhamel_flow(
+            g, params, zero, tau, f1, stride
+        )
+        assert np.max(np.abs(with_data - split)) < 1e-12 * np.max(np.abs(with_data))
+
+
+# ---------------------------------------------------------------------------
+# Properties.
+# ---------------------------------------------------------------------------
+
+grids = st.builds(
+    Grid, st.sampled_from([64, 128, 256]), st.floats(5.0, 100.0, allow_nan=False)
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds)
+def test_plancherel_property(grid, seed):
+    f = random_function(grid, np.random.default_rng(seed))
+    fhat = dft_forward(f)
+    lhs = l2_norm(f) ** 2
+    rhs = l2_norm(fhat) ** 2 / (2 * np.pi)
+    assert abs(lhs - rhs) <= 1e-12 * lhs
+
+
+@PROPERTY
+@given(
+    grid=grids,
+    seed=seeds,
+    a=st.floats(-2.0, 2.0),
+    b=st.floats(-2.0, 2.0),
+    t1=st.floats(-1.0, 1.0),
+    t2=st.floats(-1.0, 1.0),
+)
+def test_propagator_group_law_property(grid, seed, a, b, t1, t2):
+    f = random_function(grid, np.random.default_rng(seed))
+    params = EquationParams(a=a, b=b)
+    twice = propagator_apply(propagator_apply(f, t1, params), t2, params)
+    once = propagator_apply(f, t1 + t2, params)
+    # phases reach |b| t nyquist^3 ~ 1e5 rad, so rounding is ~1e5 eps
+    assert np.max(np.abs(twice.values - once.values)) < 1e-9 * np.max(np.abs(f.values))
+
+
+@PROPERTY
+@given(y=st.floats(1e-6, 1e6))
+def test_partition_of_unity_property(y):
+    total = sum(eta(np.array([y]) / 2.0**n)[0] for n in range(-25, 26))
+    assert abs(total - 1.0) < 1e-12
+    bands = sum(qn_symbol(np.array([-y, y]), n) for n in range(-25, 26))
+    assert np.all(np.abs(bands - 1.0) < 1e-12)

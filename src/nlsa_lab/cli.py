@@ -37,9 +37,8 @@ from .estimates import (
 from .oscillatory import (
     PhiProfile,
     QuadratureConvergenceError,
-    RegionLabel,
     admissible_parameters,
-    arc_exponent_check,
+    arc_summary,
     build_probe_grid,
     decay_bound_check,
     run_probe,
@@ -363,16 +362,13 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
     with _config_field("config.grid"):
         grid = Grid(config["grid"]["num_points"], config["grid"]["length"])
     u0 = _initial_field(config["initial_data"], grid)
-    picard = config.get("picard", {})
+    # the config's picard keys are PicardConfig fields, tolerance aside
+    options = dict(config.get("picard", {}))
+    if "tolerance" in options:
+        options["xt_tolerance"] = options.pop("tolerance")
     with _config_field("config.picard"):
         solver_config = PicardConfig(
-            horizon=config["time"]["horizon"],
-            time_nodes=config["time"]["nodes"],
-            max_iterations=picard.get("max_iterations", 30),
-            xt_tolerance=picard.get("tolerance", 1e-10),
-            substeps=picard.get("substeps", 2),
-            dealias=picard.get("dealias", True),
-            full_derivative_mode=picard.get("full_derivative_mode", False),
+            horizon=config["time"]["horizon"], time_nodes=config["time"]["nodes"], **options
         )
 
     try:
@@ -432,14 +428,13 @@ def _probe_tuples(config: dict) -> list:
     for i, (_, b) in enumerate(config["ab_pairs"]):
         if b == 0:
             raise ConfigError(f"config.ab_pairs[{i}]: b must be nonzero")
+    grid_options = {
+        key: config[key]
+        for key in ("t_request", "near_fracs", "far_fracs", "intermediate_fracs")
+        if key in config
+    }
     return build_probe_grid(
-        config["omegas"],
-        [tuple(pair) for pair in config["ab_pairs"]],
-        config["m_values"],
-        t_request=config.get("t_request", 0.5),
-        near_fracs=tuple(config.get("near_fracs", (0.35, 0.8))),
-        far_fracs=tuple(config.get("far_fracs", (1.5,))),
-        intermediate_fracs=tuple(config.get("intermediate_fracs", ())),
+        config["omegas"], config["ab_pairs"], config["m_values"], **grid_options
     )
 
 
@@ -463,7 +458,7 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
         rows.append(
             (
                 _fmt(p.a), _fmt(p.b), _fmt(p.t), _fmt(p.omega), _fmt(p.m), _fmt(p.xi),
-                p.label.name.lower(),
+                p.label.value,
                 _fmt(p.value_direct.real), _fmt(p.value_direct.imag),
                 contour_re, contour_im,
                 _fmt(p.bound_ratio),
@@ -492,37 +487,15 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
     for label, summary in regions.items():
         if summary.ceiling_ok is False:
             failures.append(
-                f"{label.name.lower()} max decay ratio {summary.max_ratio:.6g} "
+                f"{label.value} max decay ratio {summary.max_ratio:.6g} "
                 f"exceeds ceiling {ceiling:.6g}"
             )
 
     arc_samples = config.get("arc_samples", 1000)
-    arc_payload = None
-    if arc_samples:
-        unique = list(dict.fromkeys(
-            (p.a, p.b, p.t, p.omega, p.xi)
-            for p in probes
-            if p.label is not RegionLabel.INTERMEDIATE
-        ))
-        arc_payload = {}
-        for name in ("near", "far"):
-            arc_payload[name] = {
-                "count": 0, "all_hold": True,
-                "min_margin": math.inf, "max_identity_error": 0.0,
-            }
-        for a, b, t, omega, xi in unique:
-            report = arc_exponent_check(a, b, t, omega, xi, n_theta=arc_samples)
-            entry = arc_payload[report.label.name.lower()]
-            entry["count"] += 1
-            entry["all_hold"] = entry["all_hold"] and report.holds
-            entry["min_margin"] = min(entry["min_margin"], report.min_margin)
-            entry["max_identity_error"] = max(
-                entry["max_identity_error"], report.identity_error
-            )
-        arc_payload = {k: v for k, v in arc_payload.items() if v["count"]}
-        for name, entry in arc_payload.items():
-            if not entry["all_hold"]:
-                failures.append(f"{name} arc-exponent inequality failed at some probe")
+    arc_payload = arc_summary(probes, arc_samples) if arc_samples else None
+    for name, entry in (arc_payload or {}).items():
+        if not entry["all_hold"]:
+            failures.append(f"{name} arc-exponent inequality failed at some probe")
 
     summary_payload = {
         "probe_count": len(probes),
@@ -533,12 +506,7 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
             "max_gap": max((p.agreement_gap for p in compared), default=0.0),
         },
         "regions": {
-            label.name.lower(): {
-                "count": summary.count,
-                "max_ratio": summary.max_ratio,
-                "fitted_constant": summary.fitted_constant,
-                "ceiling_ok": summary.ceiling_ok,
-            }
+            label.value: {k: v for k, v in asdict(summary).items() if k != "label"}
             for label, summary in regions.items()
         },
         "arc": arc_payload,
@@ -547,10 +515,10 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
     }
     write_json(out / "oscillatory_summary.json", summary_payload)
 
-    for label in sorted(regions, key=lambda lab: lab.name):
+    for label in sorted(regions, key=lambda lab: lab.value):
         summary = regions[label]
         print(
-            f"{label.name.lower()}: {summary.count} probes, "
+            f"{label.value}: {summary.count} probes, "
             f"max ratio {summary.max_ratio:.6g}, fitted constant "
             f"{summary.fitted_constant:.6g}"
         )
@@ -630,11 +598,15 @@ def cmd_report(out: Path) -> int:
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: unreadable manifest: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: manifest must be a JSON object")
+        duration = data.get("duration_seconds", 0.0)
+        if isinstance(duration, bool) or not isinstance(duration, (int, float)):
+            raise ConfigError(f"{path}: duration_seconds must be a number, got {duration!r}")
         runs.append(data)
         print(
             f"{data.get('command', '?')}: config {data.get('config', '?')}, "
-            f"seed {data.get('seed', '?')}, "
-            f"{data.get('duration_seconds', 0.0):.2f} s"
+            f"seed {data.get('seed', '?')}, {duration:.2f} s"
         )
     # durations vary run to run; the aggregate stays byte-reproducible
     stripped = [

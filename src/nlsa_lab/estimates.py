@@ -225,6 +225,11 @@ def _assemble(name, seed, base_fields, fine_fields, evaluate, exponent_fit=math.
     )
 
 
+def _require_alpha(alpha: float) -> None:
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha={alpha} outside (0, 1]")
+
+
 def _field_sets(fields, samples, seed, maker, anchors=()):
     """Provided fields verbatim, or anchors plus a seeded base/doubled fine set.
 
@@ -329,21 +334,12 @@ def check_sup_embedding(
 
     gain_base = fit_exponent(base, 1)
     gain_fine = fit_exponent(fine, 2)
-
-    def evaluate_with(gain):
-        def evaluate(f, scale):
-            out = []
-            for horizon, lhs, rhs in raw_pairs(f, scale):
-                out.append((lhs, horizon**gain * rhs))
-            return out
-
-        return evaluate
-
-    eval_base = evaluate_with(gain_base)
-    eval_fine = evaluate_with(gain_fine if math.isfinite(gain_fine) else gain_base)
+    if not math.isfinite(gain_fine):
+        gain_fine = gain_base
 
     def evaluate(f, scale):
-        return eval_base(f, scale) if scale == 1 else eval_fine(f, scale)
+        gain = gain_base if scale == 1 else gain_fine
+        return [(lhs, horizon**gain * rhs) for horizon, lhs, rhs in raw_pairs(f, scale)]
 
     return _assemble("sup-embedding", seed, base, fine, evaluate, exponent_fit=gain_base)
 
@@ -363,8 +359,7 @@ def check_commutator(
     LHS: L^2 norm of envelope * D^alpha f - D^alpha (envelope * f).
     RHS: sup |envelope'| times the L^2 norm of f.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha={alpha} outside (0, 1]")
+    _require_alpha(alpha)
     anchors = tuple(
         WavePacket((1.0 + 0j,), (freq,), (width,), (0.0,))
         for freq, width in ((0.8, 2.0), (1.0, 1.5), (1.0, 1.0))
@@ -405,8 +400,7 @@ def check_leibniz_band(
     partition of unity is complete over the packets' spectral support;
     otherwise refining the grid legitimately grows the band sum.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha={alpha} outside (0, 1]")
+    _require_alpha(alpha)
     mono = lambda freq, width: WavePacket((1.0 + 0j,), (freq,), (width,), (0.0,))
     anchors = (
         (mono(1.0, 1.0), mono(4.0, 1.0)),
@@ -463,8 +457,7 @@ def check_chain_rules(
     ||D^alpha F(u)|| <= ||u||_inf^2 ||D^alpha u|| on the time slice where u
     peaks, and the analogous bound in the L^5_x L^10_T mixed norm.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha={alpha} outside (0, 1]")
+    _require_alpha(alpha)
     base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
 
     def evaluate(f, scale):
@@ -518,8 +511,7 @@ def check_leibniz_two_sided(
         raise ValueError(
             f"derivative shares {alpha_first}+{alpha_second} do not sum to alpha={alpha}"
         )
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha={alpha} outside (0, 1]")
+    _require_alpha(alpha)
     (p, q) = lhs_exponents
     (p1, q1), (p2, q2) = factor_exponents
     for total, first, second, label in ((p, p1, p2, "space"), (q, q1, q2, "time")):

@@ -158,11 +158,20 @@ def _mu_parts(u: SpaceTimeField) -> tuple:
     """(mu1, ..., mu5) of u; see mu_norms."""
     if u.times.size < 2:
         raise ValueError("mu norms need at least two time nodes")
-    xi = u.grid.xi
+    # one spectrum, three multipliers in FFT order; each product is
+    # transformed back in place so only one extra frame stack stays alive
+    spec = np.fft.fft(u.frames, axis=1)
+    xi = u.grid.xi_fft
     quarter = np.abs(xi) ** 0.25
-    du = u.apply_symbol(1j * xi)
-    dq_u = u.apply_symbol(quarter)
-    dq_du = u.apply_symbol(quarter * 1j * xi)
+
+    def applied(symbol):
+        frames = spec * symbol
+        return SpaceTimeField(u.grid, u.times, np.fft.ifft(frames, axis=1, out=frames))
+
+    du = applied(1j * xi)
+    dq_u = applied(quarter)
+    dq_du = applied(quarter * 1j * xi)
+    del spec
 
     mu1 = mixed_norm_t_x(u, math.inf, 2) + mixed_norm_t_x(dq_u, math.inf, 2)
     mu2 = mixed_norm_x_t(du, math.inf, 2) + mixed_norm_x_t(dq_du, math.inf, 2)

@@ -29,6 +29,7 @@ Numerical ground rules (see also the floor discussion in the test suite):
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -83,11 +84,15 @@ class RegionLabel(enum.Enum):
     FAR = "far"
 
 
-def _require_valid(a: float, b: float, t: float, omega: float) -> None:
+def _require_bt(b: float, t: float) -> None:
     if b == 0:
         raise ValueError("b must be nonzero")
     if t <= 0:
         raise ValueError("t must be positive")
+
+
+def _require_valid(a: float, b: float, t: float, omega: float) -> None:
+    _require_bt(b, t)
     if omega <= 1:
         raise ValueError("omega must exceed 1")
 
@@ -146,14 +151,10 @@ def contour_is_admissible(xi: float, eps: float) -> bool:
 # band profile
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def _gl01(n: int):
-    if n not in _GL_CACHE:
-        x, w = leggauss(n)
-        _GL_CACHE[n] = ((x + 1.0) / 2.0, w / 2.0)
-    return _GL_CACHE[n]
+    x, w = leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def _pow2ceil(x: float) -> int:
@@ -304,23 +305,19 @@ class PhiProfile:
                              "use eval_shifted on contour arcs")
         if nx is None:
             nx = self.nx_for(float(np.abs(z).max(initial=0.0)))
-        xs, wts = self._trap_nodes(nx)
-        return self._row_chunked(z, xs, wts, 0.0)
+        return self.eval_shifted(z, 0.0, nx)
 
     def eval_shifted(self, w: np.ndarray, x0: float, nx: int) -> np.ndarray:
         """R(w) with phi(w) = e^{i w x0} R(w); |R| <= mass/(2pi) for the
-        natural endpoint choice (x0 = 1/2 when Im w >= 0, x0 = 2 when <= 0)."""
+        natural endpoint choice (x0 = 1/2 when Im w >= 0, x0 = 2 when <= 0).
+        At x0 = 0 this is phi itself."""
         w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
         xs, wts = self._trap_nodes(nx)
-        return self._row_chunked(w, xs, wts, x0)
-
-    def _row_chunked(self, z, xs, wts, x0):
-        out = np.empty(z.shape, dtype=np.complex128)
+        out = np.empty(w.shape, dtype=np.complex128)
         block = max(1, int(4e6 / (xs.size)))
         shift = xs - x0
-        for lo in range(0, z.size, block):
-            zz = z[lo:lo + block]
-            ker = np.exp(1j * zz[:, None] * shift[None, :])
+        for lo in range(0, w.size, block):
+            ker = np.exp(1j * w[lo:lo + block, None] * shift[None, :])
             out[lo:lo + block] = ker @ wts
         return self.scale / (2.0 * np.pi) * out
 
@@ -366,10 +363,15 @@ def _global_phase_factor(a, b, t, xi) -> complex:
 
 @dataclass
 class _Quad:
+    """One quadrature piece: value, L1 mass, node count, phase-conditioning
+    mass, and for arcs the skipped-panel bound and the trapezoid resolution."""
+
     value: complex
     l1: float
     n_nodes: int
     cond: float
+    skipped: float = 0.0
+    nx: int = 0
 
 
 def _line_edges(w_lo, w_hi, omega, cs, periods):
@@ -475,18 +477,8 @@ def _quad_range(q2, q1, q0, c_lo, c_hi):
     return min(vals), max(vals)
 
 
-@dataclass
-class _ArcResult:
-    value: complex
-    l1: float
-    n_nodes: int
-    skipped: float
-    nx: int
-    cond: float
-
-
 def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
-               skip_tol, subdivide=1) -> _ArcResult:
+               skip_tol, subdivide=1) -> _Quad:
     """One semicircle, radius eps around xi.
 
     phase_dir = -1 walks the lower arc (z = xi + eps e^{-i s}), +1 the upper;
@@ -557,7 +549,7 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
         l1 += width * np.sum(afv * glw)
         cond += width * np.sum(afv * (np.abs(expo.real) + np.abs(expo.imag)) * glw)
         n_nodes += theta.size
-    return _ArcResult(value, l1, n_nodes, skipped, nx, cond)
+    return _Quad(value, l1, n_nodes, cond, skipped, nx)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +583,31 @@ def _finish(value_coarse, value_fine, l1, n_nodes, floor_extra, prefactor):
     }
 
 
+def _close(pairs, profile, a, b, t, xi, full_output):
+    """Sum the (coarse, fine) piece pairs of one path and finish it.
+
+    The floor beyond rounding is the profile's spline and tail error, every
+    arc's skipped-panel mass and trapezoid rounding term, and the
+    phase-conditioning term.  Line pieces carry no skipped mass and nx = 0,
+    so their arc terms add exact zeros.
+    """
+    l1 = 0.0
+    n_nodes = 0
+    cond = 0.0
+    extra = abs(profile.scale) * (profile.err_l1 + profile.tail_l1)
+    for coarse, fine in pairs:
+        l1 += fine.l1
+        n_nodes += coarse.n_nodes + fine.n_nodes
+        cond += coarse.cond + fine.cond
+        # one left-to-right chain; `extra += (...)` would round differently
+        extra = extra + fine.skipped + coarse.skipped + _EPS * fine.l1 * math.sqrt(fine.nx)
+    out = _finish(sum(coarse.value for coarse, _ in pairs),
+                  sum(fine.value for _, fine in pairs),
+                  l1, n_nodes, extra + _EPS * _COND_MULT * cond,
+                  _global_phase_factor(a, b, t, xi))
+    return out if full_output else out["value"]
+
+
 def osc_integral_direct(a, b, t, omega, m, xi, profile=None, full_output=False):
     """Real-axis quadrature of the band-profile oscillatory integral.
 
@@ -603,12 +620,8 @@ def osc_integral_direct(a, b, t, omega, m, xi, profile=None, full_output=False):
     profile = _resolve_profile(m, profile)
     cs = _phase_coeffs(a, b, t, xi)
     wmax = profile.v_end / omega
-    coarse, fine = _line_pair(profile, omega, m, xi, cs, -wmax, wmax)
-    extra = (abs(profile.scale) * (profile.err_l1 + profile.tail_l1)
-             + _EPS * _COND_MULT * (coarse.cond + fine.cond))
-    out = _finish(coarse.value, fine.value, fine.l1, coarse.n_nodes + fine.n_nodes,
-                  extra, _global_phase_factor(a, b, t, xi))
-    return out if full_output else out["value"]
+    pairs = [_line_pair(profile, omega, m, xi, cs, -wmax, wmax)]
+    return _close(pairs, profile, a, b, t, xi, full_output)
 
 
 def osc_integral_contour(a, b, t, omega, m, xi, profile=None, full_output=False):
@@ -636,36 +649,13 @@ def osc_integral_contour(a, b, t, omega, m, xi, profile=None, full_output=False)
     wmax = profile.v_end / omega
     skip_tol = 1e-16 * abs(profile.scale) * profile.mass
 
-    pieces_c = []
-    pieces_f = []
-    l1 = 0.0
-    n_nodes = 0
-    cond = 0.0
-    if eps < wmax:
-        for lo, hi in ((-wmax, -eps), (eps, wmax)):
-            c, f = _line_pair(profile, omega, m, xi, cs, lo, hi)
-            pieces_c.append(c.value)
-            pieces_f.append(f.value)
-            l1 += f.l1
-            n_nodes += c.n_nodes + f.n_nodes
-            cond += c.cond + f.cond
-    arc_c = _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
-                       skip_tol, subdivide=1)
-    arc_f = _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
-                       skip_tol, subdivide=2)
-    pieces_c.append(arc_c.value)
-    pieces_f.append(arc_f.value)
-    l1 += arc_f.l1
-    n_nodes += arc_c.n_nodes + arc_f.n_nodes
-    cond += arc_c.cond + arc_f.cond
-
-    extra = (abs(profile.scale) * (profile.err_l1 + profile.tail_l1)
-             + arc_f.skipped + arc_c.skipped
-             + _EPS * arc_f.l1 * math.sqrt(arc_f.nx)
-             + _EPS * _COND_MULT * cond)
-    out = _finish(sum(pieces_c), sum(pieces_f), l1, n_nodes, extra,
-                  _global_phase_factor(a, b, t, xi))
-    return out if full_output else out["value"]
+    tails = ((-wmax, -eps), (eps, wmax)) if eps < wmax else ()
+    pairs = [_line_pair(profile, omega, m, xi, cs, lo, hi) for lo, hi in tails]
+    pairs.append(tuple(
+        _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs, skip_tol, subdivide)
+        for subdivide in (1, 2)
+    ))
+    return _close(pairs, profile, a, b, t, xi, full_output)
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +826,33 @@ def arc_exponent_check(a, b, t, omega, xi, n_theta=1000) -> ArcExponentReport:
                              float(margin.min()), identity_error)
 
 
+def arc_summary(probes, n_theta) -> dict:
+    """Fold arc_exponent_check over the distinct near/far probe parameters.
+
+    One entry per region that has such a probe ("near", "far"): the probe
+    count, whether every check holds, the smallest margin and the largest
+    identity error.
+    """
+    entries = {
+        label.value: {"count": 0, "all_hold": True,
+                      "min_margin": math.inf, "max_identity_error": 0.0}
+        for label in (RegionLabel.NEAR, RegionLabel.FAR)
+    }
+    unique = dict.fromkeys(
+        (p.a, p.b, p.t, p.omega, p.xi)
+        for p in probes
+        if p.label is not RegionLabel.INTERMEDIATE
+    )
+    for a, b, t, omega, xi in unique:
+        report = arc_exponent_check(a, b, t, omega, xi, n_theta=n_theta)
+        entry = entries[report.label.value]
+        entry["count"] += 1
+        entry["all_hold"] = entry["all_hold"] and report.holds
+        entry["min_margin"] = min(entry["min_margin"], report.min_margin)
+        entry["max_identity_error"] = max(entry["max_identity_error"], report.identity_error)
+    return {name: entry for name, entry in entries.items() if entry["count"]}
+
+
 # ---------------------------------------------------------------------------
 # dyadic band sums
 # ---------------------------------------------------------------------------
@@ -867,10 +884,7 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0,
     set when the two highest resolved bands still carry more than 1% of
     the sum (range too small to trust the sup).
     """
-    if b == 0:
-        raise ValueError("b must be nonzero")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _require_bt(b, t)
     grid = Grid(num_points, length)
     x = grid.x
     bands = qn_bands(grid)
@@ -913,10 +927,7 @@ def intermediate_count(xi, a, b, t, n_max=None) -> int:
     Finite because the intermediate condition pins 2^N to within a fixed
     factor of (|xi + a/(2b)|^2 - (a/(2b))^2) * |b| t.
     """
-    if b == 0:
-        raise ValueError("b must be nonzero")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _require_bt(b, t)
     half = a / (2.0 * b)
     q = ((xi + half) ** 2 - half * half) * abs(b) * t
     if q <= 0.0:

@@ -365,3 +365,27 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, literal):
     err = capsys.readouterr().err
     assert f"{literal} is not a finite number" in err
     assert "times must increase" not in err
+
+
+# ---------------------------------------------------------------------------
+# malformed manifests found by report
+# ---------------------------------------------------------------------------
+
+def test_report_rejects_manifest_that_is_not_an_object(tmp_path, capsys):
+    run = tmp_path / "runs" / "a"
+    run.mkdir(parents=True)
+    (run / "manifest.json").write_text(json.dumps(["solve"]))
+    assert main(["report", "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_report_rejects_null_duration(tmp_path, capsys):
+    run = tmp_path / "runs" / "a"
+    run.mkdir(parents=True)
+    (run / "manifest.json").write_text(json.dumps({"command": "solve", "duration_seconds": None}))
+    assert main(["report", "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "duration_seconds" in err
+    assert "Traceback" not in err

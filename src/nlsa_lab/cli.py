@@ -243,12 +243,13 @@ def write_csv(path: Path, header, rows) -> None:
 
 @contextmanager
 def _config_field(where: str):
-    """Turn a domain ValueError raised inside into a ConfigError naming the field."""
+    """Turn a domain ValueError, or an arithmetic error from values at the edge
+    of float64 range, raised inside into a ConfigError naming the field."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -349,7 +350,7 @@ def _initial_field(spec: dict, grid: Grid) -> GridFunction:
         soliton = soliton_oracle(
             spec["name"], spec.get("amplitude", 1.0), spec.get("x_shift", 0.0)
         )
-    return GridFunction(grid, soliton(grid.x, 0.0))
+        return GridFunction(grid, soliton(grid.x, 0.0))
 
 
 # ---------------------------------------------------------------------------

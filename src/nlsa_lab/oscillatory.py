@@ -254,11 +254,16 @@ class PhiProfile:
         period = 2.0 * np.pi / dv_fine
         dx_t = period / n_t
         # closest alias of the v-grid sits at n_t*dv_fine ~ 2.1e4, where the
-        # profile has decayed far below float64 resolution.
-        xt = np.arange(n_t) * dx_t
-        ft = self._transform_values(xt)
+        # profile has decayed far below float64 resolution.  The transform is
+        # exactly +0.0 off (1/2, 2), so only the window over the support (one
+        # point of margin each side) is evaluated; the rest of the grid holds
+        # the (+0.0, +0.0) a real-to-complex cast would give.
+        lo = max(0, math.floor(0.5 / dx_t) - 1)
+        hi = min(n_t, math.ceil(2.0 / dx_t) + 2)
+        ft = np.zeros(n_t, dtype=np.complex128)
+        ft.real[lo:hi] = self._transform_values(np.arange(lo, hi) * dx_t)
         table = np.fft.ifft(ft)[:n_fine] * (period / (2.0 * np.pi))
-        del xt, ft
+        del ft
 
         vk = np.arange(n_knots) * self.DV
         self._spl = make_interp_spline(vk, table[::2], k=5)
@@ -278,12 +283,14 @@ class PhiProfile:
         """Profile values on the real axis (0 beyond the table end)."""
         v = np.asarray(v, dtype=np.float64)
         av = np.abs(v)
-        out = np.zeros(v.shape, dtype=np.complex128)
-        inside = av <= self.v_end
-        if np.any(inside):
-            vals = self._spl(av[inside])
-            out[inside] = np.where(v[inside] < 0, np.conj(vals), vals)
-        return self.scale * out
+        out = self._spl(av)
+        # phi(-v) = conj(phi(v)); the zeroing comes after the conjugation so
+        # that entries off the table (and NaN) read +0.0
+        np.conjugate(out, out=out, where=v < 0)
+        out[~(av <= self.v_end)] = 0.0
+        # the scalar stays the left operand: numpy's vectorised complex
+        # product can round differently when its operands are swapped
+        return np.multiply(self.scale, out, out=out)
 
     def _trap_nodes(self, nx: int):
         if nx not in self._trap_cache:
@@ -420,7 +427,8 @@ def _line_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods) -> _Quad:
         w = nodes[lo:lo + block]
         j = jac[lo:lo + block]
         ph = _rel_phase(w, cs)
-        fv = omega * profile.eval_real(-omega * w)
+        fv = profile.eval_real(-omega * w)
+        np.multiply(omega, fv, out=fv)  # omega first, as in eval_real's scaling
         fv *= np.exp(1j * ph)
         if m != 0.0:
             fv *= (1.0 + (xi + w) ** 2) ** (-m)

@@ -61,6 +61,10 @@ class Grid:
         if self.length <= 0:
             raise ValueError("length must be positive")
         self.length = float(self.length)
+        if self.spacing == 0.0:
+            raise ValueError(
+                f"length {self.length!r} is too small to split into {self.num_points} points"
+            )
 
     @cached_property
     def spacing(self) -> float:

@@ -1,0 +1,112 @@
+"""The band profile's table build and real-axis evaluation do no wasted work.
+
+The build evaluates the transform only on the grid window over its support
+[1/2, 2]; that is exact only because the transform is +0.0, the value a
+real-to-complex cast gives, everywhere else on the 2^23-point grid.
+`eval_real` evaluates the spline once on |v| and fixes up signs in place; it
+must give the same bits as the gather/scatter formula it replaces, whatever
+the input's order.
+"""
+
+import copy
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nlsa_lab.oscillatory import PhiProfile
+
+N_T = 2 ** 23
+
+
+@pytest.fixture(scope="module")
+def prof():
+    return PhiProfile.cached(0.125)
+
+
+def _grid_step(prof):
+    return 2.0 * np.pi / (prof.DV / 2.0) / N_T
+
+
+def _assert_positive_zero(values):
+    assert np.all(values == 0.0)
+    assert not np.any(np.signbit(values))
+
+
+def test_transform_is_positive_zero_off_the_support_window(prof):
+    dx = _grid_step(prof)
+    first_in = math.floor(0.5 / dx) + 1  # first grid point above 1/2
+    last_in = math.ceil(2.0 / dx) - 1  # last grid point below 2
+    # the points next to the window on both sides
+    edges = np.concatenate([
+        np.arange(max(0, first_in - 64), first_in),
+        np.arange(last_in + 1, last_in + 65),
+    ])
+    _assert_positive_zero(prof._transform_values(edges * dx))
+    # a strided sample of the rest of the grid
+    rest = np.arange(0, N_T, 997)
+    rest = rest[(rest < first_in) | (rest > last_in)]
+    _assert_positive_zero(prof._transform_values(rest * dx))
+
+
+def test_build_allocates_only_the_transform_grid():
+    # a dense transform on all 2^23 points peaks at about 456 MB of traced
+    # allocations; the windowed one at about 271 MB
+    tracemalloc.start()
+    try:
+        PhiProfile(0.125)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320 * 2 ** 20
+
+
+def _gather_scatter(prof, v):
+    """The formula eval_real replaces: conj(spl(|v|)) for v < 0, spl(v)
+    otherwise, zero beyond the table end and at NaN."""
+    v = np.asarray(v, dtype=np.float64)
+    av = np.abs(v)
+    out = np.zeros(v.shape, dtype=np.complex128)
+    inside = av <= prof.v_end
+    vals = prof._spl(av[inside])
+    out[inside] = np.where(v[inside] < 0, np.conj(vals), vals)
+    return prof.scale * out
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=np.complex128)).view(np.uint64)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 0.0])
+def test_eval_real_matches_the_gather_scatter_formula_bit_for_bit(prof, scale):
+    prof = copy.copy(prof)
+    prof.scale = scale
+    end = prof.v_end
+    beyond = np.nextafter(end, np.inf)
+    special = np.array([0.0, -0.0, end, -end, beyond, -beyond, 2.0 * end, -1e300,
+                        np.inf, -np.inf, np.nan])
+    v = np.concatenate([np.linspace(-1.1 * end, 1.1 * end, 4001), special])
+    got = prof.eval_real(v)
+    assert got.dtype == np.complex128 and got.shape == v.shape
+    np.testing.assert_array_equal(_bits(got), _bits(_gather_scatter(prof, v)))
+    off = ~(np.abs(v) <= end)
+    _assert_positive_zero(got[off].view(np.float64))
+
+
+def test_eval_real_keeps_a_0d_input_0d(prof):
+    for x in (3.25, -3.25, 2.0 * prof.v_end):
+        got = prof.eval_real(np.float64(x))
+        assert np.shape(got) == ()
+        np.testing.assert_array_equal(
+            _bits(got), _bits(_gather_scatter(prof, np.array([x]))[0])
+        )
+
+
+def test_eval_real_is_independent_of_input_order(prof):
+    rng = np.random.default_rng(11)
+    v = np.sort(rng.uniform(-1.05 * prof.v_end, 1.05 * prof.v_end, 4000))
+    order = rng.permutation(v.size)
+    np.testing.assert_array_equal(
+        _bits(prof.eval_real(v[order])), _bits(prof.eval_real(v)[order])
+    )

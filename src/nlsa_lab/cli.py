@@ -51,7 +51,7 @@ from .picard import (
     reduction_preset,
     soliton_oracle,
 )
-from .spectral import EquationParams, Grid, GridFunction
+from .spectral import EquationParams, Grid, GridFunction, _dispersion
 
 __all__ = ["ConfigError", "RunManifest", "main"]
 
@@ -362,6 +362,13 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
     params = _equation_from(config)
     with _config_field("config.grid"):
         grid = Grid(config["grid"]["num_points"], config["grid"]["length"])
+        # a frequency whose cube overflows would turn every Picard distance NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            dispersion = _dispersion(grid.xi_fft, params.a, params.b)
+        if not np.isfinite(dispersion).all():
+            raise ValueError(
+                "the dispersion a*xi^2 + b*xi^3 is not finite on the grid's frequencies"
+            )
     u0 = _initial_field(config["initial_data"], grid)
     # the config's picard keys are PicardConfig fields, tolerance aside
     options = dict(config.get("picard", {}))

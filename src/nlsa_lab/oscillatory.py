@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import BSpline, make_interp_spline
 
 from .spectral import Grid, GridFunction, eta, qn_bands, qn_pieces
 
@@ -161,15 +161,49 @@ def _pow2ceil(x: float) -> int:
     return 1 << max(0, math.ceil(math.log2(max(x, 1.0))))
 
 
+def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int) -> np.ndarray:
+    """The first n_out values of np.fft.ifft of the length-n array that holds
+    the real values x at indices (lo + j) mod n and zeros elsewhere.
+
+    Four-step split n = n1 * n2 (Bailey 1990): output k = k1*n2 + k2 is the
+    size-n1 inverse transform, at k1, of x_j e^{2 pi i (lo + j) k2 / n} placed
+    at (lo + j) mod n1, which needs the window to fit in n1.  The twiddle's
+    angle is reduced mod n in integers, so it is exact before the one
+    rounding of its exponential; only k1 < ceil(n_out / n2) is kept.
+    """
+    n2 = n // n1
+    if n1 * n2 != n or x.size > n1:
+        raise ValueError("the input window must fit in n1, and n1 must divide n")
+    keep = -(-n_out // n2)
+    idx = lo + np.arange(x.size, dtype=np.int64)
+    place = idx % n1
+    out = np.empty((keep, n2), dtype=np.complex128)
+    chunk = min(n2, 64)
+    buf = np.zeros((chunk, n1), dtype=np.complex128)
+    for k2 in range(0, n2, chunk):
+        ks = np.arange(k2, min(k2 + chunk, n2), dtype=np.int64)
+        twiddle = np.multiply(2.0j * np.pi / n, (ks[:, None] * idx) % n)
+        np.exp(twiddle, out=twiddle)
+        twiddle *= x
+        buf[:ks.size, place] = twiddle
+        out[:, ks] = np.fft.ifft(buf[:ks.size], axis=1)[:, :keep].T
+    out = out.reshape(-1)[:n_out]
+    out /= n2
+    return out
+
+
 class PhiProfile:
     """The analytic profile with transform |x|^m eta(x) on [1/2, 2].
 
-    Real-axis values come from a dense FFT table fitted with a quintic
-    spline; the spline is validated at table midpoints (the table is built
-    at twice the knot density, so the odd samples are exact held-out
-    values).  Complex arguments are evaluated by a uniform trapezoid rule
-    on the transform support, which is spectrally accurate because the
-    transform vanishes to all orders at both support endpoints.
+    Real-axis values come from a table of the inverse transform, computed
+    by a pruned four-step FFT over the transform's support (only the table's
+    outputs are formed), and fitted with a quintic spline whose real and
+    imaginary parts are solved as two real columns; the spline is validated
+    at table midpoints (the table is built at twice the knot density, so the
+    odd samples are exact held-out values).  Complex arguments are
+    evaluated by a uniform trapezoid rule on the transform support, which is
+    spectrally accurate because the transform vanishes to all orders at both
+    support endpoints.
 
     Attributes of note:
       mass      L1 norm of the transform (|R| <= mass/(2pi) on arcs),
@@ -240,6 +274,26 @@ class PhiProfile:
         # 5% headroom on the bound masses; the plain integral stays exact
         return float(a17[0]), 1.05 * a17
 
+    def _table(self, n_fine: int) -> np.ndarray:
+        """Profile samples at v = k * DV/2 for k < n_fine: the inverse
+        transform of the transform sampled on a 2^23-point grid whose period
+        matches that spacing.
+
+        The closest alias of the v-grid sits at 2^23 * DV/2 ~ 2.1e4, where
+        the profile has decayed far below float64 resolution.  The transform
+        is exactly +0.0 off (1/2, 2), so only the window over the support
+        (one point of margin each side) enters the transform.
+        """
+        n_t = 2 ** 23
+        period = 2.0 * np.pi / (self.DV / 2.0)
+        dx_t = period / n_t
+        lo = max(0, math.floor(0.5 / dx_t) - 1)
+        hi = min(n_t, math.ceil(2.0 / dx_t) + 2)
+        ft = self._transform_values(np.arange(lo, hi) * dx_t)
+        table = _pruned_ifft(ft, lo, n_t, 2 ** 13, n_fine)
+        table *= period / (2.0 * np.pi)
+        return table
+
     def _build(self):
         self.mass, self.deriv_l1 = self._derivative_masses()
         a8 = self.deriv_l1[8]
@@ -249,24 +303,15 @@ class PhiProfile:
 
         dv_fine = self.DV / 2.0
         n_knots = int(round(self.v_end / self.DV)) + 1
-        n_fine = 2 * n_knots - 1
-        n_t = 2 ** 23
-        period = 2.0 * np.pi / dv_fine
-        dx_t = period / n_t
-        # closest alias of the v-grid sits at n_t*dv_fine ~ 2.1e4, where the
-        # profile has decayed far below float64 resolution.  The transform is
-        # exactly +0.0 off (1/2, 2), so only the window over the support (one
-        # point of margin each side) is evaluated; the rest of the grid holds
-        # the (+0.0, +0.0) a real-to-complex cast would give.
-        lo = max(0, math.floor(0.5 / dx_t) - 1)
-        hi = min(n_t, math.ceil(2.0 / dx_t) + 2)
-        ft = np.zeros(n_t, dtype=np.complex128)
-        ft.real[lo:hi] = self._transform_values(np.arange(lo, hi) * dx_t)
-        table = np.fft.ifft(ft)[:n_fine] * (period / (2.0 * np.pi))
-        del ft
+        table = self._table(2 * n_knots - 1)
 
+        # real and imaginary parts as two real columns: a complex right-hand
+        # side would make scipy cast the real band matrix to complex
         vk = np.arange(n_knots) * self.DV
-        self._spl = make_interp_spline(vk, table[::2], k=5)
+        knots = np.ascontiguousarray(table[::2]).view(np.float64).reshape(-1, 2)
+        spl = make_interp_spline(vk, knots, k=5)
+        coefs = np.ascontiguousarray(spl.c).view(np.complex128).ravel()
+        self._spl = BSpline.construct_fast(spl.t, coefs, 5)
 
         vmid = dv_fine * (2 * np.arange(n_knots - 1) + 1)
         err = np.abs(self._spl(vmid) - table[1::2])
@@ -409,34 +454,50 @@ def _subdivide_endpoint_panels(edges, periods):
     return np.concatenate([first[:-1], edges[1:-2], last])
 
 
+def _line_block(profile, omega, m, xi, cs, left, widths):
+    """Value, L1 mass and phase-conditioning mass of the GL panels with these
+    left edges and widths.  The integrand is formed and weighted in place,
+    and every temporary is freed on return."""
+    glx, glw = _gl01(_GL_LINE)
+    w = (left[:, None] + widths[:, None] * glx).ravel()
+    fv = profile.eval_real(-omega * w)
+    np.multiply(omega, fv, out=fv)  # omega first, as in eval_real's scaling
+    ph = _rel_phase(w, cs)
+    e = np.multiply(1j, ph)
+    fv *= np.exp(e, out=e)
+    del e
+    if m != 0.0:
+        fv *= (1.0 + (xi + w) ** 2) ** (-m)
+    afv = np.abs(fv)
+    j = (widths[:, None] * glw).ravel()
+    fv *= j
+    np.abs(ph, out=ph)
+    ph *= afv
+    ph *= j
+    afv *= j
+    return np.sum(fv), np.sum(afv), np.sum(ph)
+
+
 def _line_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods) -> _Quad:
     if w_hi <= w_lo:
         return _Quad(0.0 + 0.0j, 0.0, 0, 0.0)
     edges = _line_edges(w_lo, w_hi, omega, cs, periods)
     edges = _subdivide_endpoint_panels(edges, periods)
-    glx, glw = _gl01(_GL_LINE)
+    left = edges[:-1]
     widths = np.diff(edges)
-    nodes = (edges[:-1, None] + widths[:, None] * glx[None, :]).ravel()
-    jac = (widths[:, None] * glw[None, :]).ravel()
 
     value = 0.0 + 0.0j
     l1 = 0.0
     cond = 0.0
-    block = 1 << 20
-    for lo in range(0, nodes.size, block):
-        w = nodes[lo:lo + block]
-        j = jac[lo:lo + block]
-        ph = _rel_phase(w, cs)
-        fv = profile.eval_real(-omega * w)
-        np.multiply(omega, fv, out=fv)  # omega first, as in eval_real's scaling
-        fv *= np.exp(1j * ph)
-        if m != 0.0:
-            fv *= (1.0 + (xi + w) ** 2) ** (-m)
-        afv = np.abs(fv)
-        value += np.sum(fv * j)
-        l1 += np.sum(afv * j)
-        cond += np.sum(afv * np.abs(ph) * j)
-    return _Quad(value, l1, nodes.size, cond)
+    # the sums run over blocks of 2^20 nodes, each built from its own panels
+    block = (1 << 20) // _GL_LINE
+    for lo in range(0, widths.size, block):
+        v, a, c = _line_block(profile, omega, m, xi, cs, left[lo:lo + block],
+                              widths[lo:lo + block])
+        value += v
+        l1 += a
+        cond += c
+    return _Quad(value, l1, widths.size * _GL_LINE, cond)
 
 
 def _line_pair(profile, omega, m, xi, cs, w_lo, w_hi):

@@ -355,6 +355,16 @@ def test_out_of_domain_values_name_the_field(tmp_path, capsys, command, payload,
     assert "Traceback" not in err
 
 
+def test_solve_grid_with_overflowing_dispersion_names_the_grid(tmp_path, capsys):
+    # the top frequency of a 1e-300-long grid cubes to inf; the run used to
+    # exit 2 on NaN Picard distances
+    cfg = write_config(tmp_path, solve_payload(grid={"num_points": 2, "length": 1e-300}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config.grid" in err and "dispersion" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_numbers_rejected(tmp_path, capsys, literal):
     text = json.dumps(solve_payload()).replace('"horizon": 0.05', f'"horizon": {literal}')

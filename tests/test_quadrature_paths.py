@@ -1,16 +1,21 @@
 """Both quadrature paths pinned bit for bit, and the arc summary.
 
 The pinned dicts are the full_output of osc_integral_direct and
-osc_integral_contour, recorded before the two paths shared one closing step
-(x86-64, numpy 2.4, scipy 1.17).  Floats are compared through float.hex, so
-a one-ulp change in a value, a floor or a step-halving error fails.
+osc_integral_contour, re-recorded when the profile table moved to the pruned
+four-step transform and the real band solve (x86-64, Python 3.11.7, numpy
+2.4.6, scipy 1.17.1).  They depend on pocketfft and on LAPACK's dgbsv, so
+another numpy or scipy may move them.  Floats are compared through
+float.hex, so a one-ulp change in a value, a floor or a step-halving error
+fails.
 """
 
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from nlsa_lab import oscillatory
 from nlsa_lab.oscillatory import (
     PhiProfile,
     RegionLabel,
@@ -39,26 +44,26 @@ PROBES = {
 # name -> path -> (re value, im value, err, floor, n_nodes); all converged
 PINNED = {
     "near": {
-        "direct": ("-0x1.01ffd52103200p-52", "0x1.0000000000000p-56",
-                   "0x1.9eaeb3dbd3ec7p-51", "0x1.75bd109db5320p-44", 14144),
-        "contour": ("0x1.31a6000000000p-56", "0x1.4c00000000000p-64",
-                    "0x1.3f38093c45895p-55", "0x1.c326fa9c9d733p-45", 15616),
+        "direct": ("-0x1.34815022f9000p-52", "0x1.0000000000000p-54",
+                   "0x1.479b4246dbc61p-51", "0x1.7433d1e858eb2p-44", 14144),
+        "contour": ("0x1.0281800000000p-55", "0x1.4600000000000p-64",
+                    "0x1.48fbe14a582d0p-54", "0x1.c0147d31e4e57p-45", 15616),
     },
     "far_upper": {
-        "direct": ("0x1.e539cfeaf034fp-53", "-0x1.df8275a97342fp-51",
-                   "0x1.944e47bb15111p-50", "0x1.841574912e987p-40", 4172992),
-        "contour": ("0x1.374f3546cecf1p-61", "0x1.f9ecbde14bf20p-62",
-                    "0x1.23b1e1b559099p-61", "0x1.c3234db4934a1p-45", 2405568),
+        "direct": ("0x1.e2b373d18ffbcp-53", "-0x1.dfda3de64a419p-51",
+                   "0x1.943ab078e9b9fp-50", "0x1.83fce0a5d8c1ap-40", 4172992),
+        "contour": ("0x1.adefee7f146a8p-66", "0x1.c2bdfcd537a24p-64",
+                    "0x1.ef52fd427c34ap-62", "0x1.c010d049d89c4p-45", 2405568),
     },
     "far_lower": {
-        "direct": ("0x1.97101915a6136p-52", "0x1.2ae21e23fc879p-51",
-                   "0x1.9a58c07ceb682p-51", "0x1.841574912e987p-40", 4172992),
-        "contour": ("0x1.f78d512a1510cp-64", "-0x1.26508c165ecffp-62",
-                    "0x1.03158a117929fp-62", "0x1.c3234db4934a1p-45", 2405568),
+        "direct": ("0x1.9733635fa573bp-52", "0x1.2bcbe7820b823p-51",
+                   "0x1.99b8c7a177cafp-51", "0x1.83fce0a5d8c19p-40", 4172992),
+        "contour": ("-0x1.272f9fa804126p-62", "0x1.a48f4cdc753b4p-67",
+                    "0x1.7244c53cd8287p-62", "0x1.c010d049d89c4p-45", 2405568),
     },
     "intermediate": {
-        "direct": ("-0x1.fdfb8109fbcf1p-3", "-0x1.a6caeb6997875p-2",
-                   "0x1.ee6fe9f58479ep-52", "0x1.4138caadd7d7ep-44", 20288),
+        "direct": ("-0x1.fdfb8109fbcf0p-3", "-0x1.a6caeb6997876p-2",
+                   "0x1.bec558f963162p-52", "0x1.3faf8bf87b908p-44", 20288),
     },
 }
 
@@ -82,6 +87,47 @@ def test_full_output_is_pinned_bit_for_bit(prof, name):
         assert got == pinned, path
         assert out["converged"]
         assert PATHS[path](*probe, prof) == out["value"]
+
+
+def _materialised_line_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods):
+    """The line piece as it was before blocks were built from their panels:
+    every node and weight materialised up front, then summed in blocks of
+    2^20 nodes."""
+    edges = oscillatory._line_edges(w_lo, w_hi, omega, cs, periods)
+    edges = oscillatory._subdivide_endpoint_panels(edges, periods)
+    glx, glw = oscillatory._gl01(oscillatory._GL_LINE)
+    widths = np.diff(edges)
+    nodes = (edges[:-1, None] + widths[:, None] * glx[None, :]).ravel()
+    jac = (widths[:, None] * glw[None, :]).ravel()
+    value, l1, cond = 0.0 + 0.0j, 0.0, 0.0
+    for lo in range(0, nodes.size, 1 << 20):
+        w = nodes[lo:lo + (1 << 20)]
+        j = jac[lo:lo + (1 << 20)]
+        ph = oscillatory._rel_phase(w, cs)
+        fv = profile.eval_real(-omega * w)
+        np.multiply(omega, fv, out=fv)
+        fv *= np.exp(1j * ph)
+        if m != 0.0:
+            fv *= (1.0 + (xi + w) ** 2) ** (-m)
+        afv = np.abs(fv)
+        value += np.sum(fv * j)
+        l1 += np.sum(afv * j)
+        cond += np.sum(afv * np.abs(ph) * j)
+    return value, l1, cond, nodes.size
+
+
+def test_line_piece_blocks_match_the_materialised_nodes_bit_for_bit(prof):
+    # the far-upper direct pieces span more than 2^20 nodes, so several
+    # blocks and a short last one are summed
+    a, b, t, omega, m, xi = PROBES["far_upper"][0]
+    cs = oscillatory._phase_coeffs(a, b, t, xi)
+    wmax = prof.v_end / omega
+    for periods in (oscillatory._PANEL_PERIODS, oscillatory._PANEL_PERIODS / 2.0):
+        got = oscillatory._line_piece(prof, omega, m, xi, cs, -wmax, wmax, periods)
+        want = _materialised_line_piece(prof, omega, m, xi, cs, -wmax, wmax, periods)
+        assert got.n_nodes == want[3] > 1 << 20
+        assert (got.value.real.hex(), got.value.imag.hex(), got.l1.hex(), got.cond.hex()) == (
+            want[0].real.hex(), want[0].imag.hex(), want[1].hex(), want[2].hex())
 
 
 def probe_stub(a, b, t, omega, m, xi):

@@ -24,6 +24,15 @@ Numerical ground rules (see also the floor discussion in the test suite):
 * Every integral carries a computable conditioning floor (rounding mass +
   profile truncation bias); comparisons below the floor are reported as
   floor-level agreement, which is the strongest statement float64 admits.
+* Real-axis pieces use composite Gauss-Legendre panels sized to the phase,
+  except the direct path's piece when min |P'| over it is at least
+  K*2.2*omega (K = _LEVIN_MIN_RATE = 16, the far probes): there the
+  amplitude oscillates at <= 2*omega while the phase runs hundreds of times
+  faster, and Levin collocation on panels sized to the amplitude replaces
+  millions of GL nodes with tens of thousands.  Its floor carries the
+  Clenshaw-Curtis L1 mass of the amplitude (in the rounding term) and the
+  phase conditioning of its endpoint terms.  The contour path's real-axis
+  tails always stay on GL, so that it checks the Levin value independently.
 """
 
 from __future__ import annotations
@@ -49,6 +58,18 @@ _EPS = float(np.finfo(np.float64).eps)
 _GL_LINE = 32
 _PANEL_PERIODS = 12.0
 _ENDPOINT_PERIODS = 1.6
+
+# Levin collocation replaces Gauss-Legendre on a direct-path piece when the
+# phase rate |P'| stays at or above _LEVIN_MIN_RATE * 2.2*omega on it (K = 16;
+# far probes sit at K ~ 283-307, intermediate ones at <= 4.1).  Panels span
+# 2 amplitude periods pi/omega on the coarse pass and 1 on the fine pass, 28
+# Chebyshev-Lobatto nodes each: at the band edge 2*omega and a phase rate at
+# the threshold, 20 nodes leave the coarse pass 1e-9 off and 24 nodes 1e-12.
+# K = 16 keeps the collocation diagonal |P'| * h/2 at 55 or more, where the
+# matrices' condition number is <= 55; on far probes it is about 1.5.
+_LEVIN_NODES = 28
+_LEVIN_PERIODS = 2.0
+_LEVIN_MIN_RATE = 16.0
 
 # arc quadrature: 96-node panels, dyadically widening away from the arc ends.
 _GL_ARC = 96
@@ -155,6 +176,23 @@ def contour_is_admissible(xi: float, eps: float) -> bool:
 def _gl01(n: int):
     x, w = leggauss(n)
     return (x + 1.0) / 2.0, w / 2.0
+
+
+@functools.cache
+def _cheb_lobatto(n: int):
+    """The n Chebyshev-Lobatto nodes on [-1, 1] in ascending order, the
+    differentiation matrix on them and their Clenshaw-Curtis weights."""
+    big = n - 1
+    theta = np.pi * np.arange(n) / big
+    x = -np.cos(theta)
+    ends = np.isin(np.arange(n), (0, big))
+    c = np.where(ends, 2.0, 1.0) * (-1.0) ** np.arange(n)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n))
+    d -= np.diag(d.sum(axis=1))
+    k = np.arange(1, big // 2 + 1)
+    coef = np.where(2 * k == big, 1.0, 2.0) / (4.0 * k * k - 1.0)
+    wts = (1.0 - coef @ np.cos(2.0 * np.outer(k, theta))) * np.where(ends, 1.0, 2.0) / big
+    return x, d, wts
 
 
 def _pow2ceil(x: float) -> int:
@@ -500,11 +538,78 @@ def _line_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods) -> _Quad:
     return _Quad(value, l1, widths.size * _GL_LINE, cond)
 
 
-def _line_pair(profile, omega, m, xi, cs, w_lo, w_hi):
-    """Coarse/fine evaluation of one real-axis piece."""
+def _levin_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods) -> _Quad:
+    """Levin collocation of one real-axis piece (Levin 1982; Olver 2006).
+
+    The integrand is A e^{iP} with amplitude A(w) = omega*phi(-omega*w) *
+    (1 + (xi + w)^2)^(-m).  On equal panels of `periods` amplitude periods
+    pi/omega, the non-oscillatory solution of p' + iP'p = A is collocated at
+    Chebyshev-Lobatto nodes, all panels in one batched solve, and the value
+    is the telescoping sum of the endpoint terms p e^{iP}.  The L1 mass is
+    the Clenshaw-Curtis integral of |A|; the conditioning mass is
+    sum |P(w_e)| |p(w_e)| over the endpoint terms, whose e^{iP} carry the
+    angle noise.  The solve's own rounding, about cond(M) * n * eps * |p| per
+    term, is not added: |p| ~ |A|/|P'| is small, and on far probes (cond(M)
+    ~ 1.5, sum |p(w_e)| ~ 0.0014 * l1) it comes to about 0.06 * eps * l1,
+    far below the eps * l1 * sqrt(n_nodes) ~ 250 * eps * l1 that every floor
+    carries.
+    """
+    x, d, ccw = _cheb_lobatto(_LEVIN_NODES)
+    n_pan = max(1, math.ceil((w_hi - w_lo) * omega / (periods * np.pi)))
+    edges = np.linspace(w_lo, w_hi, n_pan + 1)
+    half = (w_hi - w_lo) / (2.0 * n_pan)
+    w = (edges[:-1, None] + half) + half * x
+    amp = profile.eval_real(-omega * w)
+    np.multiply(omega, amp, out=amp)
+    if m != 0.0:
+        amp *= (1.0 + (xi + w) ** 2) ** (-m)
+    mat = np.empty((n_pan, x.size, x.size), dtype=np.complex128)
+    mat[:] = d / half
+    diag = np.arange(x.size)
+    mat[:, diag, diag] += 1j * _rel_phase_rate(w, cs)
+    # the right-hand side keeps a trailing axis: numpy 2 reads a stack of
+    # plain vectors as one matrix
+    p = np.linalg.solve(mat, amp[..., None])[..., 0]
+    ph = _rel_phase(edges, cs)
+    e = np.exp(1j * ph)
+    value = np.sum(p[:, -1] * e[1:]) - np.sum(p[:, 0] * e[:-1])
+    np.abs(ph, out=ph)
+    cond = np.sum(ph[1:] * np.abs(p[:, -1])) + np.sum(ph[:-1] * np.abs(p[:, 0]))
+    l1 = half * np.sum(np.abs(amp) @ ccw)
+    return _Quad(value, l1, p.size, cond)
+
+
+def _min_rate(cs, w_lo, w_hi) -> float:
+    """The exact minimum of |P'| over [w_lo, w_hi].  P' is a quadratic, so it
+    is monotone between the ends and its vertex; a sign change between those
+    points puts a stationary point in the piece."""
+    _, c2, c3 = cs
+    pts = [w_lo, w_hi]
+    vertex = -c2 / (3.0 * c3)
+    if w_lo < vertex < w_hi:
+        pts.insert(1, vertex)
+    rates = [_rel_phase_rate(w, cs) for w in pts]
+    if any(r0 * r1 <= 0.0 for r0, r1 in zip(rates[:-1], rates[1:])):
+        return 0.0
+    return min(abs(r) for r in rates)
+
+
+def _gl_pair(profile, omega, m, xi, cs, w_lo, w_hi):
+    """Coarse/fine Gauss-Legendre evaluation of one real-axis piece."""
     coarse = _line_piece(profile, omega, m, xi, cs, w_lo, w_hi, _PANEL_PERIODS)
     fine = _line_piece(profile, omega, m, xi, cs, w_lo, w_hi, _PANEL_PERIODS / 2.0)
     return coarse, fine
+
+
+def _line_pair(profile, omega, m, xi, cs, w_lo, w_hi):
+    """Coarse/fine evaluation of one real-axis piece of the direct path:
+    Levin collocation when min |P'| >= K*2.2*omega on the piece, so that the
+    phase outruns the amplitude's band-limited oscillation everywhere, and
+    Gauss-Legendre otherwise."""
+    if _min_rate(cs, w_lo, w_hi) >= _LEVIN_MIN_RATE * 2.2 * omega:
+        return tuple(_levin_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods)
+                     for periods in (_LEVIN_PERIODS, _LEVIN_PERIODS / 2.0))
+    return _gl_pair(profile, omega, m, xi, cs, w_lo, w_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -680,10 +785,17 @@ def _close(pairs, profile, a, b, t, xi, full_output):
 def osc_integral_direct(a, b, t, omega, m, xi, profile=None, full_output=False):
     """Real-axis quadrature of the band-profile oscillatory integral.
 
-    Composite Gauss-Legendre panels sized by the local phase rate; the
-    domain is the profile's numerical support |omega*(xi-z)| <= v_end.
-    Step-halving provides the convergence flag; a refinement shift beyond
-    1e-4 relative (plus the conditioning floor) raises.
+    The domain is the profile's numerical support |omega*(xi-z)| <= v_end,
+    taken as one piece.  When the phase rate |P'| stays at or above
+    K*2.2*omega over it (K = 16; far probes, which have no stationary point
+    there) the piece is evaluated by Levin collocation on panels of 2 and 1
+    amplitude periods pi/omega; otherwise by composite Gauss-Legendre panels
+    sized by the local phase rate.  The Levin floor is built from the
+    Clenshaw-Curtis L1 mass of the amplitude over its 28-node panels and
+    the endpoint terms' phase conditioning sum |P(w_e)| |p(w_e)|, plus the
+    profile's spline and tail error as for every piece.  Step-halving
+    provides the convergence flag; a refinement shift beyond 1e-4 relative
+    (plus the conditioning floor) raises.
     """
     _require_admissible(a, b, t, omega)
     profile = _resolve_profile(m, profile)
@@ -718,8 +830,11 @@ def osc_integral_contour(a, b, t, omega, m, xi, profile=None, full_output=False)
     wmax = profile.v_end / omega
     skip_tol = 1e-16 * abs(profile.scale) * profile.mass
 
+    # the tails stay on Gauss-Legendre even where the Levin rule would admit
+    # them, so that this path checks a Levin direct value against an
+    # independent quadrature of the same stretch of real axis
     tails = ((-wmax, -eps), (eps, wmax)) if eps < wmax else ()
-    pairs = [_line_pair(profile, omega, m, xi, cs, lo, hi) for lo, hi in tails]
+    pairs = [_gl_pair(profile, omega, m, xi, cs, lo, hi) for lo, hi in tails]
     pairs.append(tuple(
         _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs, skip_tol, subdivide)
         for subdivide in (1, 2)

@@ -86,9 +86,11 @@ def _solve_config(grid=None, initial_data=None):
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(config=from_schema(SOLVE_SCHEMA))
-# a grid spacing that underflows to 0, and a soliton amplitude whose square
+# a grid spacing that underflows to 0, a grid whose dispersion a*xi^2+b*xi^3
+# overflows on its frequencies, and a soliton amplitude whose square
 # overflows a Python float
 @example(config=_solve_config(grid={"num_points": 2, "length": 5e-324}))
+@example(config=_solve_config(grid={"num_points": 2, "length": 1e-300}))
 @example(config=_solve_config(initial_data={"kind": "soliton", "name": "mkdv", "amplitude": 1e200}))
 def test_every_schema_valid_solve_config_runs_or_is_refused(tmp_path_factory, config):
     tmp = tmp_path_factory.mktemp("fuzz")

@@ -2,9 +2,11 @@
 
 The pinned dicts are the full_output of osc_integral_direct and
 osc_integral_contour, re-recorded when the profile table moved to the pruned
-four-step transform and the real band solve (x86-64, Python 3.11.7, numpy
-2.4.6, scipy 1.17.1).  They depend on pocketfft and on LAPACK's dgbsv, so
-another numpy or scipy may move them.  Floats are compared through
+four-step transform and the real band solve, and the two far direct ones
+again when far direct pieces moved to Levin collocation (x86-64, Python
+3.11.7, numpy 2.4.6, scipy 1.17.1).  They depend on pocketfft, on LAPACK's
+dgbsv and, for the far direct pins, on LAPACK's batched zgesv, so another
+numpy or scipy may move them.  Floats are compared through
 float.hex, so a one-ulp change in a value, a floor or a step-halving error
 fails.
 """
@@ -50,14 +52,14 @@ PINNED = {
                     "0x1.48fbe14a582d0p-54", "0x1.c0147d31e4e57p-45", 15616),
     },
     "far_upper": {
-        "direct": ("0x1.e2b373d18ffbcp-53", "-0x1.dfda3de64a419p-51",
-                   "0x1.943ab078e9b9fp-50", "0x1.83fce0a5d8c1ap-40", 4172992),
+        "direct": ("0x1.ac01868527af4p-57", "0x1.2337900cb5d44p-56",
+                   "0x1.c7bc28256b1c6p-56", "0x1.54b0ee11d4624p-44", 64176),
         "contour": ("0x1.adefee7f146a8p-66", "0x1.c2bdfcd537a24p-64",
                     "0x1.ef52fd427c34ap-62", "0x1.c010d049d89c4p-45", 2405568),
     },
     "far_lower": {
-        "direct": ("0x1.9733635fa573bp-52", "0x1.2bcbe7820b823p-51",
-                   "0x1.99b8c7a177cafp-51", "0x1.83fce0a5d8c19p-40", 4172992),
+        "direct": ("-0x1.6c358864bfb12p-57", "-0x1.22a335ed8eacdp-56",
+                   "0x1.876db0c708a7cp-56", "0x1.54aeb1141baa2p-44", 64176),
         "contour": ("-0x1.272f9fa804126p-62", "0x1.a48f4cdc753b4p-67",
                     "0x1.7244c53cd8287p-62", "0x1.c010d049d89c4p-45", 2405568),
     },

@@ -58,10 +58,23 @@ class SpaceTimeField:
         return GridFunction(self.grid, self.frames[k])
 
     def apply_symbol(self, symbol: np.ndarray) -> "SpaceTimeField":
-        """Apply one Fourier multiplier to every frame at once."""
+        """Apply one Fourier multiplier, sampled over grid.xi, to every frame at once."""
+        (applied,) = self.apply_symbols(np.fft.ifftshift(symbol))
+        return applied
+
+    def apply_symbols(self, *symbols: np.ndarray) -> list:
+        """Apply FFT-order multipliers to every frame, all from one transform.
+
+        Each product is transformed back in place and the last one reuses the
+        spectrum's buffer, so n symbols allocate n frame stacks.
+        """
         spec = np.fft.fft(self.frames, axis=1)
-        spec *= np.fft.ifftshift(symbol)[None, :]
-        return SpaceTimeField(self.grid, self.times, np.fft.ifft(spec, axis=1))
+        fields = []
+        for k, symbol in enumerate(symbols, 1):
+            frames = np.multiply(spec, symbol, out=spec if k == len(symbols) else None)
+            np.fft.ifft(frames, axis=1, out=frames)
+            fields.append(SpaceTimeField(self.grid, self.times, frames))
+        return fields
 
 
 @dataclass
@@ -117,7 +130,8 @@ def _time_inner(u: SpaceTimeField, q) -> np.ndarray:
     mag = np.abs(u.frames)
     if q == math.inf:
         return mag.max(axis=0)
-    return np.trapezoid(mag**q, x=u.times, axis=0) ** (1.0 / q)
+    mag **= q
+    return np.trapezoid(mag, x=u.times, axis=0) ** (1.0 / q)
 
 
 def _space_inner(u: SpaceTimeField, p) -> np.ndarray:
@@ -125,7 +139,8 @@ def _space_inner(u: SpaceTimeField, p) -> np.ndarray:
     mag = np.abs(u.frames)
     if p == math.inf:
         return mag.max(axis=1)
-    return (u.grid.spacing * np.sum(mag**p, axis=1)) ** (1.0 / p)
+    mag **= p
+    return (u.grid.spacing * np.sum(mag, axis=1)) ** (1.0 / p)
 
 
 def mixed_norm_x_t(u: SpaceTimeField, p, q) -> float:
@@ -158,20 +173,9 @@ def _mu_parts(u: SpaceTimeField) -> tuple:
     """(mu1, ..., mu5) of u; see mu_norms."""
     if u.times.size < 2:
         raise ValueError("mu norms need at least two time nodes")
-    # one spectrum, three multipliers in FFT order; each product is
-    # transformed back in place so only one extra frame stack stays alive
-    spec = np.fft.fft(u.frames, axis=1)
     xi = u.grid.xi_fft
     quarter = np.abs(xi) ** 0.25
-
-    def applied(symbol):
-        frames = spec * symbol
-        return SpaceTimeField(u.grid, u.times, np.fft.ifft(frames, axis=1, out=frames))
-
-    du = applied(1j * xi)
-    dq_u = applied(quarter)
-    dq_du = applied(quarter * 1j * xi)
-    del spec
+    du, dq_u, dq_du = u.apply_symbols(1j * xi, quarter, quarter * 1j * xi)
 
     mu1 = mixed_norm_t_x(u, math.inf, 2) + mixed_norm_t_x(dq_u, math.inf, 2)
     mu2 = mixed_norm_x_t(du, math.inf, 2) + mixed_norm_x_t(dq_du, math.inf, 2)

@@ -162,13 +162,30 @@ def _nonlinearity_frames(
             f"full-derivative evaluation needs d = 2e, got d={params.d}, e={params.e}"
         )
     ixi = 1j * grid.xi_fft
+
+    def d_dx(values):
+        """x-derivative of every frame, built in one buffer."""
+        spec = np.fft.fft(values, axis=1)
+        np.multiply(ixi[None, :], spec, out=spec)
+        return np.fft.ifft(spec, axis=1, out=spec)
+
     mag2 = frames.real**2 + frames.imag**2
     cubic = mag2 * frames
+    # the terms accumulate into the cubic's buffer, every product in the
+    # operand order of the formula
     if full_derivative_mode:
-        dcubic = np.fft.ifft(ixi[None, :] * np.fft.fft(cubic, axis=1), axis=1)
-        return 1j * params.c * cubic + params.e * dcubic
-    du = np.fft.ifft(ixi[None, :] * np.fft.fft(frames, axis=1), axis=1)
-    return 1j * params.c * cubic + params.d * mag2 * du + params.e * frames**2 * np.conj(du)
+        dcubic = d_dx(cubic)
+        out = np.multiply(1j * params.c, cubic, out=cubic)
+        return np.add(out, np.multiply(params.e, dcubic, out=dcubic), out=out)
+    du = d_dx(frames)
+    out = np.multiply(1j * params.c, cubic, out=cubic)
+    term = params.d * mag2
+    del mag2
+    out += term * du
+    term = frames**2
+    np.multiply(params.e, term, out=term)
+    np.multiply(term, np.conjugate(du, out=du), out=term)
+    return np.add(out, term, out=out)
 
 
 def nonlinearity_eval(
@@ -196,8 +213,11 @@ def _refined_times_and_frames(u: SpaceTimeField, substeps: int):
     lam = np.arange(substeps) / substeps  # interpolation weights, left endpoints
     tau = times[:-1, None] * (1.0 - lam) + times[1:, None] * lam
     tau = np.append(tau.ravel(), times[-1])
-    interp = frames[:-1, None, :] * (1.0 - lam)[None, :, None] + frames[1:, None, :] * lam[None, :, None]
-    fine = np.concatenate([interp.reshape(-1, frames.shape[1]), frames[-1:]], axis=0)
+    fine = np.empty((tau.size, frames.shape[1]), dtype=np.complex128)
+    fine[-1] = frames[-1]
+    interp = fine[:-1].reshape(-1, substeps, frames.shape[1])
+    np.multiply(frames[:-1, None, :], (1.0 - lam)[None, :, None], out=interp)
+    interp += frames[1:, None, :] * lam[None, :, None]
     return tau, fine
 
 
@@ -220,9 +240,9 @@ def duhamel_apply(
         out_hat = duhamel_flow(grid, params, u0_hat, u.times)
     else:
         tau, fine = _refined_times_and_frames(u, config.substeps)
-        n_hat = np.fft.fft(
-            _nonlinearity_frames(fine, grid, params, config.full_derivative_mode), axis=1
-        )
+        n_hat = _nonlinearity_frames(fine, grid, params, config.full_derivative_mode)
+        del fine
+        np.fft.fft(n_hat, axis=1, out=n_hat)
         if config.dealias:
             n_hat *= grid.dealias_mask[None, :]
         out_hat = duhamel_flow(grid, params, u0_hat, tau, n_hat, config.substeps)

@@ -12,7 +12,7 @@ side without reordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -54,6 +54,8 @@ class Grid:
 
     num_points: int
     length: float
+    # the latest exp(-i tau L) and exp(i t L) of duhamel_flow, keyed per direction
+    _flow_phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_points <= 0 or self.num_points % 2 != 0:
@@ -215,6 +217,24 @@ def dealias(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, np.fft.ifft(spec))
 
 
+_PULL_ROWS = 64  # forcing rows pulled back per block in duhamel_flow
+
+
+def _flow_phase(grid: Grid, params: EquationParams, direction: complex, tau: np.ndarray):
+    """exp(direction * tau * L) with one row per time, memoised on grid.
+
+    The grid keeps the latest phase of each direction (+1j pushes forward,
+    -1j pulls back), keyed on (a, b) and the bytes of the times used.
+    """
+    key = (params.a, params.b, tau.dtype.str, tau.tobytes())
+    held = grid._flow_phases.get(direction)
+    if held is None or held[0] != key:
+        pol = _dispersion(grid.xi_fft, params.a, params.b)
+        phase = direction * tau[:, None] * pol[None, :]
+        held = grid._flow_phases[direction] = (key, np.exp(phase, out=phase))
+    return held[1]
+
+
 def duhamel_flow(
     grid: Grid,
     params: EquationParams,
@@ -231,21 +251,33 @@ def duhamel_flow(
     forcing_hat, at the times tau) is pulled back to t = 0, a cumulative
     trapezoid runs over tau, and each output row costs one forward flow.
     Without forcing this is the free flow of start_hat.
+
+    The phases exp(-i tau L) and exp(i t L) are memoised on grid: it keeps
+    the latest pull-back and the latest forward phase, keyed on (a, b) and
+    the times they are sampled at, so repeated calls on one grid (Picard
+    iterations, fields of one sweep) build them once.  They are freed with
+    the grid.  forcing_hat is never written to.
     """
-    pol = _dispersion(grid.xi_fft, params.a, params.b)
+    # the phase stays the left factor of every product: numpy's vectorised
+    # complex product can round differently in the last bit when its
+    # operands are swapped
+    push = _flow_phase(grid, params, 1j, tau[::stride])
     if forcing_hat is None:
-        held = start_hat[None, :]
-    else:
-        pulled = np.exp(-1j * tau[:, None] * pol[None, :]) * forcing_hat
-        steps = np.diff(tau)[:, None] / 2.0 * (pulled[1:] + pulled[:-1])
-        del pulled  # at most three frame stacks are alive at once
-        held = np.zeros(forcing_hat.shape, dtype=np.complex128)
-        np.cumsum(steps, axis=0, out=held[1:])
-        del steps
-        held = np.subtract(start_hat[None, :], held, out=held)[::stride]
-    # the flow stays the left factor: numpy's vectorised complex product can
-    # round differently in the last bit when its operands are swapped
-    return np.exp(1j * tau[::stride, None] * pol[None, :]) * held
+        return push * start_hat[None, :]
+    pull = _flow_phase(grid, params, -1j, tau)
+    # the trapezoid steps and their running sum share one buffer; the forcing
+    # is pulled back a block of rows at a time, so no pulled stack is held
+    held = np.empty(forcing_hat.shape, dtype=np.complex128)
+    held[0] = 0.0
+    for lo in range(0, tau.size - 1, _PULL_ROWS):
+        rows = slice(lo, lo + _PULL_ROWS + 1)
+        pulled = pull[rows] * forcing_hat[rows]
+        np.add(pulled[1:], pulled[:-1], out=held[lo + 1:lo + _PULL_ROWS + 1])
+    steps = held[1:]
+    np.multiply(np.diff(tau)[:, None] / 2.0, steps, out=steps)
+    np.cumsum(steps, axis=0, out=steps)
+    held = np.subtract(start_hat[None, :], held, out=held)[::stride]
+    return np.multiply(push, held, out=held)
 
 
 # ---------------------------------------------------------------------------

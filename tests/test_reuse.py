@@ -1,0 +1,204 @@
+"""Work that the solver and the sweeps compute once and reuse.
+
+The Duhamel phases are memoised on their grid, the Picard substep frames are
+interpolated into one buffer, each factor of the two-sided Leibniz sweep is
+transformed once, and the sup-embedding sweep evaluates each field once per
+scale.  Every reuse must give the bits of the straightforward computation,
+and the memoised phases must not raise the memory a call needs.
+
+Memory is measured with tracemalloc, which sees numpy's data buffers, so a
+traced peak counts the frame stacks a call holds at once.  The bounds are the
+peaks of the same calls in the implementation that rebuilt both phases on
+every call (x86-64, Python 3.11, numpy 2.4.6).
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+
+from nlsa_lab.estimates import (
+    SpaceTimePacket,
+    _assemble,
+    check_leibniz_two_sided,
+    check_smoothing,
+    check_sup_embedding,
+    random_spacetime_packets,
+)
+from nlsa_lab.norms import SpaceTimeField, mixed_norm_t_x, mixed_norm_x_t
+from nlsa_lab.picard import (
+    PicardConfig,
+    _refined_times_and_frames,
+    duhamel_apply,
+    reduction_preset,
+    semigroup_evolve,
+)
+from nlsa_lab.spectral import Grid, GridFunction
+
+MIB = 2.0**20
+# traced peaks when every call rebuilt both phases
+APPLY_PEAK_BEFORE_MIB = 52.28
+SMOOTHING_PEAK_BEFORE_MIB = 20.18
+
+
+def traced(call):
+    """(peak, current) traced bytes of call(), counted from zero."""
+    tracemalloc.start()
+    try:
+        call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, current
+
+
+def nlsa_default_iterate():
+    """An nlsa-default free-flow iterate on 2048 points and 128 nodes, on a fresh grid."""
+    params = reduction_preset("nlsa-default")
+    config = PicardConfig(horizon=0.02, time_nodes=128, substeps=2)
+    source = Grid(2048, 60.0)
+    u0 = GridFunction(source, np.exp(-source.x**2))
+    free = semigroup_evolve(u0, config.times(), params)
+    grid = Grid(2048, 60.0)  # no phases memoised yet
+    return (
+        SpaceTimeField(grid, free.times, free.frames.copy()),
+        GridFunction(grid, u0.values.copy()),
+        params,
+        config,
+    )
+
+
+def apply_peak():
+    u, u0, params, config = nlsa_default_iterate()
+    return traced(lambda: duhamel_apply(u, u0, params, config))[0]
+
+
+def smoothing_peak():
+    fields = random_spacetime_packets(2, np.random.default_rng(0))
+    return traced(lambda: check_smoothing(reduction_preset("mkdv"), fields=fields))
+
+
+def test_duhamel_apply_peak_with_resident_phases():
+    # the two phases (12 MiB) stay on the grid, yet the call needs less
+    peak = apply_peak()
+    assert peak <= APPLY_PEAK_BEFORE_MIB * MIB, peak / MIB
+
+
+def test_smoothing_peak_and_phases_released():
+    peak, current = smoothing_peak()
+    assert peak <= SMOOTHING_PEAK_BEFORE_MIB * MIB, peak / MIB
+    # the per-scale grids, and the 10 MiB of phases on them, are gone
+    assert current < 0.25 * MIB, current / MIB
+
+
+def test_duhamel_apply_reuses_phases_bit_for_bit():
+    u, u0, params, config = nlsa_default_iterate()
+    first = duhamel_apply(u, u0, params, config)
+    phases = {d: held[1] for d, held in u.grid._flow_phases.items()}
+    again = duhamel_apply(u, u0, params, config)
+    assert all(u.grid._flow_phases[d][1] is phase for d, phase in phases.items())
+    assert first.frames.tobytes() == again.frames.tobytes()
+    fresh = Grid(2048, 60.0)
+    cold = duhamel_apply(
+        SpaceTimeField(fresh, u.times, u.frames), GridFunction(fresh, u0.values), params, config
+    )
+    assert cold.frames.tobytes() == first.frames.tobytes()
+
+
+def test_refined_frames_match_the_interpolation_formula():
+    rng = np.random.default_rng(5)
+    grid = Grid(64, 20.0)
+    times = np.linspace(0.0, 0.1, 9)
+    real = rng.standard_normal((9, 64)) + 0j  # zero imaginary parts keep their signs too
+    mixed = rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64))
+    for frames in (real, mixed):
+        u = SpaceTimeField(grid, times, frames)
+        for substeps in (2, 3):
+            lam = np.arange(substeps) / substeps
+            left = frames[:-1, None, :] * (1.0 - lam)[None, :, None]
+            interp = left + frames[1:, None, :] * lam[None, :, None]
+            expected = np.concatenate([interp.reshape(-1, 64), frames[-1:]], axis=0)
+            tau, fine = _refined_times_and_frames(u, substeps)
+            assert fine.tobytes() == expected.tobytes()
+            assert np.array_equal(tau[::substeps], times)
+
+
+# ---------------------------------------------------------------------------
+# Sweeps.
+# ---------------------------------------------------------------------------
+
+def sup_embedding_as_evaluated_twice(fields, horizons=(1.0, 0.5, 0.25, 0.125)):
+    """The sup-embedding sweep with its raw pairs recomputed for the ratios."""
+
+    def raw_pairs(f, scale):
+        grid = Grid(256 * scale, 60.0)
+        pairs = []
+        for horizon in horizons:
+            times = np.linspace(0.0, horizon, 128 * scale + 1)
+            u = SpaceTimeField(grid, times, f.sample(grid.x, times))
+            du = u.apply_symbol(np.abs(grid.xi) ** 0.25)
+            rhs = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(du, 5, 10)
+            pairs.append((horizon, mixed_norm_t_x(u, 5, math.inf), rhs))
+        return pairs
+
+    def fit_exponent(scale):
+        worst = {h: 0.0 for h in horizons}
+        for f in fields:
+            for horizon, lhs, rhs in raw_pairs(f, scale):
+                worst[horizon] = max(worst[horizon], lhs / rhs)
+        points = [(math.log(h), math.log(r)) for h, r in worst.items()]
+        return float(np.polyfit(*zip(*points), 1)[0])
+
+    gains = {1: fit_exponent(1), 2: fit_exponent(2)}
+
+    def evaluate(f, scale):
+        return [(lhs, h ** gains[scale] * rhs) for h, lhs, rhs in raw_pairs(f, scale)]
+
+    return _assemble("sup-embedding", 0, fields, fields, evaluate, exponent_fit=gains[1])
+
+
+def test_sup_embedding_samples_each_field_once_per_scale(monkeypatch):
+    fields = random_spacetime_packets(3, np.random.default_rng(11))
+    expected = sup_embedding_as_evaluated_twice(fields).to_dict()
+    calls = []
+    sample = SpaceTimePacket.sample
+    monkeypatch.setattr(
+        SpaceTimePacket, "sample", lambda self, x, t: calls.append(t.size) or sample(self, x, t)
+    )
+    result = check_sup_embedding(fields=fields)
+    # 4 horizons x 3 fields x 2 scales (the fit and the ratios share them)
+    assert len(calls) == 4 * 3 * 2
+    assert sorted(set(calls)) == [129, 257]
+    assert result.to_dict() == expected
+
+
+def two_sided_pair_with_five_transforms(f, g, scale):
+    """(lhs, rhs) of one two-sided Leibniz pair, one forward transform per multiplier."""
+    grid = Grid(256 * scale, 60.0)
+    times = np.linspace(0.0, 1.0, 128 * scale + 1)
+    uf = SpaceTimeField(grid, times, f.sample(grid.x, times))
+    ug = SpaceTimeField(grid, times, g.sample(grid.x, times))
+    product = SpaceTimeField(grid, times, uf.frames * ug.frames)
+    dall = product.apply_symbol(np.abs(grid.xi) ** 0.25)
+    df = uf.apply_symbol(np.abs(grid.xi) ** 0.25)
+    dg = ug.apply_symbol(np.abs(grid.xi) ** 0.25)
+    defect = dall.frames - uf.frames * dg.frames - ug.frames * df.frames
+    lhs = mixed_norm_x_t(SpaceTimeField(grid, times, defect), 2.0, 2.0)
+    first = mixed_norm_x_t(uf.apply_symbol(np.abs(grid.xi) ** 0.125), 4.0, 4.0)
+    second = mixed_norm_x_t(ug.apply_symbol(np.abs(grid.xi) ** 0.125), 4.0, 4.0)
+    return lhs, first * second
+
+
+def test_leibniz_two_sided_transforms_each_factor_once(monkeypatch):
+    rng = np.random.default_rng(13)
+    pair = tuple(random_spacetime_packets(2, rng))
+    base_lhs, base_rhs = two_sided_pair_with_five_transforms(*pair, 1)
+    fine_lhs, fine_rhs = two_sided_pair_with_five_transforms(*pair, 2)
+    forward = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: forward.append(1) or fft(*a, **k))
+    result = check_leibniz_two_sided(fields=[pair])
+    # product, f and g once each, at both scales
+    assert len(forward) == 3 * 2
+    assert result.lhs == [base_lhs] and result.rhs == [base_rhs]
+    assert result.max_ratio_refined == fine_lhs / fine_rhs

@@ -1,8 +1,9 @@
 """The shared spectral paths: one-transform band pieces, the Duhamel flow
-kernel, batched norm histories, and identities checked as properties."""
+kernel and its memoised phases, batched norm histories, and identities
+checked as properties."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nlsa_lab.norms import SpaceTimeField, l2_norm, mu_norms, sobolev_norm, xt_norm
 from nlsa_lab.spectral import (
@@ -152,3 +153,87 @@ def test_partition_of_unity_property(y):
     assert abs(total - 1.0) < 1e-12
     bands = sum(qn_symbol(np.array([-y, y]), n) for n in range(-25, 26))
     assert np.all(np.abs(bands - 1.0) < 1e-12)
+
+
+def reference_duhamel_flow(grid, params, start_hat, tau, forcing_hat=None, stride=1):
+    """duhamel_flow as it was before its phases were memoised: every call
+    builds both phases and keeps the pulled forcing and the steps as stacks."""
+    pol = params.a * grid.xi_fft**2 + params.b * grid.xi_fft**3
+    if forcing_hat is None:
+        held = start_hat[None, :]
+    else:
+        pulled = np.exp(-1j * tau[:, None] * pol[None, :]) * forcing_hat
+        steps = np.diff(tau)[:, None] / 2.0 * (pulled[1:] + pulled[:-1])
+        held = np.zeros(forcing_hat.shape, dtype=np.complex128)
+        np.cumsum(steps, axis=0, out=held[1:])
+        held = np.subtract(start_hat[None, :], held, out=held)[::stride]
+    return np.exp(1j * tau[::stride, None] * pol[None, :]) * held
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@PROPERTY
+@given(
+    points=st.sampled_from([64, 128, 256]),
+    length=st.floats(5.0, 100.0),
+    seed=seeds,
+    signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 1), (1, 0)]),
+    sizes=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
+    nodes=st.integers(0, 150),
+    horizon=st.floats(1e-3, 1.0),
+    stride=st.sampled_from([1, 2]),
+    forced=st.booleans(),
+)
+@example(128, 40.0, 1, (1, -1), (1.0, 1.0), 150, 0.3, 2, True)  # three pull-back blocks
+@example(64, 10.0, 2, (1, 1), (0.5, 2.0), 0, 0.1, 1, True)  # a single time node
+def test_duhamel_flow_memo_matches_unmemoised_formula_property(
+    points, length, seed, signs, sizes, nodes, horizon, stride, forced
+):
+    # nodes above the pull-back block (64 rows) cross block boundaries
+    grid = Grid(points, length)
+    params = EquationParams(a=signs[0] * sizes[0], b=signs[1] * sizes[1])
+    rng = np.random.default_rng(seed)
+    tau = np.linspace(0.0, horizon, nodes + 1)
+    start = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+    forcing = None
+    if forced:
+        forcing = rng.standard_normal((nodes + 1, points)) + 1j * rng.standard_normal(
+            (nodes + 1, points)
+        )
+        kept = forcing.copy()
+    args = (start, tau, forcing, stride) if forced else (start, tau[::stride])
+
+    expected = reference_duhamel_flow(grid, params, *args)
+    assert same_bits(duhamel_flow(grid, params, *args), expected)  # memo filled
+    assert same_bits(duhamel_flow(grid, params, *args), expected)  # memo hit
+
+    # a different time grid or coefficient pair on the same grid is a miss
+    other_tau = tau * 0.5
+    moved = (start, other_tau, forcing, stride) if forced else (start, other_tau[::stride])
+    assert same_bits(
+        duhamel_flow(grid, params, *moved), reference_duhamel_flow(grid, params, *moved)
+    )
+    other = EquationParams(a=params.b, b=-params.a)
+    assert same_bits(
+        duhamel_flow(grid, other, *args), reference_duhamel_flow(grid, other, *args)
+    )
+    assert same_bits(duhamel_flow(grid, params, *args), expected)
+    if forced:
+        assert same_bits(forcing, kept)
+
+
+def test_duhamel_flow_memo_lives_on_the_grid():
+    g = Grid(128, 30.0)
+    params = EquationParams(a=1.0, b=-1.0)
+    tau = np.linspace(0.0, 0.2, 9)
+    start = np.ones(128, dtype=complex)
+    forcing = np.ones((9, 128), dtype=complex)
+    duhamel_flow(g, params, start, tau, forcing, 2)
+    # the latest pull-back and forward phase only, invisible to eq and repr
+    assert set(g._flow_phases) == {-1j, 1j}
+    assert g._flow_phases[-1j][1].shape == (9, 128)
+    assert g._flow_phases[1j][1].shape == (5, 128)
+    assert g == Grid(128, 30.0)
+    assert repr(g) == repr(Grid(128, 30.0))

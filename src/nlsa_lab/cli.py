@@ -40,6 +40,7 @@ from .oscillatory import (
     admissible_parameters,
     arc_summary,
     build_probe_grid,
+    classify_xi,
     decay_bound_check,
     run_probe,
 )
@@ -150,7 +151,10 @@ _PROBE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["a", "b", "t", "omega", "m", "xi"],
-    "properties": {**{key: _NUMBER for key in ("a", "b", "t", "omega", "xi")}, "m": _WEIGHT},
+    "properties": {
+        **{key: _NUMBER for key in ("a", "b", "xi")},
+        "t": _num(exclusiveMinimum=0), "omega": _num(exclusiveMinimum=1), "m": _WEIGHT,
+    },
 }
 
 OSCILLATORY_SCHEMA = {
@@ -417,18 +421,12 @@ def _probe_tuples(config: dict) -> list:
     if "probes" in config:
         tuples = []
         for i, probe in enumerate(config["probes"]):
+            a, b, t, omega, m, xi = (probe[key] for key in ("a", "b", "t", "omega", "m", "xi"))
             with _config_field(f"config.probes[{i}]"):
-                admissible = admissible_parameters(
-                    probe["a"], probe["b"], probe["t"], probe["omega"]
-                )
-            if not admissible:
-                raise ConfigError(
-                    f"config.probes[{i}]: omega/(|b| t) must be at least "
-                    f"max(1, 1e4 (a/(2b))^2)"
-                )
-            tuples.append(
-                (probe["a"], probe["b"], probe["t"], probe["omega"], probe["m"], probe["xi"])
-            )
+                if not admissible_parameters(a, b, t, omega):
+                    raise ValueError("omega/(|b| t) must be at least max(1, 1e4 (a/(2b))^2)")
+                classify_xi(xi, a, b, t, omega)
+            tuples.append((a, b, t, omega, m, xi))
         return tuples
     for key in ("omegas", "ab_pairs", "m_values"):
         if key not in config:
@@ -452,9 +450,17 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
     for m in sorted({tp[4] for tp in tuples}):
         with _config_field("config.probes" if "probes" in config else "config.m_values"):
             PhiProfile.cached(m)  # build serially before the parallel map
+
+    def run(i):
+        # a sweep probe combines several fields, so it is named by its parameters
+        where = (f"config.probes[{i}]" if "probes" in config
+                 else f"config sweep probe (a, b, t, omega, m, xi) = {tuples[i]}")
+        with _config_field(where):
+            return run_probe(*tuples[i])
+
     try:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            probes = list(pool.map(lambda tp: run_probe(*tp), tuples))
+            probes = list(pool.map(run, range(len(tuples))))
     except QuadratureConvergenceError as exc:
         print(f"quadrature failed to converge: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

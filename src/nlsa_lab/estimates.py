@@ -7,11 +7,14 @@ continuum objects (closed-form sums of Gaussian-enveloped plane waves), so a
 sweep can re-evaluate the identical samples at doubled grid resolution and
 doubled sample count; a maximum ratio that moves by less than the stability
 tolerance under that refinement is the executable meaning of "bounded by a
-constant".  No sweep compares against a theoretical constant value.
+constant".  No sweep compares against a theoretical constant value.  Fields
+live on 256 points over length 60 and 128 time nodes over the horizon T = 1
+unless a sweep says otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -94,16 +97,9 @@ class SpaceTimePacket:
         return frames
 
 
-def random_wave_packets(
-    count: int,
-    rng: np.random.Generator,
-    band_limit: float = 4.0,
-    components: int = 3,
-    width_range=(1.0, 4.0),
-    center_range=(-6.0, 6.0),
-    min_freq: float = 1.0,
-) -> list:
-    """Seeded packets with frequencies in +-[min_freq, band_limit].
+def random_wave_packets(count: int, rng: np.random.Generator, components: int = 3) -> list:
+    """Seeded packets; each component has a frequency with |f| in [1, 4], a
+    width in [1, 4] and a centre in [-6, 6].
 
     Generation consumes a fixed number of draws per packet, so extending the
     count with the same generator reproduces the earlier packets verbatim.
@@ -112,31 +108,27 @@ def random_wave_packets(
     for _ in range(count):
         coefs = rng.standard_normal(components) + 1j * rng.standard_normal(components)
         signs = rng.choice([-1.0, 1.0], components)
-        freqs = signs * rng.uniform(min_freq, band_limit, components)
-        widths = rng.uniform(*width_range, components)
-        centers = rng.uniform(*center_range, components)
+        freqs = signs * rng.uniform(1.0, 4.0, components)
+        widths = rng.uniform(1.0, 4.0, components)
+        centers = rng.uniform(-6.0, 6.0, components)
         packets.append(
             WavePacket(tuple(coefs), tuple(freqs), tuple(widths), tuple(centers))
         )
     return packets
 
 
-def random_spacetime_packets(
-    count: int,
-    rng: np.random.Generator,
-    band_limit: float = 4.0,
-    components: int = 2,
-    time_freq_max: float = 6.0,
-    time_width_range=(0.3, 1.0),
-    time_center_range=(0.0, 0.4),
-) -> list:
-    """Seeded space-time packets; spatial factors share the wave-packet form."""
+def random_spacetime_packets(count: int, rng: np.random.Generator) -> list:
+    """Seeded space-time packets of 2 components.
+
+    Each spatial factor is a 1-component wave packet; its time oscillation
+    has a frequency in [-6, 6], a width in [0.3, 1] and a centre in [0, 0.4].
+    """
     packets = []
     for _ in range(count):
-        space = tuple(random_wave_packets(components, rng, band_limit, components=1))
-        tf = rng.uniform(-time_freq_max, time_freq_max, components)
-        tw = rng.uniform(*time_width_range, components)
-        tc = rng.uniform(*time_center_range, components)
+        space = tuple(random_wave_packets(2, rng, components=1))
+        tf = rng.uniform(-6.0, 6.0, 2)
+        tw = rng.uniform(0.3, 1.0, 2)
+        tc = rng.uniform(0.0, 0.4, 2)
         packets.append(SpaceTimePacket(space, tuple(tf), tuple(tw), tuple(tc)))
     return packets
 
@@ -252,12 +244,10 @@ def _field_sets(fields, samples, seed, maker, anchors=()):
 
 def check_smoothing(
     params,
-    horizon: float = 1.0,
     fields=None,
     samples: int = 50,
     seed: int = 0,
     grid_points: int = _BASE_POINTS,
-    length: float = _BASE_LENGTH,
     time_nodes: int = 2 * _BASE_TIME_NODES,
 ) -> EstimateSweepResult:
     """Gain-of-derivative smoothing of the inhomogeneous flow.
@@ -272,16 +262,13 @@ def check_smoothing(
     base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
     # one grid per scale, so its memoised flow phases serve every field of
     # that scale; only the current scale's grid is kept
-    setup = {}
+    @functools.lru_cache(maxsize=1)
+    def setup(scale):
+        grid = Grid(grid_points * scale, _BASE_LENGTH)
+        return grid, np.linspace(0.0, 1.0, time_nodes * scale + 1)
 
     def evaluate(f, scale):
-        if scale not in setup:
-            setup.clear()
-            setup[scale] = (
-                Grid(grid_points * scale, length),
-                np.linspace(0.0, horizon, time_nodes * scale + 1),
-            )
-        grid, times = setup[scale]
+        grid, times = setup(scale)
         frames = f.sample(grid.x, times)
         rhs = mixed_norm_x_t(SpaceTimeField(grid, times, frames), 1, 2)
         forcing = np.fft.fft(frames, axis=1)
@@ -304,9 +291,6 @@ def check_sup_embedding(
     fields=None,
     samples: int = 30,
     seed: int = 0,
-    grid_points: int = _BASE_POINTS,
-    length: float = _BASE_LENGTH,
-    time_nodes: int = _BASE_TIME_NODES,
 ) -> EstimateSweepResult:
     """Space-sup norm against quarter-derivative mixed norms with horizon gain.
 
@@ -321,15 +305,15 @@ def check_sup_embedding(
     base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
 
     def raw_pairs(field_list, scale):
-        grid = Grid(grid_points * scale, length)
-        quarter = np.abs(grid.xi) ** 0.25
-        clocks = [(h, np.linspace(0.0, h, time_nodes * scale + 1)) for h in horizons]
+        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
+        quarter = np.abs(grid.xi_fft) ** 0.25
+        clocks = [(h, np.linspace(0.0, h, _BASE_TIME_NODES * scale + 1)) for h in horizons]
         per_field = []
         for f in field_list:
             pairs = []
             for horizon, times in clocks:
                 u = SpaceTimeField(grid, times, f.sample(grid.x, times))
-                du = u.apply_symbol(quarter)
+                (du,) = u.apply_symbols(quarter)
                 lhs = mixed_norm_t_x(u, 5, math.inf)
                 rhs = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(du, 5, 10)
                 pairs.append((horizon, lhs, rhs))
@@ -366,8 +350,6 @@ def check_commutator(
     fields=None,
     samples: int = 50,
     seed: int = 0,
-    grid_points: int = _BASE_POINTS,
-    length: float = _BASE_LENGTH,
     envelope=np.tanh,
     envelope_derivative=lambda x: 1.0 / np.cosh(x) ** 2,
 ) -> EstimateSweepResult:
@@ -384,7 +366,7 @@ def check_commutator(
     base, fine = _field_sets(fields, samples, seed, random_wave_packets, anchors)
 
     def evaluate(f, scale):
-        grid = Grid(grid_points * scale, length)
+        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
         vals = f.sample(grid.x)
         phi = envelope(grid.x)
         inner = fractional_derivative(GridFunction(grid, phi * vals), alpha).values
@@ -399,23 +381,19 @@ def check_commutator(
 
 def check_leibniz_band(
     alpha: float = 0.25,
-    weight: float = 0.0,
     fields=None,
     samples: int = 50,
     seed: int = 0,
-    grid_points: int = 2 * _BASE_POINTS,
-    length: float = _BASE_LENGTH,
 ) -> EstimateSweepResult:
     """Move a fractional derivative off one factor, paying a band sum.
 
     LHS: L^2 norm of D^alpha(fg) - g D^alpha f.  RHS: the L^2 norm of f
-    times the sup over x of the l^1 sum of dyadic band pieces of D^alpha g
-    (weighted band operators when ``weight`` > 0), built from the same
-    smooth partition the production band operators use.  Warns when a
-    sample's derivative carries more than 1% of its mass outside the
-    resolvable bands.  The default grid is twice the family base so the
-    partition of unity is complete over the packets' spectral support;
-    otherwise refining the grid legitimately grows the band sum.
+    times the sup over x of the l^1 sum of dyadic band pieces of D^alpha g,
+    built from the same smooth partition the production band operators use.
+    Warns when a sample's derivative carries more than 1% of its mass
+    outside the resolvable bands.  The grid has 512 points, twice the family
+    base, so the partition of unity is complete over the packets' spectral
+    support; otherwise refining the grid legitimately grows the band sum.
     """
     _require_alpha(alpha)
     mono = lambda freq, width: WavePacket((1.0 + 0j,), (freq,), (width,), (0.0,))
@@ -429,7 +407,7 @@ def check_leibniz_band(
 
     def evaluate(pair, scale):
         f, g = pair
-        grid = Grid(grid_points * scale, length)
+        grid = Grid(2 * _BASE_POINTS * scale, _BASE_LENGTH)
         fv, gv = f.sample(grid.x), g.sample(grid.x)
         df = fractional_derivative(GridFunction(grid, fv), alpha)
         dg = fractional_derivative(GridFunction(grid, gv), alpha)
@@ -438,7 +416,7 @@ def check_leibniz_band(
 
         bands = qn_bands(grid)
         band_abs = np.zeros(grid.num_points)
-        for _, piece in qn_pieces(dg, bands, weight):
+        for _, piece in qn_pieces(dg, bands):
             band_abs += np.abs(piece)
         rhs = float(np.max(band_abs)) * l2_norm(GridFunction(grid, fv))
 
@@ -463,10 +441,7 @@ def check_chain_rules(
     fields=None,
     samples: int = 40,
     seed: int = 0,
-    grid_points: int = _BASE_POINTS,
-    length: float = _BASE_LENGTH,
     time_nodes: int = _BASE_TIME_NODES,
-    horizon: float = 1.0,
 ) -> EstimateSweepResult:
     """Fractional chain rule for the cubic power, slice-wise and in space-time.
 
@@ -478,13 +453,13 @@ def check_chain_rules(
     base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
 
     def evaluate(f, scale):
-        grid = Grid(grid_points * scale, length)
-        times = np.linspace(0.0, horizon, time_nodes * scale + 1)
+        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
+        times = np.linspace(0.0, 1.0, time_nodes * scale + 1)
         u = SpaceTimeField(grid, times, f.sample(grid.x, times))
         cubic = SpaceTimeField(grid, times, np.abs(u.frames) ** 2 * u.frames)
-        symbol = np.abs(grid.xi) ** alpha
-        du = u.apply_symbol(symbol)
-        dcubic = cubic.apply_symbol(symbol)
+        symbol = np.abs(grid.xi_fft) ** alpha
+        (du,) = u.apply_symbols(symbol)
+        (dcubic,) = cubic.apply_symbols(symbol)
 
         peak = int(np.argmax(np.max(np.abs(u.frames), axis=1)))
         slice_sup = sup_norm(u.frame(peak))
@@ -503,23 +478,18 @@ def check_leibniz_two_sided(
     alpha: float = 0.25,
     alpha_first: float = 0.125,
     alpha_second: float = 0.125,
-    lhs_exponents=(2.0, 2.0),
     factor_exponents=((4.0, 4.0), (4.0, 4.0)),
     fields=None,
     samples: int = 40,
     seed: int = 0,
-    grid_points: int = _BASE_POINTS,
-    length: float = _BASE_LENGTH,
-    time_nodes: int = _BASE_TIME_NODES,
-    horizon: float = 1.0,
 ) -> EstimateSweepResult:
     """Leibniz defect with the derivative split across both factors.
 
-    LHS: mixed norm of D^alpha(fg) - f D^alpha g - g D^alpha f.  RHS:
+    LHS: L^2_x L^2_T norm of D^alpha(fg) - f D^alpha g - g D^alpha f.  RHS:
     product of the mixed norms of D^alpha_first f and D^alpha_second g.  The
     split must satisfy alpha_first + alpha_second = alpha with both parts
-    nonnegative, and the mixed exponents must obey the Hoelder bookkeeping
-    1/p = 1/p1 + 1/p2 (and likewise in time); violations raise before any
+    nonnegative, and the factor exponents must obey the Hoelder bookkeeping
+    1/2 = 1/p1 + 1/p2 (and likewise in time); violations raise before any
     sampling.  alpha_second = 0 degenerates the second factor to plain g.
     """
     if alpha_first < 0 or alpha_second < 0:
@@ -529,29 +499,25 @@ def check_leibniz_two_sided(
             f"derivative shares {alpha_first}+{alpha_second} do not sum to alpha={alpha}"
         )
     _require_alpha(alpha)
-    (p, q) = lhs_exponents
     (p1, q1), (p2, q2) = factor_exponents
-    for total, first, second, label in ((p, p1, p2, "space"), (q, q1, q2, "time")):
-        if abs(1.0 / total - 1.0 / first - 1.0 / second) > 1e-12:
-            raise ValueError(
-                f"{label} exponents ({first}, {second}) do not compose to {total}"
-            )
+    for first, second, label in ((p1, p2, "space"), (q1, q2, "time")):
+        if abs(0.5 - 1.0 / first - 1.0 / second) > 1e-12:
+            raise ValueError(f"{label} exponents ({first}, {second}) do not compose to 2")
     maker = lambda n, rng: list(
         zip(random_spacetime_packets(n, rng), random_spacetime_packets(n, rng))
     )
     base, fine = _field_sets(fields, samples, seed, maker)
 
+    @functools.lru_cache(maxsize=1)
     def setup(scale):
-        grid = Grid(grid_points * scale, length)
+        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
         ay = np.abs(grid.xi_fft)
-        times = np.linspace(0.0, horizon, time_nodes * scale + 1)
+        times = np.linspace(0.0, 1.0, _BASE_TIME_NODES * scale + 1)
         return grid, times, ay**alpha, ay**alpha_first, ay**alpha_second
-
-    setups = {scale: setup(scale) for scale in (1, 2)}
 
     def evaluate(pair, scale):
         f, g = pair
-        grid, times, d_all, d_first, d_second = setups[scale]
+        grid, times, d_all, d_first, d_second = setup(scale)
         uf = SpaceTimeField(grid, times, f.sample(grid.x, times))
         ug = SpaceTimeField(grid, times, g.sample(grid.x, times))
         # the defect D^alpha(fg) - f D^alpha g - g D^alpha f is built in place,
@@ -565,7 +531,7 @@ def check_leibniz_two_sided(
         defect.frames -= ug.frames * df.frames
         rhs = mixed_norm_x_t(df_first, p1, q1) * rhs_second
         del df, df_first
-        lhs = mixed_norm_x_t(defect, p, q)
+        lhs = mixed_norm_x_t(defect, 2.0, 2.0)
         return [(lhs, rhs)]
 
     return _assemble("leibniz-two-sided", seed, base, fine, evaluate)

@@ -387,15 +387,14 @@ class PhiProfile:
     def nx_for(self, max_abs: float) -> int:
         return _pow2ceil(max(768.0, 4.0 * max_abs))
 
-    def eval_complex(self, z: np.ndarray, nx: Optional[int] = None) -> np.ndarray:
-        """Entire extension, by trapezoid quadrature over the band."""
+    def eval_complex(self, z: np.ndarray) -> np.ndarray:
+        """Entire extension, by trapezoid quadrature over the band with
+        nx_for(max |z|) nodes."""
         z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         if np.abs(z.imag).max(initial=0.0) > 300.0:
             raise ValueError("eval_complex limited to |Im z| <= 300; "
                              "use eval_shifted on contour arcs")
-        if nx is None:
-            nx = self.nx_for(float(np.abs(z).max(initial=0.0)))
-        return self.eval_shifted(z, 0.0, nx)
+        return self.eval_shifted(z, 0.0, self.nx_for(float(np.abs(z).max(initial=0.0))))
 
     def eval_shifted(self, w: np.ndarray, x0: float, nx: int) -> np.ndarray:
         """R(w) with phi(w) = e^{i w x0} R(w); |R| <= mass/(2pi) for the
@@ -517,8 +516,6 @@ def _line_block(profile, omega, m, xi, cs, left, widths):
 
 
 def _line_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods) -> _Quad:
-    if w_hi <= w_lo:
-        return _Quad(0.0 + 0.0j, 0.0, 0, 0.0)
     edges = _line_edges(w_lo, w_hi, omega, cs, periods)
     edges = _subdivide_endpoint_panels(edges, periods)
     left = edges[:-1]
@@ -665,6 +662,8 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
     """
     x0 = 0.5 if phase_dir < 0 else 2.0
     om_eps = omega * eps
+    if not math.isfinite(om_eps):
+        raise ValueError(f"omega * eps = {om_eps:g} overflows; the arc cannot be panelled")
     delta0 = min(np.pi / 16.0, 40.0 / om_eps) / subdivide
     brk = _arc_breakpoints(delta0)
     glx, glw = _gl01(_GL_ARC)
@@ -1055,12 +1054,11 @@ class BandSumResult:
     tail_warning: bool
 
 
-def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0,
-                    interior_fraction=0.25) -> BandSumResult:
+def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0) -> BandSumResult:
     """Sum over dyadic bands of 2^{N m} |Q_N^m g| for the phase function
     g(xi) = e^{i t (a xi^2 + b xi^3)} (1 + xi^2)^{-m}, with the sup taken
-    over the interior window |xi| <= length * interior_fraction (the outer
-    ring is polluted by periodic wrap-around).
+    over the interior window |xi| <= length / 4 (the outer ring is polluted
+    by periodic wrap-around).
 
     The N range is every band the grid resolves; n_threshold is the first
     N with 2^N >= |b| t max(1, 1e4 (a/(2b))^2), above which the band sums
@@ -1082,7 +1080,7 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0,
         bands,
         m,
     )
-    interior = np.abs(x) <= length * interior_fraction
+    interior = np.abs(x) <= length * 0.25
     total = np.zeros(num_points)
     term = np.empty(num_points)
     band_sups = {}
@@ -1105,7 +1103,7 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0,
     )
 
 
-def intermediate_count(xi, a, b, t, n_max=None) -> int:
+def intermediate_count(xi, a, b, t) -> int:
     """Number of N >= 1 for which xi is intermediate at omega = 2^N.
 
     Finite because the intermediate condition pins 2^N to within a fixed
@@ -1116,8 +1114,7 @@ def intermediate_count(xi, a, b, t, n_max=None) -> int:
     q = ((xi + half) ** 2 - half * half) * abs(b) * t
     if q <= 0.0:
         return 0
-    if n_max is None:
-        n_max = max(1, math.ceil(math.log2(100.0 * q))) + 1
+    n_max = max(1, math.ceil(math.log2(100.0 * q))) + 1
     count = 0
     for n in range(1, n_max + 1):
         if classify_xi(xi, a, b, t, 2.0 ** n) is RegionLabel.INTERMEDIATE:
@@ -1166,23 +1163,18 @@ class GrowthBoundReport:
     ratios_real_axis: np.ndarray
 
 
-def growth_bound_check(profile=None, omega=64.0, ys=(0.3, -0.3),
-                       offsets=None) -> GrowthBoundReport:
+def growth_bound_check(profile, omega=64.0) -> GrowthBoundReport:
     """Off-axis growth of the dilated profile against its envelope bound.
 
-    Samples |omega * phi(omega*zeta)| with zeta = u - i y and checks the
-    ratio to |e^{2 omega y} - e^{omega y / 2}| / (omega^2 |y| |zeta|^2);
-    on the real axis the comparison is against 1 / (omega u^2).  The max
-    ratios are the fitted constants.
+    Samples |omega * phi(omega*zeta)| with zeta = u - i y, y = +-0.3, at 12
+    geometric offsets u in [0.5, 5], and checks the ratio to
+    |e^{2 omega y} - e^{omega y / 2}| / (omega^2 |y| |zeta|^2); on the real
+    axis the comparison is against 1 / (omega u^2).  The max ratios are the
+    fitted constants.
     """
-    if profile is None:
-        profile = PhiProfile.cached(0.125)
-    if offsets is None:
-        offsets = np.geomspace(0.5, 5.0, 12)
-    offsets = np.asarray(offsets, dtype=float)
-
+    offsets = np.geomspace(0.5, 5.0, 12)
     ratios = []
-    for y in ys:
+    for y in (0.3, -0.3):
         zeta = offsets - 1j * y
         vals = omega * np.abs(profile.eval_complex(omega * zeta))
         env = (abs(math.exp(2.0 * omega * y) - math.exp(omega * y / 2.0))

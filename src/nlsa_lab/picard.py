@@ -361,23 +361,19 @@ def admissible_time_bound(
 
 
 def select_radius_and_horizon(
-    u0: GridFunction,
-    params: EquationParams,
-    constant: float = 1.0,
-    time_exponent: float = 0.25,
-    t_max: float = 1.0,
+    u0: GridFunction, params: EquationParams, t_max: float = 1.0
 ) -> tuple[float, float]:
     """Ball radius and horizon for the fixed-point argument.
 
-    radius = 2*constant*(H^s norm + weighted L^2 norm of u0); the horizon is
-    the largest T <= t_max satisfying the smallness inequality of
-    admissible_time_bound.  Zero data admits any horizon, so t_max is
-    returned.
+    radius = 2*(H^s norm + weighted L^2 norm of u0); the horizon is the
+    largest T <= t_max satisfying the smallness inequality of
+    admissible_time_bound at its default constant 1 and time exponent 1/4.
+    Zero data admits any horizon, so t_max is returned.
     """
     h_norm = sobolev_norm(u0, params.s)
     weighted = l2_norm(weight_multiply(u0, params.m))
-    radius = 2.0 * constant * (h_norm + weighted)
-    return radius, admissible_time_bound(radius, h_norm, constant, time_exponent, t_max)
+    radius = 2.0 * (h_norm + weighted)
+    return radius, admissible_time_bound(radius, h_norm, t_max=t_max)
 
 
 def persistence_report(u: SpaceTimeField, params: EquationParams) -> NormReport:

@@ -6,6 +6,8 @@ non-contraction, 3 verification failure.
 """
 
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -375,6 +377,49 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, literal):
     err = capsys.readouterr().err
     assert f"{literal} is not a finite number" in err
     assert "times must increase" not in err
+
+
+# ---------------------------------------------------------------------------
+# probes the program used to accept and then fail on
+# ---------------------------------------------------------------------------
+
+_EDGE_PROBE = {"a": 0.0, "b": 1.0, "t": 0.1, "m": 0.125, "xi": 0.0}
+
+
+@pytest.mark.parametrize("payload, fields", [
+    ({"probes": [{**_EDGE_PROBE, "omega": 0.5}]}, ["config.probes[0].omega"]),
+    ({"probes": [{**_EDGE_PROBE, "omega": 1024.0, "xi": 1e200}]}, ["config.probes[0]"]),
+    ({"omegas": [1e30], "ab_pairs": [[0.0, 1.0]], "m_values": [0.0], "near_fracs": []},
+     ["config sweep probe", "1e+30"]),
+])
+def test_probes_out_of_range_name_the_field(tmp_path, capsys, payload, fields):
+    cfg = write_config(tmp_path, payload)
+    assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert all(field in err for field in fields)
+    assert "Traceback" not in err
+
+
+def _cap_address_space():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_sweep_with_overflowing_arc_radius_names_the_probe(tmp_path):
+    # omega * eps overflows to inf, and the arc panelling used to append
+    # breakpoints forever; the child gets its own memory cap and time limit
+    cfg = write_config(tmp_path, {
+        "omegas": [1e300], "ab_pairs": [[0.0, 1.0]], "m_values": [0.0], "near_fracs": [],
+    })
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlsa_lab.cli", "verify-oscillatory",
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1
+    assert "config sweep probe" in proc.stderr and "1e+300" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

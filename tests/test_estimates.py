@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsa_lab.estimates import (
     BandCoverageWarning,
@@ -84,6 +85,30 @@ def test_generators_are_seed_stable_and_extendable():
     c = random_spacetime_packets(4, np.random.default_rng(9))
     d = random_spacetime_packets(8, np.random.default_rng(9))
     assert c == d[:4]
+
+
+def _assert_wave_packet_ranges(packet, components):
+    assert len(packet.coefs) == len(packet.freqs) == components
+    assert len(packet.widths) == len(packet.centers) == components
+    assert all(1.0 <= abs(freq) <= 4.0 for freq in packet.freqs)
+    assert all(1.0 <= width <= 4.0 for width in packet.widths)
+    assert all(-6.0 <= center <= 6.0 for center in packet.centers)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_packet_families_stay_in_their_documented_ranges(seed):
+    rng = np.random.default_rng(seed)
+    for packet in random_wave_packets(4, rng):
+        _assert_wave_packet_ranges(packet, 3)
+    for packet in random_spacetime_packets(4, rng):
+        assert len(packet.space) == len(packet.time_freqs) == 2
+        assert len(packet.time_widths) == len(packet.time_centers) == 2
+        for space in packet.space:
+            _assert_wave_packet_ranges(space, 1)
+        assert all(-6.0 <= freq <= 6.0 for freq in packet.time_freqs)
+        assert all(0.3 <= width <= 1.0 for width in packet.time_widths)
+        assert all(0.0 <= center <= 0.4 for center in packet.time_centers)
 
 
 # ---------------------------------------------------------------------------

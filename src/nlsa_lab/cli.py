@@ -19,7 +19,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
@@ -54,7 +54,7 @@ from .picard import (
 )
 from .spectral import EquationParams, Grid, GridFunction, _dispersion
 
-__all__ = ["ConfigError", "RunManifest", "main"]
+__all__ = ["ConfigError", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -194,31 +194,9 @@ ESTIMATES_SCHEMA = {
     },
 }
 
-_SCHEMAS = {
-    "solve": SOLVE_SCHEMA,
-    "verify-oscillatory": OSCILLATORY_SCHEMA,
-    "verify-estimates": ESTIMATES_SCHEMA,
-}
-
-
 # ---------------------------------------------------------------------------
 # Artifact plumbing.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RunManifest:
-    """What was run: enough to reproduce everything but the duration."""
-
-    command: str
-    config: str
-    output_dir: str
-    seed: int
-    version: str
-    duration_seconds: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _json_ready(value):
     if isinstance(value, float) and not math.isfinite(value):
@@ -287,21 +265,16 @@ def load_config(path, schema) -> dict:
     return data
 
 
-def _resolve_threads(flag) -> int:
-    if flag is not None:
-        if flag < 1:
-            raise ConfigError("--threads must be at least 1")
-        return flag
-    env = os.environ.get("NLSA_LAB_THREADS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"NLSA_LAB_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError("NLSA_LAB_THREADS must be at least 1")
-        return value
-    return 1
+def _thread_count(text: str) -> int:
+    """argparse type of --threads, which also parses NLSA_LAB_THREADS as its default."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer (from the flag or NLSA_LAB_THREADS)")
+    return value
 
 
 def _equation_from(config: dict, default: dict | None = None) -> EquationParams:
@@ -416,18 +389,19 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
 
 
 def _probe_tuples(config: dict) -> list:
+    """(field, probe) pairs; the field names the config entry a probe's errors blame."""
     if "probes" in config and "omegas" in config:
         raise ConfigError("config: give explicit probes or a sweep grid, not both")
     if "probes" in config:
-        tuples = []
+        pairs = []
         for i, probe in enumerate(config["probes"]):
             a, b, t, omega, m, xi = (probe[key] for key in ("a", "b", "t", "omega", "m", "xi"))
             with _config_field(f"config.probes[{i}]"):
                 if not admissible_parameters(a, b, t, omega):
                     raise ValueError("omega/(|b| t) must be at least max(1, 1e4 (a/(2b))^2)")
                 classify_xi(xi, a, b, t, omega)
-            tuples.append((a, b, t, omega, m, xi))
-        return tuples
+            pairs.append((f"config.probes[{i}]", (a, b, t, omega, m, xi)))
+        return pairs
     for key in ("omegas", "ab_pairs", "m_values"):
         if key not in config:
             raise ConfigError(f"config: sweep needs '{key}' (or give explicit probes)")
@@ -439,28 +413,27 @@ def _probe_tuples(config: dict) -> list:
         for key in ("t_request", "near_fracs", "far_fracs", "intermediate_fracs")
         if key in config
     }
-    return build_probe_grid(
-        config["omegas"], config["ab_pairs"], config["m_values"], **grid_options
-    )
+    grid = build_probe_grid(config["omegas"], config["ab_pairs"], config["m_values"],
+                            **grid_options)
+    # a sweep probe combines several fields, so it is named by its parameters
+    return [(f"config sweep probe (a, b, t, omega, m, xi) = {probe}", probe) for probe in grid]
 
 
 def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> int:
     del seed  # probes are deterministic; the seed is only manifest metadata
-    tuples = _probe_tuples(config)
-    for m in sorted({tp[4] for tp in tuples}):
+    pairs = _probe_tuples(config)
+    for m in sorted({probe[4] for _, probe in pairs}):
         with _config_field("config.probes" if "probes" in config else "config.m_values"):
             PhiProfile.cached(m)  # build serially before the parallel map
 
-    def run(i):
-        # a sweep probe combines several fields, so it is named by its parameters
-        where = (f"config.probes[{i}]" if "probes" in config
-                 else f"config sweep probe (a, b, t, omega, m, xi) = {tuples[i]}")
+    def run(pair):
+        where, probe = pair
         with _config_field(where):
-            return run_probe(*tuples[i])
+            return run_probe(*probe)
 
     try:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            probes = list(pool.map(run, range(len(tuples))))
+            probes = list(pool.map(run, pairs))
     except QuadratureConvergenceError as exc:
         print(f"quadrature failed to converge: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
@@ -636,10 +609,13 @@ def cmd_report(out: Path) -> int:
 # Entry point.
 # ---------------------------------------------------------------------------
 
+# command -> (config schema, handler, help); report takes no config and is added apart
 _COMMANDS = {
-    "solve": cmd_solve,
-    "verify-oscillatory": cmd_verify_oscillatory,
-    "verify-estimates": cmd_verify_estimates,
+    "solve": (SOLVE_SCHEMA, cmd_solve, "run the fixed-point solver"),
+    "verify-oscillatory": (OSCILLATORY_SCHEMA, cmd_verify_oscillatory,
+                           "contour-vs-direct probes and decay-bound ratios"),
+    "verify-estimates": (ESTIMATES_SCHEMA, cmd_verify_estimates,
+                         "inequality ratio sweeps with refinement stability"),
 }
 
 
@@ -656,19 +632,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags.add_argument("--config", required=True, help="path to the JSON config")
     run_flags.add_argument("--out", required=True, help="output directory (created if missing)")
     run_flags.add_argument("--seed", type=int, default=None, help="override the config seed")
+    # argparse types a string default only when the flag is absent; a blank env means 1
     run_flags.add_argument(
-        "--threads", type=int, default=None,
+        "--threads", type=_thread_count,
+        default=os.environ.get("NLSA_LAB_THREADS", "").strip() or "1",
         help="worker threads (default: NLSA_LAB_THREADS or 1)",
     )
-    sub.add_parser("solve", parents=[run_flags], help="run the fixed-point solver")
-    sub.add_parser(
-        "verify-oscillatory", parents=[run_flags],
-        help="contour-vs-direct probes and decay-bound ratios",
-    )
-    sub.add_parser(
-        "verify-estimates", parents=[run_flags],
-        help="inequality ratio sweeps with refinement stability",
-    )
+    for name, (_, _, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[run_flags], help=help_text)
     report = sub.add_parser("report", help="aggregate run manifests under a directory")
     report.add_argument("--out", required=True, help="directory to scan for manifests")
     return parser
@@ -684,25 +655,25 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(Path(args.out))
-        config = load_config(args.config, _SCHEMAS[args.command])
+        schema, handler, _ = _COMMANDS[args.command]
+        config = load_config(args.config, schema)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        threads = _resolve_threads(args.threads)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         start = time.perf_counter()
-        code = _COMMANDS[args.command](config, out, seed, threads)
-        manifest = RunManifest(
-            command=args.command,
-            config=str(args.config),
-            output_dir=str(out),
-            seed=seed,
-            version=__version__,
-            duration_seconds=time.perf_counter() - start,
-        )
-        write_json(out / "manifest.json", manifest.to_dict())
+        code = handler(config, out, seed, args.threads)
+        # what was run: enough to reproduce everything but the duration
+        write_json(out / "manifest.json", {
+            "command": args.command,
+            "config": str(args.config),
+            "output_dir": str(out),
+            "seed": seed,
+            "version": __version__,
+            "duration_seconds": time.perf_counter() - start,
+        })
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from .spectral import (
     Grid,
     GridFunction,
     _forward_samples,
+    apply_symbols,
 )
 
 __all__ = [
@@ -59,22 +60,12 @@ class SpaceTimeField:
 
     def apply_symbol(self, symbol: np.ndarray) -> "SpaceTimeField":
         """Apply one Fourier multiplier, sampled over grid.xi, to every frame at once."""
-        (applied,) = self.apply_symbols(np.fft.ifftshift(symbol))
-        return applied
+        return self.apply_symbols(np.fft.ifftshift(symbol))[0]
 
     def apply_symbols(self, *symbols: np.ndarray) -> list:
-        """Apply FFT-order multipliers to every frame, all from one transform.
-
-        Each product is transformed back in place and the last one reuses the
-        spectrum's buffer, so n symbols allocate n frame stacks.
-        """
-        spec = np.fft.fft(self.frames, axis=1)
-        fields = []
-        for k, symbol in enumerate(symbols, 1):
-            frames = np.multiply(spec, symbol, out=spec if k == len(symbols) else None)
-            np.fft.ifft(frames, axis=1, out=frames)
-            fields.append(SpaceTimeField(self.grid, self.times, frames))
-        return fields
+        """Apply FFT-order multipliers to every frame, all from one transform."""
+        return [SpaceTimeField(self.grid, self.times, frames)
+                for frames in apply_symbols(self.frames, *symbols)]
 
 
 @dataclass

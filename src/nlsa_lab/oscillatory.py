@@ -50,6 +50,7 @@ from scipy.interpolate import BSpline, make_interp_spline
 from .spectral import Grid, GridFunction, eta, qn_bands, qn_pieces
 
 _EPS = float(np.finfo(np.float64).eps)
+_F64_MAX = float(np.finfo(np.float64).max)
 
 # line quadrature: 32-node Gauss-Legendre panels; interior panels span 12
 # oscillation periods on the coarse pass and 6 on the refinement (GL-32 is
@@ -662,8 +663,9 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
     """
     x0 = 0.5 if phase_dir < 0 else 2.0
     om_eps = omega * eps
-    if not math.isfinite(om_eps):
-        raise ValueError(f"omega * eps = {om_eps:g} overflows; the arc cannot be panelled")
+    if not om_eps < _F64_MAX ** 0.125:  # the panel bound divides by up to om_eps ** 8
+        raise ValueError(f"omega * eps = {om_eps:g}: its eighth power overflows float64; "
+                         "the arc cannot be panelled")
     delta0 = min(np.pi / 16.0, 40.0 / om_eps) / subdivide
     brk = _arc_breakpoints(delta0)
     glx, glw = _gl01(_GL_ARC)

@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .norms import SpaceTimeField, NormReport, l2_norm, mu_norms, sobolev_norm, xt_norm
-from .spectral import EquationParams, Grid, GridFunction, duhamel_flow, weight_multiply
+from .spectral import (EquationParams, Grid, GridFunction, apply_symbols, duhamel_flow,
+                       weight_multiply)
 
 __all__ = [
     "BoundaryMassWarning",
@@ -102,7 +103,7 @@ class ContractionReport:
 
     ``ratio`` is the median of successive distance quotients (0 when the
     first step already lands inside tolerance), ``radius`` the ball radius
-    2*(H^s norm + weighted L^2 norm) of the initial data, and
+    select_radius_and_horizon picks for the initial data, and
     ``horizon_exponent_fit`` an empirical horizon exponent (NaN unless filled by a ratio-vs-horizon
     regression).
     """
@@ -162,22 +163,15 @@ def _nonlinearity_frames(
             f"full-derivative evaluation needs d = 2e, got d={params.d}, e={params.e}"
         )
     ixi = 1j * grid.xi_fft
-
-    def d_dx(values):
-        """x-derivative of every frame, built in one buffer."""
-        spec = np.fft.fft(values, axis=1)
-        np.multiply(ixi[None, :], spec, out=spec)
-        return np.fft.ifft(spec, axis=1, out=spec)
-
     mag2 = frames.real**2 + frames.imag**2
     cubic = mag2 * frames
     # the terms accumulate into the cubic's buffer, every product in the
     # operand order of the formula
     if full_derivative_mode:
-        dcubic = d_dx(cubic)
+        (dcubic,) = apply_symbols(cubic, ixi)
         out = np.multiply(1j * params.c, cubic, out=cubic)
         return np.add(out, np.multiply(params.e, dcubic, out=dcubic), out=out)
-    du = d_dx(frames)
+    (du,) = apply_symbols(frames, ixi)
     out = np.multiply(1j * params.c, cubic, out=cubic)
     term = params.d * mag2
     del mag2
@@ -288,11 +282,10 @@ def picard_iterate(
         b / a for a, b in zip(distances, distances[1:]) if a > 0 and math.isfinite(b / a)
     ]
     ratio = float(np.median(quotients)) if quotients else 0.0
-    radius = 2.0 * (sobolev_norm(u0, params.s) + l2_norm(weight_multiply(u0, params.m)))
     report = ContractionReport(
         distances=distances,
         ratio=ratio,
-        radius=radius,
+        radius=select_radius_and_horizon(u0, params)[0],
         horizon=config.horizon,
         converged=converged,
     )
@@ -344,9 +337,11 @@ def admissible_time_bound(
         raise ValueError("t_max must be positive")
     if radius == 0:
         return t_max
+    with np.errstate(over="ignore"):  # a radius past 5.6e102 cubes to inf, not OverflowError
+        cube = np.float64(radius) ** 3
 
     def excess(t: float) -> float:
-        return constant * t * h_norm + constant * t**time_exponent * radius**3 - radius / 2.0
+        return constant * t * h_norm + constant * t**time_exponent * cube - radius / 2.0
 
     if excess(t_max) <= 0:
         return t_max

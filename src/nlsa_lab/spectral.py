@@ -24,6 +24,7 @@ __all__ = [
     "EquationParams",
     "dft_forward",
     "dft_inverse",
+    "apply_symbols",
     "apply_multiplier",
     "propagator_apply",
     "propagator_symbol",
@@ -170,11 +171,25 @@ def dft_inverse(F: GridFunction) -> GridFunction:
     return GridFunction(g, vals)
 
 
+def apply_symbols(values: np.ndarray, *symbols: np.ndarray) -> list:
+    """Apply FFT-order multipliers along the last axis, all from one transform.
+
+    values is one sample row or a stack of frames.  The package's Fourier
+    multipliers go through here, the banded qn_pieces loop aside, as
+    spectrum * symbol: each product is transformed back in place and the
+    last one reuses the spectrum's buffer, so n symbols allocate n arrays.
+    """
+    spec = np.fft.fft(values, axis=-1)
+    applied = []
+    for k, symbol in enumerate(symbols, 1):
+        product = np.multiply(spec, symbol, out=spec if k == len(symbols) else None)
+        applied.append(np.fft.ifft(product, axis=-1, out=product))
+    return applied
+
+
 def apply_multiplier(f: GridFunction, symbol: np.ndarray) -> GridFunction:
     """Apply a Fourier multiplier given as samples over f.grid.xi (ascending)."""
-    spec = np.fft.fft(f.values)
-    spec *= np.fft.ifftshift(symbol)
-    return GridFunction(f.grid, np.fft.ifft(spec))
+    return GridFunction(f.grid, apply_symbols(f.values, np.fft.ifftshift(symbol))[0])
 
 
 def _dispersion(xi: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -212,9 +227,7 @@ def weight_multiply(f: GridFunction, m: float) -> GridFunction:
 
 def dealias(f: GridFunction) -> GridFunction:
     """Zero all modes above two thirds of the Nyquist frequency (idempotent)."""
-    spec = np.fft.fft(f.values)
-    spec *= f.grid.dealias_mask
-    return GridFunction(f.grid, np.fft.ifft(spec))
+    return GridFunction(f.grid, apply_symbols(f.values, f.grid.dealias_mask)[0])
 
 
 _PULL_ROWS = 64  # forcing rows pulled back per block in duhamel_flow

@@ -301,6 +301,30 @@ def test_bad_threads_env_rejected(tmp_path, capsys, monkeypatch):
     assert "NLSA_LAB_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("env, flags, code, named", [
+    ("", [], 0, None),
+    ("  ", [], 0, None),
+    ("0", [], 1, "NLSA_LAB_THREADS"),
+    ("-1", [], 1, "NLSA_LAB_THREADS"),
+    ("lots", [], 1, "NLSA_LAB_THREADS"),
+    ("2.5", [], 1, "NLSA_LAB_THREADS"),
+    (None, ["--threads", "0"], 1, "--threads"),
+    ("lots", ["--threads", "1"], 0, None),  # the flag wins over the environment
+])
+def test_thread_count_contract(tmp_path, capsys, monkeypatch, env, flags, code, named):
+    cfg = write_config(tmp_path, {"estimates": ["commutator"], "samples": 2})
+    if env is None:
+        monkeypatch.delenv("NLSA_LAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("NLSA_LAB_THREADS", env)
+    args = ["verify-estimates", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(args + flags) == code
+    err = capsys.readouterr().err
+    if named is not None:
+        assert named in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -397,6 +421,18 @@ def test_probes_out_of_range_name_the_field(tmp_path, capsys, payload, fields):
     assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert all(field in err for field in fields)
+    assert "Traceback" not in err
+
+
+def test_sweep_whose_arc_bound_overflows_names_omega_eps(tmp_path, capsys):
+    # omega * eps ~ 1.4e45 is finite, but the arc's integration-by-parts bound
+    # takes its eighth power
+    cfg = write_config(tmp_path, {
+        "omegas": [1e30], "ab_pairs": [[0.0, 1.0]], "m_values": [0.0], "near_fracs": [],
+    })
+    assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "omega * eps" in err and "overflows" in err
     assert "Traceback" not in err
 
 

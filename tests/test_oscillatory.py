@@ -261,6 +261,15 @@ def test_intermediate_has_substance_and_no_contour(prof):
         osc_integral_contour(0.0, 1.0, t, omega, 0.125, xi, prof)
 
 
+def test_arc_refuses_radius_whose_eighth_power_overflows():
+    # omega * eps ~ 1.4e45: the panel bound's u_min ** 8 would overflow float64
+    a, b, t, omega = 0.0, 1.0, 0.5, 1e30
+    xi = 15.0 * math.sqrt(omega / t)
+    assert classify_xi(xi, a, b, t, omega) is RegionLabel.FAR
+    with pytest.raises(ValueError, match=r"omega \* eps .* overflows"):
+        osc_integral_contour(a, b, t, omega, 0.0, xi)
+
+
 def test_zero_profile_gives_zero_on_both_paths():
     dead = PhiProfile(0.125, scale=0.0)
     args = (0.0, 1.0, 1.0, 2.0 ** 10, 0.125, 1.0)

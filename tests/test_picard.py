@@ -391,6 +391,18 @@ def test_select_radius_and_horizon():
     assert horizon1 * h_norm + horizon1**0.25 * radius1**3 <= radius1 / 2 + 1e-12
 
 
+def test_radius_whose_cube_overflows():
+    # radius**3 of a radius past 5.6e102 is beyond float64: only T = 0 is
+    # admissible, and the solver still reports the radius
+    params = EquationParams(a=1.0, b=1.0)
+    u0 = gaussian_packet(GRID, amplitude=1e120)
+    radius, horizon = select_radius_and_horizon(u0, params)
+    assert radius == 2.0 * (sobolev_norm(u0, params.s) + l2_norm(weight_multiply(u0, params.m)))
+    assert horizon == 0.0
+    _, report = picard_iterate(u0, params, PicardConfig(horizon=0.01, time_nodes=4))
+    assert report.converged and report.radius == radius
+
+
 # ---------------------------------------------------------------------------
 # Persistence.
 # ---------------------------------------------------------------------------

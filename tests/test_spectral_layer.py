@@ -1,16 +1,19 @@
-"""The shared spectral paths: one-transform band pieces, the Duhamel flow
-kernel and its memoised phases, batched norm histories, and identities
-checked as properties."""
+"""The shared spectral paths: the one multiplier kernel, one-transform band
+pieces, the Duhamel flow kernel and its memoised phases, batched norm
+histories, and identities checked as properties."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from nlsa_lab.norms import SpaceTimeField, l2_norm, mu_norms, sobolev_norm, xt_norm
+from nlsa_lab.picard import nonlinearity_eval
 from nlsa_lab.spectral import (
     EquationParams,
     Grid,
     GridFunction,
     apply_multiplier,
+    apply_symbols,
+    dealias,
     dft_forward,
     duhamel_flow,
     eta,
@@ -237,3 +240,68 @@ def test_duhamel_flow_memo_lives_on_the_grid():
     assert g._flow_phases[1j][1].shape == (5, 128)
     assert g == Grid(128, 30.0)
     assert repr(g) == repr(Grid(128, 30.0))
+
+
+def reference_nonlinearity(v, grid, params, full_derivative_mode):
+    """nonlinearity_eval as it was before the multiplier kernel: the
+    derivative symbol is the left operand of the spectral product."""
+    def d_dx(values):
+        return np.fft.ifft(1j * grid.xi_fft * np.fft.fft(values))
+
+    mag2 = v.real**2 + v.imag**2
+    cubic = mag2 * v
+    if full_derivative_mode:
+        return 1j * params.c * cubic + params.e * d_dx(cubic)
+    du = d_dx(v)
+    return 1j * params.c * cubic + params.d * mag2 * du + params.e * v**2 * np.conjugate(du)
+
+
+@PROPERTY
+@given(
+    half=st.integers(1, 150),
+    length=st.floats(5.0, 100.0),
+    rows=st.integers(1, 4),
+    complex_symbols=st.lists(st.booleans(), min_size=1, max_size=3),
+    seed=seeds,
+    coefficients=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+)
+@example(1, 10.0, 1, [False], 0, (1.0, 2.0, 1.0))  # two points
+@example(97, 40.0, 3, [True, False, True], 1, (0.5, -1.0, 0.25))  # 194 = 2 * 97 points
+def test_one_multiplier_kernel_matches_the_formulas_property(
+    half, length, rows, complex_symbols, seed, coefficients
+):
+    n = 2 * half
+    grid = Grid(n, length)
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    stack = draw(rows, n)
+    symbols = [draw(n) if c else rng.standard_normal(n) for c in complex_symbols]
+    reference = [[np.fft.ifft(np.fft.fft(row) * s) for s in symbols] for row in stack]
+
+    # a frame stack equals its rows taken one at a time, and the formula
+    stacked = apply_symbols(stack, *symbols)
+    for r, row in enumerate(stack):
+        for k, applied in enumerate(apply_symbols(row, *symbols)):
+            assert same_bits(applied, stacked[k][r])
+            assert same_bits(applied, reference[r][k])
+
+    # the callers that route through the kernel
+    v, s = stack[0], symbols[0]
+    f = GridFunction(grid, v)
+    assert same_bits(apply_multiplier(f, np.fft.fftshift(s)).values, reference[0][0])
+    assert same_bits(dealias(f).values, np.fft.ifft(np.fft.fft(v) * grid.dealias_mask))
+    field = SpaceTimeField(grid, np.arange(rows, dtype=float), stack)
+    for k, applied in enumerate(field.apply_symbols(*symbols)):
+        assert same_bits(applied.frames, np.array([ref[k] for ref in reference]))
+
+    # the derivative symbol moved from the left operand to the right
+    c, d, e = coefficients
+    for full, params in ((False, EquationParams(a=1.0, b=1.0, c=c, d=d, e=e)),
+                         (True, EquationParams(a=1.0, b=1.0, c=c, d=2 * e, e=e))):
+        assert same_bits(
+            nonlinearity_eval(f, params, full).values,
+            reference_nonlinearity(v, grid, params, full),
+        )

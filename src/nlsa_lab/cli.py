@@ -363,7 +363,19 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
         print(f"non-contraction: {exc}", file=sys.stderr)
         return EXIT_NON_CONTRACTION
 
-    norms = persistence_report(u, params)
+    # mu3 raises |u_x| to the 20th power, so data far inside float64's range
+    # can overflow the norms; a run without finite norms certifies nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = persistence_report(u, params)
+    overflowed = [
+        key for key, value in norms.to_dict().items()
+        if not key.endswith("_ratio") and not np.isfinite(value).all()
+    ]
+    if overflowed:
+        raise ConfigError(
+            f"config.initial_data: the solution's norms overflow float64 "
+            f"({', '.join(overflowed)} not finite)"
+        )
     rows = [
         (_fmt(x), _fmt(value.real), _fmt(value.imag))
         for x, value in zip(grid.x, u.frames[-1])

@@ -45,7 +45,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BSpline, make_interp_spline
 
 from .spectral import Grid, GridFunction, eta, qn_bands, qn_pieces
 
@@ -231,18 +230,100 @@ def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int) -> np.ndar
     return out
 
 
+# the quintic B-spline's interpolation prefilter has the poles z inside the
+# unit circle of z^4 + 26 z^3 + 66 z^2 + 26 z + 1, i.e. of z + 1/z = -13 +- sqrt(105)
+_QUINTIC_POLES = (-0.43057534709997379, -0.043096288203264654)
+# z^64 < 4e-24 for both poles, so in 64-sample blocks each block's recursion
+# needs only the end value of the block before it
+_PREFILTER_BLOCK = 64
+# spline evaluation works through its input in chunks that stay in cache
+_SPLINE_CHUNK = 8192
+
+
+def _causal_pass(blocks: np.ndarray, z: float) -> None:
+    """y_k = x_k + z y_{k-1} in place, from y = 0 before the first sample, for
+    the sequence laid out as blocks[j, b] = x_{bL + j} (L = blocks.shape[0])."""
+    size = blocks.shape[0]
+    for j in range(1, size):
+        blocks[j] += z * blocks[j - 1]
+    # each block starts from the end of the block before it; what that end
+    # owes to earlier blocks is scaled by z^L < 4e-24, below rounding
+    carry = blocks[-1].copy()
+    for j in range(size):
+        blocks[j, 1:] += z ** (j + 1) * carry[:-1]
+
+
+def _quintic_coefficients(knots: np.ndarray) -> np.ndarray:
+    """The cardinal quintic B-spline coefficients c_j, j = -2 .. n + 2, that
+    interpolate the knot values f_0 .. f_{n-1} continued by f_{-k} = conj f_k
+    and by zeros for |k| >= n.
+
+    The interpolation condition sum_j c_j beta5(k - j) = f_k is inverted by
+    the recursive prefilter of Unser, Aldroubi & Eden (IEEE Trans. Signal
+    Process. 41:821, 1993): for each pole z a causal pass y_k = f_k + z y_{k-1}
+    and an anticausal pass c_k = y_k + z c_{k+1}, then the gain
+    prod (1 - z)^2.  Both passes run blocked (see _causal_pass); the
+    anticausal one is the causal pass on the reversed layout.  The zero
+    padding past either end is one block, over which a pole's response falls
+    by z^64, so neither pass needs an initial value.
+    """
+    n = knots.size
+    size = _PREFILTER_BLOCK
+    first = size + n - 1  # where f_0 sits
+    ext = np.zeros(-(-(2 * n - 1 + 2 * size) // size) * size, dtype=np.complex128)
+    ext[first:first + n] = knots
+    ext[size:first] = np.conjugate(knots[:0:-1])
+    blocks = ext.view(np.float64).reshape(-1, size, 2).transpose(1, 0, 2).copy()
+    del ext
+    for z in _QUINTIC_POLES:
+        _causal_pass(blocks, z)
+        # reversing the (re, im) axis as well keeps each row one strided run
+        _causal_pass(blocks[::-1, ::-1, ::-1], z)
+    blocks *= ((1.0 - _QUINTIC_POLES[0]) * (1.0 - _QUINTIC_POLES[1])) ** 2
+    # back to sequence order, only the blocks that hold c_{-2} .. c_{n+2}
+    lo, hi = (first - 2) // size, -(-(first + n + 3) // size)
+    seq = blocks[:, lo:hi].transpose(1, 0, 2).reshape(-1).view(np.complex128)
+    return seq[first - 2 - lo * size:][:n + 5]
+
+
+def _quintic_weights(t: np.ndarray) -> tuple:
+    """beta5(t + 2 - k) for k = 0 .. 5 and t in [0, 1): the weights of
+    c_{i-2} .. c_{i+3} at i + t, in the closed form of Thevenaz, Blu & Unser
+    (IEEE Trans. Med. Imaging 19:739, 2000)."""
+    t2 = t * t
+    w5 = (1.0 / 120.0) * t2 * t2 * t
+    d = t2 - t
+    d2 = d * d
+    h = t - 0.5
+    q = d * (d - 3.0)
+    w0 = (1.0 / 24.0) * (1.0 / 5.0 + d + d2) - w5
+    even = (1.0 / 24.0) * (d * (d - 5.0) + 46.0 / 5.0)
+    odd = (-1.0 / 12.0) * h * (q + 4.0)
+    w2, w3 = even + odd, even - odd
+    even = (1.0 / 16.0) * (9.0 / 5.0 - q)
+    odd = (1.0 / 24.0) * h * (d2 - d - 5.0)
+    w1, w4 = even + odd, even - odd
+    return w0, w1, w2, w3, w4, w5
+
+
 class PhiProfile:
     """The analytic profile with transform |x|^m eta(x) on [1/2, 2].
 
     Real-axis values come from a table of the inverse transform, computed
     by a pruned four-step FFT over the transform's support (only the table's
-    outputs are formed), and fitted with a quintic spline whose real and
-    imaginary parts are solved as two real columns; the spline is validated
-    at table midpoints (the table is built at twice the knot density, so the
-    odd samples are exact held-out values).  Complex arguments are
-    evaluated by a uniform trapezoid rule on the transform support, which is
-    spectrally accurate because the transform vanishes to all orders at both
-    support endpoints.
+    outputs are formed).  The even samples, at v = k*DV, are the knots of a
+    cardinal quintic B-spline on [-v_end, v_end]: the knots are continued by
+    the conjugate symmetry phi(-v) = conj phi(v) and by zeros beyond the
+    table, so v = 0, where phi is largest, is an interior knot and needs no
+    end condition.  The coefficients come from the two-pole recursive
+    prefilter (poles -0.430575 and -0.043096), and evaluation at |v| takes
+    the index floor(|v|/DV) and six closed-form basis weights, so it needs
+    no knot search and its cost does not depend on the input's order.  The
+    spline is validated at table midpoints (the table is built at twice the
+    knot density, so the odd samples are exact held-out values).  Complex
+    arguments are evaluated by a uniform trapezoid rule on the transform
+    support, which is spectrally accurate because the transform vanishes to
+    all orders at both support endpoints.
 
     Attributes of note:
       mass      L1 norm of the transform (|R| <= mass/(2pi) on arcs),
@@ -343,17 +424,10 @@ class PhiProfile:
         dv_fine = self.DV / 2.0
         n_knots = int(round(self.v_end / self.DV)) + 1
         table = self._table(2 * n_knots - 1)
-
-        # real and imaginary parts as two real columns: a complex right-hand
-        # side would make scipy cast the real band matrix to complex
-        vk = np.arange(n_knots) * self.DV
-        knots = np.ascontiguousarray(table[::2]).view(np.float64).reshape(-1, 2)
-        spl = make_interp_spline(vk, knots, k=5)
-        coefs = np.ascontiguousarray(spl.c).view(np.complex128).ravel()
-        self._spl = BSpline.construct_fast(spl.t, coefs, 5)
+        self._coefs = _quintic_coefficients(table[::2])
 
         vmid = dv_fine * (2 * np.arange(n_knots - 1) + 1)
-        err = np.abs(self._spl(vmid) - table[1::2])
+        err = np.abs(self._spline(vmid) - table[1::2])
         self.err_max = float(err.max())
         self.err_l1 = float(2.0 * self.DV * err.sum())
         self.l1 = float(
@@ -363,11 +437,31 @@ class PhiProfile:
 
     # -- evaluation ---------------------------------------------------
 
+    def _spline(self, av: np.ndarray) -> np.ndarray:
+        """The spline at abscissae av >= 0.  The knot index is clamped to
+        the table before the gather, so entries past the table, inf and NaN
+        read in bounds; their values mean nothing and eval_real zeroes them.
+        Each entry is computed on its own, whatever its neighbours."""
+        out = np.empty(av.shape, dtype=np.complex128)
+        flat_in, flat_out = av.reshape(-1), out.reshape(-1)
+        last = self._coefs.size - 6  # the last knot's index
+        for lo in range(0, flat_in.size, _SPLINE_CHUNK):
+            x = flat_in[lo:lo + _SPLINE_CHUNK] / self.DV
+            np.fmin(x, last, out=x)  # fmin maps NaN to the bound as well
+            i = x.astype(np.int64)
+            x -= i
+            weights = _quintic_weights(x)
+            acc = weights[0] * self._coefs[i]
+            for j in range(1, 6):
+                acc += weights[j] * self._coefs[i + j]
+            flat_out[lo:lo + _SPLINE_CHUNK] = acc
+        return out
+
     def eval_real(self, v: np.ndarray) -> np.ndarray:
         """Profile values on the real axis (0 beyond the table end)."""
         v = np.asarray(v, dtype=np.float64)
         av = np.abs(v)
-        out = self._spl(av)
+        out = self._spline(av)
         # phi(-v) = conj(phi(v)); the zeroing comes after the conjugation so
         # that entries off the table (and NaN) read +0.0
         np.conjugate(out, out=out, where=v < 0)

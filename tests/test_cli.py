@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -66,6 +67,21 @@ def test_solve_linear_converges_in_one_iteration(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     contraction = read_json(out / "contraction.json")
     assert contraction["distances"] == [0.0]
+
+
+@pytest.mark.parametrize("amplitude", [1e120, 1e150])
+def test_solve_whose_norms_overflow_names_the_initial_data(tmp_path, capsys, amplitude):
+    cfg = write_config(tmp_path, solve_payload(
+        equation={"a": 1.0, "b": 1.0},
+        initial_data={"kind": "gaussian", "amplitude": amplitude},
+    ))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config.initial_data" in err and "overflow" in err
+    assert not (out / "norms.json").exists()
 
 
 def test_solve_non_contraction_exits_2(tmp_path, capsys):
@@ -354,6 +370,15 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "verify-oscillatory" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; every CLI process pays for what it imports
+    check = ("import sys, nlsa_lab.cli; "
+             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+             "print(loaded); sys.exit(1 if loaded else 0)")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Configs are drawn from SOLVE_SCHEMA itself (its types, bounds, enums and
 required keys), with the grid, the time grid and the iteration counts capped
 so that each run stays small.  Whatever the config, `main` must return one of
 the documented exit codes, explain a non-zero exit on stderr, and raise
-nothing.
+nothing.  A run that exits 0 must have written finite norms.
 """
 
 import contextlib
@@ -75,9 +75,9 @@ def from_schema(schema, path=()):
     raise AssertionError(f"no strategy for schema type {kind!r} at {path}")
 
 
-def _solve_config(grid=None, initial_data=None):
+def _solve_config(grid=None, initial_data=None, equation=None):
     return {
-        "equation": {"preset": "mkdv"},
+        "equation": equation or {"preset": "mkdv"},
         "grid": grid or {"num_points": 8, "length": 10.0},
         "time": {"horizon": 0.01, "nodes": 2},
         "initial_data": initial_data or {"kind": "zero"},
@@ -87,11 +87,15 @@ def _solve_config(grid=None, initial_data=None):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(config=from_schema(SOLVE_SCHEMA))
 # a grid spacing that underflows to 0, a grid whose dispersion a*xi^2+b*xi^3
-# overflows on its frequencies, and a soliton amplitude whose square
-# overflows a Python float
+# overflows on its frequencies, a soliton amplitude whose square overflows a
+# Python float, and linear runs whose norms overflow float64
 @example(config=_solve_config(grid={"num_points": 2, "length": 5e-324}))
 @example(config=_solve_config(grid={"num_points": 2, "length": 1e-300}))
 @example(config=_solve_config(initial_data={"kind": "soliton", "name": "mkdv", "amplitude": 1e200}))
+@example(config=_solve_config(equation={"a": 1, "b": 1},
+                              initial_data={"kind": "gaussian", "amplitude": 1e150}))
+@example(config=_solve_config(equation={"a": 1, "b": 1},
+                              initial_data={"kind": "gaussian", "amplitude": 1e120}))
 def test_every_schema_valid_solve_config_runs_or_is_refused(tmp_path_factory, config):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "config.json"
@@ -104,3 +108,10 @@ def test_every_schema_valid_solve_config_runs_or_is_refused(tmp_path_factory, co
     assert code in (0, 1, 2, 3)
     if code != 0:
         assert err.getvalue().strip(), f"exit {code} without a message for {config}"
+    else:
+        # a successful run certifies finite norms (json writes a non-finite
+        # one as null); a history's max/min ratio is inf when it touches zero
+        norms = json.loads((tmp / "out" / "norms.json").read_text())
+        values = [v for key, v in norms.items() if not key.endswith("_ratio")]
+        flat = [x for v in values for x in (v if isinstance(v, list) else [v])]
+        assert None not in flat, f"exit 0 with non-finite norms for {config}"

@@ -5,20 +5,28 @@ The build evaluates the transform only on the grid window over its support
 on the 2^23-point grid.  The table comes from a pruned four-step transform
 that forms only the outputs the table keeps; it is checked against the dense
 transform at small sizes and against a long-double direct sum at full size.
-`eval_real` evaluates the spline once on |v| and fixes up signs in place; it
-must give the same bits as the gather/scatter formula it replaces, whatever
-the input's order.
+The spline is a cardinal quintic B-spline: its coefficients interpolate the
+conjugate-symmetric continuation of the knots, and its six basis weights
+are closed-form.  `eval_real` evaluates the spline once on |v| and fixes up
+signs in place; it must give the same bits as the gather/scatter formula it
+replaces, whatever the input's order.
 """
 
 import copy
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsa_lab.oscillatory import PhiProfile, _pruned_ifft
+from nlsa_lab.oscillatory import (
+    PhiProfile,
+    _pruned_ifft,
+    _quintic_coefficients,
+    _quintic_weights,
+)
 
 N_T = 2 ** 23
 
@@ -55,24 +63,27 @@ def test_transform_is_positive_zero_off_the_support_window(prof):
 
 def test_build_allocates_only_the_transform_grid():
     # a dense transform on all 2^23 points peaks at about 456 MB of traced
-    # allocations; the windowed one at about 271 MB
+    # allocations, the windowed one at about 271 MB, and the pruned one with
+    # a banded spline solve at about 112 MiB (61 MB of it the band matrix);
+    # the pruned transform with the prefiltered cardinal spline peaks at
+    # about 44 MiB, and the bound leaves about a quarter of that as margin
     tracemalloc.start()
     try:
         PhiProfile(0.125)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 320 * 2 ** 20
+    assert peak < 56 * 2 ** 20
 
 
 def _gather_scatter(prof, v):
-    """The formula eval_real replaces: conj(spl(|v|)) for v < 0, spl(v)
-    otherwise, zero beyond the table end and at NaN."""
+    """The formula eval_real replaces: conj(spline(|v|)) for v < 0,
+    spline(v) otherwise, zero beyond the table end and at NaN."""
     v = np.asarray(v, dtype=np.float64)
     av = np.abs(v)
     out = np.zeros(v.shape, dtype=np.complex128)
     inside = av <= prof.v_end
-    vals = prof._spl(av[inside])
+    vals = prof._spline(av[inside])
     out[inside] = np.where(v[inside] < 0, np.conj(vals), vals)
     return prof.scale * out
 
@@ -113,6 +124,65 @@ def test_eval_real_is_independent_of_input_order(prof):
     np.testing.assert_array_equal(
         _bits(prof.eval_real(v[order])), _bits(prof.eval_real(v)[order])
     )
+
+
+# abscissae as fractions of v_end: inside and past the table, both ends,
+# signed zeros, huge values, infinities and NaN
+_FRACTIONS = st.one_of(
+    st.floats(-1.2, 1.2),
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 2.0, -2.0, 1e300, -1e300,
+                     np.inf, -np.inf, np.nan]),
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(fractions=st.lists(_FRACTIONS, min_size=1, max_size=40),
+       n_uniform=st.integers(0, 3 * 8192), seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_real_commutes_with_every_permutation(prof, fractions, n_uniform, seed):
+    # the uniform draws make the input span several evaluation chunks
+    rng = np.random.default_rng(seed)
+    v = prof.v_end * np.concatenate([fractions, rng.uniform(-1.2, 1.2, n_uniform)])
+    perm = rng.permutation(v.size)
+    whole = prof.eval_real(v)
+    np.testing.assert_array_equal(_bits(prof.eval_real(v[perm])), _bits(whole[perm]))
+    one = prof.eval_real(v[0])
+    assert np.shape(one) == ()
+    np.testing.assert_array_equal(_bits(one), _bits(whole[0]))
+
+
+# ---------------------------------------------------------------------------
+# the cardinal quintic spline
+# ---------------------------------------------------------------------------
+
+def _beta5(x):
+    """The centred quintic B-spline at a rational x, exactly."""
+    return sum((-1) ** k * math.comb(6, k) * max(x + 3 - k, 0) ** 5 for k in range(7)) / 120
+
+
+def test_quintic_weights_are_the_b_spline_basis():
+    t = np.concatenate([np.linspace(0.0, 1.0, 1001, endpoint=False),
+                        [np.nextafter(1.0, 0.0)]])
+    weights = _quintic_weights(t)
+    eps = np.finfo(np.float64).eps
+    for k, w in enumerate(weights):
+        exact = np.array([float(_beta5(Fraction(x) + 2 - k)) for x in t])
+        assert np.abs(w - exact).max() <= 2 * eps
+    assert np.abs(sum(weights) - 1.0).max() <= 2 * eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 200])
+def test_quintic_coefficients_interpolate_the_symmetric_extension(n):
+    rng = np.random.default_rng(n)
+    knots = rng.normal(size=n) + 1j * rng.normal(size=n)
+    knots[0] = knots[0].real  # f_0 = conj f_0 on the symmetric extension
+    c = _quintic_coefficients(knots)
+    assert c.shape == (n + 5,)  # c_{-2} .. c_{n+2}
+    # sum_j c_j beta5(k - j) at k = 0 .. n, the last one on the zero padding
+    got = (c[:-4] + 26.0 * c[1:-3] + 66.0 * c[2:-2] + 26.0 * c[3:-1] + c[4:]) / 120.0
+    want = np.concatenate([knots, [0.0]])
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(knots).max()
+    # c_{-j} = conj c_j
+    np.testing.assert_allclose(c[:2], np.conj(c[4:2:-1]), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -192,4 +262,11 @@ def test_build_peak_stays_under_150_mib():
                                        (0.125, 2.74165101995756e-15)])
 def test_spline_error_entering_the_floors_does_not_grow(m, before):
     # `before` is err_l1 with the dense transform and the complex band solve
+    assert PhiProfile.cached(m).err_l1 <= before
+
+
+@pytest.mark.parametrize("m, before", [(0.0625, 2.3828520597120197e-15),
+                                       (0.125, 2.400565392471547e-15)])
+def test_spline_error_stays_under_the_not_a_knot_spline(m, before):
+    # `before` is err_l1 with the not-a-knot spline from a banded solve
     assert PhiProfile.cached(m).err_l1 <= before

@@ -1,14 +1,12 @@
 """Both quadrature paths pinned bit for bit, and the arc summary.
 
 The pinned dicts are the full_output of osc_integral_direct and
-osc_integral_contour, re-recorded when the profile table moved to the pruned
-four-step transform and the real band solve, and the two far direct ones
-again when far direct pieces moved to Levin collocation (x86-64, Python
-3.11.7, numpy 2.4.6, scipy 1.17.1).  They depend on pocketfft, on LAPACK's
-dgbsv and, for the far direct pins, on LAPACK's batched zgesv, so another
-numpy or scipy may move them.  Floats are compared through
-float.hex, so a one-ulp change in a value, a floor or a step-halving error
-fails.
+osc_integral_contour, re-recorded when the profile spline became a
+prefiltered cardinal quintic B-spline (x86-64, Python 3.11.7, numpy 2.4.6).
+The spline is plain numpy arithmetic, so the pins depend on pocketfft (the
+profile table) and, for the far direct pins, on LAPACK's batched zgesv, and
+another numpy may move them.  Floats are compared through float.hex, so a
+one-ulp change in a value, a floor or a step-halving error fails.
 """
 
 import math
@@ -46,26 +44,26 @@ PROBES = {
 # name -> path -> (re value, im value, err, floor, n_nodes); all converged
 PINNED = {
     "near": {
-        "direct": ("-0x1.34815022f9000p-52", "0x1.0000000000000p-54",
-                   "0x1.479b4246dbc61p-51", "0x1.7433d1e858eb2p-44", 14144),
-        "contour": ("0x1.0281800000000p-55", "0x1.4600000000000p-64",
-                    "0x1.48fbe14a582d0p-54", "0x1.c0147d31e4e57p-45", 15616),
+        "direct": ("-0x1.3319d100a7400p-52", "0x0.0p+0",
+                   "0x1.48c3617d05000p-51", "0x1.738605b079660p-44", 14144),
+        "contour": ("0x1.0284000000000p-55", "0x1.4800000000000p-64",
+                    "0x1.48f3a26d8e6c0p-54", "0x1.beb8e4c225db3p-45", 15616),
     },
     "far_upper": {
-        "direct": ("0x1.ac01868527af4p-57", "0x1.2337900cb5d44p-56",
-                   "0x1.c7bc28256b1c6p-56", "0x1.54b0ee11d4624p-44", 64176),
-        "contour": ("0x1.adefee7f146a8p-66", "0x1.c2bdfcd537a24p-64",
-                    "0x1.ef52fd427c34ap-62", "0x1.c010d049d89c4p-45", 2405568),
+        "direct": ("0x1.abdca5e7af7b7p-57", "0x1.23ba3511e9de8p-56",
+                   "0x1.c7bc28256b1c6p-56", "0x1.540321d9f4dd2p-44", 64176),
+        "contour": ("0x1.a45797bf61595p-66", "0x1.c23268d29a261p-64",
+                    "0x1.ef52fd423d050p-62", "0x1.beb537da19920p-45", 2405568),
     },
     "far_lower": {
-        "direct": ("-0x1.6c358864bfb12p-57", "-0x1.22a335ed8eacdp-56",
-                   "0x1.876db0c708a7cp-56", "0x1.54aeb1141baa2p-44", 64176),
-        "contour": ("-0x1.272f9fa804126p-62", "0x1.a48f4cdc753b4p-67",
-                    "0x1.7244c53cd8287p-62", "0x1.c010d049d89c4p-45", 2405568),
+        "direct": ("-0x1.6cb4d4b868395p-57", "-0x1.22a9e750a5b0ep-56",
+                   "0x1.876143201a367p-56", "0x1.5400e4dc3c250p-44", 64176),
+        "contour": ("-0x1.278d63708d211p-62", "0x1.966251457a754p-67",
+                    "0x1.7244c53caec10p-62", "0x1.beb537da19920p-45", 2405568),
     },
     "intermediate": {
         "direct": ("-0x1.fdfb8109fbcf0p-3", "-0x1.a6caeb6997876p-2",
-                   "0x1.bec558f963162p-52", "0x1.3faf8bf87b908p-44", 20288),
+                   "0x1.1313ae1e3a38ep-51", "0x1.3f01bfc09c0b6p-44", 20288),
     },
 }
 

@@ -52,7 +52,7 @@ from .picard import (
     reduction_preset,
     soliton_oracle,
 )
-from .spectral import EquationParams, Grid, GridFunction, _dispersion
+from .spectral import EquationParams, FlowOverflowError, Grid, GridFunction, _dispersion
 
 __all__ = ["ConfigError", "main"]
 
@@ -224,14 +224,15 @@ def write_csv(path: Path, header, rows) -> None:
 
 
 @contextmanager
-def _config_field(where: str):
+def _config_field(where: str, errors=(ValueError, ArithmeticError)):
     """Turn a domain ValueError, or an arithmetic error from values at the edge
-    of float64 range, raised inside into a ConfigError naming the field."""
+    of float64 range, raised inside (or only the given errors) into a
+    ConfigError naming the field."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, ArithmeticError) as exc:
+    except errors as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -357,7 +358,9 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
         )
 
     try:
-        with _config_field("config.picard"):
+        # a phase or an iterate that overflows float64 is the horizon's doing
+        with _config_field("config.picard"), \
+                _config_field("config.time.horizon", FlowOverflowError):
             u, contraction = picard_iterate(u0, params, solver_config)
     except NonContractionError as exc:
         print(f"non-contraction: {exc}", file=sys.stderr)

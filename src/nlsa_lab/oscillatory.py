@@ -205,26 +205,36 @@ def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int) -> np.ndar
 
     Four-step split n = n1 * n2 (Bailey 1990): output k = k1*n2 + k2 is the
     size-n1 inverse transform, at k1, of x_j e^{2 pi i (lo + j) k2 / n} placed
-    at (lo + j) mod n1, which needs the window to fit in n1.  The twiddle's
-    angle is reduced mod n in integers, so it is exact before the one
-    rounding of its exponential; only k1 < ceil(n_out / n2) is kept.
+    at (lo + j) mod n1, which needs the window to fit in n1; only
+    k1 < ceil(n_out / n2) is kept.  The k2 run in chunks of 64, and with
+    k2 = c + r (c the chunk's first, r < 64) each twiddle is the product of a
+    fine factor e^{2 pi i (r (lo + j) mod n) / n}, tabled once, and the
+    chunk's coarse row e^{2 pi i (c (lo + j) mod n) / n} x_j.  Both angles are
+    reduced mod n in integers, so each is exact before the one rounding of
+    its exponential.
     """
     n2 = n // n1
     if n1 * n2 != n or x.size > n1:
         raise ValueError("the input window must fit in n1, and n1 must divide n")
     keep = -(-n_out // n2)
     idx = lo + np.arange(x.size, dtype=np.int64)
-    place = idx % n1
-    out = np.empty((keep, n2), dtype=np.complex128)
+    turn = 2.0j * np.pi / n
     chunk = min(n2, 64)
+    fine = np.multiply(turn, (np.arange(chunk, dtype=np.int64)[:, None] * idx) % n)
+    np.exp(fine, out=fine)
+    # the window's places (lo + j) mod n1 are one cyclic run: from lo mod n1
+    # to the end of the row, then on from the row's start
+    start = lo % n1
+    split = min(x.size, n1 - start)
+    out = np.empty((keep, n2), dtype=np.complex128)
     buf = np.zeros((chunk, n1), dtype=np.complex128)
     for k2 in range(0, n2, chunk):
-        ks = np.arange(k2, min(k2 + chunk, n2), dtype=np.int64)
-        twiddle = np.multiply(2.0j * np.pi / n, (ks[:, None] * idx) % n)
-        np.exp(twiddle, out=twiddle)
-        twiddle *= x
-        buf[:ks.size, place] = twiddle
-        out[:, ks] = np.fft.ifft(buf[:ks.size], axis=1)[:, :keep].T
+        rows = min(chunk, n2 - k2)
+        coarse = np.exp(np.multiply(turn, (k2 * idx) % n))
+        coarse *= x
+        np.multiply(fine[:rows, :split], coarse[:split], out=buf[:rows, start:start + split])
+        np.multiply(fine[:rows, split:], coarse[split:], out=buf[:rows, :x.size - split])
+        out[:, k2:k2 + rows] = np.fft.ifft(buf[:rows], axis=1)[:, :keep].T
     out = out.reshape(-1)[:n_out]
     out /= n2
     return out
@@ -311,7 +321,8 @@ class PhiProfile:
 
     Real-axis values come from a table of the inverse transform, computed
     by a pruned four-step FFT over the transform's support (only the table's
-    outputs are formed).  The even samples, at v = k*DV, are the knots of a
+    outputs are formed, and each twiddle is the product of a fine and a
+    coarse exponential table).  The even samples, at v = k*DV, are the knots of a
     cardinal quintic B-spline on [-v_end, v_end]: the knots are continued by
     the conjugate symmetry phi(-v) = conj phi(v) and by zeros beyond the
     table, so v = 0, where phi is largest, is an interior knot and needs no
@@ -323,7 +334,10 @@ class PhiProfile:
     knot density, so the odd samples are exact held-out values).  Complex
     arguments are evaluated by a uniform trapezoid rule on the transform
     support, which is spectrally accurate because the transform vanishes to
-    all orders at both support endpoints.
+    all orders at both support endpoints.  With the nx + 1 nodes split into
+    J blocks of B ~ sqrt(nx), the sum at a point takes B + J exponentials
+    and a real matrix product with the J x B weight blocks (eval_shifted),
+    instead of one exponential per node.
 
     Attributes of note:
       mass      L1 norm of the transform (|R| <= mass/(2pi) on arcs),
@@ -471,12 +485,21 @@ class PhiProfile:
         return np.multiply(self.scale, out, out=out)
 
     def _trap_nodes(self, nx: int):
+        """The trapezoid nodes and weights on [1/2, 2] with nx panels, and
+        the weights counted from each end (1/2 first, then 2 first),
+        zero-padded to J*B entries and laid out as J x B blocks with
+        B = 2^floor(bits(nx + 1)/2)."""
         if nx not in self._trap_cache:
             xs = np.linspace(0.5, 2.0, nx + 1)
             wts = self._transform_values(xs) * (1.5 / nx)
             wts[0] *= 0.5
             wts[-1] *= 0.5
-            self._trap_cache[nx] = (xs, wts)
+            size = 1 << ((nx + 1).bit_length() // 2)
+            blocks = np.zeros((2, -(-(nx + 1) // size), size))
+            flat = blocks.reshape(2, -1)
+            flat[0, :nx + 1] = wts
+            flat[1, :nx + 1] = wts[::-1]
+            self._trap_cache[nx] = (xs, wts, blocks)
         return self._trap_cache[nx]
 
     def nx_for(self, max_abs: float) -> int:
@@ -494,15 +517,39 @@ class PhiProfile:
     def eval_shifted(self, w: np.ndarray, x0: float, nx: int) -> np.ndarray:
         """R(w) with phi(w) = e^{i w x0} R(w); |R| <= mass/(2pi) for the
         natural endpoint choice (x0 = 1/2 when Im w >= 0, x0 = 2 when <= 0).
-        At x0 = 0 this is phi itself."""
+        At x0 = 0 this is phi itself.
+
+        The trapezoid nodes are counted from the support end e nearer x0
+        (reversed when e = 2), node k = jB + r at e + s*k*h with s = +-1 and
+        h = 1.5/nx, so that
+            R(w) = e^{i w (e - x0)} sum_j F_j(w) (E(w) W^T)_j,
+            F_j = e^{i s w h B j},  E_r = e^{i s w h r},  r < B,
+        with W the J x B weight blocks of _trap_nodes.  Two tables of about
+        sqrt(nx) exponentials and one real GEMM for each part of E replace
+        one exponential per node; on the natural arcs both factors have
+        modulus <= 1.
+        """
         w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-        xs, wts = self._trap_nodes(nx)
+        _, _, blocks = self._trap_nodes(nx)
+        rows, size = blocks.shape[1:]
+        reverse = x0 > 1.25
+        end = 2.0 if reverse else 0.5
+        weights = blocks[int(reverse)].T
+        step = 1.5 / nx
+        fine_steps = step * np.arange(size)
+        coarse_steps = step * size * np.arange(rows)
+        iw = (-1j if reverse else 1j) * w
         out = np.empty(w.shape, dtype=np.complex128)
-        block = max(1, int(4e6 / (xs.size)))
-        shift = xs - x0
+        # the tables take (B + J) entries a point; 2^18 entries at a time
+        block = max(1, (1 << 18) // (size + rows))
         for lo in range(0, w.size, block):
-            ker = np.exp(1j * w[lo:lo + block, None] * shift[None, :])
-            out[lo:lo + block] = ker @ wts
+            iwb = iw[lo:lo + block, None]
+            fine = np.exp(iwb * fine_steps)
+            inner = fine.real @ weights + 1j * (fine.imag @ weights)
+            inner *= np.exp(iwb * coarse_steps)
+            out[lo:lo + block] = inner.sum(axis=1)
+        if end != x0:
+            out *= np.exp(1j * w * (end - x0))
         return self.scale / (2.0 * np.pi) * out
 
     def ibp_mass(self, vmax: float) -> float:

@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .norms import SpaceTimeField, NormReport, l2_norm, mu_norms, sobolev_norm, xt_norm
-from .spectral import (EquationParams, Grid, GridFunction, apply_symbols, duhamel_flow,
-                       weight_multiply)
+from .spectral import (EquationParams, FlowOverflowError, Grid, GridFunction, apply_symbols,
+                       duhamel_flow, weight_multiply)
 
 __all__ = [
     "BoundaryMassWarning",
@@ -253,7 +253,9 @@ def picard_iterate(
     Returns the last iterate and a report of the distances d_k between
     successive iterates in the composite space-time norm.  Raises
     NonContractionError after three consecutive distance increases, the
-    numerical signature of a horizon too large for the data.
+    numerical signature of a horizon too large for the data (the last
+    increase may be to inf), and FlowOverflowError when the flow phase
+    overflows float64 or a distance is otherwise not finite.
     """
     times = config.times()
     current = semigroup_evolve(u0, times, params)
@@ -261,18 +263,26 @@ def picard_iterate(
     converged = False
     growth_streak = 0
     for _ in range(config.max_iterations):
-        proposed = duhamel_apply(current, u0, params, config)
-        diff = SpaceTimeField(u0.grid, times, proposed.frames - current.frames)
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
+        # an iterate that overflows makes the distance non-finite, caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            proposed = duhamel_apply(current, u0, params, config)
+            diff = SpaceTimeField(u0.grid, times, proposed.frames - current.frames)
             d = xt_norm(diff, params)
         current = proposed
         if distances:
-            growth_streak = growth_streak + 1 if not d <= distances[-1] else 0
+            growth_streak = growth_streak + 1 if d > distances[-1] else 0
         distances.append(d)
         if growth_streak >= 3:
             raise NonContractionError(
                 f"distances grew three times in a row ({distances[-4:]}); "
                 f"shrink the horizon below {config.horizon}"
+            )
+        # an infinite distance that ends a run of growth is divergence, above;
+        # any other non-finite one leaves nothing to compare
+        if not math.isfinite(d):
+            raise FlowOverflowError(
+                f"the Picard iterates overflow float64 (distance {d} at step "
+                f"{len(distances)}); shrink the horizon below {config.horizon}"
             )
         if d <= config.xt_tolerance:
             converged = True

@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "BandRangeError",
+    "FlowOverflowError",
     "Grid",
     "GridFunction",
     "EquationParams",
@@ -47,6 +48,11 @@ __all__ = [
 
 class BandRangeError(ValueError):
     """Requested dyadic band is not resolvable on the conjugate grid."""
+
+
+class FlowOverflowError(FloatingPointError):
+    """The flow phase, or a field flowed by it, overflows float64 within the
+    time horizon."""
 
 
 @dataclass
@@ -237,13 +243,20 @@ def _flow_phase(grid: Grid, params: EquationParams, direction: complex, tau: np.
     """exp(direction * tau * L) with one row per time, memoised on grid.
 
     The grid keeps the latest phase of each direction (+1j pushes forward,
-    -1j pulls back), keyed on (a, b) and the bytes of the times used.
+    -1j pulls back), keyed on (a, b) and the bytes of the times used.  An
+    argument that overflows float64 raises FlowOverflowError, before exp
+    would turn it into NaN.
     """
     key = (params.a, params.b, tau.dtype.str, tau.tobytes())
     held = grid._flow_phases.get(direction)
     if held is None or held[0] != key:
         pol = _dispersion(grid.xi_fft, params.a, params.b)
-        phase = direction * tau[:, None] * pol[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = direction * tau[:, None] * pol[None, :]
+        if not np.isfinite(phase).all():
+            raise FlowOverflowError(
+                f"the flow phase t*(a*xi^2 + b*xi^3) overflows float64 by t = {tau.max():g}"
+            )
         held = grid._flow_phases[direction] = (key, np.exp(phase, out=phase))
     return held[1]
 

@@ -416,6 +416,58 @@ def test_solve_grid_with_overflowing_dispersion_names_the_grid(tmp_path, capsys)
     assert "Traceback" not in err
 
 
+# Two configs the derandomized schema fuzzer (tests/test_config_fuzz.py)
+# reaches, and one of each kind at the scale where it first showed: a flow
+# phase t*(a*xi^2 + b*xi^3) that overflows float64, and Picard iterates that
+# overflow.  Each used to run to NaN distances and exit 2 blaming
+# contraction, after numpy overflow warnings.
+_PHASE = "flow phase"
+_ITERATES = "Picard iterates"
+
+
+@pytest.mark.parametrize("payload, cause", [
+    (solve_payload(
+        equation={"a": 6.339975406676399e16, "b": 5.389646071853542e301,
+                  "c": 8.105387394488435e-75, "d": 5.624587289108232e252,
+                  "e": -3.641815808262823e-176},
+        grid={"num_points": 56, "length": 4.974671610284207e16},
+        time={"horizon": 8.248093612828696e307, "nodes": 6},
+        initial_data={"kind": "gaussian", "x_shift": -6.902004549061749e16},
+        picard={"tolerance": 8.0, "max_iterations": 5, "dealias": True, "substeps": 1,
+                "full_derivative_mode": False},
+    ), _PHASE),
+    (solve_payload(
+        equation={"a": -4.630439892199128e16, "b": -4.5114390995696056e16,
+                  "c": -5.81260826183275e37, "d": -3.106359129174815e16,
+                  "e": 6.106538170456041e16},
+        grid={"num_points": 12, "length": 3.773082309926514e16},
+        time={"horizon": 1.5598678026544876e308, "nodes": 5},
+        initial_data={"kind": "gaussian"},
+    ), _ITERATES),
+    (solve_payload(
+        grid={"num_points": 58, "length": 10.0},
+        time={"horizon": 9.04e307, "nodes": 4},
+        initial_data={"kind": "gaussian"},
+    ), _PHASE),
+    (solve_payload(
+        equation={"a": 1.0, "b": 1.0, "c": -6.3e15},
+        grid={"num_points": 32, "length": 20.0},
+        time={"horizon": 1.7e16, "nodes": 4},
+        initial_data={"kind": "gaussian"},
+    ), _ITERATES),
+])
+def test_solve_whose_flow_overflows_names_the_horizon(tmp_path, capsys, payload, cause):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config.time.horizon" in err and cause in err and "overflow" in err
+    assert "Traceback" not in err and "non-contraction" not in err
+    assert not (out / "norms.json").exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_numbers_rejected(tmp_path, capsys, literal):
     text = json.dumps(solve_payload()).replace('"horizon": 0.05', f'"horizon": {literal}')

@@ -4,7 +4,10 @@ The build evaluates the transform only on the grid window over its support
 [1/2, 2]; that is exact only because the transform is +0.0 everywhere else
 on the 2^23-point grid.  The table comes from a pruned four-step transform
 that forms only the outputs the table keeps; it is checked against the dense
-transform at small sizes and against a long-double direct sum at full size.
+transform at small sizes (one and several chunks of twiddles) and against a
+long-double direct sum at full size.  Contour arcs evaluate the profile by a
+trapezoid sum factored into two small exponential tables; it is checked
+against a long-double trapezoid sum, and one arc panel's memory is bounded.
 The spline is a cardinal quintic B-spline: its coefficients interpolate the
 conjugate-symmetric continuation of the knots, and its six basis weights
 are closed-form.  `eval_real` evaluates the spline once on |v| and fixes up
@@ -23,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlsa_lab.oscillatory import (
     PhiProfile,
+    _gl01,
     _pruned_ifft,
     _quintic_coefficients,
     _quintic_weights,
@@ -191,22 +195,29 @@ def test_quintic_coefficients_interpolate_the_symmetric_extension(n):
 
 N_SMALL = 2 ** 12
 N1_SMALL = 2 ** 6
+# (n, n1): with n2 = n / n1 = 64 the k2 run in one chunk, whose coarse twiddle
+# factor is 1, so the n2 = 256 shape is there to check the coarse factor
+SHAPES = ((N_SMALL, N1_SMALL), (2 ** 14, 2 ** 6))
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(
-    lo=st.integers(0, N_SMALL - 1),
-    width=st.integers(1, N1_SMALL),
-    n_out=st.integers(1, N_SMALL),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_pruned_ifft_matches_the_dense_transform(lo, width, n_out, seed):
+@st.composite
+def _windows(draw):
+    """(n, n1, lo, width, n_out) for a window of the transform."""
+    n, n1 = draw(st.sampled_from(SHAPES))
+    return (n, n1, draw(st.integers(0, n - 1)), draw(st.integers(1, n1)),
+            draw(st.integers(1, n)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(window=_windows(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pruned_ifft_matches_the_dense_transform(window, seed):
+    n, n1, lo, width, n_out = window
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, width)
-    full = np.zeros(N_SMALL, dtype=np.complex128)
-    full[(lo + np.arange(width)) % N_SMALL] = x  # the window may wrap
-    got = _pruned_ifft(x, lo, N_SMALL, N1_SMALL, n_out)
+    full = np.zeros(n, dtype=np.complex128)
+    full[(lo + np.arange(width)) % n] = x  # the window may wrap
+    got = _pruned_ifft(x, lo, n, n1, n_out)
     assert got.shape == (n_out,)
-    tol = 4.0 * np.finfo(np.float64).eps * math.log2(N_SMALL) * np.abs(x).sum() / N_SMALL
+    tol = 4.0 * np.finfo(np.float64).eps * math.log2(n) * np.abs(x).sum() / n
     assert np.abs(got - np.fft.ifft(full)[:n_out]).max() <= tol
 
 
@@ -243,6 +254,62 @@ def test_table_agrees_with_a_long_double_direct_sum(prof):
 
 
 # ---------------------------------------------------------------------------
+# contour-arc evaluation
+# ---------------------------------------------------------------------------
+
+_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="long double is no wider than double here",
+)
+
+
+def _long_double_trapezoid(prof, w, x0, nx):
+    """sum_n wts_n e^{i w (x_n - x0)} over the trapezoid nodes, each angle
+    and exponential in extended precision."""
+    xs, wts = prof._trap_nodes(nx)[:2]
+    ld = np.longdouble
+    shift = (xs - x0).astype(ld)  # exact: the nodes are multiples of 1.5/nx
+    weights = wts.astype(ld)
+    out = np.empty(w.size, dtype=np.complex128)
+    for i, wi in enumerate(w):
+        angle, decay = ld(wi.real) * shift, ld(wi.imag) * shift
+        mod = weights * np.exp(-decay)
+        out[i] = complex(float(np.sum(mod * np.cos(angle))), float(np.sum(mod * np.sin(angle))))
+    return out
+
+
+def _arc(radius, im_sign, count):
+    """-radius e^{-i im_sign s} over s in (0, pi): `count` spread angles and
+    two a hair from the ends, where w is nearly real and nothing decays;
+    im_sign is the sign of Im w."""
+    s = np.concatenate([[1e-4], np.linspace(0.05, np.pi - 0.05, count), [np.pi - 1e-4]])
+    return -radius * np.exp(-1j * im_sign * s)
+
+
+@_LONG_DOUBLE
+@pytest.mark.parametrize("nx", [1024, 8192, 2 ** 18])
+@pytest.mark.parametrize("x0", [0.5, 2.0, 0.0])
+def test_eval_shifted_agrees_with_a_long_double_trapezoid(prof, nx, x0):
+    # on the arc where every |e^{i w (x - x0)}| <= 1 (Im w >= 0 for x0 = 1/2
+    # and 0, Im w <= 0 for x0 = 2) the radius is nx/4, the largest that
+    # nx_for gives nx; on the other the kernel grows to e^{2 * 200} at most
+    xs, wts = prof._trap_nodes(nx)[:2]
+    count = 4 if nx == 2 ** 18 else 16
+    bounded = 1.0 if x0 < 1.25 else -1.0
+    for im_sign, radius in ((bounded, nx / 4.0), (-bounded, 200.0)):
+        w = _arc(radius, im_sign, count)
+        got = prof.eval_shifted(w, x0, nx)
+        want = prof.scale / (2.0 * np.pi) * _long_double_trapezoid(prof, w, x0, nx)
+        # the trapezoid rounding term the arc floors carry,
+        # eps sqrt(nx) sum |wts| |scale| / (2 pi), relative to the largest
+        # kernel modulus where it exceeds 1
+        largest = np.exp(-np.outer(w.imag, xs[[0, -1]] - x0)).max(axis=1)
+        bound = (np.finfo(np.float64).eps * math.sqrt(nx) * np.abs(wts).sum()
+                 * abs(prof.scale) / (2.0 * np.pi) * np.maximum(largest, 1.0))
+        assert np.all(np.abs(got - want) <= bound), (im_sign, radius)
+
+
+# ---------------------------------------------------------------------------
 # memory and floor guards
 # ---------------------------------------------------------------------------
 
@@ -256,6 +323,23 @@ def test_build_peak_stays_under_150_mib():
     finally:
         tracemalloc.stop()
     assert peak < 150 * 2 ** 20
+
+
+def test_arc_panel_evaluation_peaks_under_16_mib(prof):
+    # one 96-node panel at the largest trapezoid resolution, with its nodes
+    # and weight blocks already built (as for every panel after an arc's
+    # first); the dense kernel took 15 x 262,145 complex entries a block and
+    # peaked at 182 MiB, the factored tables take about 3 MiB
+    nx = 2 ** 18
+    w = -(nx / 4.0) * np.exp(-1j * (0.3 + 0.2 * _gl01(96)[0]))
+    prof.eval_shifted(w[:1], 0.5, nx)
+    tracemalloc.start()
+    try:
+        prof.eval_shifted(w, 0.5, nx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("m, before", [(0.0625, 2.707255331752697e-15),

@@ -1,11 +1,13 @@
 """Both quadrature paths pinned bit for bit, and the arc summary.
 
 The pinned dicts are the full_output of osc_integral_direct and
-osc_integral_contour, re-recorded when the profile spline became a
-prefiltered cardinal quintic B-spline (x86-64, Python 3.11.7, numpy 2.4.6).
-The spline is plain numpy arithmetic, so the pins depend on pocketfft (the
-profile table) and, for the far direct pins, on LAPACK's batched zgesv, and
-another numpy may move them.  Floats are compared through float.hex, so a
+osc_integral_contour, re-recorded when the table's twiddles and the contour
+arcs' trapezoid sums were factored into two small exponential tables each
+(x86-64, Python 3.11.7, numpy 2.4.6 with OpenBLAS 0.3.31).  The spline is
+plain numpy arithmetic, so the pins depend on pocketfft (the profile table),
+for the far direct pins on LAPACK's batched zgesv and for the contour pins
+on BLAS's dgemm (the same bits at 1, 2 and 4 threads), and another numpy may
+move them.  Floats are compared through float.hex, so a
 one-ulp change in a value, a floor or a step-halving error fails.
 """
 
@@ -44,26 +46,26 @@ PROBES = {
 # name -> path -> (re value, im value, err, floor, n_nodes); all converged
 PINNED = {
     "near": {
-        "direct": ("-0x1.3319d100a7400p-52", "0x0.0p+0",
-                   "0x1.48c3617d05000p-51", "0x1.738605b079660p-44", 14144),
-        "contour": ("0x1.0284000000000p-55", "0x1.4800000000000p-64",
-                    "0x1.48f3a26d8e6c0p-54", "0x1.beb8e4c225db3p-45", 15616),
+        "direct": ("-0x1.39a5c95411600p-52", "0x1.0000000000000p-56",
+                   "0x1.3494ea9443da0p-51", "0x1.72cccc9f136acp-44", 14144),
+        "contour": ("-0x1.c9c0000000000p-61", "-0x1.fe00000000000p-64",
+                    "0x1.f34d681abb25ep-59", "0x1.bd46729f59e4cp-45", 15616),
     },
     "far_upper": {
         "direct": ("0x1.abdca5e7af7b7p-57", "0x1.23ba3511e9de8p-56",
-                   "0x1.c7bc28256b1c6p-56", "0x1.540321d9f4dd2p-44", 64176),
-        "contour": ("0x1.a45797bf61595p-66", "0x1.c23268d29a261p-64",
-                    "0x1.ef52fd423d050p-62", "0x1.beb537da19920p-45", 2405568),
+                   "0x1.c8646659ca5ddp-56", "0x1.5349e8c88ee1ep-44", 64176),
+        "contour": ("0x1.42691721e6060p-70", "-0x1.2163aa81f5610p-61",
+                    "0x1.1c41872984b14p-62", "0x1.bd42c5b74e435p-45", 2405568),
     },
     "far_lower": {
-        "direct": ("-0x1.6cb4d4b868395p-57", "-0x1.22a9e750a5b0ep-56",
-                   "0x1.876143201a367p-56", "0x1.5400e4dc3c250p-44", 64176),
-        "contour": ("-0x1.278d63708d211p-62", "0x1.966251457a754p-67",
-                    "0x1.7244c53caec10p-62", "0x1.beb537da19920p-45", 2405568),
+        "direct": ("-0x1.6b80b0f85f086p-57", "-0x1.239b1d31c8b91p-56",
+                   "0x1.8881f53bbbb75p-56", "0x1.5347abcad629cp-44", 64176),
+        "contour": ("0x1.27ae1a4eada5ep-62", "0x1.cc31385273f18p-62",
+                    "0x1.79d9faff65669p-63", "0x1.bd42c5b74e434p-45", 2405568),
     },
     "intermediate": {
         "direct": ("-0x1.fdfb8109fbcf0p-3", "-0x1.a6caeb6997876p-2",
-                   "0x1.1313ae1e3a38ep-51", "0x1.3f01bfc09c0b6p-44", 20288),
+                   "0x1.12ce6c9dbcc1cp-51", "0x1.3e4886af36106p-44", 20288),
     },
 }
 

@@ -37,12 +37,12 @@ from .estimates import (
 from .oscillatory import (
     PhiProfile,
     QuadratureConvergenceError,
-    admissible_parameters,
     arc_summary,
     build_probe_grid,
     classify_xi,
     decay_bound_check,
     run_probe,
+    _require_admissible,
 )
 from .picard import (
     NonContractionError,
@@ -320,7 +320,9 @@ def _initial_field(spec: dict, grid: Grid) -> GridFunction:
         amplitude = spec.get("amplitude", 1.0)
         width = spec.get("width", 1.0)
         center = spec.get("center", 0.0)
-        values = amplitude * np.exp(-(((grid.x - center) / width) ** 2)) + 0j
+        # a square that overflows to inf gives exp(-inf) = 0, the right value
+        with np.errstate(over="ignore"):
+            values = amplitude * np.exp(-(((grid.x - center) / width) ** 2)) + 0j
         return GridFunction(grid, values)
     if "name" not in spec:
         raise ConfigError("config.initial_data: soliton data needs a 'name'")
@@ -412,8 +414,7 @@ def _probe_tuples(config: dict) -> list:
         for i, probe in enumerate(config["probes"]):
             a, b, t, omega, m, xi = (probe[key] for key in ("a", "b", "t", "omega", "m", "xi"))
             with _config_field(f"config.probes[{i}]"):
-                if not admissible_parameters(a, b, t, omega):
-                    raise ValueError("omega/(|b| t) must be at least max(1, 1e4 (a/(2b))^2)")
+                _require_admissible(a, b, t, omega)
                 classify_xi(xi, a, b, t, omega)
             pairs.append((f"config.probes[{i}]", (a, b, t, omega, m, xi)))
         return pairs

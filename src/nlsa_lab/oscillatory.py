@@ -112,7 +112,7 @@ def _require_bt(b: float, t: float) -> None:
         raise ValueError("t must be positive")
 
 
-def _require_valid(a: float, b: float, t: float, omega: float) -> None:
+def _require_valid(b: float, t: float, omega: float) -> None:
     _require_bt(b, t)
     if omega <= 1:
         raise ValueError("omega must exceed 1")
@@ -124,7 +124,7 @@ def admissible_parameters(a: float, b: float, t: float, omega: float) -> bool:
 
 
 def _require_admissible(a, b, t, omega):
-    _require_valid(a, b, t, omega)
+    _require_valid(b, t, omega)
     if not admissible_parameters(a, b, t, omega):
         raise ValueError(
             "parameters violate omega/(|b| t) >= max(1, 1e4*(a/(2b))^2)"
@@ -139,7 +139,7 @@ def classify_xi(xi: float, a: float, b: float, t: float, omega: float) -> Region
     with the lower comparison inclusive on the near side and the upper one
     inclusive on the intermediate side.
     """
-    _require_valid(a, b, t, omega)
+    _require_valid(b, t, omega)
     half = a / (2.0 * b)
     r2 = (xi + half) ** 2
     base = omega / (abs(b) * t)
@@ -151,16 +151,11 @@ def classify_xi(xi: float, a: float, b: float, t: float, omega: float) -> Region
 
 
 def contour_radius(label: RegionLabel, b: float, t: float, omega: float) -> float:
-    """Semicircle radius: 1/10 near, sqrt(omega/(|b| t)) far.
-
-    The intermediate value (radius^2 = omega/(10^4 |b| t)) is only used by
-    bound diagnostics; no contour is deformed there.
-    """
+    """Semicircle radius: 1/10 near, sqrt(omega/(|b| t)) far.  No contour is
+    deformed at intermediate frequencies, and every caller rejects them first."""
     if label is RegionLabel.NEAR:
         return 0.1
-    if label is RegionLabel.FAR:
-        return math.sqrt(omega / (abs(b) * t))
-    return math.sqrt(omega / (abs(b) * t)) / 100.0
+    return math.sqrt(omega / (abs(b) * t))
 
 
 def contour_is_admissible(xi: float, eps: float) -> bool:
@@ -193,10 +188,6 @@ def _cheb_lobatto(n: int):
     coef = np.where(2 * k == big, 1.0, 2.0) / (4.0 * k * k - 1.0)
     wts = (1.0 - coef @ np.cos(2.0 * np.outer(k, theta))) * np.where(ends, 1.0, 2.0) / big
     return x, d, wts
-
-
-def _pow2ceil(x: float) -> int:
-    return 1 << max(0, math.ceil(math.log2(max(x, 1.0))))
 
 
 def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int) -> np.ndarray:
@@ -341,7 +332,6 @@ class PhiProfile:
 
     Attributes of note:
       mass      L1 norm of the transform (|R| <= mass/(2pi) on arcs),
-      l1        L1 norm of the profile itself on the real axis,
       tail_l1   bound on the profile mass beyond the table end v_end,
       err_l1 / err_max   measured spline error (integrated / pointwise),
       deriv_l1  L1 norms of the first eight transform derivatives, used in
@@ -376,8 +366,9 @@ class PhiProfile:
             p = np.where(x > 0, np.abs(x) ** self.m, 0.0)
         return p * eta(x)
 
-    def _derivative_masses(self) -> np.ndarray:
-        """L1 norms of transform derivatives 0..8 via a filtered spectrum.
+    def _derivative_masses(self) -> tuple[float, np.ndarray]:
+        """The transform's L1 norm, and 1.05 times the L1 norms of its
+        derivatives 0..8, via a filtered spectrum.
 
         The transform is sampled on [0, 2.5); its spectrum decays like
         exp(-c sqrt(k)), so truncating at |k| = 2400 keeps every bin that
@@ -435,18 +426,14 @@ class PhiProfile:
         self.v_end = float(np.clip(50.0 * math.ceil(raw / 50.0), 1100.0, 3600.0))
         self.tail_l1 = a8 / (7.0 * np.pi * self.v_end ** 7)
 
-        dv_fine = self.DV / 2.0
         n_knots = int(round(self.v_end / self.DV)) + 1
         table = self._table(2 * n_knots - 1)
         self._coefs = _quintic_coefficients(table[::2])
 
-        vmid = dv_fine * (2 * np.arange(n_knots - 1) + 1)
+        vmid = (self.DV / 2.0) * (2 * np.arange(n_knots - 1) + 1)
         err = np.abs(self._spline(vmid) - table[1::2])
         self.err_max = float(err.max())
         self.err_l1 = float(2.0 * self.DV * err.sum())
-        self.l1 = float(
-            2.0 * np.trapezoid(np.abs(table), dx=dv_fine) + self.tail_l1
-        )
         self.value_at_zero = complex(table[0])
 
     # -- evaluation ---------------------------------------------------
@@ -503,7 +490,7 @@ class PhiProfile:
         return self._trap_cache[nx]
 
     def nx_for(self, max_abs: float) -> int:
-        return _pow2ceil(max(768.0, 4.0 * max_abs))
+        return 1 << math.ceil(math.log2(max(768.0, 4.0 * max_abs)))
 
     def eval_complex(self, z: np.ndarray) -> np.ndarray:
         """Entire extension, by trapezoid quadrature over the band with
@@ -623,9 +610,7 @@ def _line_edges(w_lo, w_hi, omega, cs, periods):
 
 
 def _subdivide_endpoint_panels(edges, periods):
-    parts = max(1, round(periods / _ENDPOINT_PERIODS))
-    if len(edges) < 2 or parts == 1:
-        return edges
+    parts = round(periods / _ENDPOINT_PERIODS)
     first = np.linspace(edges[0], edges[1], parts + 1)
     last = np.linspace(edges[-2], edges[-1], parts + 1)
     if len(edges) == 2:
@@ -824,9 +809,8 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
         s_min, s_max = min(s1, s2), max(s1, s2)
         c_lo, c_hi = sorted((math.cos(t2), math.cos(t1)))
         b_min, b_max = _quad_range(q2, q1, q0, c_lo, c_hi)
-        tb_vals = sorted((t * b * b_min, t * b * b_max))
-        h_max = max(phase_dir * (x0 * omega - tb_vals[0]),
-                    phase_dir * (x0 * omega - tb_vals[1]))
+        h_max = max(phase_dir * (x0 * omega - t * b * b_min),
+                    phase_dir * (x0 * omega - t * b * b_max))
         g_max = eps * (s_max if h_max > 0 else s_min) * h_max
 
         thetas_probe = np.linspace(t1, t2, 9)
@@ -1115,7 +1099,6 @@ def decay_bound_check(probes, ceiling=None):
 @dataclass
 class ArcExponentReport:
     label: RegionLabel
-    n_theta: int
     holds: bool
     min_margin: float
     identity_error: float
@@ -1148,7 +1131,7 @@ def arc_exponent_check(a, b, t, omega, xi, n_theta=1000) -> ArcExponentReport:
         margin = (omega * eps / 4.0) * np.sin(theta) - np.abs(re_exponent)
     else:
         margin = bracket - 3.0 * omega / (abs(b) * t)
-    return ArcExponentReport(label, n_theta, bool(np.all(margin > 0.0)),
+    return ArcExponentReport(label, bool(np.all(margin > 0.0)),
                              float(margin.min()), identity_error)
 
 
@@ -1185,7 +1168,6 @@ def arc_summary(probes, n_theta) -> dict:
 
 @dataclass
 class BandSumResult:
-    xi: np.ndarray
     sums: np.ndarray
     sup: float
     ratio: float
@@ -1239,7 +1221,7 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0) -> BandSumResul
     half = a / (2.0 * b)
     n_threshold = math.ceil(math.log2(abs(b) * t * max(1.0, 1e4 * half * half)))
     return BandSumResult(
-        xi=x[interior], sums=total[interior], sup=sup, ratio=sup / (1.0 + t),
+        sums=total[interior], sup=sup, ratio=sup / (1.0 + t),
         band_sups=band_sups, n_lo=n_lo, n_hi=n_hi, n_threshold=n_threshold,
         tail_fraction=float(tail_fraction),
         tail_warning=bool(tail_fraction > 0.01),
@@ -1299,11 +1281,9 @@ def sin_kernel_bound_ratios(pairs) -> np.ndarray:
 
 @dataclass
 class GrowthBoundReport:
-    omega: float
     fitted_constant: float
     fitted_constant_real_axis: float
     ratios: np.ndarray
-    ratios_real_axis: np.ndarray
 
 
 def growth_bound_check(profile, omega=64.0) -> GrowthBoundReport:
@@ -1327,6 +1307,4 @@ def growth_bound_check(profile, omega=64.0) -> GrowthBoundReport:
 
     vals0 = omega * np.abs(profile.eval_real(omega * offsets))
     env0 = 1.0 / (omega * offsets ** 2)
-    ratios0 = vals0 / env0
-    return GrowthBoundReport(omega, float(ratios.max()), float(ratios0.max()),
-                             ratios, ratios0)
+    return GrowthBoundReport(float(ratios.max()), float((vals0 / env0).max()), ratios)

@@ -28,7 +28,6 @@ __all__ = [
     "apply_symbols",
     "apply_multiplier",
     "propagator_apply",
-    "propagator_symbol",
     "duhamel_flow",
     "fractional_derivative",
     "bracket_multiplier",
@@ -203,13 +202,9 @@ def _dispersion(xi: np.ndarray, a: float, b: float) -> np.ndarray:
     return a * xi**2 + b * xi**3
 
 
-def propagator_symbol(xi: np.ndarray, t: float, a: float, b: float) -> np.ndarray:
-    return np.exp(1j * t * _dispersion(xi, a, b))
-
-
 def propagator_apply(f: GridFunction, t: float, params: EquationParams) -> GridFunction:
     """Free flow exp(it(a*xi^2 + b*xi^3)) on the transform side; unitary on L^2."""
-    return apply_multiplier(f, propagator_symbol(f.grid.xi, t, params.a, params.b))
+    return apply_multiplier(f, np.exp(1j * t * _dispersion(f.grid.xi, params.a, params.b)))
 
 
 def fractional_derivative(f: GridFunction, alpha: float) -> GridFunction:

@@ -69,12 +69,24 @@ def test_solve_linear_converges_in_one_iteration(tmp_path):
     assert contraction["distances"] == [0.0]
 
 
-@pytest.mark.parametrize("amplitude", [1e120, 1e150])
-def test_solve_whose_norms_overflow_names_the_initial_data(tmp_path, capsys, amplitude):
-    cfg = write_config(tmp_path, solve_payload(
+@pytest.mark.parametrize("payload", [
+    pytest.param(solve_payload(
         equation={"a": 1.0, "b": 1.0},
         initial_data={"kind": "gaussian", "amplitude": amplitude},
-    ))
+    ), id=str(amplitude))
+    for amplitude in (1e120, 1e150)
+] + [
+    # Gaussian data on a grid near float64's range: its square overflows, and
+    # so do the norms behind the contraction report's radius
+    pytest.param({
+        "equation": {"a": -1.79e308, "b": -8.6e241},
+        "grid": {"num_points": 22, "length": 7.23e307},
+        "time": {"horizon": 120, "nodes": 8},
+        "initial_data": {"kind": "gaussian"},
+    }, id="near-float64-range"),
+])
+def test_solve_whose_norms_overflow_names_the_initial_data(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either

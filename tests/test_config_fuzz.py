@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlsa_lab.cli import SOLVE_SCHEMA, main
@@ -84,6 +85,7 @@ def _solve_config(grid=None, initial_data=None, equation=None):
     }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(config=from_schema(SOLVE_SCHEMA))
 # a grid spacing that underflows to 0, a grid whose dispersion a*xi^2+b*xi^3
@@ -96,6 +98,11 @@ def _solve_config(grid=None, initial_data=None, equation=None):
                               initial_data={"kind": "gaussian", "amplitude": 1e150}))
 @example(config=_solve_config(equation={"a": 1, "b": 1},
                               initial_data={"kind": "gaussian", "amplitude": 1e120}))
+# Gaussian data on a grid near float64's range, whose square and norms overflow
+@example(config={"grid": {"num_points": 22, "length": 7.23e307},
+                 "equation": {"a": -1.79e308, "b": -8.6e241},
+                 "time": {"horizon": 120, "nodes": 8},
+                 "initial_data": {"kind": "gaussian"}})
 def test_every_schema_valid_solve_config_runs_or_is_refused(tmp_path_factory, config):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "config.json"

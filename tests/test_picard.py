@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nlsa_lab import picard
 from nlsa_lab.norms import SpaceTimeField, l2_norm, sobolev_norm, xt_norm
 from nlsa_lab.picard import (
     BoundaryMassWarning,
@@ -401,6 +402,24 @@ def test_radius_whose_cube_overflows():
     assert horizon == 0.0
     _, report = picard_iterate(u0, params, PicardConfig(horizon=0.01, time_nodes=4))
     assert report.converged and report.radius == radius
+
+
+def test_report_radius_is_selected_without_a_horizon(monkeypatch):
+    # the report keeps select_radius_and_horizon's radius bit for bit, and
+    # runs no horizon bisection it would throw away
+    params = reduction_preset("nlsa-default")
+    u0 = gaussian_packet(GRID, amplitude=0.3)
+    radius, _ = select_radius_and_horizon(u0, params)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return admissible_time_bound(*args, **kwargs)
+
+    monkeypatch.setattr(picard, "admissible_time_bound", counted)
+    _, report = picard_iterate(u0, params, PicardConfig(horizon=0.01, time_nodes=4))
+    assert report.radius.hex() == radius.hex()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,21 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .spectral import Grid, GridFunction, eta, qn_bands, qn_pieces
+from .spectral import (
+    Grid,
+    _band_sums,
+    _require_weight_exponent,
+    _runs,
+    eta,
+    qn_bands,
+)
 
 _EPS = float(np.finfo(np.float64).eps)
 _F64_MAX = float(np.finfo(np.float64).max)
@@ -105,7 +113,14 @@ class RegionLabel(enum.Enum):
     FAR = "far"
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _require_bt(b: float, t: float) -> None:
+    _require_finite(b=b, t=t)
     if b == 0:
         raise ValueError("b must be nonzero")
     if t <= 0:
@@ -1179,6 +1194,17 @@ class BandSumResult:
     tail_warning: bool
 
 
+def _phase_function_spectrum(grid, a, b, t, m) -> np.ndarray:
+    """FFT of e^{i t (a x^2 + b x^3)} (1 + x^2)^{-m} on grid, built a run at a time in place."""
+    spec = np.empty(grid.num_points, dtype=np.complex128)
+    for run in _runs(0, grid.num_points):
+        x = grid._x_at(np.arange(run.start, run.stop))
+        np.multiply(
+            np.exp(1j * (t * (a * x * x + b * x ** 3))), (1.0 + x * x) ** (-m), out=spec[run]
+        )
+    return np.fft.fft(spec, out=spec)
+
+
 def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0) -> BandSumResult:
     """Sum over dyadic bands of 2^{N m} |Q_N^m g| for the phase function
     g(xi) = e^{i t (a xi^2 + b xi^3)} (1 + xi^2)^{-m}, with the sup taken
@@ -1190,38 +1216,46 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0) -> BandSumResul
     are controlled by the oscillatory-integral decay.  A warning flag is
     set when the two highest resolved bands still carry more than 1% of
     the sum (range too small to trust the sup).
+
+    g is built a run at a time into the array that is transformed in place,
+    and the sums are accumulated over the interior window only, so the
+    memory is two num_points complex arrays (the spectrum and one band
+    piece) plus the window's sums.
     """
     _require_bt(b, t)
+    _require_finite(a=a)
+    _require_weight_exponent(m)
     grid = Grid(num_points, length)
-    x = grid.x
     bands = qn_bands(grid)
-    if not bands:
-        raise ValueError("grid resolves no dyadic band")
-    n_lo, n_hi = bands[0], bands[-1]
-
-    # g is built inline so that only its spectrum outlives the first band
-    pieces = qn_pieces(
-        GridFunction(grid, np.exp(1j * (t * (a * x * x + b * x ** 3))) * (1.0 + x * x) ** (-m)),
-        bands,
-        m,
-    )
-    interior = np.abs(x) <= length * 0.25
-    total = np.zeros(num_points)
-    term = np.empty(num_points)
-    band_sups = {}
-    for n, piece in pieces:
-        np.abs(piece, out=term)
-        term *= 2.0 ** (n * m)
-        total += term
-        band_sups[n] = float(term[interior].max())
-
-    sup = float(total[interior].max())
-    grand = sum(band_sups.values())
-    tail_fraction = (band_sups[n_hi] + band_sups[n_hi - 1]) / grand if grand else 0.0
+    if len(bands) < 2:
+        raise ValueError(
+            f"num_points={num_points} on length={length} resolves {len(bands)} dyadic "
+            "band(s); the tail fraction needs two"
+        )
     half = a / (2.0 * b)
-    n_threshold = math.ceil(math.log2(abs(b) * t * max(1.0, 1e4 * half * half)))
+    scale = abs(b) * t * max(1.0, 1e4 * half * half)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(
+            f"the threshold scale |b| t max(1, 1e4 (a/(2b))^2) = {scale!r} leaves float64's "
+            f"range for a={a!r}, b={b!r}, t={t!r}"
+        )
+    n_threshold = math.ceil(math.log2(scale))
+
+    # x increases with the index, so |x| <= length / 4 is one slice
+    radius, points = length * 0.25, range(num_points)
+    interior = slice(
+        bisect_left(points, -radius, key=grid._x_at),
+        bisect_right(points, radius, key=grid._x_at),
+    )
+    spec = _phase_function_spectrum(grid, a, b, t, m)
+    sums, band_sups = _band_sums(grid, spec, bands, m, interior)
+
+    sup = float(sums.max())
+    grand = sum(band_sups.values())
+    n_lo, n_hi = bands[0], bands[-1]
+    tail_fraction = (band_sups[n_hi] + band_sups[n_hi - 1]) / grand if grand else 0.0
     return BandSumResult(
-        sums=total[interior], sup=sup, ratio=sup / (1.0 + t),
+        sums=sums, sup=sup, ratio=sup / (1.0 + t),
         band_sups=band_sups, n_lo=n_lo, n_hi=n_hi, n_threshold=n_threshold,
         tail_fraction=float(tail_fraction),
         tail_warning=bool(tail_fraction > 0.01),
@@ -1235,11 +1269,21 @@ def intermediate_count(xi, a, b, t) -> int:
     factor of (|xi + a/(2b)|^2 - (a/(2b))^2) * |b| t.
     """
     _require_bt(b, t)
+    _require_finite(xi=xi, a=a)
     half = a / (2.0 * b)
-    q = ((xi + half) ** 2 - half * half) * abs(b) * t
+    try:
+        q = ((xi + half) ** 2 - half * half) * abs(b) * t
+    except OverflowError:  # float ** raises where * would give inf
+        q = math.inf
     if q <= 0.0:
         return 0
-    n_max = max(1, math.ceil(math.log2(100.0 * q))) + 1
+    if not math.isfinite(100.0 * q):
+        raise ValueError(
+            f"(|xi + a/(2b)|^2 - (a/(2b))^2) |b| t leaves float64's range for "
+            f"xi={xi!r}, a={a!r}, b={b!r}, t={t!r}"
+        )
+    # 2^1023 is the largest power of two in float64
+    n_max = min(max(1, math.ceil(math.log2(100.0 * q))) + 1, 1023)
     count = 0
     for n in range(1, n_max + 1):
         if classify_xi(xi, a, b, t, 2.0 ** n) is RegionLabel.INTERMEDIATE:

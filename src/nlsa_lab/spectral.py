@@ -12,6 +12,7 @@ side without reordering.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,14 +79,23 @@ class Grid:
     def spacing(self) -> float:
         return self.length / self.num_points
 
+    def _x_at(self, k):
+        """The grid points of index k (an int or an index array), as x computes them."""
+        return -self.length / 2 + self.spacing * k
+
     @cached_property
     def x(self) -> np.ndarray:
-        return -self.length / 2 + self.spacing * np.arange(self.num_points)
+        return self._x_at(np.arange(self.num_points))
+
+    def _xi_at(self, k):
+        """The entries of index k (an int or an index array) of xi_fft, as it computes them."""
+        n = self.num_points
+        return 2 * np.pi * ((k - n * (k >= n // 2)) * (1.0 / (n * self.spacing)))
 
     @cached_property
     def xi_fft(self) -> np.ndarray:
         """Frequencies 2*pi*k/length in the order np.fft.fft returns them."""
-        return 2 * np.pi * np.fft.fftfreq(self.num_points, d=self.spacing)
+        return self._xi_at(np.arange(self.num_points))
 
     @cached_property
     def xi(self) -> np.ndarray:
@@ -125,6 +135,11 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
 
+def _require_weight_exponent(m: float) -> None:
+    if not 0 <= m < 1:
+        raise ValueError(f"weight exponent m={m} outside [0, 1)")
+
+
 @dataclass
 class EquationParams:
     """Coefficients of u_t + i*a*u_xx + b*u_xxx + i*c*|u|^2 u + d*|u|^2 u_x + e*u^2 conj(u)_x = 0.
@@ -141,8 +156,7 @@ class EquationParams:
     s: float = 0.25
 
     def __post_init__(self):
-        if not 0 <= self.m < 1:
-            raise ValueError(f"weight exponent m={self.m} outside [0, 1)")
+        _require_weight_exponent(self.m)
 
     @property
     def airy_enabled(self) -> bool:
@@ -180,7 +194,7 @@ def apply_symbols(values: np.ndarray, *symbols: np.ndarray) -> list:
     """Apply FFT-order multipliers along the last axis, all from one transform.
 
     values is one sample row or a stack of frames.  The package's Fourier
-    multipliers go through here, the banded qn_pieces loop aside, as
+    multipliers go through here, the dyadic band pieces aside, as
     spectrum * symbol: each product is transformed back in place and the
     last one reuses the spectrum's buffer, so n symbols allocate n arrays.
     """
@@ -360,18 +374,76 @@ def qn_pieces(F: GridFunction, bands, m: float = 0.0):
     Each band symbol |2^-N y|^m eta(2^-N y) is evaluated only where it can
     be nonzero, on 2^(N-1) < |y| < 2^(N+1); bands beyond the conjugate grid
     are truncated to the available frequencies.  One array holds every
-    piece in turn: consume (or copy) each before asking for the next.
+    piece in turn: consume (or copy) each before asking for the next.  The
+    memory is two N-point complex arrays, the spectrum and the piece, which
+    is transformed back in place.
     """
-    grid = F.grid
-    spec = np.fft.fft(F.values)
-    del F  # drops the last reference when the caller passed a temporary
-    ay = np.abs(grid.xi_fft)
+    return _band_pieces(F.grid, np.fft.fft(F.values), bands, m)
+
+
+# Band symbols and window sums are evaluated in runs cut at the multiples of
+# this many points, so no temporary has the grid's length.
+_BAND_CHUNK = 2**15
+
+
+def _runs(lo: int, hi: int):
+    """Slices covering [lo, hi), cut at the multiples of _BAND_CHUNK."""
+    while lo < hi:
+        stop = min(hi, (lo // _BAND_CHUNK + 1) * _BAND_CHUNK)
+        yield slice(lo, stop)
+        lo = stop
+
+
+def _band_pieces(grid: Grid, spec: np.ndarray, bands, m: float):
+    """Yield (N, Q_N^m of the FFT-order spectrum spec) for each N in bands.
+
+    The band's support on the positive frequencies, 2^(N-1) < xi < 2^(N+1),
+    is one slice of xi_fft, found by bisection.  The symbol is evaluated
+    there a run at a time, and since it is even and xi_fft[size - k] is
+    -xi_fft[k], the mirrored run takes it reversed; only the Nyquist mode
+    has no positive twin.  Every piece is transformed back in place in one
+    reused buffer, and spec is never written to.
+    """
+    size, key = grid.num_points, grid._xi_at
+    nyquist = size // 2
+    positive = range(nyquist)
     piece = np.empty_like(spec)
     for n in bands:
-        support = np.flatnonzero((ay > 2.0 ** (n - 1)) & (ay < 2.0 ** (n + 1)))
+        lo, hi = 2.0 ** (n - 1), 2.0 ** (n + 1)
+        support = (bisect_right(positive, lo, key=key), bisect_left(positive, hi, key=key))
         piece.fill(0.0)
-        piece[support] = spec[support] * qn_symbol(ay[support], n, m)
+        for run in _runs(*support):
+            symbol = qn_symbol(key(np.arange(run.start, run.stop)), n, m)
+            np.multiply(spec[run], symbol, out=piece[run])
+            mirror = slice(size - run.stop + 1, size - run.start + 1)
+            np.multiply(spec[mirror], symbol[::-1], out=piece[mirror])
+        if lo < -key(nyquist) < hi:
+            top = np.arange(nyquist, nyquist + 1)
+            piece[top] = spec[top] * qn_symbol(key(top), n, m)
         yield n, np.fft.ifft(piece, out=piece)
+
+
+def _band_sums(grid: Grid, spec: np.ndarray, bands, m: float, window: slice) -> tuple:
+    """Sum over the bands of 2^(N m) |Q_N^m|, from the FFT-order spectrum spec.
+
+    Returns (sums, band_sups): the sum at the grid points of window, and
+    each band's largest term there.  Only the window is accumulated, a run
+    at a time, so the memory is spec, one piece and the window's sums.
+    """
+    total = np.zeros(window.stop - window.start)
+    term = np.empty(min(_BAND_CHUNK, total.size))
+    band_sups = {}
+    for n, piece in _band_pieces(grid, spec, bands, m):
+        weight = 2.0 ** (n * m)
+        peaks = []
+        for run in _runs(window.start, window.stop):
+            chunk = term[: run.stop - run.start]
+            np.abs(piece[run], out=chunk)
+            chunk *= weight
+            total[run.start - window.start : run.stop - window.start] += chunk
+            peaks.append(chunk.max())
+        band_sups[n] = float(np.max(peaks))
+    return total, band_sups
 
 
 def qn_apply(F: GridFunction, N: int, strict: bool = True) -> GridFunction:

@@ -41,6 +41,14 @@ def test_fft_order_frequencies_are_the_shifted_grid():
     assert np.array_equal(g.xi, np.fft.fftshift(g.xi_fft))
 
 
+def test_fft_order_frequencies_are_numpy_fftfreq_bit_for_bit():
+    # the band kernel evaluates xi_fft a run at a time from its indices
+    for num_points, length in ((2, 80.0), (1024, 16 * np.pi), (100_002, 80.0), (2**18, 60.0)):
+        g = Grid(num_points, length)
+        expected = 2 * np.pi * np.fft.fftfreq(num_points, d=g.spacing)
+        assert g.xi_fft.tobytes() == expected.tobytes()
+
+
 def test_pieces_equal_single_band_operator_bit_for_bit():
     g = Grid(1024, 16 * np.pi)
     F = random_function(g, np.random.default_rng(SEED))

@@ -39,10 +39,9 @@ from .oscillatory import (
     QuadratureConvergenceError,
     arc_summary,
     build_probe_grid,
-    classify_xi,
     decay_bound_check,
     run_probe,
-    _require_admissible,
+    _require_probe,
 )
 from .picard import (
     NonContractionError,
@@ -414,8 +413,7 @@ def _probe_tuples(config: dict) -> list:
         for i, probe in enumerate(config["probes"]):
             a, b, t, omega, m, xi = (probe[key] for key in ("a", "b", "t", "omega", "m", "xi"))
             with _config_field(f"config.probes[{i}]"):
-                _require_admissible(a, b, t, omega)
-                classify_xi(xi, a, b, t, omega)
+                _require_probe(a, b, t, omega, xi)
             pairs.append((f"config.probes[{i}]", (a, b, t, omega, m, xi)))
         return pairs
     for key in ("omegas", "ab_pairs", "m_values"):
@@ -508,10 +506,7 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
             "all_agree": disagreeing == 0,
             "max_gap": max((p.agreement_gap for p in compared), default=0.0),
         },
-        "regions": {
-            label.value: {k: v for k, v in asdict(summary).items() if k != "label"}
-            for label, summary in regions.items()
-        },
+        "regions": {label.value: asdict(summary) for label, summary in regions.items()},
         "arc": arc_payload,
         "ceiling": ceiling,
         "failures": failures,

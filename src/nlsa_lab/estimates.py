@@ -507,16 +507,12 @@ def check_leibniz_two_sided(
     )
     base, fine = _field_sets(fields, samples, seed, maker)
 
-    @functools.lru_cache(maxsize=1)
-    def setup(scale):
-        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
-        ay = np.abs(grid.xi_fft)
-        times = np.linspace(0.0, 1.0, _BASE_TIME_NODES * scale + 1)
-        return grid, times, ay**alpha, ay**alpha_first, ay**alpha_second
-
     def evaluate(pair, scale):
         f, g = pair
-        grid, times, d_all, d_first, d_second = setup(scale)
+        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
+        times = np.linspace(0.0, 1.0, _BASE_TIME_NODES * scale + 1)
+        ay = np.abs(grid.xi_fft)
+        d_all, d_first, d_second = ay**alpha, ay**alpha_first, ay**alpha_second
         uf = SpaceTimeField(grid, times, f.sample(grid.x, times))
         ug = SpaceTimeField(grid, times, g.sample(grid.x, times))
         # the defect D^alpha(fg) - f D^alpha g - g D^alpha f is built in place,

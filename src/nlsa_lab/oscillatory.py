@@ -125,25 +125,17 @@ def _require_bt(b: float, t: float) -> None:
         raise ValueError("b must be nonzero")
     if t <= 0:
         raise ValueError("t must be positive")
-
-
-def _require_valid(b: float, t: float, omega: float) -> None:
-    _require_bt(b, t)
-    if omega <= 1:
-        raise ValueError("omega must exceed 1")
+    if abs(b) * t == 0.0:  # every region threshold divides by |b| t
+        raise ValueError(f"|b| t underflows to 0 for b={b!r}, t={t!r}")
 
 
 def admissible_parameters(a: float, b: float, t: float, omega: float) -> bool:
-    """True when omega/(|b| t) >= max(1, 1e4 * (a/(2b))^2)."""
-    return omega / (abs(b) * t) >= max(1.0, 1e4 * (a / (2.0 * b)) ** 2)
-
-
-def _require_admissible(a, b, t, omega):
-    _require_valid(b, t, omega)
-    if not admissible_parameters(a, b, t, omega):
-        raise ValueError(
-            "parameters violate omega/(|b| t) >= max(1, 1e4*(a/(2b))^2)"
-        )
+    """True when omega/(|b| t) >= max(1, 1e4 * (a/(2b))^2); False for a NaN a.
+    A non-finite b or t, b = 0, t <= 0 or an |b| t that underflows raise ValueError."""
+    _require_bt(b, t)
+    half = a / (2.0 * b)
+    base = omega / (abs(b) * t)
+    return base >= 1.0 and base >= 1e4 * (half * half)
 
 
 def classify_xi(xi: float, a: float, b: float, t: float, omega: float) -> RegionLabel:
@@ -152,15 +144,19 @@ def classify_xi(xi: float, a: float, b: float, t: float, omega: float) -> Region
     The splitting compares |xi + a/(2b)|^2 against
     (1/100) * omega/(|b| t) + (a/(2b))^2  and  100 * omega/(|b| t) + (a/(2b))^2,
     with the lower comparison inclusive on the near side and the upper one
-    inclusive on the intermediate side.
+    inclusive on the intermediate side.  The squares are products, which
+    reach inf where a float power raises, so a huge |xi| is FAR.
     """
-    _require_valid(b, t, omega)
+    _require_bt(b, t)
+    if omega <= 1:
+        raise ValueError("omega must exceed 1")
     half = a / (2.0 * b)
-    r2 = (xi + half) ** 2
+    r = xi + half
+    r2 = r * r
     base = omega / (abs(b) * t)
-    if r2 <= base / 100.0 + half ** 2:
+    if r2 <= base / 100.0 + half * half:
         return RegionLabel.NEAR
-    if r2 > 100.0 * base + half ** 2:
+    if r2 > 100.0 * base + half * half:
         return RegionLabel.FAR
     return RegionLabel.INTERMEDIATE
 
@@ -176,6 +172,32 @@ def contour_radius(label: RegionLabel, b: float, t: float, omega: float) -> floa
 def contour_is_admissible(xi: float, eps: float) -> bool:
     """False when the semicircle |z - xi| = eps crosses {Re z = 0, |Im z| >= 1}."""
     return not (abs(xi) < eps and eps * eps - xi * xi >= 1.0)
+
+
+def _require_probe(a, b, t, omega, xi) -> RegionLabel:
+    """The probe gate of every quadrature path: xi's region, or a ValueError
+    naming the argument when the probe is inadmissible or leaves float64.
+
+    a, xi, omega and omega/(|b| t) must be finite, and at the farthest point a path
+    touches, z = |xi| + max(w_max, eps) with the real-axis half-width
+    w_max <= V_END_MAX/omega and eps the contour radius (0 at intermediate
+    xi), t (|a| z^2 + |b| z^3) and 1 + z^2 must be finite.
+    """
+    _require_finite(a=a, xi=xi, omega=omega)
+    label = classify_xi(xi, a, b, t, omega)  # which checks b, t and omega first
+    if not omega / (abs(b) * t) < math.inf:  # inf >= 1e4 (a/(2b))^2 would admit any a
+        raise ValueError(f"omega/(|b| t) overflows for omega={omega!r}, b={b!r}, t={t!r}")
+    if not admissible_parameters(a, b, t, omega):
+        raise ValueError("parameters violate omega/(|b| t) >= max(1, 1e4*(a/(2b))^2)")
+    eps = 0.0 if label is RegionLabel.INTERMEDIATE else contour_radius(label, b, t, omega)
+    z = abs(xi) + max(PhiProfile.V_END_MAX / omega, eps)
+    if not (math.isfinite(t * (abs(a) * z * z + abs(b) * z * z * z))
+            and math.isfinite(1.0 + z * z)):
+        raise ValueError(
+            f"xi={xi!r}: t (a z^2 + b z^3) or 1 + z^2 leaves float64's range at the "
+            f"path's reach z = {z:g} (a={a!r}, b={b!r}, t={t!r}, omega={omega!r})"
+        )
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +380,10 @@ class PhiProfile:
 
     TAIL_TOL = 5e-14
     DV = 0.005
+    V_END_MAX = 3600.0  # the table end's clip, so |w| <= V_END_MAX/omega on every path
 
     def __init__(self, m: float, scale: float = 1.0):
-        if not 0.0 <= m < 1.0:
-            raise ValueError("profile exponent m must lie in [0, 1)")
+        _require_weight_exponent(m)
         self.m = float(m)
         self.scale = float(scale)
         self._trap_cache: dict = {}
@@ -438,7 +460,7 @@ class PhiProfile:
         self.mass, self.deriv_l1 = self._derivative_masses()
         a8 = self.deriv_l1[8]
         raw = (a8 / (7.0 * np.pi * self.TAIL_TOL)) ** (1.0 / 7.0)
-        self.v_end = float(np.clip(50.0 * math.ceil(raw / 50.0), 1100.0, 3600.0))
+        self.v_end = float(np.clip(50.0 * math.ceil(raw / 50.0), 1100.0, self.V_END_MAX))
         self.tail_l1 = a8 / (7.0 * np.pi * self.v_end ** 7)
 
         n_knots = int(round(self.v_end / self.DV)) + 1
@@ -733,11 +755,15 @@ def _min_rate(cs, w_lo, w_hi) -> float:
     return min(abs(r) for r in rates)
 
 
+def _halving(piece, coarse, *args):
+    """(coarse, fine) = piece(*args, step) at step `coarse` and at its half:
+    the one step-halving rule of every quadrature pair."""
+    return piece(*args, coarse), piece(*args, coarse / 2)
+
+
 def _gl_pair(profile, omega, m, xi, cs, w_lo, w_hi):
     """Coarse/fine Gauss-Legendre evaluation of one real-axis piece."""
-    coarse = _line_piece(profile, omega, m, xi, cs, w_lo, w_hi, _PANEL_PERIODS)
-    fine = _line_piece(profile, omega, m, xi, cs, w_lo, w_hi, _PANEL_PERIODS / 2.0)
-    return coarse, fine
+    return _halving(_line_piece, _PANEL_PERIODS, profile, omega, m, xi, cs, w_lo, w_hi)
 
 
 def _line_pair(profile, omega, m, xi, cs, w_lo, w_hi):
@@ -746,8 +772,7 @@ def _line_pair(profile, omega, m, xi, cs, w_lo, w_hi):
     phase outruns the amplitude's band-limited oscillation everywhere, and
     Gauss-Legendre otherwise."""
     if _min_rate(cs, w_lo, w_hi) >= _LEVIN_MIN_RATE * 2.2 * omega:
-        return tuple(_levin_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods)
-                     for periods in (_LEVIN_PERIODS, _LEVIN_PERIODS / 2.0))
+        return _halving(_levin_piece, _LEVIN_PERIODS, profile, omega, m, xi, cs, w_lo, w_hi)
     return _gl_pair(profile, omega, m, xi, cs, w_lo, w_hi)
 
 
@@ -772,7 +797,7 @@ def _arc_breakpoints(delta0: float) -> np.ndarray:
 
 def _bracket_quadratic(xi, a, b, eps):
     """Coefficients of q(c) with Re[i t Psi(xi + eps e^{-i th})] =
-    t b eps sin(th) q(cos th);  q(c) = q2 c^2 + q1 c + q0."""
+    t b eps sin(th) q(cos th);  q(c) = q2 c^2 + q1 c + q0 with q2 = 4 eps^2 > 0."""
     half = a / (2.0 * b)
     x_ab = xi + half
     q2 = 4.0 * eps * eps
@@ -783,22 +808,23 @@ def _bracket_quadratic(xi, a, b, eps):
 
 def _quad_range(q2, q1, q0, c_lo, c_hi):
     vals = [q2 * c * c + q1 * c + q0 for c in (c_lo, c_hi)]
-    if q2 != 0.0:
-        cv = -q1 / (2.0 * q2)
-        if c_lo < cv < c_hi:
-            vals.append(q2 * cv * cv + q1 * cv + q0)
+    cv = -q1 / (2.0 * q2)
+    if c_lo < cv < c_hi:
+        vals.append(q2 * cv * cv + q1 * cv + q0)
     return min(vals), max(vals)
 
 
 def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
-               skip_tol, subdivide=1) -> _Quad:
+               skip_tol, panel_scale) -> _Quad:
     """One semicircle, radius eps around xi.
 
     phase_dir = -1 walks the lower arc (z = xi + eps e^{-i s}), +1 the upper;
     the oriented contour value is  integral_0^pi f(z(s)) *
     (-phase_dir * i eps e^{i phase_dir s}) ds.
 
-    Panels are skipped — with their bound added to `skipped` — whenever the
+    The panels at the arc ends are panel_scale * min(pi/16, 40/(omega eps))
+    wide (panel scale 1 coarse, 1/2 fine) and double towards pi/2.  Panels
+    are skipped — with their bound added to `skipped` — whenever the
     smaller of the transform-mass bound and the eighth-order
     integration-by-parts bound on the panel is below skip_tol.
     """
@@ -807,7 +833,7 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
     if not om_eps < _F64_MAX ** 0.125:  # the panel bound divides by up to om_eps ** 8
         raise ValueError(f"omega * eps = {om_eps:g}: its eighth power overflows float64; "
                          "the arc cannot be panelled")
-    delta0 = min(np.pi / 16.0, 40.0 / om_eps) / subdivide
+    delta0 = min(np.pi / 16.0, 40.0 / om_eps) * panel_scale
     brk = _arc_breakpoints(delta0)
     glx, glw = _gl01(_GL_ARC)
     q2, q1, q0 = _bracket_quadratic(xi, a, b, eps)
@@ -936,9 +962,10 @@ def osc_integral_direct(a, b, t, omega, m, xi, profile=None, full_output=False):
     the endpoint terms' phase conditioning sum |P(w_e)| |p(w_e)|, plus the
     profile's spline and tail error as for every piece.  Step-halving
     provides the convergence flag; a refinement shift beyond 1e-4 relative
-    (plus the conditioning floor) raises.
+    (plus the conditioning floor) raises.  A probe that _require_probe
+    refuses raises ValueError before any profile build or quadrature.
     """
-    _require_admissible(a, b, t, omega)
+    _require_probe(a, b, t, omega, xi)
     profile = _resolve_profile(m, profile)
     cs = _phase_coeffs(a, b, t, xi)
     wmax = profile.v_end / omega
@@ -953,10 +980,11 @@ def osc_integral_contour(a, b, t, omega, m, xi, profile=None, full_output=False)
     radius sqrt(omega/(|b| t)), walking the lower arc for b < 0 and the
     upper arc (with the orientation sign folded in) for b > 0.  Raises
     ContourViolationError if the semicircle would cross the rays
-    {Re z = 0, |Im z| >= 1}, and ValueError for intermediate frequencies.
+    {Re z = 0, |Im z| >= 1}, and ValueError for intermediate frequencies
+    and, before any profile build or quadrature, for a probe that
+    _require_probe refuses.
     """
-    _require_admissible(a, b, t, omega)
-    label = classify_xi(xi, a, b, t, omega)
+    label = _require_probe(a, b, t, omega, xi)
     if label is RegionLabel.INTERMEDIATE:
         raise ValueError("no contour deformation for intermediate frequencies")
     profile = _resolve_profile(m, profile)
@@ -976,10 +1004,8 @@ def osc_integral_contour(a, b, t, omega, m, xi, profile=None, full_output=False)
     # independent quadrature of the same stretch of real axis
     tails = ((-wmax, -eps), (eps, wmax)) if eps < wmax else ()
     pairs = [_gl_pair(profile, omega, m, xi, cs, lo, hi) for lo, hi in tails]
-    pairs.append(tuple(
-        _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs, skip_tol, subdivide)
-        for subdivide in (1, 2)
-    ))
+    pairs.append(_halving(_arc_piece, 1.0, profile, a, b, t, omega, m, xi, eps, phase_dir,
+                          cs, skip_tol))
     return _close(pairs, profile, a, b, t, xi, full_output)
 
 
@@ -1016,9 +1042,11 @@ def run_probe(a, b, t, omega, m, xi, profile=None) -> OscillatoryProbe:
     conditioning floors and step-halving error estimates; for probes whose
     true value sits below the float64 floor this degrades gracefully to
     floor-level agreement instead of demanding impossible relative digits.
+    A probe that _require_probe refuses raises ValueError before any
+    profile build or quadrature.
     """
+    label = _require_probe(a, b, t, omega, xi)
     profile = _resolve_profile(m, profile)
-    label = classify_xi(xi, a, b, t, omega)
     d = osc_integral_direct(a, b, t, omega, m, xi, profile, full_output=True)
     mag = abs(d["value"])
     if label is RegionLabel.INTERMEDIATE:
@@ -1069,7 +1097,6 @@ def build_probe_grid(omegas, ab_pairs, ms, t_request=0.5,
 
 @dataclass
 class RegionBoundSummary:
-    label: RegionLabel
     count: int
     max_ratio: float
     fitted_constant: float
@@ -1077,7 +1104,7 @@ class RegionBoundSummary:
 
 
 def decay_bound_check(probes, ceiling=None):
-    """Per-region decay-bound summary over evaluated probes.
+    """Per-region decay-bound summaries over evaluated probes, keyed by label.
 
     The expected scaling is |I| <= C (1+t)/omega for near/far probes and
     |I| <= C (1+t) omega^{-m} for intermediate ones.  Magnitudes enter as
@@ -1103,7 +1130,7 @@ def decay_bound_check(probes, ceiling=None):
         fitted = float(xs @ ys / (xs @ xs))
         max_ratio = float((ys / xs).max())
         ok = None if ceiling is None else bool(max_ratio <= ceiling)
-        out[label] = RegionBoundSummary(label, len(plist), max_ratio, fitted, ok)
+        out[label] = RegionBoundSummary(len(plist), max_ratio, fitted, ok)
     return out
 
 
@@ -1125,10 +1152,10 @@ def arc_exponent_check(a, b, t, omega, xi, n_theta=1000) -> ArcExponentReport:
     Near: |Re[i t Psi(xi + eps e^{-i th})]| <= (omega*eps/4) sin th with
     eps = 1/10.  Far: the completed-square bracket q(cos th) stays above
     3*omega/(|b| t).  Also cross-checks the algebraic identity
-    Re[i t Psi] = t b eps sin(th) q(cos th) at every sample.
+    Re[i t Psi] = t b eps sin(th) q(cos th) at every sample.  A probe that
+    _require_probe refuses raises ValueError.
     """
-    _require_admissible(a, b, t, omega)
-    label = classify_xi(xi, a, b, t, omega)
+    label = _require_probe(a, b, t, omega, xi)
     if label is RegionLabel.INTERMEDIATE:
         raise ValueError("arc-exponent inequalities apply to near/far only")
     eps = contour_radius(label, b, t, omega)
@@ -1234,7 +1261,7 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0) -> BandSumResul
         )
     half = a / (2.0 * b)
     scale = abs(b) * t * max(1.0, 1e4 * half * half)
-    if not 0.0 < scale < math.inf:
+    if not scale < math.inf:  # _require_bt keeps it above 0
         raise ValueError(
             f"the threshold scale |b| t max(1, 1e4 (a/(2b))^2) = {scale!r} leaves float64's "
             f"range for a={a!r}, b={b!r}, t={t!r}"
@@ -1271,10 +1298,8 @@ def intermediate_count(xi, a, b, t) -> int:
     _require_bt(b, t)
     _require_finite(xi=xi, a=a)
     half = a / (2.0 * b)
-    try:
-        q = ((xi + half) ** 2 - half * half) * abs(b) * t
-    except OverflowError:  # float ** raises where * would give inf
-        q = math.inf
+    r = xi + half
+    q = (r * r - half * half) * abs(b) * t
     if q <= 0.0:
         return 0
     if not math.isfinite(100.0 * q):

@@ -504,6 +504,9 @@ _EDGE_PROBE = {"a": 0.0, "b": 1.0, "t": 0.1, "m": 0.125, "xi": 0.0}
     ({"probes": [{**_EDGE_PROBE, "omega": 1024.0, "xi": 1e200}]}, ["config.probes[0]"]),
     ({"omegas": [1e30], "ab_pairs": [[0.0, 1.0]], "m_values": [0.0], "near_fracs": []},
      ["config sweep probe", "1e+30"]),
+    # the phase t (a z^2 + b z^3) overflows on the path
+    ({"probes": [{**_EDGE_PROBE, "omega": 1024.0, "xi": 3e153}]}, ["config.probes[0]", "xi"]),
+    ({"probes": [{**_EDGE_PROBE, "omega": 1024.0, "xi": 1e200}]}, ["config.probes[0]", "xi"]),
 ])
 def test_probes_out_of_range_name_the_field(tmp_path, capsys, payload, fields):
     cfg = write_config(tmp_path, payload)

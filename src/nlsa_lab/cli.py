@@ -341,7 +341,8 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
     params = _equation_from(config)
     with _config_field("config.grid"):
         grid = Grid(config["grid"]["num_points"], config["grid"]["length"])
-        # a frequency whose cube overflows would turn every Picard distance NaN
+        # a frequency whose cube overflows would otherwise surface in the flow
+        # phase as a FlowOverflowError blamed on config.time.horizon
         with np.errstate(over="ignore", invalid="ignore"):
             dispersion = _dispersion(grid.xi_fft, params.a, params.b)
         if not np.isfinite(dispersion).all():
@@ -504,7 +505,7 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
         "agreement": {
             "compared": len(compared),
             "all_agree": disagreeing == 0,
-            "max_gap": max((p.agreement_gap for p in compared), default=0.0),
+            "max_gap": float(np.max([p.agreement_gap for p in compared], initial=0.0)),
         },
         "regions": {label.value: asdict(summary) for label, summary in regions.items()},
         "arc": arc_payload,

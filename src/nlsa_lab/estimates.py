@@ -180,24 +180,17 @@ class EstimateSweepResult:
 
 
 def _assemble(name, seed, base_fields, fine_fields, evaluate, exponent_fit=math.nan):
-    """Run evaluate(field, scale) -> [(lhs, rhs), ...] at both resolutions."""
-    lhs, rhs, ratios, discarded = [], [], [], 0
-    for f in base_fields:
-        for left, right in evaluate(f, 1):
-            if right == 0.0:
-                discarded += 1
-                continue
-            lhs.append(left)
-            rhs.append(right)
-            ratios.append(left / right)
-    max_base = max(ratios, default=0.0)
+    """Run evaluate(field, scale) -> [(lhs, rhs), ...] at both resolutions,
+    dropping the pairs whose rhs is 0; a NaN ratio reaches its maximum."""
+    def pairs(fields, scale):
+        return [pair for f in fields for pair in evaluate(f, scale)]
 
-    fine_ratios = []
-    for f in fine_fields:
-        for left, right in evaluate(f, 2):
-            if right > 0:
-                fine_ratios.append(left / right)
-    max_fine = max(fine_ratios, default=0.0)
+    base = pairs(base_fields, 1)
+    kept = [(left, right) for left, right in base if right != 0.0]
+    fine = [left / right for left, right in pairs(fine_fields, 2) if right != 0.0]
+    ratios = [left / right for left, right in kept]
+    max_base = float(np.max(ratios, initial=0.0))
+    max_fine = float(np.max(fine, initial=0.0))
 
     if max_base == 0.0:
         stable = max_fine == 0.0
@@ -206,12 +199,12 @@ def _assemble(name, seed, base_fields, fine_fields, evaluate, exponent_fit=math.
     return EstimateSweepResult(
         name=name,
         seed=seed,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=[left for left, _ in kept],
+        rhs=[right for _, right in kept],
         ratios=ratios,
         max_ratio=max_base,
         max_ratio_refined=max_fine,
-        discarded=discarded,
+        discarded=len(base) - len(kept),
         refinement_stable=bool(stable),
         exponent_fit=exponent_fit,
     )

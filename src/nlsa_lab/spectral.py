@@ -131,9 +131,6 @@ class GridFunction:
                 f"({self.grid.num_points} points)"
             )
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
 
 def _require_weight_exponent(m: float) -> None:
     if not 0 <= m < 1:
@@ -320,7 +317,6 @@ def duhamel_flow(
 # ---------------------------------------------------------------------------
 
 def _h(u):
-    u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     pos = u > 0
     with np.errstate(over="ignore", divide="ignore"):

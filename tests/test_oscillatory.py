@@ -213,9 +213,18 @@ def test_direct_linearity_in_scale(prof):
     assert v2 == pytest.approx(2.0 * v1, rel=1e-13)
 
 
-def test_direct_profile_mismatch(prof):
+@pytest.mark.parametrize("path", [osc_integral_direct, run_probe],
+                         ids=["osc_integral_direct", "run_probe"])
+def test_direct_profile_mismatch(prof, path, monkeypatch):
+    # run_probe leaves the profile check to the direct path, before any evaluation
+    evaluations = []
+    eval_real = PhiProfile.eval_real
+    monkeypatch.setattr(
+        PhiProfile, "eval_real", lambda self, v: evaluations.append(1) or eval_real(self, v)
+    )
     with pytest.raises(ValueError):
-        osc_integral_direct(0.0, 1.0, 1.0, 2.0 ** 8, 0.0625, 0.0, prof)
+        path(0.0, 1.0, 1.0, 2.0 ** 8, 0.0625, 0.0, prof)
+    assert evaluations == []
 
 
 def test_refinement_guard_raises():

@@ -12,7 +12,9 @@ The spline is a cardinal quintic B-spline: its coefficients interpolate the
 conjugate-symmetric continuation of the knots, and its six basis weights
 are closed-form.  `eval_real` evaluates the spline once on |v| and fixes up
 signs in place; it must give the same bits as the gather/scatter formula it
-replaces, whatever the input's order.
+replaces, whatever the input's order.  The derivative masses take ten inverse
+transforms: nine orders on 2^17 points, and the eighth alone on 2^16 for the
+build's stability check.
 """
 
 import copy
@@ -354,3 +356,35 @@ def test_spline_error_entering_the_floors_does_not_grow(m, before):
 def test_spline_error_stays_under_the_not_a_knot_spline(m, before):
     # `before` is err_l1 with the not-a-knot spline from a banded solve
     assert PhiProfile.cached(m).err_l1 <= before
+
+
+def _bare_profile(m):
+    # _derivative_masses reads only m, so no table is built
+    profile = PhiProfile.__new__(PhiProfile)
+    profile.m = m
+    return profile
+
+
+def test_derivative_masses_take_ten_inverse_transforms(monkeypatch):
+    # nine masses on 2^17 points and the eighth alone on 2^16
+    calls = []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
+    _bare_profile(0.125)._derivative_masses()
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("m", [0.0, 0.125])
+def test_derivative_masses_are_the_nine_order_formula_at_2_17(m):
+    profile = _bare_profile(m)
+    n = 2 ** 17
+    dx = 2.5 / n
+    spec = np.fft.fft(profile._transform_values(np.arange(n) * dx))
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    spec[np.abs(k) > 2400.0] = 0.0
+    expected = np.empty(9)
+    for j in range(9):
+        expected[j] = dx * np.sum(np.abs(np.fft.ifft(spec * (1j * k) ** j).real))
+    mass, deriv_l1 = profile._derivative_masses()
+    assert mass.hex() == float(expected[0]).hex()
+    assert deriv_l1.tobytes() == (1.05 * expected).tobytes()

@@ -434,12 +434,29 @@ def _probe_tuples(config: dict) -> list:
     return [(f"config sweep probe (a, b, t, omega, m, xi) = {probe}", probe) for probe in grid]
 
 
+def _release_free_heap() -> None:
+    """Hand the main heap's free pages back to the system, where glibc's
+    malloc_trim exists.  glibc keeps up to twice its largest freed block
+    resident at the heap's top, and the worker threads allocate from arenas
+    of their own, so without this the profile builds' freed temporaries
+    would sit under every probe's allocations until exit."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> int:
     del seed  # probes are deterministic; the seed is only manifest metadata
     pairs = _probe_tuples(config)
     for m in sorted({probe[4] for _, probe in pairs}):
         with _config_field("config.probes" if "probes" in config else "config.m_values"):
             PhiProfile.cached(m)  # build serially before the parallel map
+    _release_free_heap()
 
     def run(pair):
         where, probe = pair

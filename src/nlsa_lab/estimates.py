@@ -88,12 +88,16 @@ class SpaceTimePacket:
 
     def sample(self, x: np.ndarray, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
-        frames = np.zeros((times.size, np.asarray(x).size), dtype=np.complex128)
+        frames = None
         for packet, freq, width, center in zip(
             self.space, self.time_freqs, self.time_widths, self.time_centers
         ):
             modulation = np.exp(-(((times - center) / width) ** 2)) * np.exp(1j * freq * times)
-            frames += modulation[:, None] * packet.sample(x)[None, :]
+            term = np.multiply.outer(modulation, packet.sample(x))
+            if frames is None:
+                frames = term
+            else:
+                frames += term
         return frames
 
 
@@ -144,7 +148,9 @@ class EstimateSweepResult:
     ``max_ratio_refined`` is the maximum over the doubled-resolution,
     doubled-count rerun; ``refinement_stable`` records whether it stayed
     within the stability tolerance of ``max_ratio``.  ``exponent_fit`` is
-    NaN except for sweeps that fit a horizon-power gain.
+    NaN except for sweeps that fit a horizon-power gain.  A NaN ratio is a
+    sample whose verdict is unknown: it is kept, reaches ``max_ratio``, and
+    leaves the sweep unstable; a negative or infinite ratio is an error.
     """
 
     name: str
@@ -162,8 +168,8 @@ class EstimateSweepResult:
         if not (len(self.lhs) == len(self.rhs) == len(self.ratios)):
             raise ValueError("lhs, rhs, ratios must align")
         for r in self.ratios:
-            if not (math.isfinite(r) and r >= 0):
-                raise ValueError(f"ratio {r} is not finite and nonnegative")
+            if r < 0 or math.isinf(r):
+                raise ValueError(f"ratio {r} is negative or infinite; only a NaN may be non-finite")
 
     @property
     def sample_count(self) -> int:

@@ -239,7 +239,10 @@ def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int) -> np.ndar
     fine factor e^{2 pi i (r (lo + j) mod n) / n}, tabled once, and the
     chunk's coarse row e^{2 pi i (c (lo + j) mod n) / n} x_j.  Both angles are
     reduced mod n in integers, so each is exact before the one rounding of
-    its exponential.
+    its exponential.  Each chunk is transformed in place in one (64, n1)
+    buffer, zeroed first because the last chunk's transform filled the places
+    outside the window; beside it only the output, the fine table and one
+    coarse row are live.
     """
     n2 = n // n1
     if n1 * n2 != n or x.size > n1:
@@ -255,14 +258,17 @@ def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int) -> np.ndar
     start = lo % n1
     split = min(x.size, n1 - start)
     out = np.empty((keep, n2), dtype=np.complex128)
-    buf = np.zeros((chunk, n1), dtype=np.complex128)
+    buf = np.empty((chunk, n1), dtype=np.complex128)
     for k2 in range(0, n2, chunk):
         rows = min(chunk, n2 - k2)
         coarse = np.exp(np.multiply(turn, (k2 * idx) % n))
         coarse *= x
-        np.multiply(fine[:rows, :split], coarse[:split], out=buf[:rows, start:start + split])
-        np.multiply(fine[:rows, split:], coarse[split:], out=buf[:rows, :x.size - split])
-        out[:, k2:k2 + rows] = np.fft.ifft(buf[:rows], axis=1)[:, :keep].T
+        step = buf[:rows]
+        step[...] = 0.0
+        np.multiply(fine[:rows, :split], coarse[:split], out=step[:, start:start + split])
+        np.multiply(fine[:rows, split:], coarse[split:], out=step[:, :x.size - split])
+        np.fft.ifft(step, axis=1, out=step)
+        out[:, k2:k2 + rows] = step[:, :keep].T
     out = out.reshape(-1)[:n_out]
     out /= n2
     return out
@@ -303,16 +309,49 @@ def _quintic_coefficients(knots: np.ndarray) -> np.ndarray:
     prod (1 - z)^2.  Both passes run blocked (see _causal_pass); the
     anticausal one is the causal pass on the reversed layout.  The zero
     padding past either end is one block, over which a pole's response falls
-    by z^64, so neither pass needs an initial value.
+    by z^64, so neither pass needs an initial value.  The two steps are
+    _blocked_extension, which is done with the knots, and _prefilter, so a
+    caller can free the knots between them.
     """
+    return _prefilter(_blocked_extension(knots), knots.size)
+
+
+def _put_run(seq: np.ndarray, start: int, values: np.ndarray, ufunc) -> None:
+    """ufunc(values) into samples start, start + 1, ... of the blocked
+    sequence seq[b, j] = sample b*L + j (L = seq.shape[1]): a head partial
+    block, the full blocks and a tail partial block.  np.positive copies."""
+    size = seq.shape[1]
+    b, j = divmod(start, size)
+    if j:
+        head = min(size - j, values.size)
+        ufunc(values[:head], out=seq[b, j:j + head])
+        values, b = values[head:], b + 1
+    full = values.size // size
+    ufunc(values[:full * size].reshape(full, size), out=seq[b:b + full])
+    if values.size > full * size:
+        ufunc(values[full * size:], out=seq[b + full, :values.size - full * size])
+
+
+def _blocked_extension(knots: np.ndarray) -> np.ndarray:
+    """The prefilter's input, blocks[j, b] = (re, im) of f at sample
+    b*L + j (L = _PREFILTER_BLOCK): one block of zeros, the mirror
+    conj f_{n-1} .. conj f_1, the knots f_0 .. f_{n-1} from sample L + n - 1,
+    then zeros to the end of the last block.  Both runs are written straight
+    into the transposed view, so no sequence-order copy is made."""
     n = knots.size
     size = _PREFILTER_BLOCK
+    blocks = np.zeros((size, -(-(2 * n - 1 + 2 * size) // size), 2))
+    seq = blocks.transpose(1, 0, 2).view(np.complex128)[..., 0]
+    _put_run(seq, size, knots[:0:-1], np.conjugate)
+    _put_run(seq, size + n - 1, knots, np.positive)
+    return blocks
+
+
+def _prefilter(blocks: np.ndarray, n: int) -> np.ndarray:
+    """c_{-2} .. c_{n+2} from the blocked extension of n knots, which the
+    passes overwrite."""
+    size = _PREFILTER_BLOCK
     first = size + n - 1  # where f_0 sits
-    ext = np.zeros(-(-(2 * n - 1 + 2 * size) // size) * size, dtype=np.complex128)
-    ext[first:first + n] = knots
-    ext[size:first] = np.conjugate(knots[:0:-1])
-    blocks = ext.view(np.float64).reshape(-1, size, 2).transpose(1, 0, 2).copy()
-    del ext
     for z in _QUINTIC_POLES:
         _causal_pass(blocks, z)
         # reversing the (re, im) axis as well keeps each row one strided run
@@ -455,6 +494,19 @@ class PhiProfile:
         return table
 
     def _build(self):
+        """The masses, the table end, the spline coefficients and their
+        measured error, with no full-size temporary past its last reader.
+
+        The prefilter reads only the table's even samples and the validation
+        only its odd ones, so the table is split into the two and freed
+        before the prefilter allocates; the knots are freed once they are
+        laid out in the blocks, and the blocks once the coefficients are
+        copied out.  The midpoints are validated a _SPLINE_CHUNK run at a
+        time into one err array, so err_l1 stays one pairwise sum.  At most
+        the table and its halves, or the halves and the blocks (or the
+        midpoints, the blocks and the coefficients), are live at once: about
+        29.4 MiB at v_end = 2400, where the table is 14.7 MiB.
+        """
         self.mass, self.deriv_l1 = self._derivative_masses()
         a8 = self.deriv_l1[8]
         raw = (a8 / (7.0 * np.pi * self.TAIL_TOL)) ** (1.0 / 7.0)
@@ -463,13 +515,22 @@ class PhiProfile:
 
         n_knots = int(round(self.v_end / self.DV)) + 1
         table = self._table(2 * n_knots - 1)
-        self._coefs = _quintic_coefficients(table[::2])
+        self.value_at_zero = complex(table[0])
+        held_out = table[1::2].copy()
+        knots = table[::2].copy()
+        del table
+        blocks = _blocked_extension(knots)
+        del knots
+        self._coefs = _prefilter(blocks, n_knots)
+        del blocks
 
-        vmid = (self.DV / 2.0) * (2 * np.arange(n_knots - 1) + 1)
-        err = np.abs(self._spline(vmid) - table[1::2])
+        err = np.empty(n_knots - 1)
+        for lo in range(0, err.size, _SPLINE_CHUNK):
+            hi = min(lo + _SPLINE_CHUNK, err.size)
+            vmid = (self.DV / 2.0) * (2 * np.arange(lo, hi) + 1)
+            np.abs(self._spline(vmid) - held_out[lo:hi], out=err[lo:hi])
         self.err_max = float(err.max())
         self.err_l1 = float(2.0 * self.DV * err.sum())
-        self.value_at_zero = complex(table[0])
 
     # -- evaluation ---------------------------------------------------
 

@@ -268,8 +268,9 @@ def picard_iterate(
         # an iterate that overflows makes the distance non-finite, caught below
         with np.errstate(over="ignore", invalid="ignore"):
             proposed = duhamel_apply(current, u0, params, config)
-            diff = SpaceTimeField(u0.grid, times, proposed.frames - current.frames)
-            d = xt_norm(diff, params)
+            # no name holds the difference, so it is freed before the next
+            # duhamel_apply allocates its nonlinearity stacks
+            d = xt_norm(SpaceTimeField(u0.grid, times, proposed.frames - current.frames), params)
         current = proposed
         if distances:
             growth_streak = growth_streak + 1 if d > distances[-1] else 0

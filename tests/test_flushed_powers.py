@@ -1,0 +1,108 @@
+"""The inner L^q integrands skip libm's subnormal path and change no norm.
+
+|u|^q counts as 0 where |u| < 2^(-1022/q): glibc's pow is tens of times
+slower on a result below float64's normal range, and the Gaussian tails of
+the estimate sweeps' space-time packets put whole rows there.  On such
+packets the mixed norms must keep every bit of the unflushed formulas; a
+field whose every power is subnormal reads 0, as the norms module documents.
+"""
+
+import numpy as np
+import pytest
+
+from nlsa_lab.estimates import random_spacetime_packets
+from nlsa_lab.norms import (
+    SpaceTimeField,
+    _space_inner,
+    _time_inner,
+    mixed_norm_t_x,
+    mixed_norm_x_t,
+)
+from nlsa_lab.spectral import Grid
+
+# the sup-embedding and chain-rule sweeps' base grid
+GRID = Grid(256, 60.0)
+TINY = 2.0 ** -1022
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=np.float64)).view(np.uint64)
+
+
+def _time_integral(u, q):
+    """The unflushed per-point integral of |u|^q in t."""
+    mag = np.abs(u.frames)
+    mag **= q
+    return np.trapezoid(mag, x=u.times, axis=0)
+
+
+def _space_inner_unflushed(u, p):
+    mag = np.abs(u.frames)
+    mag **= p
+    return (u.grid.spacing * np.sum(mag, axis=1)) ** (1.0 / p)
+
+
+def _packet_fields():
+    packets = random_spacetime_packets(6, np.random.default_rng(1))
+    for packet in packets:
+        for horizon in (1.0, 0.125):
+            times = np.linspace(0.0, horizon, 129)
+            yield SpaceTimeField(GRID, times, packet.sample(GRID.x, times))
+
+
+@pytest.mark.parametrize("q", [10, 5, 2.5])
+def test_inner_norms_keep_the_unflushed_bits_on_underflowing_packets(q):
+    subnormal = 0
+    for u in _packet_fields():
+        power = np.abs(u.frames) ** q
+        subnormal += np.count_nonzero((power > 0) & (power < TINY))
+
+        # each time node's row holds the packet's bulk
+        np.testing.assert_array_equal(_bits(_space_inner(u, q)),
+                                      _bits(_space_inner_unflushed(u, q)))
+        # the flushed terms are below 2^-1022, far under the last bit of an
+        # integral of 2^-900 or more; below that they only drop terms
+        integral = _time_integral(u, q)
+        got = _time_inner(u, q)
+        want = integral ** (1.0 / q)
+        normal = integral >= 2.0 ** -900
+        np.testing.assert_array_equal(_bits(got[normal]), _bits(want[normal]))
+        assert np.all(got[~normal] <= want[~normal])
+
+        # the norms the sweeps read
+        x_t = (GRID.spacing * np.sum(want ** 5)) ** (1.0 / 5)
+        assert mixed_norm_x_t(u, 5, q).hex() == float(x_t).hex()
+        t_x = np.trapezoid(_space_inner_unflushed(u, q) ** 5, x=u.times) ** (1.0 / 5)
+        assert mixed_norm_t_x(u, 5, q).hex() == float(t_x).hex()
+    assert subnormal > 0  # the tails do reach the subnormal range
+
+
+def test_an_all_subnormal_power_reads_zero():
+    # |u|^10 = 1e-310 at every point: subnormal, so the integrands count as 0
+    times = np.linspace(0.0, 1.0, 9)
+    u = SpaceTimeField(GRID, times, np.full((times.size, GRID.num_points), 1e-31 + 0j))
+    assert 0.0 < 1e-31 ** 10 < TINY
+    assert np.all(_time_integral(u, 10) > 0.0)  # the unflushed formula's reading
+    _assert_positive_zero(_time_inner(u, 10))
+    _assert_positive_zero(_space_inner(u, 10))
+    assert mixed_norm_x_t(u, 5, 10) == 0.0
+    assert mixed_norm_t_x(u, 5, 10) == 0.0
+    # a power inside the normal range is kept
+    assert _time_inner(SpaceTimeField(GRID, times, np.full_like(u.frames, 1e-30)), 10).min() > 0
+
+
+def _assert_positive_zero(values):
+    assert np.all(values == 0.0) and not np.any(np.signbit(values))
+
+
+def test_space_time_packet_sample_is_the_sum_of_its_outer_products():
+    packet = random_spacetime_packets(1, np.random.default_rng(3))[0]
+    times = np.linspace(0.0, 0.5, 65)
+    want = np.zeros((times.size, GRID.num_points), dtype=np.complex128)
+    for space, freq, width, center in zip(packet.space, packet.time_freqs,
+                                          packet.time_widths, packet.time_centers):
+        modulation = np.exp(-(((times - center) / width) ** 2)) * np.exp(1j * freq * times)
+        want += modulation[:, None] * space.sample(GRID.x)[None, :]
+    got = packet.sample(GRID.x, times)
+    assert got.shape == want.shape and got.dtype == np.complex128
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -78,3 +78,37 @@ def test_a_nan_agreement_gap_is_written_as_null(monkeypatch, tmp_path):
     assert '"max_gap": null' in text
     agreement = json.loads(text)["agreement"]
     assert agreement["compared"] == 2 and agreement["all_agree"] is False
+
+
+@pytest.mark.parametrize("nan_pair", [(math.nan, 2.0), (1.0, math.nan)], ids=["lhs", "rhs"])
+def test_a_nan_base_pair_reaches_the_base_maximum(nan_pair):
+    res = _assemble("x", 0, [0], [0], lambda f, s: [nan_pair] if s == 1 else [(1.0, 2.0)])
+    assert math.isnan(res.max_ratio)
+    assert res.max_ratio_refined == 0.5
+    assert res.refinement_stable is False
+    assert res.discarded == 0
+    assert math.isnan(res.to_dict()["drift"])
+
+
+@pytest.mark.parametrize("bad_pair", [(-1.0, 2.0), (math.inf, 2.0), (1.0, -0.5)],
+                         ids=["negative", "infinite", "negative-rhs"])
+def test_a_negative_or_infinite_base_ratio_still_raises(bad_pair):
+    with pytest.raises(ValueError, match="negative or infinite"):
+        _assemble("x", 0, [0], [0], lambda f, s: [bad_pair] if s == 1 else [(1.0, 2.0)])
+
+
+def test_a_nan_base_sweep_exits_unstable_naming_it(monkeypatch, tmp_path, capsys):
+    def sweep(params, alpha, **kwargs):
+        return _assemble("nan-base", kwargs["seed"], [0], [0],
+                         lambda f, s: [(math.nan, 2.0)] if s == 1 else [(1.0, 2.0)])
+
+    monkeypatch.setitem(cli._ESTIMATES, "smoothing", sweep)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"estimates": ["smoothing"]}))
+    out = tmp_path / "out"
+    assert cli.main(["verify-estimates", "--config", str(config), "--out", str(out)]) == 3
+    assert "refinement instability in: nan-base" in capsys.readouterr().err
+    summary = json.loads((out / "estimates_summary.json").read_text())["nan-base"]
+    assert summary["max_ratio"] is None and summary["drift"] is None
+    assert summary["refinement_stable"] is False
+    assert (out / "estimates.csv").read_text().splitlines()[1].endswith(",nan")

@@ -406,32 +406,34 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
 
 
 def _probe_tuples(config: dict) -> list:
-    """(field, probe) pairs; the field names the config entry a probe's errors blame."""
+    """(field, probe) pairs, each gated before any profile is built; the field
+    names the config entry a probe's errors blame."""
     if "probes" in config and "omegas" in config:
         raise ConfigError("config: give explicit probes or a sweep grid, not both")
     if "probes" in config:
-        pairs = []
-        for i, probe in enumerate(config["probes"]):
-            a, b, t, omega, m, xi = (probe[key] for key in ("a", "b", "t", "omega", "m", "xi"))
-            with _config_field(f"config.probes[{i}]"):
-                _require_probe(a, b, t, omega, xi)
-            pairs.append((f"config.probes[{i}]", (a, b, t, omega, m, xi)))
-        return pairs
-    for key in ("omegas", "ab_pairs", "m_values"):
-        if key not in config:
-            raise ConfigError(f"config: sweep needs '{key}' (or give explicit probes)")
-    for i, (_, b) in enumerate(config["ab_pairs"]):
-        if b == 0:
-            raise ConfigError(f"config.ab_pairs[{i}]: b must be nonzero")
-    grid_options = {
-        key: config[key]
-        for key in ("t_request", "near_fracs", "far_fracs", "intermediate_fracs")
-        if key in config
-    }
-    grid = build_probe_grid(config["omegas"], config["ab_pairs"], config["m_values"],
-                            **grid_options)
-    # a sweep probe combines several fields, so it is named by its parameters
-    return [(f"config sweep probe (a, b, t, omega, m, xi) = {probe}", probe) for probe in grid]
+        pairs = [(f"config.probes[{i}]", tuple(p[k] for k in ("a", "b", "t", "omega", "m", "xi")))
+                 for i, p in enumerate(config["probes"])]
+    else:
+        for key in ("omegas", "ab_pairs", "m_values"):
+            if key not in config:
+                raise ConfigError(f"config: sweep needs '{key}' (or give explicit probes)")
+        for i, (_, b) in enumerate(config["ab_pairs"]):
+            if b == 0:
+                raise ConfigError(f"config.ab_pairs[{i}]: b must be nonzero")
+        grid_options = {
+            key: config[key]
+            for key in ("t_request", "near_fracs", "far_fracs", "intermediate_fracs")
+            if key in config
+        }
+        with _config_field("config sweep (omegas, ab_pairs, t_request)"):
+            grid = build_probe_grid(config["omegas"], config["ab_pairs"], config["m_values"],
+                                    **grid_options)
+        # a sweep probe combines several fields, so it is named by its parameters
+        pairs = [(f"config sweep probe (a, b, t, omega, m, xi) = {p}", p) for p in grid]
+    for where, (a, b, t, omega, _, xi) in pairs:
+        with _config_field(where):
+            _require_probe(a, b, t, omega, xi)
+    return pairs
 
 
 def _release_free_heap() -> None:
@@ -552,9 +554,7 @@ _ESTIMATES = {
     "commutator": lambda params, alpha, **kw: check_commutator(alpha=alpha, **kw),
     "leibniz-band": lambda params, alpha, **kw: check_leibniz_band(alpha=alpha, **kw),
     "chain-rule": lambda params, alpha, **kw: check_chain_rules(alpha=alpha, **kw),
-    "leibniz-two-sided": lambda params, alpha, **kw: check_leibniz_two_sided(
-        alpha=alpha, alpha_first=alpha / 2.0, alpha_second=alpha / 2.0, **kw
-    ),
+    "leibniz-two-sided": lambda params, alpha, **kw: check_leibniz_two_sided(alpha=alpha, **kw),
 }
 
 

@@ -65,10 +65,6 @@ class SpaceTimeField:
     def frame(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.frames[k])
 
-    def apply_symbol(self, symbol: np.ndarray) -> "SpaceTimeField":
-        """Apply one Fourier multiplier, sampled over grid.xi, to every frame at once."""
-        return self.apply_symbols(np.fft.ifftshift(symbol))[0]
-
     def apply_symbols(self, *symbols: np.ndarray) -> list:
         """Apply FFT-order multipliers to every frame, all from one transform."""
         return [SpaceTimeField(self.grid, self.times, frames)

@@ -297,25 +297,6 @@ def _causal_pass(blocks: np.ndarray, z: float) -> None:
         blocks[j, 1:] += z ** (j + 1) * carry[:-1]
 
 
-def _quintic_coefficients(knots: np.ndarray) -> np.ndarray:
-    """The cardinal quintic B-spline coefficients c_j, j = -2 .. n + 2, that
-    interpolate the knot values f_0 .. f_{n-1} continued by f_{-k} = conj f_k
-    and by zeros for |k| >= n.
-
-    The interpolation condition sum_j c_j beta5(k - j) = f_k is inverted by
-    the recursive prefilter of Unser, Aldroubi & Eden (IEEE Trans. Signal
-    Process. 41:821, 1993): for each pole z a causal pass y_k = f_k + z y_{k-1}
-    and an anticausal pass c_k = y_k + z c_{k+1}, then the gain
-    prod (1 - z)^2.  Both passes run blocked (see _causal_pass); the
-    anticausal one is the causal pass on the reversed layout.  The zero
-    padding past either end is one block, over which a pole's response falls
-    by z^64, so neither pass needs an initial value.  The two steps are
-    _blocked_extension, which is done with the knots, and _prefilter, so a
-    caller can free the knots between them.
-    """
-    return _prefilter(_blocked_extension(knots), knots.size)
-
-
 def _put_run(seq: np.ndarray, start: int, values: np.ndarray, ufunc) -> None:
     """ufunc(values) into samples start, start + 1, ... of the blocked
     sequence seq[b, j] = sample b*L + j (L = seq.shape[1]): a head partial
@@ -348,8 +329,21 @@ def _blocked_extension(knots: np.ndarray) -> np.ndarray:
 
 
 def _prefilter(blocks: np.ndarray, n: int) -> np.ndarray:
-    """c_{-2} .. c_{n+2} from the blocked extension of n knots, which the
-    passes overwrite."""
+    """The cardinal quintic B-spline coefficients c_j, j = -2 .. n + 2, that
+    interpolate the knot values f_0 .. f_{n-1} continued by f_{-k} = conj f_k
+    and by zeros for |k| >= n, from their blocked extension (see
+    _blocked_extension), which the passes overwrite.
+
+    The interpolation condition sum_j c_j beta5(k - j) = f_k is inverted by
+    the recursive prefilter of Unser, Aldroubi & Eden (IEEE Trans. Signal
+    Process. 41:821, 1993): for each pole z a causal pass y_k = f_k + z y_{k-1}
+    and an anticausal pass c_k = y_k + z c_{k+1}, then the gain
+    prod (1 - z)^2.  Both passes run blocked (see _causal_pass); the
+    anticausal one is the causal pass on the reversed layout.  The zero
+    padding past either end is one block, over which a pole's response falls
+    by z^64, so neither pass needs an initial value.  The extension is built
+    apart from this, so a caller can free the knots in between.
+    """
     size = _PREFILTER_BLOCK
     first = size + n - 1  # where f_0 sits
     for z in _QUINTIC_POLES:
@@ -421,10 +415,9 @@ class PhiProfile:
     DV = 0.005
     V_END_MAX = 3600.0  # the table end's clip, so |w| <= V_END_MAX/omega on every path
 
-    def __init__(self, m: float, scale: float = 1.0):
+    def __init__(self, m: float):
         _require_weight_exponent(m)
         self.m = float(m)
-        self.scale = float(scale)
         self._trap_cache: dict = {}
         self._build()
 
@@ -563,18 +556,14 @@ class PhiProfile:
         # that entries off the table (and NaN) read +0.0
         np.conjugate(out, out=out, where=v < 0)
         out[~(av <= self.v_end)] = 0.0
-        # the scalar stays the left operand: numpy's vectorised complex
-        # product can round differently when its operands are swapped
-        return np.multiply(self.scale, out, out=out)
+        return out
 
-    def _trap_nodes(self, nx: int):
-        """The trapezoid nodes and weights on [1/2, 2] with nx panels, and
-        the weights counted from each end (1/2 first, then 2 first),
-        zero-padded to J*B entries and laid out as J x B blocks with
-        B = 2^floor(bits(nx + 1)/2)."""
+    def _trap_blocks(self, nx: int) -> np.ndarray:
+        """The trapezoid weights on [1/2, 2] with nx panels, counted from
+        each end (1/2 first, then 2 first), zero-padded to J*B entries and
+        laid out as J x B blocks with B = 2^floor(bits(nx + 1)/2)."""
         if nx not in self._trap_cache:
-            xs = np.linspace(0.5, 2.0, nx + 1)
-            wts = self._transform_values(xs) * (1.5 / nx)
+            wts = self._transform_values(np.linspace(0.5, 2.0, nx + 1)) * (1.5 / nx)
             wts[0] *= 0.5
             wts[-1] *= 0.5
             size = 1 << ((nx + 1).bit_length() // 2)
@@ -582,7 +571,7 @@ class PhiProfile:
             flat = blocks.reshape(2, -1)
             flat[0, :nx + 1] = wts
             flat[1, :nx + 1] = wts[::-1]
-            self._trap_cache[nx] = (xs, wts, blocks)
+            self._trap_cache[nx] = blocks
         return self._trap_cache[nx]
 
     def nx_for(self, max_abs: float) -> int:
@@ -607,13 +596,13 @@ class PhiProfile:
         h = 1.5/nx, so that
             R(w) = e^{i w (e - x0)} sum_j F_j(w) (E(w) W^T)_j,
             F_j = e^{i s w h B j},  E_r = e^{i s w h r},  r < B,
-        with W the J x B weight blocks of _trap_nodes.  Two tables of about
+        with W the J x B weight blocks of _trap_blocks.  Two tables of about
         sqrt(nx) exponentials and one real GEMM for each part of E replace
         one exponential per node; on the natural arcs both factors have
         modulus <= 1.
         """
         w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-        _, _, blocks = self._trap_nodes(nx)
+        blocks = self._trap_blocks(nx)
         rows, size = blocks.shape[1:]
         reverse = x0 > 1.25
         end = 2.0 if reverse else 0.5
@@ -633,14 +622,12 @@ class PhiProfile:
             out[lo:lo + block] = inner.sum(axis=1)
         if end != x0:
             out *= np.exp(1j * w * (end - x0))
-        return self.scale / (2.0 * np.pi) * out
+        return 1.0 / (2.0 * np.pi) * out
 
     def ibp_mass(self, vmax: float) -> float:
         """Sum_j C(8,j) vmax^j * deriv_l1[8-j]; numerator of the
         eighth-order integration-by-parts bound on |R(u + iv)|."""
-        return self.scale * sum(
-            math.comb(8, j) * vmax ** j * self.deriv_l1[8 - j] for j in range(9)
-        )
+        return sum(math.comb(8, j) * vmax ** j * self.deriv_l1[8 - j] for j in range(9))
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +906,7 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
         cz = (0.75 * mn) ** (-m) if m != 0.0 else 1.0
 
         prefac = omega * cz * eps * width * math.exp(min(g_max, 700.0)) / (2.0 * np.pi)
-        bound = prefac * profile.scale * profile.deriv_l1[0]
+        bound = prefac * profile.deriv_l1[0]
         u_min = om_eps * min(abs(math.cos(t1)), abs(math.cos(t2)))
         if u_min > 4.0:
             bound = min(bound, prefac * profile.ibp_mass(om_eps * s_max) / u_min ** 8)
@@ -994,7 +981,7 @@ def _close(pairs, profile, a, b, t, xi, full_output):
     l1 = 0.0
     n_nodes = 0
     cond = 0.0
-    extra = abs(profile.scale) * (profile.err_l1 + profile.tail_l1)
+    extra = profile.err_l1 + profile.tail_l1
     for coarse, fine in pairs:
         l1 += fine.l1
         n_nodes += coarse.n_nodes + fine.n_nodes
@@ -1056,7 +1043,7 @@ def osc_integral_contour(a, b, t, omega, m, xi, profile=None, full_output=False)
     phase_dir = -1 if (label is RegionLabel.NEAR or b < 0) else +1
     cs = _phase_coeffs(a, b, t, xi)
     wmax = profile.v_end / omega
-    skip_tol = 1e-16 * abs(profile.scale) * profile.mass
+    skip_tol = 1e-16 * profile.mass
 
     # the tails stay on Gauss-Legendre even where the Levin rule would admit
     # them, so that this path checks a Levin direct value against an
@@ -1129,17 +1116,21 @@ def build_probe_grid(omegas, ab_pairs, ms, t_request=0.5,
                      intermediate_fracs=()):
     """Parameter tuples (a, b, t, omega, m, xi) spanning the regions.
 
-    t is clipped per combination so the admissibility condition holds with
-    equality at worst.  Fractions position |xi + a/(2b)| relative to the
-    region thresholds: near fractions multiply the near radius, far
-    fractions the far radius (must exceed 1), intermediate fractions give
-    |xi + a/(2b)|^2 = f * omega/(|b| t) + (a/(2b))^2 with f in (0.01, 100).
+    t is min(t_request, omega/(|b| max(1, 1e4 (a/(2b))^2))), stepped down an
+    ulp at a time until admissible_parameters accepts it.  Fractions position
+    |xi + a/(2b)| relative to the region thresholds: near fractions multiply
+    the near radius, far fractions the far radius (must exceed 1),
+    intermediate fractions give |xi + a/(2b)|^2 = f * omega/(|b| t) + (a/(2b))^2
+    with f in (0.01, 100).
     """
     probes = []
     for omega in omegas:
         for (a, b) in ab_pairs:
+            _require_finite(a=a, omega=omega)  # a NaN is never admissible
             half = a / (2.0 * b)
             t = min(t_request, omega / (abs(b) * max(1.0, 1e4 * half * half)))
+            while not admissible_parameters(a, b, t, omega):
+                t = math.nextafter(t, 0.0)
             base = omega / (abs(b) * t)
             for m in ms:
                 for f in near_fracs:
@@ -1413,15 +1404,16 @@ class GrowthBoundReport:
     ratios: np.ndarray
 
 
-def growth_bound_check(profile, omega=64.0) -> GrowthBoundReport:
+def growth_bound_check(profile) -> GrowthBoundReport:
     """Off-axis growth of the dilated profile against its envelope bound.
 
-    Samples |omega * phi(omega*zeta)| with zeta = u - i y, y = +-0.3, at 12
-    geometric offsets u in [0.5, 5], and checks the ratio to
+    Samples |omega * phi(omega*zeta)| at omega = 64 with zeta = u - i y,
+    y = +-0.3, at 12 geometric offsets u in [0.5, 5], and checks the ratio to
     |e^{2 omega y} - e^{omega y / 2}| / (omega^2 |y| |zeta|^2); on the real
     axis the comparison is against 1 / (omega u^2).  The max ratios are the
     fitted constants.
     """
+    omega = 64.0
     offsets = np.geomspace(0.5, 5.0, 12)
     ratios = []
     for y in (0.3, -0.3):

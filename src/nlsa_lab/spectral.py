@@ -6,7 +6,8 @@ reproduce these on [-length/2, length/2) with spectral accuracy for data
 that is negligible near the boundary.  Transformed samples are returned on
 the conjugate grid in ascending frequency order (Nyquist on the negative
 end), so multipliers, weights, and further transforms compose on either
-side without reordering.
+side without reordering.  Fourier multipliers on grid samples take their
+symbols in FFT order, sampled on Grid.xi_fft.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "dft_forward",
     "dft_inverse",
     "apply_symbols",
-    "apply_multiplier",
     "propagator_apply",
     "duhamel_flow",
     "fractional_derivative",
@@ -203,11 +203,6 @@ def apply_symbols(values: np.ndarray, *symbols: np.ndarray) -> list:
     return applied
 
 
-def apply_multiplier(f: GridFunction, symbol: np.ndarray) -> GridFunction:
-    """Apply a Fourier multiplier given as samples over f.grid.xi (ascending)."""
-    return GridFunction(f.grid, apply_symbols(f.values, np.fft.ifftshift(symbol))[0])
-
-
 def _dispersion(xi: np.ndarray, a: float, b: float) -> np.ndarray:
     """a*xi^2 + b*xi^3: the free flow multiplies frequency xi by exp(it times this)."""
     return a * xi**2 + b * xi**3
@@ -215,21 +210,23 @@ def _dispersion(xi: np.ndarray, a: float, b: float) -> np.ndarray:
 
 def propagator_apply(f: GridFunction, t: float, params: EquationParams) -> GridFunction:
     """Free flow exp(it(a*xi^2 + b*xi^3)) on the transform side; unitary on L^2."""
-    return apply_multiplier(f, np.exp(1j * t * _dispersion(f.grid.xi, params.a, params.b)))
+    symbol = np.exp(1j * t * _dispersion(f.grid.xi_fft, params.a, params.b))
+    return GridFunction(f.grid, apply_symbols(f.values, symbol)[0])
 
 
 def fractional_derivative(f: GridFunction, alpha: float) -> GridFunction:
     """Multiplier |xi|^alpha (alpha = 0 gives the identity, including the zero mode)."""
-    return apply_multiplier(f, np.abs(f.grid.xi) ** alpha)
+    return GridFunction(f.grid, apply_symbols(f.values, np.abs(f.grid.xi_fft) ** alpha)[0])
 
 
 def bracket_multiplier(f: GridFunction, sigma: float) -> GridFunction:
     """Multiplier (1 + xi^2)^(sigma/2)."""
-    return apply_multiplier(f, (1.0 + f.grid.xi**2) ** (sigma / 2))
+    symbol = (1.0 + f.grid.xi_fft**2) ** (sigma / 2)
+    return GridFunction(f.grid, apply_symbols(f.values, symbol)[0])
 
 
 def spatial_derivative(f: GridFunction, order: int = 1) -> GridFunction:
-    return apply_multiplier(f, (1j * f.grid.xi) ** order)
+    return GridFunction(f.grid, apply_symbols(f.values, (1j * f.grid.xi_fft) ** order)[0])
 
 
 def weight_multiply(f: GridFunction, m: float) -> GridFunction:

@@ -15,6 +15,7 @@ import warnings
 import pytest
 
 from nlsa_lab.cli import main
+from nlsa_lab.oscillatory import PhiProfile
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -507,6 +508,9 @@ _EDGE_PROBE = {"a": 0.0, "b": 1.0, "t": 0.1, "m": 0.125, "xi": 0.0}
     # the phase t (a z^2 + b z^3) overflows on the path
     ({"probes": [{**_EDGE_PROBE, "omega": 1024.0, "xi": 3e153}]}, ["config.probes[0]", "xi"]),
     ({"probes": [{**_EDGE_PROBE, "omega": 1024.0, "xi": 1e200}]}, ["config.probes[0]", "xi"]),
+    # a / (2b) overflows, so no t > 0 is admissible
+    ({"omegas": [1024.0], "ab_pairs": [[1e200, 1e-200]], "m_values": [0.125]},
+     ["config sweep (omegas, ab_pairs, t_request)", "t must be positive"]),
 ])
 def test_probes_out_of_range_name_the_field(tmp_path, capsys, payload, fields):
     cfg = write_config(tmp_path, payload)
@@ -514,6 +518,33 @@ def test_probes_out_of_range_name_the_field(tmp_path, capsys, payload, fields):
     err = capsys.readouterr().err
     assert all(field in err for field in fields)
     assert "Traceback" not in err
+
+
+def test_sweep_whose_divided_t_bound_was_inadmissible_runs(tmp_path):
+    # at t = 1024 / 21462.25 the gate read omega/(|b| t) < 1e4 (a/(2b))^2
+    cfg = write_config(tmp_path, {
+        "omegas": [1024], "ab_pairs": [[-2.93, -1.0]], "m_values": [0.125],
+    })
+    assert main(["verify-oscillatory", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) in (0, 3)
+
+
+def test_sweep_probes_are_gated_before_any_profile_build(tmp_path, capsys, monkeypatch):
+    builds = []
+    init = PhiProfile.__init__
+    monkeypatch.setattr(PhiProfile, "_cache", {})
+    monkeypatch.setattr(
+        PhiProfile, "__init__", lambda self, *a, **k: builds.append(1) or init(self, *a, **k)
+    )
+    # the far probe's phase leaves float64 on its path
+    cfg = write_config(tmp_path, {
+        "omegas": [1e250], "ab_pairs": [[0.0, 1.0]], "m_values": [0.125],
+    })
+    assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config sweep probe" in err and "xi" in err
+    assert "Traceback" not in err
+    assert builds == []
 
 
 def test_sweep_whose_arc_bound_overflows_names_omega_eps(tmp_path, capsys):

@@ -197,11 +197,6 @@ def test_sup_embedding_gain_exponent_positive():
     assert res.refinement_stable
 
 
-def test_sup_embedding_needs_two_horizons():
-    with pytest.raises(ValueError, match="horizons"):
-        check_sup_embedding(horizons=(0.5,))
-
-
 # ---------------------------------------------------------------------------
 # Commutator sweep.
 # ---------------------------------------------------------------------------
@@ -211,16 +206,6 @@ def test_commutator_alpha_validation():
         check_commutator(alpha=0.0)
     with pytest.raises(ValueError, match="alpha"):
         check_commutator(alpha=1.5)
-
-
-def test_commutator_constant_envelope_discards_everything():
-    res = check_commutator(
-        fields=random_wave_packets(4, np.random.default_rng(0)),
-        envelope=lambda x: np.ones_like(x),
-        envelope_derivative=lambda x: np.zeros_like(x),
-    )
-    assert res.sample_count == 0
-    assert res.discarded == 4
 
 
 def test_zero_order_commutator_vanishes():
@@ -303,23 +288,6 @@ def test_chain_rule_sweep_bounded_and_stable():
 # ---------------------------------------------------------------------------
 # Two-sided Leibniz sweep.
 # ---------------------------------------------------------------------------
-
-def test_two_sided_exponent_bookkeeping():
-    with pytest.raises(ValueError, match="compose"):
-        check_leibniz_two_sided(factor_exponents=((2.0, 4.0), (4.0, 4.0)))
-    with pytest.raises(ValueError, match="sum to alpha"):
-        check_leibniz_two_sided(alpha=0.25, alpha_first=0.2, alpha_second=0.2)
-    with pytest.raises(ValueError, match="nonnegative"):
-        check_leibniz_two_sided(alpha=0.25, alpha_first=0.5, alpha_second=-0.25)
-
-
-def test_two_sided_degenerate_share_uses_plain_factor():
-    res = check_leibniz_two_sided(
-        alpha=0.25, alpha_first=0.25, alpha_second=0.0, samples=4, seed=6
-    )
-    assert res.sample_count == 4
-    assert all(math.isfinite(r) for r in res.ratios)
-
 
 def test_two_sided_sweep_bounded_and_stable():
     res = check_leibniz_two_sided(samples=10, seed=1)

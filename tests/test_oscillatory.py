@@ -205,14 +205,6 @@ def test_direct_small_time_vanishes():
     assert abs(val) < 1e-10
 
 
-def test_direct_linearity_in_scale(prof):
-    doubled = PhiProfile(0.125, scale=2.0)
-    args = (0.0, 1.0, 1.0, 2.0 ** 10, 0.125, 18.0)
-    v1 = osc_integral_direct(*args, prof)
-    v2 = osc_integral_direct(*args, doubled)
-    assert v2 == pytest.approx(2.0 * v1, rel=1e-13)
-
-
 @pytest.mark.parametrize("path", [osc_integral_direct, run_probe],
                          ids=["osc_integral_direct", "run_probe"])
 def test_direct_profile_mismatch(prof, path, monkeypatch):
@@ -277,13 +269,6 @@ def test_arc_refuses_radius_whose_eighth_power_overflows():
     assert classify_xi(xi, a, b, t, omega) is RegionLabel.FAR
     with pytest.raises(ValueError, match=r"omega \* eps .* overflows"):
         osc_integral_contour(a, b, t, omega, 0.0, xi)
-
-
-def test_zero_profile_gives_zero_on_both_paths():
-    dead = PhiProfile(0.125, scale=0.0)
-    args = (0.0, 1.0, 1.0, 2.0 ** 10, 0.125, 1.0)
-    assert osc_integral_direct(*args, dead) == 0.0
-    assert osc_integral_contour(*args, dead) == 0.0
 
 
 def test_contour_admissibility_predicate():
@@ -399,7 +384,7 @@ def test_sin_kernel_ratios_bounded():
 
 
 def test_growth_bound_constants(prof):
-    rep = growth_bound_check(prof, omega=64.0)
+    rep = growth_bound_check(prof)
     assert np.isfinite(rep.fitted_constant)
     assert np.isfinite(rep.fitted_constant_real_axis)
     assert rep.ratios.max() == pytest.approx(rep.fitted_constant)

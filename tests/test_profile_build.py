@@ -17,7 +17,6 @@ transforms: nine orders on 2^17 points, and the eighth alone on 2^16 for the
 build's stability check.
 """
 
-import copy
 import math
 import tracemalloc
 from fractions import Fraction
@@ -30,7 +29,8 @@ from nlsa_lab.oscillatory import (
     PhiProfile,
     _gl01,
     _pruned_ifft,
-    _quintic_coefficients,
+    _blocked_extension,
+    _prefilter,
     _quintic_weights,
 )
 
@@ -91,17 +91,14 @@ def _gather_scatter(prof, v):
     inside = av <= prof.v_end
     vals = prof._spline(av[inside])
     out[inside] = np.where(v[inside] < 0, np.conj(vals), vals)
-    return prof.scale * out
+    return out
 
 
 def _bits(values):
     return np.atleast_1d(np.asarray(values, dtype=np.complex128)).view(np.uint64)
 
 
-@pytest.mark.parametrize("scale", [1.0, 2.0, 0.0])
-def test_eval_real_matches_the_gather_scatter_formula_bit_for_bit(prof, scale):
-    prof = copy.copy(prof)
-    prof.scale = scale
+def test_eval_real_matches_the_gather_scatter_formula_bit_for_bit(prof):
     end = prof.v_end
     beyond = np.nextafter(end, np.inf)
     special = np.array([0.0, -0.0, end, -end, beyond, -beyond, 2.0 * end, -1e300,
@@ -181,7 +178,7 @@ def test_quintic_coefficients_interpolate_the_symmetric_extension(n):
     rng = np.random.default_rng(n)
     knots = rng.normal(size=n) + 1j * rng.normal(size=n)
     knots[0] = knots[0].real  # f_0 = conj f_0 on the symmetric extension
-    c = _quintic_coefficients(knots)
+    c = _prefilter(_blocked_extension(knots), knots.size)
     assert c.shape == (n + 5,)  # c_{-2} .. c_{n+2}
     # sum_j c_j beta5(k - j) at k = 0 .. n, the last one on the zero padding
     got = (c[:-4] + 26.0 * c[1:-3] + 66.0 * c[2:-2] + 26.0 * c[3:-1] + c[4:]) / 120.0
@@ -265,10 +262,16 @@ _LONG_DOUBLE = pytest.mark.skipif(
 )
 
 
+def _trap_nodes(prof, nx):
+    """The trapezoid nodes on [1/2, 2] with nx panels, and their weights
+    from the blocks eval_shifted reads (the layout counted from 1/2)."""
+    return np.linspace(0.5, 2.0, nx + 1), prof._trap_blocks(nx)[0].reshape(-1)[:nx + 1]
+
+
 def _long_double_trapezoid(prof, w, x0, nx):
     """sum_n wts_n e^{i w (x_n - x0)} over the trapezoid nodes, each angle
     and exponential in extended precision."""
-    xs, wts = prof._trap_nodes(nx)[:2]
+    xs, wts = _trap_nodes(prof, nx)
     ld = np.longdouble
     shift = (xs - x0).astype(ld)  # exact: the nodes are multiples of 1.5/nx
     weights = wts.astype(ld)
@@ -295,19 +298,19 @@ def test_eval_shifted_agrees_with_a_long_double_trapezoid(prof, nx, x0):
     # on the arc where every |e^{i w (x - x0)}| <= 1 (Im w >= 0 for x0 = 1/2
     # and 0, Im w <= 0 for x0 = 2) the radius is nx/4, the largest that
     # nx_for gives nx; on the other the kernel grows to e^{2 * 200} at most
-    xs, wts = prof._trap_nodes(nx)[:2]
+    xs, wts = _trap_nodes(prof, nx)
     count = 4 if nx == 2 ** 18 else 16
     bounded = 1.0 if x0 < 1.25 else -1.0
     for im_sign, radius in ((bounded, nx / 4.0), (-bounded, 200.0)):
         w = _arc(radius, im_sign, count)
         got = prof.eval_shifted(w, x0, nx)
-        want = prof.scale / (2.0 * np.pi) * _long_double_trapezoid(prof, w, x0, nx)
+        want = 1.0 / (2.0 * np.pi) * _long_double_trapezoid(prof, w, x0, nx)
         # the trapezoid rounding term the arc floors carry,
-        # eps sqrt(nx) sum |wts| |scale| / (2 pi), relative to the largest
+        # eps sqrt(nx) sum |wts| / (2 pi), relative to the largest
         # kernel modulus where it exceeds 1
         largest = np.exp(-np.outer(w.imag, xs[[0, -1]] - x0)).max(axis=1)
         bound = (np.finfo(np.float64).eps * math.sqrt(nx) * np.abs(wts).sum()
-                 * abs(prof.scale) / (2.0 * np.pi) * np.maximum(largest, 1.0))
+                 / (2.0 * np.pi) * np.maximum(largest, 1.0))
         assert np.all(np.abs(got - want) <= bound), (im_sign, radius)
 
 

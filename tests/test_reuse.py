@@ -136,7 +136,7 @@ def sup_embedding_as_evaluated_twice(fields, horizons=(1.0, 0.5, 0.25, 0.125)):
         for horizon in horizons:
             times = np.linspace(0.0, horizon, 128 * scale + 1)
             u = SpaceTimeField(grid, times, f.sample(grid.x, times))
-            du = u.apply_symbol(np.abs(grid.xi) ** 0.25)
+            du = u.apply_symbols(np.fft.ifftshift(np.abs(grid.xi) ** 0.25))[0]
             rhs = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(du, 5, 10)
             pairs.append((horizon, mixed_norm_t_x(u, 5, math.inf), rhs))
         return pairs
@@ -179,13 +179,15 @@ def two_sided_pair_with_five_transforms(f, g, scale):
     uf = SpaceTimeField(grid, times, f.sample(grid.x, times))
     ug = SpaceTimeField(grid, times, g.sample(grid.x, times))
     product = SpaceTimeField(grid, times, uf.frames * ug.frames)
-    dall = product.apply_symbol(np.abs(grid.xi) ** 0.25)
-    df = uf.apply_symbol(np.abs(grid.xi) ** 0.25)
-    dg = ug.apply_symbol(np.abs(grid.xi) ** 0.25)
+    dall = product.apply_symbols(np.fft.ifftshift(np.abs(grid.xi) ** 0.25))[0]
+    df = uf.apply_symbols(np.fft.ifftshift(np.abs(grid.xi) ** 0.25))[0]
+    dg = ug.apply_symbols(np.fft.ifftshift(np.abs(grid.xi) ** 0.25))[0]
     defect = dall.frames - uf.frames * dg.frames - ug.frames * df.frames
     lhs = mixed_norm_x_t(SpaceTimeField(grid, times, defect), 2.0, 2.0)
-    first = mixed_norm_x_t(uf.apply_symbol(np.abs(grid.xi) ** 0.125), 4.0, 4.0)
-    second = mixed_norm_x_t(ug.apply_symbol(np.abs(grid.xi) ** 0.125), 4.0, 4.0)
+    (half_f,) = uf.apply_symbols(np.fft.ifftshift(np.abs(grid.xi) ** 0.125))
+    (half_g,) = ug.apply_symbols(np.fft.ifftshift(np.abs(grid.xi) ** 0.125))
+    first = mixed_norm_x_t(half_f, 4.0, 4.0)
+    second = mixed_norm_x_t(half_g, 4.0, 4.0)
     return lhs, first * second
 
 

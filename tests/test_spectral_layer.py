@@ -11,17 +11,19 @@ from nlsa_lab.spectral import (
     EquationParams,
     Grid,
     GridFunction,
-    apply_multiplier,
     apply_symbols,
+    bracket_multiplier,
     dealias,
     dft_forward,
     duhamel_flow,
     eta,
+    fractional_derivative,
     propagator_apply,
     qn_m_apply,
     qn_pieces,
     qn_resolvable,
     qn_symbol,
+    spatial_derivative,
     weight_multiply,
 )
 
@@ -57,7 +59,7 @@ def test_pieces_equal_single_band_operator_bit_for_bit():
         seen = []
         for n, piece in qn_pieces(F, bands, m):
             seen.append(n)
-            full_symbol = apply_multiplier(F, qn_symbol(g.xi, n, m)).values
+            full_symbol = apply_symbols(F.values, np.fft.ifftshift(qn_symbol(g.xi, n, m)))[0]
             assert np.array_equal(piece, full_symbol)
             assert np.array_equal(piece, qn_m_apply(F, n, m, strict=False).values)
         assert seen == list(bands)
@@ -299,7 +301,7 @@ def test_one_multiplier_kernel_matches_the_formulas_property(
     # the callers that route through the kernel
     v, s = stack[0], symbols[0]
     f = GridFunction(grid, v)
-    assert same_bits(apply_multiplier(f, np.fft.fftshift(s)).values, reference[0][0])
+    assert same_bits(apply_symbols(v, np.fft.ifftshift(np.fft.fftshift(s)))[0], reference[0][0])
     assert same_bits(dealias(f).values, np.fft.ifft(np.fft.fft(v) * grid.dealias_mask))
     field = SpaceTimeField(grid, np.arange(rows, dtype=float), stack)
     for k, applied in enumerate(field.apply_symbols(*symbols)):
@@ -313,3 +315,33 @@ def test_one_multiplier_kernel_matches_the_formulas_property(
             nonlinearity_eval(f, params, full).values,
             reference_nonlinearity(v, grid, params, full),
         )
+
+
+@PROPERTY
+@given(
+    half=st.integers(1, 300),
+    length=st.floats(5.0, 100.0),
+    seed=seeds,
+    t=st.floats(-10.0, 10.0),
+    dispersion=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    alpha=st.floats(0.0, 2.0),
+    sigma=st.floats(-2.0, 2.0),
+    order=st.integers(0, 4),
+)
+def test_multiplier_wrappers_match_the_ascending_symbol_formula_property(
+    half, length, seed, t, dispersion, alpha, sigma, order
+):
+    # each wrapper builds its symbol on xi_fft; the formula samples it over the
+    # ascending xi and moves it to FFT order
+    grid = Grid(2 * half, length)
+    f = random_function(grid, np.random.default_rng(seed))
+    a, b = dispersion
+    xi = grid.xi
+    for got, symbol in (
+        (propagator_apply(f, t, EquationParams(a=a, b=b)),
+         np.exp(1j * t * (a * xi**2 + b * xi**3))),
+        (fractional_derivative(f, alpha), np.abs(xi) ** alpha),
+        (bracket_multiplier(f, sigma), (1.0 + xi**2) ** (sigma / 2)),
+        (spatial_derivative(f, order), (1j * xi) ** order),
+    ):
+        assert same_bits(got.values, apply_symbols(f.values, np.fft.ifftshift(symbol))[0])

@@ -154,6 +154,9 @@ def semigroup_evolve(u0: GridFunction, times, params: EquationParams) -> SpaceTi
     return SpaceTimeField(u0.grid, times, frames)
 
 
+_NONLINEARITY_BLOCK_ROWS = 16
+
+
 def _nonlinearity_frames(
     frames: np.ndarray, grid: Grid, params: EquationParams, full_derivative_mode: bool
 ) -> np.ndarray:
@@ -173,13 +176,16 @@ def _nonlinearity_frames(
         return np.add(out, np.multiply(params.e, dcubic, out=dcubic), out=out)
     (du,) = apply_symbols(frames, ixi)
     out = np.multiply(1j * params.c, cubic, out=cubic)
-    term = params.d * mag2
-    del mag2
-    out += term * du
-    term = frames**2
-    np.multiply(params.e, term, out=term)
-    np.multiply(term, np.conjugate(du, out=du), out=term)
-    return np.add(out, term, out=out)
+    # the derivative terms go in a block of rows at a time, so their products
+    # never take a frame stack of their own
+    for start in range(0, frames.shape[0], _NONLINEARITY_BLOCK_ROWS):
+        rows = slice(start, start + _NONLINEARITY_BLOCK_ROWS)
+        out[rows] += params.d * mag2[rows] * du[rows]
+        term = frames[rows] ** 2
+        np.multiply(params.e, term, out=term)
+        np.multiply(term, np.conjugate(du[rows]), out=term)
+        out[rows] += term
+    return out
 
 
 def nonlinearity_eval(

@@ -323,6 +323,22 @@ def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
     assert (env_backed / "estimates_summary.json").read_bytes() == reference
 
 
+def test_thread_count_does_not_change_the_factor_sweeps(tmp_path):
+    # these sweeps apply their multipliers through BLAS matrix products
+    cfg = write_config(tmp_path, {
+        "estimates": ["sup-embedding", "chain-rule", "leibniz-two-sided"],
+        "samples": 3, "seed": 2,
+    })
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        code = main(["verify-estimates", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads])
+        runs.append((code, (out / "estimates.csv").read_bytes(),
+                     (out / "estimates_summary.json").read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_bad_threads_env_rejected(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {"estimates": ["commutator"], "samples": 4})
     monkeypatch.setenv("NLSA_LAB_THREADS", "lots")

@@ -46,10 +46,14 @@ class PureModeInTime:
     def __init__(self, coef, freq, profile=lambda t: np.ones_like(t)):
         self.coef, self.freq, self.profile = coef, freq, profile
 
-    def sample(self, x, times):
+    def factors(self, x, times):
         times = np.asarray(times, dtype=float)
         space = self.coef * np.exp(1j * self.freq * np.asarray(x, dtype=float))
-        return self.profile(times).astype(np.complex128)[:, None] * space[None, :]
+        return self.profile(times).astype(np.complex128)[None, :], space[None, :]
+
+    def sample(self, x, times):
+        modulations, space = self.factors(x, times)
+        return modulations[0][:, None] * space[0][None, :]
 
 
 def grid_freq(index, length=60.0):

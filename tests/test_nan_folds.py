@@ -1,19 +1,21 @@
 """Every certificate fold carries a NaN through to its verdict.
 
-The sweep maxima, the arc-exponent summary and the CLI's agreement gap are
-each folded by one numpy reduction.  Python's max/min keep whichever operand
-they saw first against a NaN, so a NaN sample read as a clean maximum; here
-a NaN fed in on purpose must reach the fold's result, read as a failed
-verdict, and be written as null.
+The sweep maxima, the sup-embedding sweep's per-horizon worst ratios, the
+arc-exponent summary and the CLI's agreement gap are each folded by one numpy
+reduction.  Python's max/min keep whichever operand they saw first against a
+NaN, so a NaN sample read as a clean maximum; here a NaN fed in on purpose
+must reach the fold's result, read as a failed verdict, and be written as
+null.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 
-from nlsa_lab import cli, oscillatory
-from nlsa_lab.estimates import _assemble
+from nlsa_lab import cli, estimates, oscillatory
+from nlsa_lab.estimates import _assemble, check_sup_embedding, random_spacetime_packets
 from nlsa_lab.oscillatory import ArcExponentReport, OscillatoryProbe, RegionLabel, arc_summary
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -112,3 +114,20 @@ def test_a_nan_base_sweep_exits_unstable_naming_it(monkeypatch, tmp_path, capsys
     assert summary["max_ratio"] is None and summary["drift"] is None
     assert summary["refinement_stable"] is False
     assert (out / "estimates.csv").read_text().splitlines()[1].endswith(",nan")
+
+
+def test_a_nan_sup_embedding_sample_reaches_the_exponent_fit(monkeypatch, tmp_path):
+    lhs_norm = estimates.mixed_norm_t_x
+    calls = []
+
+    def first_lhs_nan(u, q, p):
+        calls.append(1)
+        return math.nan if len(calls) == 1 else lhs_norm(u, q, p)
+
+    monkeypatch.setattr(estimates, "mixed_norm_t_x", first_lhs_nan)
+    res = check_sup_embedding(fields=random_spacetime_packets(3, np.random.default_rng(11)))
+    assert math.isnan(res.exponent_fit)
+    assert math.isnan(res.max_ratio)
+    assert res.refinement_stable is False
+    cli.write_json(tmp_path / "fit.json", res.to_dict())
+    assert json.loads((tmp_path / "fit.json").read_text())["exponent_fit"] is None

@@ -1,0 +1,132 @@
+"""Multipliers applied to a packet's spatial factors against the frame-wise path.
+
+A space-time packet is a sum of r products m_c(t) p_c(x), and the
+sup-embedding, chain-rule and two-sided Leibniz sweeps apply each Fourier
+multiplier D to the spatial rows only: D u = sum_c m_c (x) D p_c.  The
+frame-wise path, SpaceTimeField.apply_symbols on the sampled frames, is the
+reference here.
+
+Rounding bound.  Take a field with K factor rows (M_k, P_k) and a symbol
+sigma on N points, and let eps be float64's machine epsilon.  Both paths
+approximate the exact image sum_k M_k (x) D P_k:
+
+- a multiplier row ifft(sigma fft(v)) is off by at most c eps log2(N)
+  ||sigma||_inf ||v||_2 in l^2 (the FFT's error bound; c = 4 covers the
+  transform pair and the product with sigma), and a sample's error is at
+  most the l^2 error;
+- the frame-wise path applies it to frames whose samples carry at most
+  K eps sum_k |M_k(t)| |P_k(x)| from their own formation, and
+  ||u(t)||_2 <= sum_k |M_k(t)| ||P_k||_2;
+- the separable path sums K products M_k(t) D P_k(x), which adds at most
+  K eps sum_k |M_k(t)| ||sigma||_inf ||P_k||_2.
+
+So the paths differ by at most
+
+    bound = 2 (4 log2 N + 2 K + 8) eps ||sigma||_inf sum_k ||M_k||_inf ||P_k||_2,
+
+where the 8 takes up the few roundings of forming a row, such as the three
+factors of |u|^2 u (K = r^3 rows p_a conj(p_b) p_c).  The two-sided defect
+D(fg) - f Dg - g Df is three such images over the r^2 rows of f g; each of
+its terms is bounded by sum_ab ||m_a n_b||_inf ||p_a||_2 ||q_b||_2, since
+||p q||_2 <= ||p||_inf ||q||_2 <= ||p||_2 ||q||_2 on the samples, so its
+bound is three times that sum's.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from nlsa_lab.estimates import (
+    _chain_rule_images,
+    _two_sided_images,
+    check_chain_rules,
+    check_leibniz_two_sided,
+    check_sup_embedding,
+    random_spacetime_packets,
+)
+from nlsa_lab.norms import SpaceTimeField
+from nlsa_lab.spectral import Grid
+
+EPS = np.finfo(float).eps
+
+
+def rounding_bound(time_rows, norms, sigma, num_points):
+    """The module docstring's bound for factor rows with l^2 norms ``norms``."""
+    k = len(time_rows)
+    scale = float(np.sum(np.max(np.abs(time_rows), axis=1) * norms))
+    return 2 * (4 * math.log2(num_points) + 2 * k + 8) * EPS * float(np.max(sigma)) * scale
+
+
+def l2_rows(rows):
+    return np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.floats(0.0, 1.0, exclude_min=True),
+    num_points=st.sampled_from([128, 256, 512]),
+    time_nodes=st.sampled_from([17, 129]),
+)
+def test_factor_images_agree_with_the_frame_wise_multiplier(seed, s, num_points, time_nodes):
+    f, g = random_spacetime_packets(2, np.random.default_rng(seed))
+    grid = Grid(num_points, 60.0)
+    times = np.linspace(0.0, 1.0, time_nodes)
+    sigma, half = np.abs(grid.xi_fft) ** s, np.abs(grid.xi_fft) ** (s / 2)
+    mf, pf = f.factors(grid.x, times)
+    mg, pg = g.factors(grid.x, times)
+    uf = SpaceTimeField(grid, times, f.sample(grid.x, times))
+    ug = SpaceTimeField(grid, times, g.sample(grid.x, times))
+
+    # D u and D(|u|^2 u) of the chain rule
+    du, dcubic = _chain_rule_images(f, grid.x, times, sigma)
+    (du_frames,) = uf.apply_symbols(sigma)
+    cubic = SpaceTimeField(grid, times, np.abs(uf.frames) ** 2 * uf.frames)
+    (dcubic_frames,) = cubic.apply_symbols(sigma)
+    assert np.max(np.abs(du - du_frames.frames)) <= rounding_bound(
+        mf, l2_rows(pf), sigma, num_points)
+    cubic_time = np.array([ma * np.conj(mb) * mc for ma in mf for mb in mf for mc in mf])
+    cubic_norms = np.array([
+        np.linalg.norm(pa * np.conj(pb) * pc) for pa in pf for pb in pf for pc in pf
+    ])
+    assert np.max(np.abs(dcubic - dcubic_frames.frames)) <= rounding_bound(
+        cubic_time, cubic_norms, sigma, num_points)
+
+    # the two-sided defect and the half-derivative images of both factors
+    defect, f_half, g_half = _two_sided_images(f, g, grid.x, times, sigma, half)
+    (dfg,) = SpaceTimeField(grid, times, uf.frames * ug.frames).apply_symbols(sigma)
+    (df,) = uf.apply_symbols(sigma)
+    (dg,) = ug.apply_symbols(sigma)
+    defect_frames = dfg.frames - uf.frames * dg.frames - ug.frames * df.frames
+    pair_time = np.array([ma * mb for ma in mf for mb in mg])
+    pair_norms = np.array([np.linalg.norm(pa) * np.linalg.norm(qb) for pa in pf for qb in pg])
+    assert np.max(np.abs(defect - defect_frames)) <= 3 * rounding_bound(
+        pair_time, pair_norms, sigma, num_points)
+    for image, u, (m, p) in ((f_half, uf, (mf, pf)), (g_half, ug, (mg, pg))):
+        (frames,) = u.apply_symbols(half)
+        assert np.max(np.abs(image - frames.frames)) <= rounding_bound(
+            m, l2_rows(p), half, num_points)
+
+
+def test_no_frame_stack_is_transformed_in_the_factor_sweeps(monkeypatch):
+    f, g = random_spacetime_packets(2, np.random.default_rng(7))
+    shapes = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name,
+            lambda a, *args, _t=transform, _n=name, **kw: shapes.append((_n, np.shape(a)))
+            or _t(a, *args, **kw),
+        )
+    for sweep, fields, forward in (
+        (check_sup_embedding, [f], 1),  # the spatial rows, for all four horizons
+        (check_chain_rules, [f], 2),  # the rows of u and of |u|^2 u
+        (check_leibniz_two_sided, [(f, g)], 3),  # the rows of f, of g and of f g
+    ):
+        shapes.clear()
+        sweep(fields=fields)
+        # every transform takes at most r^3 = 8 spatial rows, never the 129
+        # or 257 frames of a time grid
+        assert shapes and all(len(shape) == 2 and shape[0] <= 8 for _, shape in shapes)
+        assert sum(name == "fft" for name, _ in shapes) == forward * 2  # at both scales

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -22,7 +23,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -193,6 +193,73 @@ ESTIMATES_SCHEMA = {
     },
 }
 
+# JSON Schema's types: a bool is no number, and a float such as 8.0 is an integer
+_TYPES = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
+    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "integer": (lambda v: (isinstance(v, int) and not isinstance(v, bool))
+                or (isinstance(v, float) and v.is_integer()), "an integer"),
+}
+# bound keyword -> (the comparison a violating value satisfies, the rule's wording)
+_BOUNDS = {
+    "minimum": (operator.lt, "at least"),
+    "maximum": (operator.gt, "at most"),
+    "exclusiveMinimum": (operator.le, "greater than"),
+    "exclusiveMaximum": (operator.ge, "less than"),
+}
+
+
+def _schema_error(value, schema, where=()):
+    """The shallowest violation of `schema` by `value`, as (path, reason), the
+    first in schema order among equally deep ones; None when `value` conforms.
+
+    Covers the JSON Schema keywords the config schemas use: type, properties,
+    additionalProperties false, required, enum, the four bounds, multipleOf,
+    items, minItems and maxItems.  Each conforming integer field is written
+    back as an int, so that 8.0 runs as 8.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind][0](value):
+        return where, f"must be {_TYPES[kind][1]}, got {json.dumps(value)}"
+    for keyword, arg in schema.items():
+        reason = None
+        if keyword in _BOUNDS and _BOUNDS[keyword][0](value, arg):
+            reason = f"must be {_BOUNDS[keyword][1]} {arg}, got {json.dumps(value)}"
+        elif keyword == "multipleOf" and value % arg:
+            reason = f"must be a multiple of {arg}, got {json.dumps(value)}"
+        elif keyword == "enum" and value not in arg:
+            reason = f"must be one of {', '.join(map(json.dumps, arg))}, got {json.dumps(value)}"
+        elif keyword == "required" and not set(arg) <= set(value):
+            reason = "missing required key " + ", ".join(
+                json.dumps(key) for key in arg if key not in value)
+        elif keyword == "additionalProperties" and not set(value) <= set(schema["properties"]):
+            reason = "unexpected key " + ", ".join(
+                json.dumps(key) for key in value if key not in schema["properties"])
+        elif keyword == "minItems" and len(value) < arg:
+            reason = f"length {len(value)} is below the minimum {arg}"
+        elif keyword == "maxItems" and len(value) > arg:
+            reason = f"length {len(value)} is above the maximum {arg}"
+        if reason:
+            return where, reason
+    if kind == "object":
+        children = [(key, sub) for key, sub in schema["properties"].items() if key in value]
+    elif kind == "array":
+        children = [(i, schema["items"]) for i in range(len(value))]
+    else:
+        return None
+    found = []
+    for key, sub in children:
+        error = _schema_error(value[key], sub, where + (key,))
+        if error is not None:
+            found.append(error)
+        elif sub.get("type") == "integer":
+            value[key] = int(value[key])
+    return min(found, key=lambda error: len(error[0]), default=None)
+
+
 # ---------------------------------------------------------------------------
 # Artifact plumbing.
 # ---------------------------------------------------------------------------
@@ -254,14 +321,11 @@ def load_config(path, schema) -> dict:
         raise ConfigError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    validator = jsonschema.Draft202012Validator(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(data))
+    error = _schema_error(data, schema)
     if error is not None:
-        loc = "".join(
-            f"[{part}]" if isinstance(part, int) else f".{part}"
-            for part in error.absolute_path
-        )
-        raise ConfigError(f"{path}: config{loc}: {error.message}")
+        where, reason = error
+        loc = "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in where)
+        raise ConfigError(f"{path}: config{loc}: {reason}")
     return data
 
 

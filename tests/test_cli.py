@@ -410,6 +410,16 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_cli_import_loads_no_jsonschema():
+    # jsonschema is the config validator's test oracle; the CLI walks its schemas itself
+    check = ("import sys, nlsa_lab.cli; "
+             "loaded = sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('jsonschema', 'referencing', 'rpds', 'attrs')); "
+             "print(loaded); sys.exit(1 if loaded else 0)")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # values the schema used to pass and the program then rejected
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ counting results against hand-written inequality loops.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,16 +27,12 @@ from nlsa_lab.oscillatory import (
     contour_is_admissible,
     contour_radius,
     decay_bound_check,
-    growth_bound_check,
     intermediate_count,
     osc_integral_contour,
     osc_integral_direct,
     run_probe,
-    sin_kernel_bound_ratios,
-    sin_kernel_gap_bound,
-    sin_kernel_gap_integral,
 )
-from nlsa_lab.oscillatory import _finish
+from nlsa_lab.oscillatory import _finish, _gl01
 from nlsa_lab.spectral import eta
 
 
@@ -359,6 +356,69 @@ def test_intermediate_count_matches_direct_inequality():
 # ---------------------------------------------------------------------------
 # auxiliary bounds
 # ---------------------------------------------------------------------------
+
+# The checks below are issued by no command: the sin-kernel gap bound and
+# the profile's off-axis growth, each with its fitted constant.
+
+def sin_kernel_gap_integral(alpha: float, beta: float) -> float:
+    """integral_0^pi (e^{beta sin th} - e^{alpha sin th}) / sin th dth
+    for alpha < beta < 0 (the integrand extends continuously by beta-alpha)."""
+    if not alpha < beta < 0:
+        raise ValueError("requires alpha < beta < 0")
+    glx, glw = _gl01(512)
+    theta = np.pi * glx
+    s = np.sin(theta)
+    vals = (np.exp(beta * s) - np.exp(alpha * s)) / s
+    return float(np.pi * np.sum(vals * glw))
+
+
+def sin_kernel_gap_bound(alpha: float, beta: float) -> float:
+    """Closed-form comparison quantity for the sin-kernel gap integral."""
+    if not alpha < beta < 0:
+        raise ValueError("requires alpha < beta < 0")
+    r = alpha / beta
+    return (np.pi * r - 1.0) + 1.0 + (1.0 / (np.pi * r)) * math.exp(-np.pi * r)
+
+
+def sin_kernel_bound_ratios(pairs) -> np.ndarray:
+    """Ratio integral/bound for each (alpha, beta) pair."""
+    return np.array([
+        sin_kernel_gap_integral(al, be) / sin_kernel_gap_bound(al, be)
+        for al, be in pairs
+    ])
+
+
+@dataclass
+class GrowthBoundReport:
+    fitted_constant: float
+    fitted_constant_real_axis: float
+    ratios: np.ndarray
+
+
+def growth_bound_check(profile) -> GrowthBoundReport:
+    """Off-axis growth of the dilated profile against its envelope bound.
+
+    Samples |omega * phi(omega*zeta)| at omega = 64 with zeta = u - i y,
+    y = +-0.3, at 12 geometric offsets u in [0.5, 5], and checks the ratio to
+    |e^{2 omega y} - e^{omega y / 2}| / (omega^2 |y| |zeta|^2); on the real
+    axis the comparison is against 1 / (omega u^2).  The max ratios are the
+    fitted constants.
+    """
+    omega = 64.0
+    offsets = np.geomspace(0.5, 5.0, 12)
+    ratios = []
+    for y in (0.3, -0.3):
+        zeta = offsets - 1j * y
+        vals = omega * np.abs(profile.eval_complex(omega * zeta))
+        env = (abs(math.exp(2.0 * omega * y) - math.exp(omega * y / 2.0))
+               / (omega ** 2 * abs(y) * np.abs(zeta) ** 2))
+        ratios.append(vals / env)
+    ratios = np.concatenate(ratios)
+
+    vals0 = omega * np.abs(profile.eval_real(omega * offsets))
+    env0 = 1.0 / (omega * offsets ** 2)
+    return GrowthBoundReport(float(ratios.max()), float((vals0 / env0).max()), ratios)
+
 
 def test_sin_kernel_integral_against_quad_oracle():
     alpha, beta = -8.0, -2.0

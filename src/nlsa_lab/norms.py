@@ -24,6 +24,7 @@ from .spectral import (
     Grid,
     GridFunction,
     _forward_samples,
+    _weight,
     apply_symbols,
 )
 
@@ -36,7 +37,6 @@ __all__ = [
     "mixed_norm_x_t",
     "mixed_norm_t_x",
     "mu_norms",
-    "weighted_sup_norm",
     "xt_norm",
 ]
 
@@ -93,6 +93,11 @@ class NormReport:
 def _l2(grid: Grid, values: np.ndarray) -> np.ndarray:
     """L^2 norm in x along the last axis (one per frame for a frame stack)."""
     return np.sqrt(grid.spacing * np.sum(np.abs(values) ** 2, axis=-1))
+
+
+def _weighted_l2(grid: Grid, values: np.ndarray, m: float) -> np.ndarray:
+    """|| |x|^m u || along the last axis (one per frame for a frame stack)."""
+    return _l2(grid, _weight(grid, m) * values)
 
 
 def _sobolev(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
@@ -164,16 +169,6 @@ def mixed_norm_t_x(u: SpaceTimeField, q, p) -> float:
     return float(np.trapezoid(g**q, x=u.times) ** (1.0 / q))
 
 
-def _weighted_history(u: SpaceTimeField, m: float) -> list:
-    """Weighted L^2 norm || |x|^m u(t) || at every time node."""
-    return _l2(u.grid, np.abs(u.grid.x) ** m * u.frames).tolist()
-
-
-def weighted_sup_norm(u: SpaceTimeField, m: float) -> float:
-    """sup over time nodes of the weighted L^2 norm || |x|^m u(t) ||."""
-    return max(_weighted_history(u, m))
-
-
 def _mu_parts(u: SpaceTimeField) -> tuple:
     """(mu1, ..., mu5) of u; see mu_norms."""
     if u.times.size < 2:
@@ -203,18 +198,18 @@ def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
     """
     mus = _mu_parts(u)
     y_norm = sum(mus)
-    w_hist = _weighted_history(u, params.m)
-    weighted = max(w_hist)
+    w_hist = _weighted_l2(u.grid, u.frames, params.m)
+    weighted = float(np.max(w_hist))
     return NormReport(
         *mus,
         y_norm=y_norm,
         weighted_sup=weighted,
         x_norm=y_norm + weighted,
         h_quarter_history=_sobolev(u.grid, u.frames, params.s).tolist(),
-        weighted_history=w_hist,
+        weighted_history=w_hist.tolist(),
     )
 
 
 def xt_norm(u: SpaceTimeField, params: EquationParams) -> float:
     """Composite fixed-point norm: sum of the five mu norms plus the weighted sup."""
-    return sum(_mu_parts(u)) + weighted_sup_norm(u, params.m)
+    return sum(_mu_parts(u)) + float(np.max(_weighted_l2(u.grid, u.frames, params.m)))

@@ -27,9 +27,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .norms import SpaceTimeField, NormReport, l2_norm, mu_norms, sobolev_norm, xt_norm
+from .norms import SpaceTimeField, NormReport, _weighted_l2, mu_norms, sobolev_norm, xt_norm
 from .spectral import (EquationParams, FlowOverflowError, Grid, GridFunction, apply_symbols,
-                       duhamel_flow, weight_multiply)
+                       duhamel_flow)
 
 __all__ = [
     "BoundaryMassWarning",
@@ -381,7 +381,7 @@ def admissible_time_bound(
 def _ball_radius(u0: GridFunction, params: EquationParams) -> tuple[float, float]:
     """The ball radius 2*(H^s norm + weighted L^2 norm of u0), and the H^s norm."""
     h_norm = sobolev_norm(u0, params.s)
-    return 2.0 * (h_norm + l2_norm(weight_multiply(u0, params.m))), h_norm
+    return 2.0 * (h_norm + float(_weighted_l2(u0.grid, u0.values, params.m))), h_norm
 
 
 def select_radius_and_horizon(
@@ -409,7 +409,8 @@ def persistence_report(u: SpaceTimeField, params: EquationParams) -> NormReport:
     report = mu_norms(u, params)
 
     def spread(history: list) -> float:
-        top, bottom = max(history), min(history)
+        # numpy's folds carry a NaN, which Python's max and min skip unless it comes first
+        top, bottom = float(np.max(history)), float(np.min(history))
         if top == 0.0:
             return 1.0
         return math.inf if bottom == 0.0 else top / bottom

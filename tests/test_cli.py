@@ -70,6 +70,24 @@ def test_solve_linear_converges_in_one_iteration(tmp_path):
     assert contraction["distances"] == [0.0]
 
 
+def test_solve_weighs_the_origin_at_zero_where_x_misses_it(tmp_path):
+    # on 298 points of a 60-long grid, x computes the origin, index 149, as
+    # -3.6e-15, whose |x|^(1/16) is 0.125; weighing it so moved the weighted
+    # sup to 3.18938 and the radius to 13.5196
+    cfg = write_config(tmp_path, solve_payload(
+        m=0.0625,
+        grid={"num_points": 298, "length": 60.0},
+        time={"horizon": 0.05, "nodes": 32},
+        initial_data={"kind": "soliton", "name": "mkdv", "amplitude": 1.0},
+    ))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_json(out / "norms.json")["weighted_sup"] == pytest.approx(
+        3.1864308021330934, rel=1e-12)
+    assert read_json(out / "contraction.json")["radius"] == pytest.approx(
+        13.513697110945072, rel=1e-12)
+
+
 @pytest.mark.parametrize("payload", [
     pytest.param(solve_payload(
         equation={"a": 1.0, "b": 1.0},
@@ -264,7 +282,7 @@ def test_estimates_unknown_name_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"estimates": ["bogus"]})
     assert main(["verify-estimates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "bogus" in err and "choose from" in err
+    assert 'config.estimates[0]: must be one of "smoothing", ' in err and 'got "bogus"' in err
 
 
 def test_estimates_instability_exits_3(tmp_path, capsys):

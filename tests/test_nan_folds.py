@@ -1,7 +1,8 @@
 """Every certificate fold carries a NaN through to its verdict.
 
 The sweep maxima, the sup-embedding sweep's per-horizon worst ratios, the
-arc-exponent summary and the CLI's agreement gap are each folded by one numpy
+arc-exponent summary, the CLI's agreement gap, and the weighted sup and
+max/min spreads of a solve's norm histories are each folded by one numpy
 reduction.  Python's max/min keep whichever operand they saw first against a
 NaN, so a NaN sample read as a clean maximum; here a NaN fed in on purpose
 must reach the fold's result, read as a failed verdict, and be written as
@@ -16,7 +17,10 @@ import pytest
 
 from nlsa_lab import cli, estimates, oscillatory
 from nlsa_lab.estimates import _assemble, check_sup_embedding, random_spacetime_packets
+from nlsa_lab.norms import SpaceTimeField
 from nlsa_lab.oscillatory import ArcExponentReport, OscillatoryProbe, RegionLabel, arc_summary
+from nlsa_lab.picard import persistence_report
+from nlsa_lab.spectral import EquationParams, Grid
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -131,3 +135,15 @@ def test_a_nan_sup_embedding_sample_reaches_the_exponent_fit(monkeypatch, tmp_pa
     assert res.refinement_stable is False
     cli.write_json(tmp_path / "fit.json", res.to_dict())
     assert json.loads((tmp_path / "fit.json").read_text())["exponent_fit"] is None
+
+
+def test_a_nan_frame_reaches_the_weighted_sup_and_both_spreads():
+    # the NaN frame is the second, so a fold that skips it reads a finite
+    # weighted sup and spreads of 2
+    grid = Grid(64, 20.0)
+    bump = np.exp(-grid.x**2)
+    frames = [bump, math.nan * bump, 2.0 * bump, 1.5 * bump]
+    report = persistence_report(SpaceTimeField(grid, [0.0, 0.1, 0.2, 0.3], frames),
+                                EquationParams(a=1.0, b=1.0))
+    assert math.isnan(report.weighted_sup) and math.isnan(report.x_norm)
+    assert math.isnan(report.weighted_ratio) and math.isnan(report.h_quarter_ratio)

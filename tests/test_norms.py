@@ -4,19 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nlsa_lab.norms import (
     NormReport,
     SpaceTimeField,
+    _weighted_l2,
     l2_norm,
     mixed_norm_t_x,
     mixed_norm_x_t,
     mu_norms,
     sobolev_norm,
-    weighted_sup_norm,
     xt_norm,
 )
-from nlsa_lab.spectral import EquationParams, Grid, GridFunction
+from nlsa_lab.spectral import EquationParams, Grid, GridFunction, weight_multiply
 
 SEED = 314159
 
@@ -165,11 +166,57 @@ def test_weighted_sup_norm():
     g = Grid(131072, 30.0)
     times = np.array([0.0, 0.5, 1.0])
     grow = make_field(g, times, lambda x, t: (1 + t) * np.exp(-x**2 / 2))
+
+    def weighted_sup_norm(u, m):
+        return float(np.max(_weighted_l2(u.grid, u.frames, m)))
+
     # closed form: ||x|^(1/2) e^{-x^2/2}||_2^2 = 1, growing by (1+t)
     assert weighted_sup_norm(grow, 0.5) == pytest.approx(2.0, abs=1e-7)
     assert weighted_sup_norm(grow, 0.0) == pytest.approx(
         2.0 * l2_norm(GridFunction(g, np.exp(-g.x**2 / 2))), rel=1e-12
     )
+
+
+def test_weight_vanishes_at_an_origin_an_ulp_off_zero():
+    # on 22 points of a 60-long grid, x computes index 11 as -3.6e-15, whose
+    # |x|^(1/8) is 0.0156; the weight there is 0 all the same
+    g = Grid(22, 60.0)
+    assert g.x[11] != 0.0
+    spike = np.zeros(22, dtype=complex)
+    spike[11] = 1.0
+    assert weight_multiply(GridFunction(g, spike), 0.125).values[11] == 0.0
+    report = mu_norms(SpaceTimeField(g, [0.0, 0.1], [spike, spike]),
+                      EquationParams(a=1.0, b=1.0, m=0.125))
+    assert report.weighted_sup == 0.0 and report.weighted_history == [0.0, 0.0]
+    # and m = 0 is the plain L^2 norm, the origin included
+    assert weight_multiply(GridFunction(g, spike), 0.0).values[11] == 1.0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    half=st.integers(1, 2048),
+    length=st.floats(1e-2, 1e3),
+    m=st.floats(0.0, 1.0, exclude_max=True) | st.just(0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(half=149, length=60.0, m=0.0625, seed=0)
+def test_weighted_l2_kernel(half, length, m, seed):
+    g = Grid(2 * half, length)
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((3, g.num_points)) + 1j * rng.standard_normal((3, g.num_points))
+    norms = _weighted_l2(g, stack, m)
+    for row, norm in zip(stack, norms):
+        # a frame stack reads as its rows, bit for bit
+        assert _weighted_l2(g, row, m) == norm
+        f = GridFunction(g, row)
+        assert l2_norm(weight_multiply(f, m)) == norm
+        if m == 0:
+            assert l2_norm(f) == norm
+        else:
+            # h * sum over every point but the origin, index n/2, of |x|^2m |u|^2
+            terms = [abs(-length / 2 + g.spacing * j) ** (2 * m) * abs(u) ** 2
+                     for j, u in enumerate(row) if j != half]
+            assert norm == pytest.approx(math.sqrt(g.spacing * math.fsum(terms)), rel=1e-13)
 
 
 def test_norm_homogeneity_and_triangle():

@@ -412,7 +412,8 @@ def _initial_field(spec: dict, grid: Grid) -> GridFunction:
 def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
     del seed, threads  # the solve path is deterministic and single-threaded
     params = _equation_from(config)
-    with _config_field("config.grid"):
+    # a grid whose frequencies are too many to allocate is refused here too
+    with _config_field("config.grid", (ValueError, ArithmeticError, MemoryError)):
         grid = Grid(config["grid"]["num_points"], config["grid"]["length"])
         # a frequency whose cube overflows would otherwise surface in the flow
         # phase as a FlowOverflowError blamed on config.time.horizon
@@ -433,9 +434,11 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
         )
 
     try:
-        # a phase or an iterate that overflows float64 is the horizon's doing
+        # a phase or an iterate that overflows float64 is the horizon's doing,
+        # and a time stack too big to allocate the node count's
         with _config_field("config.picard"), \
-                _config_field("config.time.horizon", FlowOverflowError):
+                _config_field("config.time.horizon", FlowOverflowError), \
+                _config_field("config.time.nodes", MemoryError):
             u, contraction = picard_iterate(u0, params, solver_config)
     except NonContractionError as exc:
         print(f"non-contraction: {exc}", file=sys.stderr)

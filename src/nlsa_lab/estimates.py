@@ -310,8 +310,6 @@ def check_smoothing(
     fields=None,
     samples: int = 50,
     seed: int = 0,
-    grid_points: int = _BASE_POINTS,
-    time_nodes: int = 2 * _BASE_TIME_NODES,
 ) -> EstimateSweepResult:
     """Gain-of-derivative smoothing of the inhomogeneous flow.
 
@@ -327,8 +325,8 @@ def check_smoothing(
     # that scale; only the current scale's grid is kept
     @functools.lru_cache(maxsize=1)
     def setup(scale):
-        grid = Grid(grid_points * scale, _BASE_LENGTH)
-        return grid, np.linspace(0.0, 1.0, time_nodes * scale + 1)
+        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
+        return grid, np.linspace(0.0, 1.0, 2 * _BASE_TIME_NODES * scale + 1)
 
     def evaluate(f, scale):
         grid, times = setup(scale)
@@ -507,7 +505,6 @@ def check_chain_rules(
     fields=None,
     samples: int = 40,
     seed: int = 0,
-    time_nodes: int = _BASE_TIME_NODES,
 ) -> EstimateSweepResult:
     """Fractional chain rule for the cubic power, slice-wise and in space-time.
 
@@ -520,7 +517,7 @@ def check_chain_rules(
 
     def evaluate(f, scale):
         grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
-        times = np.linspace(0.0, 1.0, time_nodes * scale + 1)
+        times = np.linspace(0.0, 1.0, _BASE_TIME_NODES * scale + 1)
         u = SpaceTimeField(grid, times, f.sample(grid.x, times))
         du, dcubic = (
             SpaceTimeField(grid, times, frames)

@@ -145,8 +145,10 @@ def classify_xi(xi: float, a: float, b: float, t: float, omega: float) -> Region
     (1/100) * omega/(|b| t) + (a/(2b))^2  and  100 * omega/(|b| t) + (a/(2b))^2,
     with the lower comparison inclusive on the near side and the upper one
     inclusive on the intermediate side.  The squares are products, which
-    reach inf where a float power raises, so a huge |xi| is FAR.
+    reach inf where a float power raises, so a huge finite |xi| is FAR.
+    A non-finite xi, a, omega, b or t raises ValueError naming it.
     """
+    _require_finite(a=a, xi=xi, omega=omega)
     _require_bt(b, t)
     if omega <= 1:
         raise ValueError("omega must exceed 1")
@@ -183,8 +185,7 @@ def _require_probe(a, b, t, omega, xi) -> RegionLabel:
     w_max <= V_END_MAX/omega and eps the contour radius (0 at intermediate
     xi), t (|a| z^2 + |b| z^3) and 1 + z^2 must be finite.
     """
-    _require_finite(a=a, xi=xi, omega=omega)
-    label = classify_xi(xi, a, b, t, omega)  # which checks b, t and omega first
+    label = classify_xi(xi, a, b, t, omega)  # which checks a, xi, omega, b and t first
     if not omega / (abs(b) * t) < math.inf:  # inf >= 1e4 (a/(2b))^2 would admit any a
         raise ValueError(f"omega/(|b| t) overflows for omega={omega!r}, b={b!r}, t={t!r}")
     if not admissible_parameters(a, b, t, omega):
@@ -577,15 +578,6 @@ class PhiProfile:
     def nx_for(self, max_abs: float) -> int:
         return 1 << math.ceil(math.log2(max(768.0, 4.0 * max_abs)))
 
-    def eval_complex(self, z: np.ndarray) -> np.ndarray:
-        """Entire extension, by trapezoid quadrature over the band with
-        nx_for(max |z|) nodes."""
-        z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        if np.abs(z.imag).max(initial=0.0) > 300.0:
-            raise ValueError("eval_complex limited to |Im z| <= 300; "
-                             "use eval_shifted on contour arcs")
-        return self.eval_shifted(z, 0.0, self.nx_for(float(np.abs(z).max(initial=0.0))))
-
     def eval_shifted(self, w: np.ndarray, x0: float, nx: int) -> np.ndarray:
         """R(w) with phi(w) = e^{i w x0} R(w); |R| <= mass/(2pi) for the
         natural endpoint choice (x0 = 1/2 when Im w >= 0, x0 = 2 when <= 0).
@@ -943,14 +935,6 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
 # the two integral paths
 # ---------------------------------------------------------------------------
 
-def _resolve_profile(m, profile):
-    if profile is None:
-        return PhiProfile.cached(m)
-    if abs(profile.m - m) > 1e-12:
-        raise ValueError("profile exponent does not match requested m")
-    return profile
-
-
 def _finish(value_coarse, value_fine, l1, n_nodes, floor_extra, prefactor):
     err = abs(value_fine - value_coarse)
     floor = _EPS * l1 * math.sqrt(max(n_nodes, 1)) + floor_extra
@@ -970,7 +954,7 @@ def _finish(value_coarse, value_fine, l1, n_nodes, floor_extra, prefactor):
     }
 
 
-def _close(pairs, profile, a, b, t, xi, full_output):
+def _close(pairs, profile, a, b, t, xi):
     """Sum the (coarse, fine) piece pairs of one path and finish it.
 
     The floor beyond rounding is the profile's spline and tail error, every
@@ -988,14 +972,13 @@ def _close(pairs, profile, a, b, t, xi, full_output):
         cond += coarse.cond + fine.cond
         # one left-to-right chain; `extra += (...)` would round differently
         extra = extra + fine.skipped + coarse.skipped + _EPS * fine.l1 * math.sqrt(fine.nx)
-    out = _finish(sum(coarse.value for coarse, _ in pairs),
-                  sum(fine.value for _, fine in pairs),
-                  l1, n_nodes, extra + _EPS * _COND_MULT * cond,
-                  _global_phase_factor(a, b, t, xi))
-    return out if full_output else out["value"]
+    return _finish(sum(coarse.value for coarse, _ in pairs),
+                   sum(fine.value for _, fine in pairs),
+                   l1, n_nodes, extra + _EPS * _COND_MULT * cond,
+                   _global_phase_factor(a, b, t, xi))
 
 
-def osc_integral_direct(a, b, t, omega, m, xi, profile=None, full_output=False):
+def osc_integral_direct(a, b, t, omega, m, xi):
     """Real-axis quadrature of the band-profile oscillatory integral.
 
     The domain is the profile's numerical support |omega*(xi-z)| <= v_end,
@@ -1010,16 +993,17 @@ def osc_integral_direct(a, b, t, omega, m, xi, profile=None, full_output=False):
     provides the convergence flag; a refinement shift beyond 1e-4 relative
     (plus the conditioning floor) raises.  A probe that _require_probe
     refuses raises ValueError before any profile build or quadrature.
+    Returns the dict value, err, floor, converged, n_nodes of _finish.
     """
     _require_probe(a, b, t, omega, xi)
-    profile = _resolve_profile(m, profile)
+    profile = PhiProfile.cached(m)
     cs = _phase_coeffs(a, b, t, xi)
     wmax = profile.v_end / omega
     pairs = [_line_pair(profile, omega, m, xi, cs, -wmax, wmax)]
-    return _close(pairs, profile, a, b, t, xi, full_output)
+    return _close(pairs, profile, a, b, t, xi)
 
 
-def osc_integral_contour(a, b, t, omega, m, xi, profile=None, full_output=False):
+def osc_integral_contour(a, b, t, omega, m, xi):
     """Contour-deformed evaluation: real-axis tails plus a semicircle.
 
     Near frequencies use the lower semicircle of radius 1/10; far ones use
@@ -1028,12 +1012,12 @@ def osc_integral_contour(a, b, t, omega, m, xi, profile=None, full_output=False)
     ContourViolationError if the semicircle would cross the rays
     {Re z = 0, |Im z| >= 1}, and ValueError for intermediate frequencies
     and, before any profile build or quadrature, for a probe that
-    _require_probe refuses.
+    _require_probe refuses.  Returns the same dict as osc_integral_direct.
     """
     label = _require_probe(a, b, t, omega, xi)
     if label is RegionLabel.INTERMEDIATE:
         raise ValueError("no contour deformation for intermediate frequencies")
-    profile = _resolve_profile(m, profile)
+    profile = PhiProfile.cached(m)
     eps = contour_radius(label, b, t, omega)
     if not contour_is_admissible(xi, eps):
         raise ContourViolationError(
@@ -1052,7 +1036,7 @@ def osc_integral_contour(a, b, t, omega, m, xi, profile=None, full_output=False)
     pairs = [_gl_pair(profile, omega, m, xi, cs, lo, hi) for lo, hi in tails]
     pairs.append(_halving(_arc_piece, 1.0, profile, a, b, t, omega, m, xi, eps, phase_dir,
                           cs, skip_tol))
-    return _close(pairs, profile, a, b, t, xi, full_output)
+    return _close(pairs, profile, a, b, t, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,7 +1065,7 @@ class OscillatoryProbe:
     agrees: Optional[bool] = None
 
 
-def run_probe(a, b, t, omega, m, xi, profile=None) -> OscillatoryProbe:
+def run_probe(a, b, t, omega, m, xi) -> OscillatoryProbe:
     """Evaluate one probe on both paths and package the comparison.
 
     The agreement tolerance is rtol * |I| plus a multiple of the summed
@@ -1089,18 +1073,17 @@ def run_probe(a, b, t, omega, m, xi, profile=None) -> OscillatoryProbe:
     true value sits below the float64 floor this degrades gracefully to
     floor-level agreement instead of demanding impossible relative digits.
     A probe that _require_probe refuses raises ValueError before any
-    profile build or quadrature; each path then resolves and checks the
-    profile itself.
+    profile build or quadrature.
     """
     label = _require_probe(a, b, t, omega, xi)
-    d = osc_integral_direct(a, b, t, omega, m, xi, profile, full_output=True)
+    d = osc_integral_direct(a, b, t, omega, m, xi)
     mag = abs(d["value"])
     if label is RegionLabel.INTERMEDIATE:
         ratio = mag * omega ** m / (1.0 + t)
         return OscillatoryProbe(a, b, t, omega, m, xi, label, d["value"], None,
                                 ratio, d["converged"], d["err"], 0.0,
                                 d["floor"], 0.0)
-    c = osc_integral_contour(a, b, t, omega, m, xi, profile, full_output=True)
+    c = osc_integral_contour(a, b, t, omega, m, xi)
     gap = abs(d["value"] - c["value"])
     tol = (_RTOL_AGREE * max(mag, abs(c["value"]))
            + _FLOOR_MULT * (d["floor"] + c["floor"] + d["err"] + c["err"]))
@@ -1281,11 +1264,11 @@ def _phase_function_spectrum(grid, a, b, t, m) -> np.ndarray:
     return np.fft.fft(spec, out=spec)
 
 
-def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0) -> BandSumResult:
+def band_sum_report(a, b, t, m, num_points=2 ** 20) -> BandSumResult:
     """Sum over dyadic bands of 2^{N m} |Q_N^m g| for the phase function
-    g(xi) = e^{i t (a xi^2 + b xi^3)} (1 + xi^2)^{-m}, with the sup taken
-    over the interior window |xi| <= length / 4 (the outer ring is polluted
-    by periodic wrap-around).
+    g(xi) = e^{i t (a xi^2 + b xi^3)} (1 + xi^2)^{-m} on the length-80 grid,
+    with the sup taken over the interior window |xi| <= 20 (the outer ring
+    is polluted by periodic wrap-around).
 
     The N range is every band the grid resolves; n_threshold is the first
     N with 2^N >= |b| t max(1, 1e4 (a/(2b))^2), above which the band sums
@@ -1301,11 +1284,11 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0) -> BandSumResul
     _require_bt(b, t)
     _require_finite(a=a)
     _require_weight_exponent(m)
-    grid = Grid(num_points, length)
+    grid = Grid(num_points, 80.0)
     bands = qn_bands(grid)
     if len(bands) < 2:
         raise ValueError(
-            f"num_points={num_points} on length={length} resolves {len(bands)} dyadic "
+            f"num_points={num_points} on length={grid.length} resolves {len(bands)} dyadic "
             "band(s); the tail fraction needs two"
         )
     half = a / (2.0 * b)
@@ -1317,8 +1300,8 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20, length=80.0) -> BandSumResul
         )
     n_threshold = math.ceil(math.log2(scale))
 
-    # x increases with the index, so |x| <= length / 4 is one slice
-    radius, points = length * 0.25, range(num_points)
+    # x increases with the index, so |x| <= 20 is one slice
+    radius, points = grid.length * 0.25, range(num_points)
     interior = slice(
         bisect_left(points, -radius, key=grid._x_at),
         bisect_right(points, radius, key=grid._x_at),

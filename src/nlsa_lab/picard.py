@@ -82,6 +82,10 @@ class PicardConfig:
     full_derivative_mode: bool = False
 
     def __post_init__(self):
+        for name in ("horizon", "xt_tolerance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.time_nodes < 2:

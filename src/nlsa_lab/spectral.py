@@ -12,6 +12,7 @@ symbols in FFT order, sampled on Grid.xi_fft.
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -142,6 +143,7 @@ class EquationParams:
     """Coefficients of u_t + i*a*u_xx + b*u_xxx + i*c*|u|^2 u + d*|u|^2 u_x + e*u^2 conj(u)_x = 0.
 
     m is the spatial-weight exponent, s the Sobolev index of the data space.
+    A non-finite coefficient or index raises ValueError naming the field.
     """
 
     a: float
@@ -153,6 +155,10 @@ class EquationParams:
     s: float = 0.25
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d", "e", "s"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         _require_weight_exponent(self.m)
 
     @property
@@ -452,20 +458,20 @@ def _band_sums(grid: Grid, spec: np.ndarray, bands, m: float, window: slice) -> 
     return total, band_sups
 
 
-def qn_apply(F: GridFunction, N: int, strict: bool = True) -> GridFunction:
+def qn_apply(F: GridFunction, N: int) -> GridFunction:
     """Dyadic piece of F selecting |y| in [2^(N-1), 2^(N+1)] of the conjugate variable.
 
-    With strict=True an unresolvable band raises BandRangeError; with
-    strict=False the multiplier is simply truncated to the available
-    conjugate frequencies (the natural choice inside partition sums).
+    A band the grid does not resolve raises BandRangeError; qn_pieces gives
+    pieces truncated to the conjugate grid, as partition sums want them.
     """
-    return qn_m_apply(F, N, 0.0, strict)
+    return qn_m_apply(F, N, 0.0)
 
 
-def qn_m_apply(F: GridFunction, N: int, m: float, strict: bool = True) -> GridFunction:
+def qn_m_apply(F: GridFunction, N: int, m: float) -> GridFunction:
     """Band multiplier with the extra |2^-N y|^m factor; satisfies
-    qn_apply(D^m F, N) = 2^(N m) qn_m_apply(F, N, m) on the multiplier level."""
-    if strict and not qn_resolvable(F.grid, N):
+    qn_apply(D^m F, N) = 2^(N m) qn_m_apply(F, N, m) on the multiplier level.
+    A band the grid does not resolve raises BandRangeError, as in qn_apply."""
+    if not qn_resolvable(F.grid, N):
         raise BandRangeError(
             f"band N={N} outside conjugate range of grid "
             f"(resolution {2 * np.pi / F.grid.length:.3g}, nyquist {F.grid.nyquist:.3g})"

@@ -525,6 +525,22 @@ def test_solve_whose_flow_overflows_names_the_horizon(tmp_path, capsys, payload,
     assert not (out / "norms.json").exists()
 
 
+# 10^18 eight-byte entries are 8 EB, more than any 64-bit machine's virtual
+# address space holds, so numpy's allocation fails at once and touches no page
+@pytest.mark.parametrize("overrides, field", [
+    ({"grid": {"num_points": 10**18, "length": 60.0}}, "config.grid"),
+    ({"time": {"horizon": 0.05, "nodes": 10**18}}, "config.time.nodes"),
+], ids=["num_points", "nodes"])
+def test_solve_refuses_arrays_too_big_to_allocate(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, solve_payload(**overrides))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and "allocate" in err
+    assert "Traceback" not in err
+    assert not (out / "norms.json").exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_numbers_rejected(tmp_path, capsys, literal):
     text = json.dumps(solve_payload()).replace('"horizon": 0.05', f'"horizon": {literal}')

@@ -132,9 +132,9 @@ def test_far_probe_levin_agrees_with_gauss_legendre_below_its_floor(prof, name):
     wmax = prof.v_end / omega
     assert oscillatory._min_rate(cs, -wmax, wmax) >= oscillatory._LEVIN_MIN_RATE * 2.2 * omega
     levin = oscillatory._close([oscillatory._line_pair(prof, omega, m, xi, cs, -wmax, wmax)],
-                               prof, a, b, t, xi, True)
+                               prof, a, b, t, xi)
     gl = oscillatory._close([oscillatory._gl_pair(prof, omega, m, xi, cs, -wmax, wmax)],
-                            prof, a, b, t, xi, True)
+                            prof, a, b, t, xi)
     assert levin["converged"] and gl["converged"]
     assert levin["n_nodes"] * 20 < gl["n_nodes"]
     assert abs(levin["value"] - gl["value"]) <= gl["floor"]

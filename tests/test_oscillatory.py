@@ -41,6 +41,13 @@ def prof():
     return PhiProfile.cached(0.125)
 
 
+def entire(prof, z):
+    """The profile's entire extension at z: eval_shifted at x0 = 0 with
+    nx_for(max |z|) trapezoid nodes."""
+    z = np.asarray(z, dtype=complex)
+    return prof.eval_shifted(z, 0.0, prof.nx_for(float(np.abs(z).max())))
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -126,15 +133,15 @@ def test_real_axis_two_evaluation_paths_agree(prof):
     v = np.concatenate([np.linspace(0, 30, 301), np.geomspace(30, 800, 60)])
     v = np.concatenate([-v[::-1], v])
     table = prof.eval_real(v)
-    direct = prof.eval_complex(v.astype(complex))
+    direct = entire(prof, v)
     assert np.abs(table - direct).max() < 1e-8
 
 
 def test_complex_conjugation_symmetry(prof):
     rng = np.random.default_rng(3)
     z = rng.uniform(-40, 40, 25) + 1j * rng.uniform(-20, 20, 25)
-    left = prof.eval_complex(np.conj(z))
-    right = np.conj(prof.eval_complex(-z))
+    left = entire(prof, np.conj(z))
+    right = np.conj(entire(prof, -z))
     assert np.abs(left - right).max() < 1e-14
 
 
@@ -147,7 +154,7 @@ def test_spline_validation_is_tight(prof):
 def test_shifted_evaluation_identity(prof):
     rng = np.random.default_rng(11)
     w = rng.uniform(-50, 50, 16) + 1j * rng.uniform(0, 30, 16)
-    plain = prof.eval_complex(w)
+    plain = entire(prof, w)
     for x0 in (0.5, 2.0):
         shifted = prof.eval_shifted(w, x0, 2048) * np.exp(1j * w * x0)
         assert np.abs(plain - shifted).max() < 1e-12 * prof.mass
@@ -180,11 +187,6 @@ def test_integration_by_parts_envelope(prof):
     assert np.all(np.abs(r) <= bound + 1e-16 * prof.mass)
 
 
-def test_eval_complex_rejects_runaway_imag(prof):
-    with pytest.raises(ValueError):
-        prof.eval_complex(np.array([1.0 + 400.0j]))
-
-
 def test_profile_rejects_bad_exponent():
     with pytest.raises(ValueError):
         PhiProfile(1.0)
@@ -197,23 +199,8 @@ def test_profile_rejects_bad_exponent():
 def test_direct_small_time_vanishes():
     # m = 0, t -> 0+: the integral degenerates to the total profile mass,
     # which vanishes because the transform has no zero-frequency content
-    p0 = PhiProfile.cached(0.0)
-    val = osc_integral_direct(0.0, 1.0, 1e-8, 2.0 ** 8, 0.0, 0.3, p0)
-    assert abs(val) < 1e-10
-
-
-@pytest.mark.parametrize("path", [osc_integral_direct, run_probe],
-                         ids=["osc_integral_direct", "run_probe"])
-def test_direct_profile_mismatch(prof, path, monkeypatch):
-    # run_probe leaves the profile check to the direct path, before any evaluation
-    evaluations = []
-    eval_real = PhiProfile.eval_real
-    monkeypatch.setattr(
-        PhiProfile, "eval_real", lambda self, v: evaluations.append(1) or eval_real(self, v)
-    )
-    with pytest.raises(ValueError):
-        path(0.0, 1.0, 1.0, 2.0 ** 8, 0.0625, 0.0, prof)
-    assert evaluations == []
+    val = osc_integral_direct(0.0, 1.0, 1e-8, 2.0 ** 8, 0.0, 0.3)
+    assert abs(val["value"]) < 1e-10
 
 
 def test_refinement_guard_raises():
@@ -225,38 +212,38 @@ def test_refinement_guard_raises():
 # contour path vs direct path
 # ---------------------------------------------------------------------------
 
-def test_near_probe_agreement_spec_points(prof):
+def test_near_probe_agreement_spec_points():
     # the two canonical near probes; values sit at the conditioning floor,
     # agreement is floor-backed
     for omega, xi in ((2.0 ** 10, 0.0), (2.0 ** 14, 1.0)):
-        pr = run_probe(0.0, 1.0, 1.0, omega, 0.125, xi, prof)
+        pr = run_probe(0.0, 1.0, 1.0, omega, 0.125, xi)
         assert pr.label is RegionLabel.NEAR
         assert pr.agrees and pr.converged
 
 
-def test_near_probe_agreement_shifted_center(prof):
-    pr = run_probe(1.0, -1.0, 0.05, 2.0 ** 10, 0.125, 0.5, prof)
+def test_near_probe_agreement_shifted_center():
+    pr = run_probe(1.0, -1.0, 0.05, 2.0 ** 10, 0.125, 0.5)
     assert pr.label is RegionLabel.NEAR
     assert pr.agrees and pr.converged
 
 
-def test_far_probe_agreement_both_signs(prof):
+def test_far_probe_agreement_both_signs():
     t, omega = 0.5, 2.0 ** 8
     xi = 12.0 * math.sqrt(omega / t)
     for b in (1.0, -1.0):
-        pr = run_probe(0.0, b, t, omega, 0.125, xi, prof)
+        pr = run_probe(0.0, b, t, omega, 0.125, xi)
         assert pr.label is RegionLabel.FAR
         assert pr.agrees and pr.converged
 
 
-def test_intermediate_has_substance_and_no_contour(prof):
+def test_intermediate_has_substance_and_no_contour():
     omega, t = 2.0 ** 10, 1.0
     xi = math.sqrt(omega / (3.0 * t))   # phase rate sits inside the band
     assert classify_xi(xi, 0.0, 1.0, t, omega) is RegionLabel.INTERMEDIATE
-    val = osc_integral_direct(0.0, 1.0, t, omega, 0.125, xi, prof)
-    assert abs(val) > 0.1
+    val = osc_integral_direct(0.0, 1.0, t, omega, 0.125, xi)
+    assert abs(val["value"]) > 0.1
     with pytest.raises(ValueError):
-        osc_integral_contour(0.0, 1.0, t, omega, 0.125, xi, prof)
+        osc_integral_contour(0.0, 1.0, t, omega, 0.125, xi)
 
 
 def test_arc_refuses_radius_whose_eighth_power_overflows():
@@ -311,7 +298,7 @@ def test_arc_exponent_rejects_intermediate():
 # ---------------------------------------------------------------------------
 
 def test_band_sum_small_time():
-    rep = band_sum_report(0.0, 1.0, 1e-12, 0.125, num_points=2 ** 18, length=60.0)
+    rep = band_sum_report(0.0, 1.0, 1e-12, 0.125, num_points=2 ** 18)
     assert np.isfinite(rep.sup)
     assert 0.0 < rep.ratio < 10.0
     assert not rep.tail_warning
@@ -409,7 +396,7 @@ def growth_bound_check(profile) -> GrowthBoundReport:
     ratios = []
     for y in (0.3, -0.3):
         zeta = offsets - 1j * y
-        vals = omega * np.abs(profile.eval_complex(omega * zeta))
+        vals = omega * np.abs(entire(profile, omega * zeta))
         env = (abs(math.exp(2.0 * omega * y) - math.exp(omega * y / 2.0))
                / (omega ** 2 * abs(y) * np.abs(zeta) ** 2))
         ratios.append(vals / env)
@@ -470,14 +457,14 @@ def test_build_probe_grid_labels_and_admissibility():
     assert seen == {RegionLabel.NEAR, RegionLabel.INTERMEDIATE, RegionLabel.FAR}
 
 
-def test_decay_bound_check_groups_and_flags(prof):
+def test_decay_bound_check_groups_and_flags():
     grid = build_probe_grid(
         omegas=[2.0 ** 8],
         ab_pairs=[(0.0, 1.0)],
         ms=[0.125],
         near_fracs=(0.5,), far_fracs=(1.5,), intermediate_fracs=(1.0 / 3.0,),
     )
-    probes = [run_probe(*g, prof) for g in grid]
+    probes = [run_probe(*g) for g in grid]
     summary = decay_bound_check(probes, ceiling=100.0)
     assert set(summary) == {RegionLabel.NEAR, RegionLabel.INTERMEDIATE,
                             RegionLabel.FAR}

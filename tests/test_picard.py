@@ -76,6 +76,19 @@ def test_config_rejects_bad_values(kwargs):
         PicardConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"horizon": math.nan}, "horizon"),
+    ({"horizon": math.inf}, "horizon"),
+    ({"xt_tolerance": math.nan}, "xt_tolerance"),
+    ({"xt_tolerance": math.inf}, "xt_tolerance"),
+], ids=["horizon-nan", "horizon-inf", "tolerance-nan", "tolerance-inf"])
+def test_config_refuses_non_finite_values_naming_the_field(kwargs, name):
+    # a NaN horizon used to surface as a flow overflow "by t = nan", and a NaN
+    # tolerance ran every iteration and reported no convergence
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        PicardConfig(**kwargs)
+
+
 def test_config_time_grid():
     cfg = PicardConfig(horizon=0.5, time_nodes=10)
     times = cfg.times()

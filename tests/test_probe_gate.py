@@ -88,6 +88,20 @@ def test_huge_xi_is_far(xi):
     assert classify_xi(xi, 0.0, 1.0, 1.0, 256.0) is RegionLabel.FAR
 
 
+# (xi, a, b, t, omega) and the argument the refusal names; a NaN used to read
+# intermediate, an infinite xi far and an infinite omega near
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 0.0, 1.0, 1.0, 256.0), "xi"),
+    ((math.inf, 0.0, 1.0, 1.0, 256.0), "xi"),
+    ((1.0, math.nan, 1.0, 1.0, 256.0), "a"),
+    ((1.0, 0.0, 1.0, 1.0, math.nan), "omega"),
+    ((1.0, 0.0, 1.0, 1.0, math.inf), "omega"),
+], ids=["xi-nan", "xi-inf", "a-nan", "omega-nan", "omega-inf"])
+def test_classify_refuses_non_finite_inputs(args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        classify_xi(*args)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_probe_just_inside_the_gate_converges_and_agrees():
     # z^3 ~ 1e306 at xi = 1e102 (b = t = 1) is still finite

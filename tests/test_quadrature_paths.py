@@ -1,6 +1,6 @@
 """Both quadrature paths pinned bit for bit, and the arc summary.
 
-The pinned dicts are the full_output of osc_integral_direct and
+The pinned dicts are the returns of osc_integral_direct and
 osc_integral_contour, re-recorded when the table's twiddles and the contour
 arcs' trapezoid sums were factored into two small exponential tables each
 (x86-64, Python 3.11.7, numpy 2.4.6 with OpenBLAS 0.3.31).  The spline is
@@ -78,17 +78,17 @@ def prof():
 
 
 @pytest.mark.parametrize("name", PINNED)
-def test_full_output_is_pinned_bit_for_bit(prof, name):
+def test_full_output_is_pinned_bit_for_bit(name):
     probe, label = PROBES[name]
     assert classify_xi(probe[5], *probe[:4]) is label
     for path, pinned in PINNED[name].items():
-        out = PATHS[path](*probe, prof, full_output=True)
+        out = PATHS[path](*probe)
         assert set(out) == {"value", "err", "floor", "converged", "n_nodes"}
         got = (out["value"].real.hex(), out["value"].imag.hex(),
                float(out["err"]).hex(), float(out["floor"]).hex(), out["n_nodes"])
         assert got == pinned, path
         assert out["converged"]
-        assert PATHS[path](*probe, prof) == out["value"]
+        assert PATHS[path](*probe) == out
 
 
 def _materialised_line_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods):
@@ -165,8 +165,8 @@ def test_arc_summary_is_a_fold_over_arc_exponent_check():
         }
 
 
-def test_arc_summary_leaves_out_empty_regions(prof):
-    near = run_probe(0.0, 1.0, 1.0, 2.0 ** 10, 0.125, 0.0, prof)
+def test_arc_summary_leaves_out_empty_regions():
+    near = run_probe(0.0, 1.0, 1.0, 2.0 ** 10, 0.125, 0.0)
     assert set(arc_summary([near], 100)) == {"near"}
     middle = probe_stub(*PROBES["intermediate"][0])
     assert arc_summary([middle], 100) == {}

@@ -1,5 +1,7 @@
 """Transform conventions, multiplier algebra, and dyadic band cutoffs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from nlsa_lab.spectral import (
     propagator_apply,
     qn_apply,
     qn_m_apply,
+    qn_pieces,
     qn_resolvable,
     smooth_step,
     weight_multiply,
@@ -216,9 +219,9 @@ def test_qn_band_range_errors():
             qn_apply(F, N)
         with pytest.raises(BandRangeError):
             qn_m_apply(F, N, 0.125)
-        # non-strict path falls back to the truncated (here vanishing) multiplier
-        out = qn_apply(F, N, strict=False)
-        assert np.max(np.abs(out.values)) < 1e-12
+        # the piece truncated to the grid (here vanishing) comes from qn_pieces
+        ((_, out),) = qn_pieces(F, [N])
+        assert np.max(np.abs(out)) < 1e-12
 
 
 def test_qn_reproduces_band_limited_input():
@@ -239,8 +242,8 @@ def test_qn_partition_sum():
     rng = np.random.default_rng(RNG_SEED + 7)
     F = GridFunction(g, rng.standard_normal(g.num_points) + 1j * rng.standard_normal(g.num_points))
     total = np.zeros(g.num_points, dtype=complex)
-    for N in range(-20, 21):
-        total += qn_apply(F, N, strict=False).values
+    for _, piece in qn_pieces(F, range(-20, 21)):
+        total += piece
     # the sum reproduces F minus its conjugate-side mean mode
     mean_mode = np.mean(F.values)
     assert np.max(np.abs(total - (F.values - mean_mode))) < 1e-8
@@ -250,8 +253,8 @@ def test_qn_m_matches_qn_at_m_zero_and_single_bin():
     g = Grid(256, 16 * np.pi)
     rng = np.random.default_rng(RNG_SEED + 8)
     F = GridFunction(g, rng.standard_normal(g.num_points) + 1j * rng.standard_normal(g.num_points))
-    a = qn_apply(F, 2, strict=False)
-    b = qn_m_apply(F, 2, 0.0, strict=False)
+    a = qn_apply(F, 2)
+    b = qn_m_apply(F, 2, 0.0)
     assert np.max(np.abs(a.values - b.values)) < 1e-13
 
     # single conjugate bin y0=2.5 inside band N=1 scales by |2^-N y0|^m eta(2^-N y0)
@@ -274,8 +277,8 @@ def test_qn_fractional_identity():
     for trial in range(20):
         F = random_bandlimited(g, rng, band_fraction=0.5)
         N = int(rng.integers(-3, 7))
-        lhs = qn_apply(fractional_derivative(F, m), N, strict=False)
-        rhs = qn_m_apply(F, N, m, strict=False)
+        lhs = qn_apply(fractional_derivative(F, m), N)
+        rhs = qn_m_apply(F, N, m)
         scale = np.max(np.abs(lhs.values))
         if scale == 0:
             continue
@@ -321,6 +324,21 @@ def test_dealias():
     once = dealias(rough)
     twice = dealias(once)
     assert np.max(np.abs(twice.values - once.values)) < 1e-13
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"a": math.nan}, "a"),
+    ({"b": -math.inf}, "b"),
+    ({"c": math.nan}, "c"),
+    ({"d": complex(0.0, math.inf)}, "d"),
+    ({"e": complex(math.nan, 0.0)}, "e"),
+    ({"s": math.inf}, "s"),
+], ids=["a-nan", "b-inf", "c-nan", "d-infj", "e-nan", "s-inf"])
+def test_equation_params_refuse_non_finite_values_naming_the_field(kwargs, name):
+    # a NaN c or an infinite d used to reach the solver, which advised
+    # shrinking the horizon
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        EquationParams(**{"a": 1.0, "b": 1.0, **kwargs})
 
 
 def test_equation_params_validation():

@@ -3,11 +3,13 @@ pieces, the Duhamel flow kernel and its memoised phases, batched norm
 histories, and identities checked as properties."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlsa_lab.norms import SpaceTimeField, l2_norm, mu_norms, sobolev_norm, xt_norm
 from nlsa_lab.picard import nonlinearity_eval
 from nlsa_lab.spectral import (
+    BandRangeError,
     EquationParams,
     Grid,
     GridFunction,
@@ -61,7 +63,11 @@ def test_pieces_equal_single_band_operator_bit_for_bit():
             seen.append(n)
             full_symbol = apply_symbols(F.values, np.fft.ifftshift(qn_symbol(g.xi, n, m)))[0]
             assert np.array_equal(piece, full_symbol)
-            assert np.array_equal(piece, qn_m_apply(F, n, m, strict=False).values)
+            if qn_resolvable(g, n):
+                assert np.array_equal(piece, qn_m_apply(F, n, m).values)
+            else:  # the single-band operator refuses a band the grid truncates
+                with pytest.raises(BandRangeError):
+                    qn_m_apply(F, n, m)
         assert seen == list(bands)
 
 

@@ -50,6 +50,7 @@ from numpy.polynomial.legendre import leggauss
 from .spectral import (
     Grid,
     _band_sums,
+    _require_finite,
     _require_weight_exponent,
     _runs,
     eta,
@@ -99,10 +100,6 @@ _COND_MULT = 2.0
 _TRUNC_RTOL = 1e-11
 
 
-class ContourViolationError(ValueError):
-    """The deformed semicircle would cross the non-analyticity rays."""
-
-
 class QuadratureConvergenceError(RuntimeError):
     """Step-halving refinement failed to stabilize an integral."""
 
@@ -111,12 +108,6 @@ class RegionLabel(enum.Enum):
     NEAR = "near"
     INTERMEDIATE = "intermediate"
     FAR = "far"
-
-
-def _require_finite(**values) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _require_bt(b: float, t: float) -> None:
@@ -169,11 +160,6 @@ def contour_radius(label: RegionLabel, b: float, t: float, omega: float) -> floa
     if label is RegionLabel.NEAR:
         return 0.1
     return math.sqrt(omega / (abs(b) * t))
-
-
-def contour_is_admissible(xi: float, eps: float) -> bool:
-    """False when the semicircle |z - xi| = eps crosses {Re z = 0, |Im z| >= 1}."""
-    return not (abs(xi) < eps and eps * eps - xi * xi >= 1.0)
 
 
 def _require_probe(a, b, t, omega, xi) -> RegionLabel:
@@ -1008,9 +994,10 @@ def osc_integral_contour(a, b, t, omega, m, xi):
 
     Near frequencies use the lower semicircle of radius 1/10; far ones use
     radius sqrt(omega/(|b| t)), walking the lower arc for b < 0 and the
-    upper arc (with the orientation sign folded in) for b > 0.  Raises
-    ContourViolationError if the semicircle would cross the rays
-    {Re z = 0, |Im z| >= 1}, and ValueError for intermediate frequencies
+    upper arc (with the orientation sign folded in) for b > 0.  The
+    semicircle never reaches the rays {Re z = 0, |Im z| >= 1}: near, eps^2 =
+    1/100 < 1; far, the admissibility rule |a/(2b)| <= sqrt(omega/(|b| t))/100
+    puts |xi| above 9.99 eps.  Raises ValueError for intermediate frequencies
     and, before any profile build or quadrature, for a probe that
     _require_probe refuses.  Returns the same dict as osc_integral_direct.
     """
@@ -1019,11 +1006,6 @@ def osc_integral_contour(a, b, t, omega, m, xi):
         raise ValueError("no contour deformation for intermediate frequencies")
     profile = PhiProfile.cached(m)
     eps = contour_radius(label, b, t, omega)
-    if not contour_is_admissible(xi, eps):
-        raise ContourViolationError(
-            f"semicircle of radius {eps:g} at xi = {xi:g} crosses the "
-            "non-analyticity rays"
-        )
     phase_dir = -1 if (label is RegionLabel.NEAR or b < 0) else +1
     cs = _phase_coeffs(a, b, t, xi)
     wmax = profile.v_end / omega

@@ -22,14 +22,15 @@ underpin the contraction estimate.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .norms import SpaceTimeField, NormReport, _weighted_l2, mu_norms, sobolev_norm, xt_norm
-from .spectral import (EquationParams, FlowOverflowError, Grid, GridFunction, apply_symbols,
-                       duhamel_flow)
+from .spectral import (EquationParams, FlowOverflowError, Grid, GridFunction, _require_finite,
+                       apply_symbols, duhamel_flow)
 
 __all__ = [
     "BoundaryMassWarning",
@@ -82,10 +83,11 @@ class PicardConfig:
     full_derivative_mode: bool = False
 
     def __post_init__(self):
-        for name in ("horizon", "xt_tolerance"):
+        _require_finite(horizon=self.horizon, xt_tolerance=self.xt_tolerance)
+        for name in ("time_nodes", "max_iterations", "substeps"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.time_nodes < 2:
@@ -234,11 +236,11 @@ def duhamel_apply(
     time grid, taken in the interaction picture so each output frame costs one
     multiplier application.  The frame at t = 0 is u0 exactly, and with the
     nonlinearity switched off the result is the free flow regardless of u.
+    Boundary mass in u0 is not checked here: semigroup_evolve warns once.
     """
     grid = u.grid
     if grid != u0.grid:
         raise ValueError("iterate and initial data live on different grids")
-    _warn_boundary_mass(u0)
     u0_hat = np.fft.fft(u0.values)
     if params.c == 0 and params.d == 0 and params.e == 0:
         out_hat = duhamel_flow(grid, params, u0_hat, u.times)
@@ -439,9 +441,8 @@ _PRESETS = {
 def reduction_preset(name: str) -> EquationParams:
     """Coefficient sets of the classical reductions (and the all-terms default).
 
-    The NLS and DNLS presets have no third-order dispersion, which the
-    ``airy_enabled`` flag on the result records; contour-based verification
-    requires b != 0 and must skip them.
+    The NLS and DNLS presets have no third-order dispersion (b = 0), and
+    contour-based verification, which requires b != 0, must skip them.
     """
     key = name.strip().lower()
     if key not in _PRESETS:
@@ -478,11 +479,6 @@ class Soliton:
     def params(self) -> EquationParams:
         return reduction_preset(self.name)
 
-    def field(self, grid: Grid, times) -> SpaceTimeField:
-        times = np.asarray(times, dtype=float)
-        frames = np.stack([self(grid.x, t) for t in times])
-        return SpaceTimeField(grid, times, frames)
-
 
 def soliton_oracle(name: str, amplitude: float = 1.0, x_shift: float = 0.0) -> Soliton:
     """Exact sech solitons: traveling wave for mkdv, standing breather for nls.
@@ -494,6 +490,7 @@ def soliton_oracle(name: str, amplitude: float = 1.0, x_shift: float = 0.0) -> S
     key = name.strip().lower()
     if key not in ("mkdv", "nls"):
         raise ValueError(f"no closed-form soliton for {name!r}; choose 'mkdv' or 'nls'")
+    _require_finite(amplitude=amplitude, x_shift=x_shift)
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
     return Soliton(key, float(amplitude), float(x_shift))

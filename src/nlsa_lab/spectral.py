@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,10 +33,8 @@ __all__ = [
     "propagator_apply",
     "duhamel_flow",
     "fractional_derivative",
-    "bracket_multiplier",
     "spatial_derivative",
     "weight_multiply",
-    "dealias",
     "eta",
     "smooth_step",
     "qn_symbol",
@@ -56,6 +55,13 @@ class FlowOverflowError(FloatingPointError):
     time horizon."""
 
 
+def _require_finite(**values) -> None:
+    """ValueError naming the first real or complex value that is not finite."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class Grid:
     """Uniform periodic grid on [-length/2, length/2) with even num_points."""
@@ -66,8 +72,10 @@ class Grid:
     _flow_phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.num_points <= 0 or self.num_points % 2 != 0:
+        if (not isinstance(self.num_points, numbers.Integral)
+                or self.num_points <= 0 or self.num_points % 2 != 0):
             raise ValueError("num_points must be a positive even integer")
+        _require_finite(length=self.length)
         if self.length <= 0:
             raise ValueError("length must be positive")
         self.length = float(self.length)
@@ -155,16 +163,8 @@ class EquationParams:
     s: float = 0.25
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d", "e", "s"):
-            value = getattr(self, name)
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _require_finite(a=self.a, b=self.b, c=self.c, d=self.d, e=self.e, s=self.s)
         _require_weight_exponent(self.m)
-
-    @property
-    def airy_enabled(self) -> bool:
-        """Third-order dispersion present; required by the contour machinery."""
-        return self.b != 0
 
     @property
     def full_derivative_ok(self) -> bool:
@@ -225,12 +225,6 @@ def fractional_derivative(f: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(f.grid, apply_symbols(f.values, np.abs(f.grid.xi_fft) ** alpha)[0])
 
 
-def bracket_multiplier(f: GridFunction, sigma: float) -> GridFunction:
-    """Multiplier (1 + xi^2)^(sigma/2)."""
-    symbol = (1.0 + f.grid.xi_fft**2) ** (sigma / 2)
-    return GridFunction(f.grid, apply_symbols(f.values, symbol)[0])
-
-
 def spatial_derivative(f: GridFunction, order: int = 1) -> GridFunction:
     return GridFunction(f.grid, apply_symbols(f.values, (1j * f.grid.xi_fft) ** order)[0])
 
@@ -251,11 +245,6 @@ def _weight(grid: Grid, m: float) -> np.ndarray:
 def weight_multiply(f: GridFunction, m: float) -> GridFunction:
     """Pointwise |x|^m f(x), with the origin rule of _weight."""
     return GridFunction(f.grid, _weight(f.grid, m) * f.values)
-
-
-def dealias(f: GridFunction) -> GridFunction:
-    """Zero all modes above two thirds of the Nyquist frequency (idempotent)."""
-    return GridFunction(f.grid, apply_symbols(f.values, f.grid.dealias_mask)[0])
 
 
 _PULL_ROWS = 64  # forcing rows pulled back per block in duhamel_flow

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -386,6 +387,29 @@ def test_thread_count_contract(tmp_path, capsys, monkeypatch, env, flags, code, 
     if named is not None:
         assert named in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the README's configs
+# ---------------------------------------------------------------------------
+
+def readme_config(section):
+    """The JSON block under README.md's ``### <section>`` heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = text.split(f"\n### {section}\n", 1)[1]
+    return json.loads(body.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_configs_run_as_the_readme_states(tmp_path):
+    codes = {}
+    for command in ("solve", "verify-oscillatory", "verify-estimates"):
+        cfg = write_config(tmp_path, readme_config(command), f"{command}.json")
+        codes[command] = main([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+    assert codes == {"solve": 0, "verify-oscillatory": 0, "verify-estimates": 3}
+    # the smoothing drift and max ratios the README quotes, at its digits
+    smoothing = read_json(tmp_path / "verify-estimates" / "estimates_summary.json")["smoothing"]
+    quoted = (smoothing["drift"], smoothing["max_ratio"], smoothing["max_ratio_refined"])
+    assert tuple(round(value, 3) for value in quoted) == (0.457, 0.295, 0.431)
 
 
 # ---------------------------------------------------------------------------

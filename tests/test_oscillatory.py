@@ -15,7 +15,6 @@ from scipy.integrate import quad
 
 from nlsa_lab.oscillatory import (
     ArcExponentReport,
-    ContourViolationError,
     PhiProfile,
     QuadratureConvergenceError,
     RegionLabel,
@@ -24,7 +23,6 @@ from nlsa_lab.oscillatory import (
     band_sum_report,
     build_probe_grid,
     classify_xi,
-    contour_is_admissible,
     contour_radius,
     decay_bound_check,
     intermediate_count,
@@ -32,7 +30,7 @@ from nlsa_lab.oscillatory import (
     osc_integral_direct,
     run_probe,
 )
-from nlsa_lab.oscillatory import _finish, _gl01
+from nlsa_lab.oscillatory import _finish, _gl01, _require_probe
 from nlsa_lab.spectral import eta
 
 
@@ -255,12 +253,48 @@ def test_arc_refuses_radius_whose_eighth_power_overflows():
         osc_integral_contour(a, b, t, omega, 0.0, xi)
 
 
-def test_contour_admissibility_predicate():
-    assert not contour_is_admissible(0.5, 2.0)
-    assert contour_is_admissible(3.0, 2.0)      # center clears the radius
-    assert contour_is_admissible(0.05, 0.9)     # arc too shallow to reach
-    # touching z = -i exactly lands on the closed ray |Im z| >= 1
-    assert not contour_is_admissible(0.0, 1.0)
+def _semicircle_crosses_the_rays(xi, eps):
+    """Whether |z - xi| = eps meets {Re z = 0, |Im z| >= 1}."""
+    return abs(xi) < eps and eps * eps - xi * xi >= 1.0
+
+
+def test_admitted_probes_keep_the_semicircle_off_the_rays_property():
+    # osc_integral_contour deforms onto the semicircle without a check of its
+    # own: the gate's rule omega/(|b| t) >= max(1, 1e4 (a/(2b))^2) is what keeps
+    # it off the branch cuts.  This (a, b, t, omega, xi) breaks only that rule,
+    # and would be a far probe of radius 2 whose arc crosses: 4 - 1.5^2 >= 1.
+    crossing = (400.0, 1.0, 1.0, 4.0, 1.5)
+    assert classify_xi(crossing[4], *crossing[:4]) is RegionLabel.FAR
+    assert _semicircle_crosses_the_rays(1.5, contour_radius(RegionLabel.FAR, 1.0, 1.0, 4.0))
+    with pytest.raises(ValueError, match="violate"):
+        _require_probe(*crossing)
+
+    # gate inputs with |a/(2b)| / sqrt(B), B = omega/(|b| t), log-uniform over
+    # [1e-4, 1e3] (admissible up to 1e-2) and |xi + a/(2b)|^2 - (a/(2b))^2 = f B,
+    # f log-uniform over [1e-4, 1e4], on either side of -a/(2b)
+    rng = np.random.default_rng(20261019)
+    probes = [crossing]
+    for _ in range(3000):
+        b = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
+        t = 10.0 ** rng.uniform(-3.0, 0.0)
+        omega = 2.0 ** rng.uniform(1.0, 30.0)
+        base = omega / (abs(b) * t)
+        half = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 3.0) * math.sqrt(base)
+        r = math.sqrt(half * half + 10.0 ** rng.uniform(-4.0, 4.0) * base)
+        probes.append((2.0 * b * half, b, t, omega, -half + rng.choice((-1.0, 1.0)) * r))
+
+    admitted = {RegionLabel.NEAR: 0, RegionLabel.FAR: 0}
+    for a, b, t, omega, xi in probes:
+        try:
+            label = _require_probe(a, b, t, omega, xi)
+        except ValueError:
+            continue
+        if label is RegionLabel.INTERMEDIATE:
+            continue
+        admitted[label] += 1
+        eps = contour_radius(label, b, t, omega)
+        assert not _semicircle_crosses_the_rays(xi, eps), (a, b, t, omega, xi)
+    assert min(admitted.values()) >= 100, admitted
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,14 @@ def test_config_refuses_non_finite_values_naming_the_field(kwargs, name):
         PicardConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["time_nodes", "max_iterations", "substeps"])
+@pytest.mark.parametrize("value", [math.nan, 2.5], ids=["nan", "fraction"])
+def test_config_refuses_non_integer_counts_naming_the_field(name, value):
+    # times() and the substep refinement take these counts as integers
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        PicardConfig(**{name: value})
+
+
 def test_config_time_grid():
     cfg = PicardConfig(horizon=0.5, time_nodes=10)
     times = cfg.times()
@@ -138,6 +146,17 @@ def test_semigroup_group_law():
     )
     direct = semigroup_evolve(u0, np.linspace(0.0, 0.1, 9), params)
     assert np.max(np.abs(resumed.frames[-1] - direct.frames[-1])) < 1e-10
+
+
+def test_picard_iterate_warns_once_about_boundary_mass():
+    # semigroup_evolve checks u0 once; the Duhamel map's iterations must not repeat it
+    grid = Grid(256, 20.0)
+    wide = gaussian_packet(grid, width=6.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        picard_iterate(wide, reduction_preset("mkdv"),
+                       PicardConfig(horizon=0.01, time_nodes=4, max_iterations=3))
+    assert [w.category for w in caught].count(BoundaryMassWarning) == 1
 
 
 def test_semigroup_boundary_mass_warning():
@@ -479,8 +498,7 @@ def test_reduction_presets_coefficients():
     assert (dnls.a, dnls.b, dnls.c) == (-1.0, 0.0, 0.0)
     assert dnls.d == 2 * dnls.e != 0
     default = reduction_preset("nlsa-default")
-    assert default.airy_enabled and default.full_derivative_ok
-    assert not nls.airy_enabled and not dnls.airy_enabled
+    assert default.full_derivative_ok
     assert mkdv.m == 0.125 and mkdv.s == 0.25
     with pytest.raises(ValueError, match="preset"):
         reduction_preset("kdv")
@@ -505,13 +523,23 @@ def test_soliton_solves_its_equation(name, amplitude):
     assert np.max(np.abs(residual)) < 1e-6
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"x_shift": math.nan}, "x_shift"),
+    ({"x_shift": math.inf}, "x_shift"),
+    ({"amplitude": math.nan}, "amplitude"),
+    ({"amplitude": math.inf}, "amplitude"),
+], ids=["shift-nan", "shift-inf", "amplitude-nan", "amplitude-inf"])
+def test_soliton_oracle_refuses_non_finite_values_naming_the_field(kwargs, name):
+    # a non-finite shift or amplitude gives an all-NaN field, or an all-zero one (shift inf)
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        soliton_oracle("nls", **kwargs)
+
+
 def test_soliton_profile_and_scaling():
     sol = soliton_oracle("mkdv", 1.4, x_shift=-2.0)
     vals = sol(GRID.x, 0.0)
     expected = math.sqrt(6.0) * 1.4 / np.cosh(1.4 * (GRID.x + 2.0))
     assert np.max(np.abs(vals - expected)) < 1e-14
-    field = sol.field(GRID, [0.0, 0.1])
-    assert np.array_equal(field.frames[0], vals)
     nls = soliton_oracle("nls")
     assert np.max(np.abs(nls(GRID.x, 0.0) - 1.0 / np.cosh(GRID.x))) < 1e-14
     with pytest.raises(ValueError, match="soliton"):

@@ -10,8 +10,6 @@ from nlsa_lab.spectral import (
     EquationParams,
     Grid,
     GridFunction,
-    bracket_multiplier,
-    dealias,
     dft_forward,
     dft_inverse,
     eta,
@@ -38,6 +36,17 @@ def random_bandlimited(grid, rng, band_fraction=0.3):
     keep = np.abs(grid.xi) <= band_fraction * grid.nyquist
     coeffs[keep] = rng.standard_normal(keep.sum()) + 1j * rng.standard_normal(keep.sum())
     return dft_inverse(GridFunction(grid.conjugate(), coeffs * grid.length / grid.num_points))
+
+
+@pytest.mark.parametrize("args, name", [
+    ((8, math.nan), "length"),
+    ((8, math.inf), "length"),
+    ((8.0, 10.0), "num_points"),
+], ids=["length-nan", "length-inf", "float-points"])
+def test_grid_refuses_non_finite_length_and_non_integer_points_naming_the_field(args, name):
+    # a NaN length makes x all NaN, and the weight rule indexes the origin by num_points // 2
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        Grid(*args)
 
 
 def test_grid_validation():
@@ -169,19 +178,6 @@ def test_fractional_derivative():
     assert np.max(np.abs(twice.values - once.values)) < 1e-10 * np.max(np.abs(once.values))
 
 
-def test_bracket_multiplier():
-    g = Grid(256, 16 * np.pi)
-    rng = np.random.default_rng(RNG_SEED + 5)
-    f = random_bandlimited(g, rng)
-    assert np.max(np.abs(bracket_multiplier(f, 0.0).values - f.values)) < 1e-13
-    roundtrip = bracket_multiplier(bracket_multiplier(f, 1.7), -1.7)
-    assert np.max(np.abs(roundtrip.values - f.values)) < 1e-10
-
-    mode = GridFunction(g, np.exp(2j * g.x))
-    out = bracket_multiplier(mode, 2.0)
-    assert np.max(np.abs(out.values - 5.0 * mode.values)) < 1e-11  # <2>^2 = 5
-
-
 def test_multipliers_commute():
     g = Grid(512, 40.0)
     rng = np.random.default_rng(RNG_SEED + 6)
@@ -311,19 +307,12 @@ def test_weighted_norm_transform_equivalence():
 
 
 def test_dealias():
+    # the 2/3 rule is the mask the Duhamel map multiplies each nonlinearity spectrum by
     g = Grid(256, 16 * np.pi)
-    rng = np.random.default_rng(RNG_SEED + 11)
-    f = random_bandlimited(g, rng, band_fraction=0.5)
-    assert np.max(np.abs(dealias(f).values - f.values)) < 1e-12
-
-    top = GridFunction(g, np.exp(1j * g.xi[1] * g.x))  # just above 2/3 nyquist
-    assert np.abs(g.xi[1]) > (2 / 3) * g.nyquist
-    assert np.max(np.abs(dealias(top).values)) < 1e-12
-
-    rough = GridFunction(g, rng.standard_normal(g.num_points))
-    once = dealias(rough)
-    twice = dealias(once)
-    assert np.max(np.abs(twice.values - once.values)) < 1e-13
+    mask = g.dealias_mask
+    assert np.array_equal(mask, np.abs(g.xi_fft) <= (2 / 3) * g.nyquist)
+    assert mask[0]                      # the zero mode is kept
+    assert not mask[g.num_points // 2]  # the Nyquist mode, xi_fft = -nyquist, is dropped
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -344,8 +333,7 @@ def test_equation_params_refuse_non_finite_values_naming_the_field(kwargs, name)
 def test_equation_params_validation():
     with pytest.raises(ValueError):
         EquationParams(a=0.0, b=1.0, m=1.5)
-    p = EquationParams(a=-1.0, b=0.0, c=-2.0)
-    assert not p.airy_enabled
+    EquationParams(a=-1.0, b=0.0, c=-2.0)  # no third-order dispersion is allowed
     q = EquationParams(a=1.0, b=1.0, c=1.0, d=2.0, e=1.0)
-    assert q.airy_enabled and q.full_derivative_ok
+    assert q.full_derivative_ok
     assert not EquationParams(a=1.0, b=1.0, d=1.0, e=1.0).full_derivative_ok

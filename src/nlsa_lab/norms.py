@@ -1,15 +1,18 @@
 """Sobolev, weighted, and mixed space-time norms, and the composite fixed-point norm.
 
-A SpaceTimeField stacks one frame per time node; inner time integrals use the
-composite trapezoid rule, essential suprema become maxima over nodes or grid
-points (fields are smooth, so the grid max converges to the sup).
+A SpaceTimeField stacks one frame per time node; time integrals use the
+composite trapezoid rule, as one product with its weight vector, and
+essential suprema become maxima over nodes or grid points (fields are
+smooth, so the grid max converges to the sup).
 
 The inner L^q integrands |u|^q count as 0 where |u| < 2^(-1022/q), that is
 where the power would fall below float64's normal range (2^-1022): libm's pow
 is tens of times slower on a subnormal result, and wave-packet tails put
 whole rows there.  pow already returns 0 below the smallest subnormal,
 2^-1074, so only a field whose every |u|^q is subnormal reads differently:
-as 0.
+as 0.  The smoothing sweep's LHS is no norm of this module: it is an L^2_x
+norm taken by Parseval on the transform side, whose squares are summed
+unflushed (estimates._derivative_sup).
 """
 
 from __future__ import annotations
@@ -132,17 +135,20 @@ def _flushed_power(mag: np.ndarray, q) -> np.ndarray:
     return mag
 
 
+def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    """w with w @ y the composite trapezoid integral over times of y's rows."""
+    half_steps = np.diff(times) / 2.0
+    weights = np.append(half_steps, 0.0)
+    weights[1:] += half_steps
+    return weights
+
+
 def _time_inner(u: SpaceTimeField, q) -> np.ndarray:
     """Per-grid-point L^q norm in t (trapezoid; max for q = inf)."""
     mag = np.abs(u.frames)
     if q == math.inf:
         return mag.max(axis=0)
-    _flushed_power(mag, q)
-    # np.trapezoid's arithmetic, d (y[1:] + y[:-1]) / 2 summed, in one buffer
-    step = mag[1:] + mag[:-1]
-    step *= np.diff(u.times)[:, None]
-    step /= 2.0
-    return np.add.reduce(step, axis=0) ** (1.0 / q)
+    return (_trapezoid_weights(u.times) @ _flushed_power(mag, q)) ** (1.0 / q)
 
 
 def _space_inner(u: SpaceTimeField, p) -> np.ndarray:
@@ -166,7 +172,7 @@ def mixed_norm_t_x(u: SpaceTimeField, q, p) -> float:
     g = _space_inner(u, p)
     if q == math.inf:
         return float(g.max())
-    return float(np.trapezoid(g**q, x=u.times) ** (1.0 / q))
+    return float((_trapezoid_weights(u.times) @ g**q) ** (1.0 / q))
 
 
 def _mu_parts(u: SpaceTimeField) -> tuple:

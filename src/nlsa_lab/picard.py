@@ -134,6 +134,7 @@ class ContractionReport:
 # ---------------------------------------------------------------------------
 
 def _warn_boundary_mass(u0: GridFunction) -> None:
+    """Warn, naming the line that called the public entry point calling this."""
     peak = float(np.max(np.abs(u0.values)))
     if peak == 0.0:
         return
@@ -154,6 +155,11 @@ def _warn_boundary_mass(u0: GridFunction) -> None:
 def semigroup_evolve(u0: GridFunction, times, params: EquationParams) -> SpaceTimeField:
     """Free dispersive flow of u0 sampled at the given times (starting at 0)."""
     _warn_boundary_mass(u0)
+    return _free_flow(u0, times, params)
+
+
+def _free_flow(u0: GridFunction, times, params: EquationParams) -> SpaceTimeField:
+    """semigroup_evolve without the boundary-mass check."""
     times = np.asarray(times, dtype=float)
     frames = np.fft.ifft(duhamel_flow(u0.grid, params, np.fft.fft(u0.values), times), axis=1)
     frames[0] = u0.values
@@ -236,7 +242,7 @@ def duhamel_apply(
     time grid, taken in the interaction picture so each output frame costs one
     multiplier application.  The frame at t = 0 is u0 exactly, and with the
     nonlinearity switched off the result is the free flow regardless of u.
-    Boundary mass in u0 is not checked here: semigroup_evolve warns once.
+    Boundary mass in u0 is not checked here: picard_iterate warns once.
     """
     grid = u.grid
     if grid != u0.grid:
@@ -270,9 +276,10 @@ def picard_iterate(
     overflows float64 or a distance is otherwise not finite.
     """
     times = config.times()
+    _warn_boundary_mass(u0)
     # a free flow that overflows makes the first distance non-finite, caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        current = semigroup_evolve(u0, times, params)
+        current = _free_flow(u0, times, params)
     distances: list[float] = []
     converged = False
     growth_streak = 0

@@ -256,7 +256,9 @@ def _flow_phase(grid: Grid, params: EquationParams, direction: complex, tau: np.
     The grid keeps the latest phase of each direction (+1j pushes forward,
     -1j pulls back), keyed on (a, b) and the bytes of the times used.  An
     argument that overflows float64 raises FlowOverflowError, before exp
-    would turn it into NaN.
+    would turn it into NaN.  Callers keep the phase the left factor of every
+    product: numpy's vectorised complex product can round differently in the
+    last bit when its operands are swapped.
     """
     key = (params.a, params.b, tau.dtype.str, tau.tobytes())
     held = grid._flow_phases.get(direction)
@@ -272,35 +274,12 @@ def _flow_phase(grid: Grid, params: EquationParams, direction: complex, tau: np.
     return held[1]
 
 
-def duhamel_flow(
-    grid: Grid,
-    params: EquationParams,
-    start_hat: np.ndarray,
-    tau: np.ndarray,
-    forcing_hat: np.ndarray | None = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """Transform-side solution of v_t = i*(a*xi^2 + b*xi^3)*v - F with v(0) = start.
+def _duhamel_integral(grid: Grid, params: EquationParams, tau, forcing_hat) -> np.ndarray:
+    """Interaction-picture integral h(t) = int_0^t exp(-it'L) F(t') dt' at every time of tau.
 
-    Returns exp(itL) * (start_hat - int_0^t exp(-it'L) F(t') dt') at the times
-    t = tau[::stride], one row per time, in FFT frequency order.  The integral
-    is taken in the interaction picture: every forcing sample (rows of
-    forcing_hat, at the times tau) is pulled back to t = 0, a cumulative
-    trapezoid runs over tau, and each output row costs one forward flow.
-    Without forcing this is the free flow of start_hat.
-
-    The phases exp(-i tau L) and exp(i t L) are memoised on grid: it keeps
-    the latest pull-back and the latest forward phase, keyed on (a, b) and
-    the times they are sampled at, so repeated calls on one grid (Picard
-    iterations, fields of one sweep) build them once.  They are freed with
-    the grid.  forcing_hat is never written to.
+    Every forcing row (FFT order, at the times tau) is pulled back to t = 0
+    and a cumulative trapezoid runs over tau, so row 0 is 0.
     """
-    # the phase stays the left factor of every product: numpy's vectorised
-    # complex product can round differently in the last bit when its
-    # operands are swapped
-    push = _flow_phase(grid, params, 1j, tau[::stride])
-    if forcing_hat is None:
-        return push * start_hat[None, :]
     pull = _flow_phase(grid, params, -1j, tau)
     # the trapezoid steps and their running sum share one buffer; the forcing
     # is pulled back a block of rows at a time, so no pulled stack is held
@@ -313,6 +292,35 @@ def duhamel_flow(
     steps = held[1:]
     np.multiply(np.diff(tau)[:, None] / 2.0, steps, out=steps)
     np.cumsum(steps, axis=0, out=steps)
+    return held
+
+
+def duhamel_flow(
+    grid: Grid,
+    params: EquationParams,
+    start_hat: np.ndarray,
+    tau: np.ndarray,
+    forcing_hat: np.ndarray | None = None,
+    stride: int = 1,
+) -> np.ndarray:
+    """Transform-side solution of v_t = i*(a*xi^2 + b*xi^3)*v - F with v(0) = start.
+
+    Returns exp(itL) * (start_hat - h(t)) at the times t = tau[::stride], one
+    row per time, in FFT frequency order, where h is _duhamel_integral of the
+    forcing (rows of forcing_hat, at the times tau): each output row costs
+    one forward flow, the push.  Without forcing this is the free flow of
+    start_hat.
+
+    The phases exp(-i tau L) and exp(i t L) are memoised on grid: it keeps
+    the latest pull-back and the latest forward phase, keyed on (a, b) and
+    the times they are sampled at, so repeated calls on one grid (Picard
+    iterations, fields of one sweep) build them once.  They are freed with
+    the grid.  forcing_hat is never written to.
+    """
+    push = _flow_phase(grid, params, 1j, tau[::stride])
+    if forcing_hat is None:
+        return push * start_hat[None, :]
+    held = _duhamel_integral(grid, params, tau, forcing_hat)
     held = np.subtract(start_hat[None, :], held, out=held)[::stride]
     return np.multiply(push, held, out=held)
 

@@ -15,6 +15,7 @@ from nlsa_lab.norms import (
     SpaceTimeField,
     _space_inner,
     _time_inner,
+    _trapezoid_weights,
     mixed_norm_t_x,
     mixed_norm_x_t,
 )
@@ -30,10 +31,10 @@ def _bits(values):
 
 
 def _time_integral(u, q):
-    """The unflushed per-point integral of |u|^q in t."""
+    """The unflushed per-point integral of |u|^q in t, by the same weight vector."""
     mag = np.abs(u.frames)
     mag **= q
-    return np.trapezoid(mag, x=u.times, axis=0)
+    return _trapezoid_weights(u.times) @ mag
 
 
 def _space_inner_unflushed(u, p):
@@ -72,7 +73,7 @@ def test_inner_norms_keep_the_unflushed_bits_on_underflowing_packets(q):
         # the norms the sweeps read
         x_t = (GRID.spacing * np.sum(want ** 5)) ** (1.0 / 5)
         assert mixed_norm_x_t(u, 5, q).hex() == float(x_t).hex()
-        t_x = np.trapezoid(_space_inner_unflushed(u, q) ** 5, x=u.times) ** (1.0 / 5)
+        t_x = (_trapezoid_weights(u.times) @ _space_inner_unflushed(u, q) ** 5) ** (1.0 / 5)
         assert mixed_norm_t_x(u, 5, q).hex() == float(t_x).hex()
     assert subnormal > 0  # the tails do reach the subnormal range
 
@@ -96,13 +97,17 @@ def _assert_positive_zero(values):
 
 
 def test_space_time_packet_sample_is_the_sum_of_its_outer_products():
+    # the sum over components of modulation (outer) spatial row, taken as
+    # one (T x r)(r x N) product
     packet = random_spacetime_packets(1, np.random.default_rng(3))[0]
     times = np.linspace(0.0, 0.5, 65)
-    want = np.zeros((times.size, GRID.num_points), dtype=np.complex128)
-    for space, freq, width, center in zip(packet.space, packet.time_freqs,
-                                          packet.time_widths, packet.time_centers):
-        modulation = np.exp(-(((times - center) / width) ** 2)) * np.exp(1j * freq * times)
-        want += modulation[:, None] * space.sample(GRID.x)[None, :]
+    modulations = np.array([
+        np.exp(-(((times - center) / width) ** 2)) * np.exp(1j * freq * times)
+        for freq, width, center in zip(packet.time_freqs, packet.time_widths,
+                                       packet.time_centers)
+    ])
+    spatial = np.array([space.sample(GRID.x) for space in packet.space])
+    want = modulations.T @ spatial
     got = packet.sample(GRID.x, times)
     assert got.shape == want.shape and got.dtype == np.complex128
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

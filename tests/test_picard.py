@@ -169,6 +169,23 @@ def test_semigroup_boundary_mass_warning():
         semigroup_evolve(narrow, [0.0, 0.1], EquationParams(a=0.0, b=1.0))
 
 
+def test_boundary_mass_warning_names_the_callers_line():
+    # a filter by the caller's module catches the warning from either entry point
+    grid = Grid(256, 20.0)
+    wide = gaussian_packet(grid, width=6.0)
+    params = reduction_preset("mkdv")
+    for entry in (
+        lambda: semigroup_evolve(wide, [0.0, 0.01], params),
+        lambda: picard_iterate(wide, params, PicardConfig(horizon=0.01, time_nodes=4,
+                                                           max_iterations=2)),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entry()
+        (w,) = [w for w in caught if w.category is BoundaryMassWarning]
+        assert w.filename == __file__
+
+
 # ---------------------------------------------------------------------------
 # Nonlinearity.
 # ---------------------------------------------------------------------------

@@ -42,11 +42,12 @@ from nlsa_lab.estimates import (
     _two_sided_images,
     check_chain_rules,
     check_leibniz_two_sided,
+    check_smoothing,
     check_sup_embedding,
     random_spacetime_packets,
 )
 from nlsa_lab.norms import SpaceTimeField
-from nlsa_lab.spectral import Grid
+from nlsa_lab.spectral import EquationParams, Grid
 
 EPS = np.finfo(float).eps
 
@@ -119,14 +120,22 @@ def test_no_frame_stack_is_transformed_in_the_factor_sweeps(monkeypatch):
             lambda a, *args, _t=transform, _n=name, **kw: shapes.append((_n, np.shape(a)))
             or _t(a, *args, **kw),
         )
-    for sweep, fields, forward in (
-        (check_sup_embedding, [f], 1),  # the spatial rows, for all four horizons
-        (check_chain_rules, [f], 2),  # the rows of u and of |u|^2 u
-        (check_leibniz_two_sided, [(f, g)], 3),  # the rows of f, of g and of f g
+    smoothing = lambda fields: check_smoothing(EquationParams(a=0.0, b=1.0), fields=fields)
+    for sweep, fields, rows, forward, inverse in (
+        # the spatial rows, for all four horizons; their quarter derivatives
+        (check_sup_embedding, [f], 2, 1, 1),
+        # the rows of u and of |u|^2 u, and their images
+        (check_chain_rules, [f], 8, 2, 2),
+        # the rows of f, of g and of f g; five images
+        (check_leibniz_two_sided, [(f, g)], 4, 3, 5),
+        # the forcing's spatial rows; the LHS is read off the transform side
+        (smoothing, [f], 2, 1, 0),
     ):
         shapes.clear()
         sweep(fields=fields)
-        # every transform takes at most r^3 = 8 spatial rows, never the 129
-        # or 257 frames of a time grid
-        assert shapes and all(len(shape) == 2 and shape[0] <= 8 for _, shape in shapes)
-        assert sum(name == "fft" for name, _ in shapes) == forward * 2  # at both scales
+        # every transform takes a few spatial rows, never the 129 to 513
+        # frames of a time grid
+        assert shapes and all(len(shape) == 2 and shape[0] <= rows for _, shape in shapes)
+        # per field at both scales
+        assert sum(name == "fft" for name, _ in shapes) == forward * 2
+        assert sum(name == "ifft" for name, _ in shapes) == inverse * 2

@@ -51,7 +51,14 @@ from .picard import (
     reduction_preset,
     soliton_oracle,
 )
-from .spectral import EquationParams, FlowOverflowError, Grid, GridFunction, _dispersion
+from .spectral import (
+    EquationParams,
+    FlowOverflowError,
+    Grid,
+    GridFunction,
+    _dispersion,
+    _release_free_heap,
+)
 
 __all__ = ["ConfigError", "main"]
 
@@ -510,22 +517,6 @@ def _probe_tuples(config: dict) -> list:
         with _config_field(where):
             _require_probe(a, b, t, omega, xi)
     return pairs
-
-
-def _release_free_heap() -> None:
-    """Hand the main heap's free pages back to the system, where glibc's
-    malloc_trim exists.  glibc keeps up to twice its largest freed block
-    resident at the heap's top, and the worker threads allocate from arenas
-    of their own, so without this the profile builds' freed temporaries
-    would sit under every probe's allocations until exit."""
-    import ctypes
-
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):  # not glibc
-        return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)
 
 
 def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> int:

@@ -364,14 +364,15 @@ def check_sup_embedding(
         clocks = [np.linspace(0.0, h, _BASE_TIME_NODES * scale + 1) for h in _SUP_HORIZONS]
         per_field = []
         for f in field_list:
-            # the spatial factors are transformed once for all four horizons
+            # the factors are built, and the spatial ones transformed, once
+            # for all four horizons
             modulations, spatial = f.factors(grid.x, np.concatenate(clocks))
             (quarter_rows,) = apply_symbols(spatial, quarter)
             pairs = []
             for horizon, times, horizon_modulations in zip(
                 _SUP_HORIZONS, clocks, np.split(modulations, len(clocks), axis=1)
             ):
-                u = SpaceTimeField(grid, times, f.sample(grid.x, times))
+                u = SpaceTimeField(grid, times, horizon_modulations.T @ spatial)
                 du = SpaceTimeField(grid, times, horizon_modulations.T @ quarter_rows)
                 lhs = mixed_norm_t_x(u, 5, math.inf)
                 rhs = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(du, 5, 10)

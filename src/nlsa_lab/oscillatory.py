@@ -50,6 +50,7 @@ from numpy.polynomial.legendre import leggauss
 from .spectral import (
     Grid,
     _band_sums,
+    _heap_scratch,
     _require_finite,
     _require_weight_exponent,
     _runs,
@@ -1261,7 +1262,12 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20) -> BandSumResult:
     g is built a run at a time into the array that is transformed in place,
     and the sums are accumulated over the interior window only, so the
     memory is two num_points complex arrays (the spectrum and one band
-    piece) plus the window's sums.
+    piece) plus the window's sums.  numpy's FFT adds two more per band
+    transform, which glibc would map, or trim, straight back to the system
+    and page-fault in anew for every band; the spectrum and the band loop
+    therefore run under spectral._heap_scratch, which keeps the scratch on
+    the heap for the loop and hands it back at the end.  The bits do not
+    depend on where the pages come from.
     """
     _require_bt(b, t)
     _require_finite(a=a)
@@ -1288,8 +1294,11 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20) -> BandSumResult:
         bisect_left(points, -radius, key=grid._x_at),
         bisect_right(points, radius, key=grid._x_at),
     )
-    spec = _phase_function_spectrum(grid, a, b, t, m)
-    sums, band_sups = _band_sums(grid, spec, bands, m, interior)
+    # the spectrum is freed, like every band piece, before the heap policy ends
+    with _heap_scratch():
+        sums, band_sups = _band_sums(
+            grid, _phase_function_spectrum(grid, a, b, t, m), bands, m, interior
+        )
 
     sup = float(sums.max())
     grand = sum(band_sups.values())

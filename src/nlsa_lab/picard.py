@@ -242,7 +242,8 @@ def duhamel_apply(
     time grid, taken in the interaction picture so each output frame costs one
     multiplier application.  The frame at t = 0 is u0 exactly, and with the
     nonlinearity switched off the result is the free flow regardless of u.
-    Boundary mass in u0 is not checked here: picard_iterate warns once.
+    Boundary mass in u0 is not checked here: picard_iterate and
+    fit_contraction_exponent warn once per call.
     """
     grid = u.grid
     if grid != u0.grid:
@@ -275,8 +276,15 @@ def picard_iterate(
     increase may be to inf), and FlowOverflowError when the flow phase
     overflows float64 or a distance is otherwise not finite.
     """
-    times = config.times()
     _warn_boundary_mass(u0)
+    return _iterate(u0, params, config)
+
+
+def _iterate(
+    u0: GridFunction, params: EquationParams, config: PicardConfig
+) -> tuple[SpaceTimeField, ContractionReport]:
+    """picard_iterate without the boundary-mass check."""
+    times = config.times()
     # a free flow that overflows makes the first distance non-finite, caught below
     with np.errstate(over="ignore", invalid="ignore"):
         current = _free_flow(u0, times, params)
@@ -340,10 +348,11 @@ def fit_contraction_exponent(
     log(horizon); the slope is written into every returned report.  Returns
     NaN when fewer than two runs produce a positive ratio.
     """
+    _warn_boundary_mass(u0)
     reports = []
     points = []
     for horizon in horizons:
-        _, rep = picard_iterate(u0, params, replace(config, horizon=float(horizon)))
+        _, rep = _iterate(u0, params, replace(config, horizon=float(horizon)))
         reports.append(rep)
         if rep.ratio > 0 and math.isfinite(rep.ratio):
             points.append((math.log(horizon), math.log(rep.ratio)))

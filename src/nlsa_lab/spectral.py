@@ -16,6 +16,7 @@ import cmath
 import math
 import numbers
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -291,7 +292,10 @@ def _duhamel_integral(grid: Grid, params: EquationParams, tau, forcing_hat) -> n
         np.add(pulled[1:], pulled[:-1], out=held[lo + 1:lo + _PULL_ROWS + 1])
     steps = held[1:]
     np.multiply(np.diff(tau)[:, None] / 2.0, steps, out=steps)
-    np.cumsum(steps, axis=0, out=steps)
+    # the running sum row by row: cumsum's additions in cumsum's order, but
+    # each one over a contiguous row rather than strided down a column
+    for k in range(1, len(steps)):
+        steps[k] += steps[k - 1]
     return held
 
 
@@ -475,3 +479,71 @@ def qn_m_apply(F: GridFunction, N: int, m: float) -> GridFunction:
         )
     ((_, values),) = qn_pieces(F, [N], m)
     return GridFunction(F.grid, values)
+
+
+# ---------------------------------------------------------------------------
+# glibc heap policy for large transforms.
+# ---------------------------------------------------------------------------
+
+# mallopt parameters and the ceiling of glibc's dynamic thresholds on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_MMAP_MAX = -1, -3, -4
+_MMAP_MAX_DEFAULT = 65536
+_MMAP_THRESHOLD_CEILING = 32 * 2**20
+_TRIM_THRESHOLD_CEILING = 2 * _MMAP_THRESHOLD_CEILING
+
+
+def _glibc_heap():
+    """(mallopt, malloc_trim) from glibc, or None where either is missing."""
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, trim = libc.mallopt, libc.malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return mallopt, trim
+
+
+def _release_free_heap() -> None:
+    """Hand the main heap's free pages back to the system, on glibc.  glibc
+    keeps up to twice its largest freed block resident at the heap's top,
+    and the worker threads allocate from arenas of their own, so without
+    this the profile builds' freed temporaries would sit under every probe's
+    allocations until exit."""
+    heap = _glibc_heap()
+    if heap is not None:
+        heap[1](0)
+
+
+@contextmanager
+def _heap_scratch():
+    """Serve every allocation from the heap and keep freed pages, on glibc.
+
+    numpy's FFT takes two fresh N-point complex buffers per transform, and
+    glibc maps buffers of 32 MiB and more, and trims 16 MiB ones, straight
+    back to the system, so every band transform would page-fault them in
+    anew.  Inside
+    the block nothing is mapped and the heap top is never trimmed, so the
+    scratch pages are reused from band to band.  On exit mmap is allowed
+    again and the thresholds go to the ceiling of glibc's dynamic rule
+    (mmap 32 MiB, trim 64 MiB), not to its 128 KiB start: any mallopt call
+    freezes the dynamic thresholds, and a low frozen mmap threshold would
+    make later medium allocations fault on every call.  The free pages are
+    then handed back.  Elsewhere this does nothing.
+    """
+    heap = _glibc_heap()
+    if heap is None:
+        yield
+        return
+    mallopt, trim = heap
+    mallopt(_M_MMAP_MAX, 0)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)  # mallopt's largest value: never trim
+    try:
+        yield
+    finally:
+        mallopt(_M_MMAP_MAX, _MMAP_MAX_DEFAULT)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_CEILING)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_CEILING)
+        trim(0)

@@ -186,6 +186,18 @@ def test_boundary_mass_warning_names_the_callers_line():
         assert w.filename == __file__
 
 
+def test_fit_contraction_exponent_warns_once_naming_the_callers_line():
+    # one call on one initial datum is one warning, however many horizons it runs
+    grid = Grid(256, 20.0)
+    wide = gaussian_packet(grid, width=6.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit_contraction_exponent(wide, reduction_preset("mkdv"),
+                                 PicardConfig(time_nodes=4, max_iterations=2))
+    (w,) = [w for w in caught if w.category is BoundaryMassWarning]
+    assert w.filename == __file__
+
+
 # ---------------------------------------------------------------------------
 # Nonlinearity.
 # ---------------------------------------------------------------------------

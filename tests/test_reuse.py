@@ -170,14 +170,15 @@ def test_sup_embedding_samples_each_field_once_per_scale(monkeypatch):
     fields = random_spacetime_packets(3, np.random.default_rng(11))
     expected = sup_embedding_as_evaluated_twice(fields).to_dict()
     calls = []
-    sample = SpaceTimePacket.sample
+    factors = SpaceTimePacket.factors
     monkeypatch.setattr(
-        SpaceTimePacket, "sample", lambda self, x, t: calls.append(t.size) or sample(self, x, t)
+        SpaceTimePacket, "factors", lambda self, x, t: calls.append(t.size) or factors(self, x, t)
     )
     result = check_sup_embedding(fields=fields)
-    # 4 horizons x 3 fields x 2 scales (the fit and the ratios share them)
-    assert len(calls) == 4 * 3 * 2
-    assert sorted(set(calls)) == [129, 257]
+    # one evaluation per field and scale, at the 4 horizons' times at once (sample
+    # would evaluate the factors again): u and its quarter derivative are products
+    # of them, and the fit and the ratios share the pairs
+    assert sorted(calls) == [4 * 129] * 3 + [4 * 257] * 3
     assert result.to_dict() == expected
 
 

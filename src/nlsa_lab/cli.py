@@ -57,7 +57,6 @@ from .spectral import (
     Grid,
     GridFunction,
     _dispersion,
-    _release_free_heap,
 )
 
 __all__ = ["ConfigError", "main"]
@@ -524,8 +523,9 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
     pairs = _probe_tuples(config)
     for m in sorted({probe[4] for _, probe in pairs}):
         with _config_field("config.probes" if "probes" in config else "config.m_values"):
-            PhiProfile.cached(m)  # build serially before the parallel map
-    _release_free_heap()
+            # on the main thread: the build's heap policy acts on its arena,
+            # and a worker thread allocates from an arena of its own
+            PhiProfile.cached(m)
 
     def run(pair):
         where, probe = pair
@@ -621,7 +621,8 @@ def cmd_verify_estimates(config: dict, out: Path, seed: int, threads: int) -> in
     keywords = {"seed": seed}
     if "samples" in config:
         keywords["samples"] = config["samples"]
-    with _config_field("config"), ThreadPoolExecutor(max_workers=threads) as pool:
+    # the schema bounds alpha and samples, so only the equation is refused here
+    with _config_field("config.equation"), ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda name: _ESTIMATES[name](params, alpha, **keywords), names))
 
     rows = []

@@ -35,7 +35,6 @@ __all__ = [
     "SpaceTimeField",
     "NormReport",
     "l2_norm",
-    "sup_norm",
     "sobolev_norm",
     "mixed_norm_x_t",
     "mixed_norm_t_x",
@@ -113,10 +112,6 @@ def _sobolev(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
 
 def l2_norm(f: GridFunction) -> float:
     return float(_l2(f.grid, f.values))
-
-
-def sup_norm(f: GridFunction) -> float:
-    return float(np.max(np.abs(f.values)))
 
 
 def sobolev_norm(f: GridFunction, s: float) -> float:

@@ -386,7 +386,9 @@ class PhiProfile:
     all orders at both support endpoints.  With the nx + 1 nodes split into
     J blocks of B ~ sqrt(nx), the sum at a point takes B + J exponentials
     and a real matrix product with the J x B weight blocks (eval_shifted),
-    instead of one exponential per node.
+    instead of one exponential per node.  The build runs under
+    spectral._heap_scratch, as the band loop does, so its large temporaries
+    reuse heap pages and are handed back when it ends.
 
     Attributes of note:
       mass      L1 norm of the transform (|R| <= mass/(2pi) on arcs),
@@ -407,7 +409,8 @@ class PhiProfile:
         _require_weight_exponent(m)
         self.m = float(m)
         self._trap_cache: dict = {}
-        self._build()
+        with _heap_scratch():
+            self._build()
 
     @classmethod
     def cached(cls, m: float) -> "PhiProfile":
@@ -692,8 +695,7 @@ def _line_block(profile, omega, m, xi, cs, left, widths):
     e = np.multiply(1j, ph)
     fv *= np.exp(e, out=e)
     del e
-    if m != 0.0:
-        fv *= (1.0 + (xi + w) ** 2) ** (-m)
+    fv *= (1.0 + (xi + w) ** 2) ** (-m)
     afv = np.abs(fv)
     j = (widths[:, None] * glw).ravel()
     fv *= j
@@ -747,8 +749,7 @@ def _levin_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods) -> _Quad:
     w = (edges[:-1, None] + half) + half * x
     amp = profile.eval_real(-omega * w)
     np.multiply(omega, amp, out=amp)
-    if m != 0.0:
-        amp *= (1.0 + (xi + w) ** 2) ** (-m)
+    amp *= (1.0 + (xi + w) ** 2) ** (-m)
     mat = np.empty((n_pan, x.size, x.size), dtype=np.complex128)
     mat[:] = d / half
     diag = np.arange(x.size)
@@ -882,7 +883,7 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
         thetas_probe = np.linspace(t1, t2, 9)
         z_probe = xi + eps * np.exp(1j * phase_dir * thetas_probe)
         mn = np.abs(1.0 + z_probe * z_probe).min()
-        cz = (0.75 * mn) ** (-m) if m != 0.0 else 1.0
+        cz = (0.75 * mn) ** (-m)
 
         prefac = omega * cz * eps * width * math.exp(min(g_max, 700.0)) / (2.0 * np.pi)
         bound = prefac * profile.deriv_l1[0]
@@ -907,8 +908,7 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
             raise QuadratureConvergenceError("arc exponent overflow; "
                                              "contour inequalities violated")
         fv = omega * r_val * np.exp(expo)
-        if m != 0.0:
-            fv *= (1.0 + z * z) ** (-m)
+        fv *= (1.0 + z * z) ** (-m)
         fv *= -phase_dir * 1j * eps * e_dir
         afv = np.abs(fv)
         value += width * np.sum(fv * glw)

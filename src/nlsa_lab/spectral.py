@@ -264,8 +264,8 @@ def _flow_phase(grid: Grid, params: EquationParams, direction: complex, tau: np.
     key = (params.a, params.b, tau.dtype.str, tau.tobytes())
     held = grid._flow_phases.get(direction)
     if held is None or held[0] != key:
-        pol = _dispersion(grid.xi_fft, params.a, params.b)
         with np.errstate(over="ignore", invalid="ignore"):
+            pol = _dispersion(grid.xi_fft, params.a, params.b)
             phase = direction * tau[:, None] * pol[None, :]
         if not np.isfinite(phase).all():
             raise FlowOverflowError(
@@ -506,32 +506,21 @@ def _glibc_heap():
     return mallopt, trim
 
 
-def _release_free_heap() -> None:
-    """Hand the main heap's free pages back to the system, on glibc.  glibc
-    keeps up to twice its largest freed block resident at the heap's top,
-    and the worker threads allocate from arenas of their own, so without
-    this the profile builds' freed temporaries would sit under every probe's
-    allocations until exit."""
-    heap = _glibc_heap()
-    if heap is not None:
-        heap[1](0)
-
-
 @contextmanager
 def _heap_scratch():
     """Serve every allocation from the heap and keep freed pages, on glibc.
 
-    numpy's FFT takes two fresh N-point complex buffers per transform, and
-    glibc maps buffers of 32 MiB and more, and trims 16 MiB ones, straight
-    back to the system, so every band transform would page-fault them in
-    anew.  Inside
-    the block nothing is mapped and the heap top is never trimmed, so the
-    scratch pages are reused from band to band.  On exit mmap is allowed
-    again and the thresholds go to the ceiling of glibc's dynamic rule
-    (mmap 32 MiB, trim 64 MiB), not to its 128 KiB start: any mallopt call
-    freezes the dynamic thresholds, and a low frozen mmap threshold would
-    make later medium allocations fault on every call.  The free pages are
-    then handed back.  Elsewhere this does nothing.
+    glibc maps buffers above its mmap threshold (at most 32 MiB) and trims
+    free pages off the heap top straight back to the system, so a phase that
+    makes and frees large temporaries, such as numpy's two N-point complex
+    buffers per FFT, would page-fault them in anew each time.  Inside the
+    block nothing is mapped and the heap top is never trimmed, so freed
+    pages are reused.  On exit mmap is allowed again and the thresholds go
+    to the ceiling of glibc's dynamic rule (mmap 32 MiB, trim 64 MiB), not
+    to its 128 KiB start: any mallopt call freezes the dynamic thresholds,
+    and a low frozen mmap threshold would make later medium allocations
+    fault on every call.  The free pages are then handed back.  Elsewhere
+    this does nothing.
     """
     heap = _glibc_heap()
     if heap is None:

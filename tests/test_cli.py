@@ -478,10 +478,17 @@ _PROBE = {"a": 0.0, "b": 1.0, "t": 1.0, "omega": 1024.0, "m": 1.5, "xi": 1.0}
     ("verify-oscillatory",
      {"omegas": [256.0], "ab_pairs": [[0.0, 1.0]], "m_values": [0.0, 1.5]},
      "config.m_values[1]"),
+    ("verify-estimates",
+     {"estimates": ["smoothing"], "samples": 2, "equation": {"a": 1e308, "b": 1}},
+     "config.equation"),
+    ("verify-estimates", {"estimates": ["smoothing"], "equation": {"preset": "nls"}},
+     "config.equation"),
 ])
 def test_out_of_domain_values_name_the_field(tmp_path, capsys, command, payload, field):
     cfg = write_config(tmp_path, payload)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err

@@ -42,6 +42,10 @@ PROBES = {
         RegionLabel.INTERMEDIATE,
     ),
 }
+# the same four at m = 0, where every kernel's factor (1 + z^2)^(-m) is
+# exactly 1: together they cover the GL line, Levin and both arcs
+PROBES.update({f"{name}_m0": ((*probe[:4], 0.0, probe[5]), label)
+               for name, (probe, label) in list(PROBES.items())})
 
 # name -> path -> (re value, im value, err, floor, n_nodes); all converged
 PINNED = {
@@ -66,6 +70,28 @@ PINNED = {
     "intermediate": {
         "direct": ("-0x1.fdfb8109fbcf0p-3", "-0x1.a6caeb6997876p-2",
                    "0x1.12ce6c9dbcc1cp-51", "0x1.3e4886af36106p-44", 20288),
+    },
+    "near_m0": {
+        "direct": ("-0x1.46a0c40488a00p-52", "0x1.0000000000000p-56",
+                   "0x1.2bcbed2c0d928p-51", "0x1.7a61b12b04748p-44", 14144),
+        "contour": ("-0x1.5e6e000000000p-55", "-0x1.ed80000000000p-62",
+                    "0x1.1bf32221aac20p-55", "0x1.cd99f3d9fa4fap-45", 15616),
+    },
+    "far_upper_m0": {
+        "direct": ("0x1.22648c55f687ep-55", "0x1.83c1fe8773c86p-55",
+                   "0x1.351bf1959a49fp-54", "0x1.152e1b5f04e5cp-43", 64176),
+        "contour": ("-0x1.e4e4c765c098ap-63", "0x1.5d4ea61590b32p-62",
+                    "0x1.af710fd5fcff6p-60", "0x1.cd961e3b31431p-45", 2405568),
+    },
+    "far_lower_m0": {
+        "direct": ("-0x1.fdfa51deec51fp-56", "-0x1.84cc3bded0adap-55",
+                   "0x1.05f50bfc1aebdp-54", "0x1.152b03aa04a6bp-43", 64176),
+        "contour": ("-0x1.afc7bf7aae38bp-61", "-0x1.0cf414ed83f34p-66",
+                    "0x1.31e7f78c460b5p-61", "0x1.cd961e3b3142fp-45", 2405568),
+    },
+    "intermediate_m0": {
+        "direct": ("-0x1.086d74ed727a0p-1", "-0x1.b66e6f9264c70p-1",
+                   "0x1.af43a55f0f450p-51", "0x1.acbb0aad6502fp-44", 20288),
     },
 }
 

@@ -57,6 +57,7 @@ from .spectral import (
     Grid,
     GridFunction,
     _dispersion,
+    _heap_scratch,
 )
 
 __all__ = ["ConfigError", "main"]
@@ -621,8 +622,10 @@ def cmd_verify_estimates(config: dict, out: Path, seed: int, threads: int) -> in
     keywords = {"seed": seed}
     if "samples" in config:
         keywords["samples"] = config["samples"]
-    # the schema bounds alpha and samples, so only the equation is refused here
-    with _config_field("config.equation"), ThreadPoolExecutor(max_workers=threads) as pool:
+    # the schema bounds alpha and samples, so only the equation is refused here;
+    # mallopt is process-wide, so one heap scope covers every worker's sweeps
+    with (_config_field("config.equation"), _heap_scratch(),
+          ThreadPoolExecutor(max_workers=threads) as pool):
         results = list(pool.map(lambda name: _ESTIMATES[name](params, alpha, **keywords), names))
 
     rows = []

@@ -242,13 +242,25 @@ def _field_sets(fields, samples, seed, maker, anchors=()):
 
 
 # ---------------------------------------------------------------------------
-# Multipliers on separable fields.
+# Multipliers and norms on separable fields.
 # ---------------------------------------------------------------------------
 #
 # A packet is a sum of r products m_c(t) p_c(x), so a Fourier multiplier D
 # acts on its spatial factors alone: D u = sum_c m_c (x) D p_c.  That is one
-# batched transform of r spatial rows and one (T x r)(r x N) product, where
-# applying D frame by frame transforms all T frames.
+# batched transform of r spatial rows, where applying D frame by frame
+# transforms all T frames.  The images stay in factor form: the mixed norms
+# read only |u|^2, which is
+#
+#     sum_a |m_a|^2 |p_a|^2
+#       + sum_{a<b} 2 Re(m_a conj m_b) Re(p_a conj p_b)
+#                 - 2 Im(m_a conj m_b) Im(p_a conj p_b),
+#
+# one real (T x r^2)(r^2 x N) product of the factors' Hermitian rows, so no
+# complex frame stack is formed and no modulus is taken.  Its rounding is
+# absolute, of order r^2 eps (sum_c |m_c| |p_c|)^2, so where the components
+# cancel it can dip below 0; the norms flush that (see the norms module).
+# A cubic image has rank r^3, where the real product (k = r^6) costs more
+# than the complex one (k = r^3): it is formed as frames.
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows a[i] * b[j] over every (i, j), i-major: the factor rows of the
@@ -256,37 +268,70 @@ def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[-1])
 
 
-def _chain_rule_images(f, x, times, symbol) -> tuple:
-    """(D u, D(|u|^2 u)) of the packet u as frame stacks, D the multiplier symbol.
+def _hermitian_rows(rows: np.ndarray, pair_weight: float = 1.0) -> np.ndarray:
+    """The r^2 real rows |z_c|^2, then w Re(z_a conj z_b) and w Im(z_a conj z_b)
+    over a < b, of the r complex rows z, w the pair weight."""
+    a, b = np.triu_indices(len(rows), 1)
+    pairs = rows[a] * rows[b].conj()
+    pairs *= pair_weight
+    return np.concatenate([rows.real**2 + rows.imag**2, pairs.real, pairs.imag])
+
+
+class _PacketField:
+    """The separable field u = sum_c time_rows[c] (outer) space_rows[c] as the
+    norms read it: grid, times, |u|^2 by the sum above, and single frames."""
+
+    def __init__(self, grid: Grid, times: np.ndarray, time_rows: np.ndarray,
+                 space_rows: np.ndarray):
+        self.grid, self.times = grid, times
+        self._time_rows, self._space_rows = time_rows, space_rows
+        # conj flips the sign of Im(m_a conj m_b), as the sum needs
+        time = _hermitian_rows(time_rows.conj(), 2.0)
+        self._abs_squared = time.T @ _hermitian_rows(space_rows)
+
+    def abs_squared(self) -> np.ndarray:
+        """|u|^2 at every node and grid point; shared, so read-only."""
+        return self._abs_squared
+
+    def frame(self, k: int) -> GridFunction:
+        return GridFunction(self.grid, self._time_rows[:, k] @ self._space_rows)
+
+
+def _chain_rule_images(modulations, spatial, grid, times, symbol) -> tuple:
+    """(D u, D(|u|^2 u)) of the packet u with factor rows modulations and
+    spatial, D the multiplier symbol: D u as a _PacketField, D(|u|^2 u) as a
+    SpaceTimeField.
 
     |u|^2 u is the rank-r^3 sum over (a, b, c) of
     m_a conj(m_b) m_c (x) p_a conj(p_b) p_c, so neither the cubic frame stack
     nor its transform is formed.
     """
-    modulations, spatial = f.factors(x, times)
     cubic_time = _outer_rows(_outer_rows(modulations, modulations.conj()), modulations)
     cubic_space = _outer_rows(_outer_rows(spatial, spatial.conj()), spatial)
     (d_spatial,) = apply_symbols(spatial, symbol)
     (d_cubic,) = apply_symbols(cubic_space, symbol)
-    return modulations.T @ d_spatial, cubic_time.T @ d_cubic
+    return (_PacketField(grid, times, modulations, d_spatial),
+            SpaceTimeField(grid, times, cubic_time.T @ d_cubic))
 
 
-def _two_sided_images(f, g, x, times, d_all, d_half) -> tuple:
-    """(D(fg) - f Dg - g Df, H f, H g) of the packets f and g as frame stacks,
+def _two_sided_images(f, g, grid, times, d_all, d_half) -> tuple:
+    """(D(fg) - f Dg - g Df, H f, H g) of the packets f and g as _PacketFields,
     D and H the multipliers with symbols d_all and d_half.
 
     With f = sum_a m_a p_a and g = sum_b n_b q_b the defect is the sum over
     (a, b) of m_a n_b (x) [D(p_a q_b) - p_a D q_b - q_b D p_a]: it is formed
     on the r^2 spatial products before the time modulations are applied.
     """
-    mf, pf = f.factors(x, times)
-    mg, pg = g.factors(x, times)
+    mf, pf = f.factors(grid.x, times)
+    mg, pg = g.factors(grid.x, times)
     df, df_half = apply_symbols(pf, d_all, d_half)
     dg, dg_half = apply_symbols(pg, d_all, d_half)
     (defect,) = apply_symbols(_outer_rows(pf, pg), d_all)
     defect -= _outer_rows(pf, dg)
     defect -= _outer_rows(df, pg)
-    return _outer_rows(mf, mg).T @ defect, mf.T @ df_half, mg.T @ dg_half
+    return (_PacketField(grid, times, _outer_rows(mf, mg), defect),
+            _PacketField(grid, times, mf, df_half),
+            _PacketField(grid, times, mg, dg_half))
 
 
 def _derivative_sup(grid: Grid, integral: np.ndarray) -> float:
@@ -294,9 +339,11 @@ def _derivative_sup(grid: Grid, integral: np.ndarray) -> float:
 
     S(t) multiplies every mode by a phase of modulus 1, so by Parseval the
     norm is sqrt(spacing / n * sum_xi xi^2 |h(t, xi)|^2), with no flush of
-    small squares.
+    small squares.  integral's imaginary parts are squared in place, so the
+    sum takes one new array.
     """
-    power = integral.real**2 + integral.imag**2
+    power = integral.real**2
+    power += np.square(integral.imag, out=integral.imag)
     return math.sqrt(grid.spacing / grid.num_points * float(np.max(power @ grid.xi_fft**2)))
 
 
@@ -333,7 +380,7 @@ def check_smoothing(
     def evaluate(f, scale):
         grid, times = setup(scale)
         modulations, spatial = f.factors(grid.x, times)
-        rhs = mixed_norm_x_t(SpaceTimeField(grid, times, modulations.T @ spatial), 1, 2)
+        rhs = mixed_norm_x_t(_PacketField(grid, times, modulations, spatial), 1, 2)
         # the forcing's spectrum, from the transforms of its r spatial rows
         integral = _duhamel_integral(
             grid, params, times, modulations.T @ np.fft.fft(spatial, axis=1)
@@ -372,8 +419,8 @@ def check_sup_embedding(
             for horizon, times, horizon_modulations in zip(
                 _SUP_HORIZONS, clocks, np.split(modulations, len(clocks), axis=1)
             ):
-                u = SpaceTimeField(grid, times, horizon_modulations.T @ spatial)
-                du = SpaceTimeField(grid, times, horizon_modulations.T @ quarter_rows)
+                u = _PacketField(grid, times, horizon_modulations, spatial)
+                du = _PacketField(grid, times, horizon_modulations, quarter_rows)
                 lhs = mixed_norm_t_x(u, 5, math.inf)
                 rhs = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(du, 5, 10)
                 pairs.append((horizon, lhs, rhs))
@@ -515,21 +562,21 @@ def check_chain_rules(
     def evaluate(f, scale):
         grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
         times = np.linspace(0.0, 1.0, _BASE_TIME_NODES * scale + 1)
-        u = SpaceTimeField(grid, times, f.sample(grid.x, times))
-        du, dcubic = (
-            SpaceTimeField(grid, times, frames)
-            for frames in _chain_rule_images(f, grid.x, times, np.abs(grid.xi_fft) ** alpha)
+        modulations, spatial = f.factors(grid.x, times)
+        du, dcubic = _chain_rule_images(
+            modulations, spatial, grid, times, np.abs(grid.xi_fft) ** alpha
         )
 
-        row_sups = np.max(np.abs(u.frames), axis=1)
-        peak = int(np.argmax(row_sups))
-        slice_sup = float(row_sups[peak])
+        # the squared sups of u's rows, clipped at 0 as the norms clip them
+        u = _PacketField(grid, times, modulations, spatial)
+        row_squares = np.maximum(u.abs_squared().max(axis=1), 0.0)
+        peak = int(np.argmax(row_squares))
+        sup_square = float(row_squares[peak])
         lhs_slice = l2_norm(dcubic.frame(peak))
-        rhs_slice = slice_sup**2 * l2_norm(du.frame(peak))
+        rhs_slice = sup_square * l2_norm(du.frame(peak))
 
-        total_sup = float(np.max(row_sups))
         lhs_xt = mixed_norm_x_t(dcubic, 5, 10)
-        rhs_xt = total_sup**2 * mixed_norm_x_t(du, 5, 10)
+        rhs_xt = sup_square * mixed_norm_x_t(du, 5, 10)
         return [(lhs_slice, rhs_slice), (lhs_xt, rhs_xt)]
 
     return _assemble("chain-rule", seed, base, fine, evaluate)
@@ -558,9 +605,8 @@ def check_leibniz_two_sided(
         grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
         times = np.linspace(0.0, 1.0, _BASE_TIME_NODES * scale + 1)
         ay = np.abs(grid.xi_fft)
-        defect, f_half, g_half = (
-            SpaceTimeField(grid, times, frames)
-            for frames in _two_sided_images(f, g, grid.x, times, ay**alpha, ay ** (alpha / 2.0))
+        defect, f_half, g_half = _two_sided_images(
+            f, g, grid, times, ay**alpha, ay ** (alpha / 2.0)
         )
         lhs = mixed_norm_x_t(defect, 2.0, 2.0)
         rhs = mixed_norm_x_t(f_half, 4.0, 4.0) * mixed_norm_x_t(g_half, 4.0, 4.0)

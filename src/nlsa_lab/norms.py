@@ -5,14 +5,21 @@ composite trapezoid rule, as one product with its weight vector, and
 essential suprema become maxima over nodes or grid points (fields are
 smooth, so the grid max converges to the sup).
 
-The inner L^q integrands |u|^q count as 0 where |u| < 2^(-1022/q), that is
-where the power would fall below float64's normal range (2^-1022): libm's pow
-is tens of times slower on a subnormal result, and wave-packet tails put
-whole rows there.  pow already returns 0 below the smallest subnormal,
-2^-1074, so only a field whose every |u|^q is subnormal reads differently:
-as 0.  The smoothing sweep's LHS is no norm of this module: it is an L^2_x
-norm taken by Parseval on the transform side, whose squares are summed
-unflushed (estimates._derivative_sup).
+The norms read a field through its grid, its times and |u|^2 (abs_squared):
+a SpaceTimeField squares the modulus of its frames, and a separable packet
+takes |u|^2 from its factors (estimates._PacketField) without forming the
+frames.  The inner L^q integrands are |u|^q = (|u|^2)^(q/2), and they count
+as 0 where |u|^2 < 2^(-2044/q).  That is the rule |u| < 2^(-1022/q) on the
+square, so it flushes where the power would fall below float64's normal
+range (2^-1022): libm's pow is tens of times slower on a subnormal result,
+and wave-packet tails put whole rows there.  pow already returns 0 below the
+smallest subnormal, 2^-1074, so only a field whose every |u|^q is subnormal
+reads differently: as 0.  The same rule flushes a |u|^2 that a factor
+product's rounding left below 0 where the components cancel; the sup norms
+take the square root of |u|^2 clipped at 0.  The smoothing sweep's LHS is
+no norm of this module: it is an L^2_x norm taken by Parseval on the
+transform side, whose squares are summed unflushed
+(estimates._derivative_sup).
 """
 
 from __future__ import annotations
@@ -66,6 +73,11 @@ class SpaceTimeField:
 
     def frame(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.frames[k])
+
+    def abs_squared(self) -> np.ndarray:
+        """|u|^2 at every node and grid point, in a new array."""
+        sq = np.abs(self.frames)
+        return np.square(sq, out=sq)
 
     def apply_symbols(self, *symbols: np.ndarray) -> list:
         """Apply FFT-order multipliers to every frame, all from one transform."""
@@ -122,12 +134,13 @@ def sobolev_norm(f: GridFunction, s: float) -> float:
     return float(_sobolev(f.grid, f.values, s))
 
 
-def _flushed_power(mag: np.ndarray, q) -> np.ndarray:
-    """mag**q in place, 0 where mag < 2^(-1022/q) (see the module docstring)."""
-    tiny = mag < 2.0 ** (-1022.0 / q)
-    np.power(mag, q, out=mag, where=~tiny)
-    mag[tiny] = 0.0
-    return mag
+def _flushed_power(sq: np.ndarray, q) -> np.ndarray:
+    """|u|**q from sq = |u|**2 in a new array, 0 where sq < 2^(-2044/q) (see
+    the module docstring)."""
+    tiny = sq < 2.0 ** (-2044.0 / q)
+    if q == 2:
+        return np.where(tiny, 0.0, sq)
+    return np.power(sq, q / 2.0, out=np.zeros_like(sq), where=~tiny)
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -138,23 +151,23 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _time_inner(u: SpaceTimeField, q) -> np.ndarray:
+def _time_inner(u, q) -> np.ndarray:
     """Per-grid-point L^q norm in t (trapezoid; max for q = inf)."""
-    mag = np.abs(u.frames)
+    sq = u.abs_squared()
     if q == math.inf:
-        return mag.max(axis=0)
-    return (_trapezoid_weights(u.times) @ _flushed_power(mag, q)) ** (1.0 / q)
+        return np.sqrt(np.maximum(sq.max(axis=0), 0.0))
+    return (_trapezoid_weights(u.times) @ _flushed_power(sq, q)) ** (1.0 / q)
 
 
-def _space_inner(u: SpaceTimeField, p) -> np.ndarray:
+def _space_inner(u, p) -> np.ndarray:
     """Per-time-node L^p norm in x (Riemann sum; max for p = inf)."""
-    mag = np.abs(u.frames)
+    sq = u.abs_squared()
     if p == math.inf:
-        return mag.max(axis=1)
-    return (u.grid.spacing * np.sum(_flushed_power(mag, p), axis=1)) ** (1.0 / p)
+        return np.sqrt(np.maximum(sq.max(axis=1), 0.0))
+    return (u.grid.spacing * np.sum(_flushed_power(sq, p), axis=1)) ** (1.0 / p)
 
 
-def mixed_norm_x_t(u: SpaceTimeField, p, q) -> float:
+def mixed_norm_x_t(u, p, q) -> float:
     """L^p_x L^q_T norm: the time integral is taken first."""
     g = _time_inner(u, q)
     if p == math.inf:
@@ -162,7 +175,7 @@ def mixed_norm_x_t(u: SpaceTimeField, p, q) -> float:
     return float((u.grid.spacing * np.sum(g**p)) ** (1.0 / p))
 
 
-def mixed_norm_t_x(u: SpaceTimeField, q, p) -> float:
+def mixed_norm_t_x(u, q, p) -> float:
     """L^q_T L^p_x norm: the space integral is taken first."""
     g = _space_inner(u, p)
     if q == math.inf:

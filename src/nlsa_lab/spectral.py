@@ -521,6 +521,14 @@ def _heap_scratch():
     and a low frozen mmap threshold would make later medium allocations
     fault on every call.  The free pages are then handed back.  Elsewhere
     this does nothing.
+
+    The thresholds are process-wide, so a scope must enclose every thread
+    whose allocations it governs: cli runs the estimate sweeps' whole worker
+    pool in one.  Those workers allocate from a secondary arena, whose heaps
+    glibc unmaps once they are empty; the sweeps' temporaries (a few MiB)
+    fit in the arena's first 64 MiB heap, which is never unmapped, so their
+    pages are kept there too.  Band transforms of 2^20 points and up are
+    larger, and on a worker thread they would not be.
     """
     heap = _glibc_heap()
     if heap is None:

@@ -1,16 +1,21 @@
 """The inner L^q integrands skip libm's subnormal path and change no norm.
 
-|u|^q counts as 0 where |u| < 2^(-1022/q): glibc's pow is tens of times
-slower on a result below float64's normal range, and the Gaussian tails of
-the estimate sweeps' space-time packets put whole rows there.  On such
-packets the mixed norms must keep every bit of the unflushed formulas; a
-field whose every power is subnormal reads 0, as the norms module documents.
+The norms raise |u|^2 to q/2, and |u|^q counts as 0 where
+|u|^2 < 2^(-2044/q), the rule |u| < 2^(-1022/q) on the square: glibc's pow
+is tens of times slower on a result below float64's normal range, and the
+Gaussian tails of the estimate sweeps' space-time packets put whole rows
+there.  On such packets the mixed norms must keep every bit of the unflushed
+formulas, (|u|^2)^(q/2) of the squared moduli of the frames; a field whose
+every power is subnormal reads 0, as the norms module documents.
 """
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from nlsa_lab.estimates import random_spacetime_packets
+from nlsa_lab.estimates import _PacketField, random_spacetime_packets
 from nlsa_lab.norms import (
     SpaceTimeField,
     _space_inner,
@@ -30,17 +35,19 @@ def _bits(values):
     return np.atleast_1d(np.asarray(values, dtype=np.float64)).view(np.uint64)
 
 
+def _unflushed_power(u, q):
+    """(|u|^2)^(q/2) at every node and point, |u|^2 the squared modulus."""
+    sq = np.abs(u.frames) ** 2
+    return sq ** (q / 2)
+
+
 def _time_integral(u, q):
     """The unflushed per-point integral of |u|^q in t, by the same weight vector."""
-    mag = np.abs(u.frames)
-    mag **= q
-    return _trapezoid_weights(u.times) @ mag
+    return _trapezoid_weights(u.times) @ _unflushed_power(u, q)
 
 
 def _space_inner_unflushed(u, p):
-    mag = np.abs(u.frames)
-    mag **= p
-    return (u.grid.spacing * np.sum(mag, axis=1)) ** (1.0 / p)
+    return (u.grid.spacing * np.sum(_unflushed_power(u, p), axis=1)) ** (1.0 / p)
 
 
 def _packet_fields():
@@ -55,7 +62,7 @@ def _packet_fields():
 def test_inner_norms_keep_the_unflushed_bits_on_underflowing_packets(q):
     subnormal = 0
     for u in _packet_fields():
-        power = np.abs(u.frames) ** q
+        power = _unflushed_power(u, q)
         subnormal += np.count_nonzero((power > 0) & (power < TINY))
 
         # each time node's row holds the packet's bulk
@@ -111,3 +118,49 @@ def test_space_time_packet_sample_is_the_sum_of_its_outer_products():
     got = packet.sample(GRID.x, times)
     assert got.shape == want.shape and got.dtype == np.complex128
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# every (p, q) a sweep or the fixed-point norm reads, as x_t (then t_x) pairs
+MIXED_NORMS = [(mixed_norm_x_t, 5, 10), (mixed_norm_x_t, 2.0, 2.0), (mixed_norm_x_t, 4.0, 4.0),
+               (mixed_norm_x_t, 1, 2), (mixed_norm_x_t, math.inf, 2), (mixed_norm_x_t, 20, 2.5),
+               (mixed_norm_x_t, 4, math.inf), (mixed_norm_t_x, 5, math.inf),
+               (mixed_norm_t_x, math.inf, 2)]
+
+
+def _cancelling_field(m, p):
+    """The field m (x) p - m (x) p = 0, in factor form: rows (m, m) and (p, -p)."""
+    times = np.linspace(0.0, 1.0, m.size)
+    return _PacketField(GRID, times, np.array([m, m]), np.array([p, -p]))
+
+
+def _norms_without_warnings(u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return [norm(u, p, q) for norm, p, q in MIXED_NORMS]
+
+
+def test_an_exactly_cancelling_field_reads_positive_zero():
+    # dyadic factors of few bits: every product and sum is exact, so the
+    # factor product's |u|^2 is exactly 0
+    rng = np.random.default_rng(2)
+    dyadic = lambda size: (rng.integers(-8, 9, size) + 1j * rng.integers(-8, 9, size)) / 16
+    u = _cancelling_field(dyadic(129), dyadic(GRID.num_points))
+    assert not np.any(u.abs_squared())
+    for value in _norms_without_warnings(u):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_a_cancelling_packet_reads_its_rounding_and_no_warning():
+    # on a packet's factors the cancellation leaves rounding residues of
+    # both signs, at most (r^2 + 5) eps S^2 = 9 eps S^2 with S = 2 |m| |p|
+    # (the factor product's share of the bound in test_separable_images);
+    # the negative ones flush, so every norm is at most that of 3 sqrt(eps) S
+    modulations, spatial = random_spacetime_packets(1, np.random.default_rng(1))[0].factors(
+        GRID.x, np.linspace(0.0, 1.0, 129))
+    u = _cancelling_field(modulations[0], spatial[0])
+    assert np.any(u.abs_squared() < 0.0)
+    envelope = SpaceTimeField(u.grid, u.times, 2.0 * np.outer(np.abs(modulations[0]),
+                                                              np.abs(spatial[0])))
+    noise = 3.0 * math.sqrt(np.finfo(float).eps)
+    for value, (norm, p, q) in zip(_norms_without_warnings(u), MIXED_NORMS):
+        assert 0.0 <= value <= noise * norm(envelope, p, q)

@@ -19,6 +19,7 @@ import numpy as np
 
 from nlsa_lab.estimates import (
     SpaceTimePacket,
+    _PacketField,
     _assemble,
     check_leibniz_two_sided,
     check_smoothing,
@@ -142,10 +143,11 @@ def sup_embedding_as_evaluated_twice(fields, horizons=(1.0, 0.5, 0.25, 0.125)):
         pairs = []
         for horizon in horizons:
             times = np.linspace(0.0, horizon, 128 * scale + 1)
-            u = SpaceTimeField(grid, times, f.sample(grid.x, times))
             modulations, spatial = f.factors(grid.x, times)
             quarter = apply_symbols(spatial, np.fft.ifftshift(np.abs(grid.xi) ** 0.25))[0]
-            du = SpaceTimeField(grid, times, modulations.T @ quarter)
+            # the norms read |u|^2 from the factors, as the sweep's fields give it
+            u = _PacketField(grid, times, modulations, spatial)
+            du = _PacketField(grid, times, modulations, quarter)
             rhs = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(du, 5, 10)
             pairs.append((horizon, mixed_norm_t_x(u, 5, math.inf), rhs))
         return pairs
@@ -201,10 +203,11 @@ def two_sided_pair_row_by_row(f, g, scale):
         for a, b in pairs
     ])
     time_rows = np.array([mf[a] * mg[b] for a, b in pairs])
-    defect = SpaceTimeField(grid, times, time_rows.T @ defect_rows)
+    # the norms read |u|^2 from the factors, as the sweep's fields give it
+    defect = _PacketField(grid, times, time_rows, defect_rows)
     lhs = mixed_norm_x_t(defect, 2.0, 2.0)
-    half_f = SpaceTimeField(grid, times, mf.T @ np.array([apply_symbols(p, d_half)[0] for p in pf]))
-    half_g = SpaceTimeField(grid, times, mg.T @ np.array([apply_symbols(q, d_half)[0] for q in pg]))
+    half_f = _PacketField(grid, times, mf, np.array([apply_symbols(p, d_half)[0] for p in pf]))
+    half_g = _PacketField(grid, times, mg, np.array([apply_symbols(q, d_half)[0] for q in pg]))
     first = mixed_norm_x_t(half_f, 4.0, 4.0)
     second = mixed_norm_x_t(half_g, 4.0, 4.0)
     return lhs, first * second

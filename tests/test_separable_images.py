@@ -30,6 +30,22 @@ D(fg) - f Dg - g Df is three such images over the r^2 rows of f g; each of
 its terms is bounded by sum_ab ||m_a n_b||_inf ||p_a||_2 ||q_b||_2, since
 ||p q||_2 <= ||p||_inf ||q||_2 <= ||p||_2 ||q||_2 on the samples, so its
 bound is three times that sum's.
+
+The norms read such a field's |u|^2 from its factors: one real product of
+the r^2 Hermitian rows |m_a|^2, 2 Re(m_a conj m_b), -2 Im(m_a conj m_b) and
+|p_a|^2, Re(p_a conj p_b), Im(p_a conj p_b).  Let S = sum_c |m_c| |p_c| at a
+node and a point, and take eps as a bound on one operation's relative
+rounding.  A Hermitian row entry z is off by at most 2 eps |z|, so each of
+the r^2 products T_k S_k of a time entry and a space entry is off by at most
+5 eps |T_k| |S_k|, and sum_k |T_k| |S_k| <= S^2 (Cauchy-Schwarz on each
+pair's Re and Im terms); summing the r^2 terms adds at most r^2 eps S^2.
+The frame-wise reference, |u|^2 of u = sum_c m_c p_c, has u off by at most
+(r + 2) eps S, and taking the modulus and squaring it add at most 3 eps S^2,
+so it is off by at most (2 r + 7) eps S^2.  The two differ by at most
+
+    (r^2 + 2 r + 12) eps S^2
+
+per entry, and this bound is written down before the comparison.
 """
 
 import math
@@ -38,6 +54,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from nlsa_lab.estimates import (
+    _PacketField,
     _chain_rule_images,
     _two_sided_images,
     check_chain_rules,
@@ -63,6 +80,11 @@ def l2_rows(rows):
     return np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1))
 
 
+def frames_of(field):
+    """The frame stack of a field, one frame at a time."""
+    return np.array([field.frame(k).values for k in range(field.times.size)])
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -81,7 +103,7 @@ def test_factor_images_agree_with_the_frame_wise_multiplier(seed, s, num_points,
     ug = SpaceTimeField(grid, times, g.sample(grid.x, times))
 
     # D u and D(|u|^2 u) of the chain rule
-    du, dcubic = _chain_rule_images(f, grid.x, times, sigma)
+    du, dcubic = (frames_of(image) for image in _chain_rule_images(mf, pf, grid, times, sigma))
     (du_frames,) = uf.apply_symbols(sigma)
     cubic = SpaceTimeField(grid, times, np.abs(uf.frames) ** 2 * uf.frames)
     (dcubic_frames,) = cubic.apply_symbols(sigma)
@@ -95,7 +117,9 @@ def test_factor_images_agree_with_the_frame_wise_multiplier(seed, s, num_points,
         cubic_time, cubic_norms, sigma, num_points)
 
     # the two-sided defect and the half-derivative images of both factors
-    defect, f_half, g_half = _two_sided_images(f, g, grid.x, times, sigma, half)
+    defect, f_half, g_half = (
+        frames_of(image) for image in _two_sided_images(f, g, grid, times, sigma, half)
+    )
     (dfg,) = SpaceTimeField(grid, times, uf.frames * ug.frames).apply_symbols(sigma)
     (df,) = uf.apply_symbols(sigma)
     (dg,) = ug.apply_symbols(sigma)
@@ -139,3 +163,25 @@ def test_no_frame_stack_is_transformed_in_the_factor_sweeps(monkeypatch):
         # per field at both scales
         assert sum(name == "fft" for name, _ in shapes) == forward * 2
         assert sum(name == "ifft" for name, _ in shapes) == inverse * 2
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.sampled_from([2, 4]),
+    num_points=st.sampled_from([128, 256, 512]),
+    time_nodes=st.sampled_from([17, 129]),
+)
+def test_factor_abs_squared_agrees_with_the_frames_modulus(seed, rank, num_points, time_nodes):
+    grid = Grid(num_points, 60.0)
+    times = np.linspace(0.0, 1.0, time_nodes)
+    # a rank-4 field is the sum of two rank-2 packets
+    factors = [f.factors(grid.x, times)
+               for f in random_spacetime_packets(rank // 2, np.random.default_rng(seed))]
+    m = np.concatenate([mf for mf, _ in factors])
+    p = np.concatenate([pf for _, pf in factors])
+    got = _PacketField(grid, times, m, p).abs_squared()
+    want = np.abs(m.T @ p) ** 2
+    scale = (np.abs(m).T @ np.abs(p)) ** 2
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= (rank**2 + 2 * rank + 12) * EPS * scale)

@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .norms import SpaceTimeField, NormReport, _weighted_l2, mu_norms, sobolev_norm, xt_norm
-from .spectral import (EquationParams, FlowOverflowError, Grid, GridFunction, _require_finite,
-                       apply_symbols, duhamel_flow)
+from .spectral import (EquationParams, FlowOverflowError, Grid, GridFunction, _heap_scratch,
+                       _require_finite, apply_symbols, duhamel_flow)
 
 __all__ = [
     "BoundaryMassWarning",
@@ -280,10 +280,11 @@ def picard_iterate(
     return _iterate(u0, params, config)
 
 
+@_heap_scratch()
 def _iterate(
     u0: GridFunction, params: EquationParams, config: PicardConfig
 ) -> tuple[SpaceTimeField, ContractionReport]:
-    """picard_iterate without the boundary-mass check."""
+    """picard_iterate without the boundary-mass check, under the heap policy."""
     times = config.times()
     # a free flow that overflows makes the first distance non-finite, caught below
     with np.errstate(over="ignore", invalid="ignore"):

@@ -256,8 +256,11 @@ def test_leibniz_band_zero_second_factor_discarded():
 
 def test_leibniz_band_coverage_warning():
     high = PureMode(1.0, grid_freq(220))  # above the covered dyadic range
-    with pytest.warns(BandCoverageWarning):
+    with pytest.warns(BandCoverageWarning) as record:
         check_leibniz_band(fields=[(PureMode(1.0, grid_freq(5)), high)])
+    # one warning per sweep, naming the caller's line
+    (warning,) = [w for w in record if w.category is BandCoverageWarning]
+    assert warning.filename == __file__
 
 
 def test_leibniz_band_sweep_bounded_and_stable():

@@ -1,5 +1,5 @@
-"""The glibc heap policy of the band loop, the profile build and the estimate
-sweeps: fewer page faults, no cost left behind.
+"""The glibc heap policy of the band loop, the profile build, the estimate
+sweeps and the Picard iteration: fewer page faults, no cost left behind.
 
 numpy's FFT takes two fresh N-point complex buffers per transform, and glibc
 maps (32 MiB and up) or trims (16 MiB) them straight back to the system, so
@@ -12,9 +12,13 @@ and with the policy 4.7k faults and 7.2 MiB, its 7.3 MiB of spline
 coefficients (x86-64, glibc 2.36, numpy 2.4.6).  The estimate sweeps' few-MiB
 temporaries were mapped and faulted in anew on every field once glibc's mmap
 threshold sat below them: verify-estimates running the chain-rule sweep
-alone took 171k faults, and 8k under the policy.  Faults are the process's
-minor faults from getrusage, and resident memory is read from
-/proc/self/statm, so the fault tests run on Linux with glibc only.
+alone took 171k faults, and 8k under the policy.  Each sweep enters the
+policy itself, so a call from Python gets it too: the smoothing, chain-rule
+and two-sided Leibniz sweeps at seed 1 took 209k, 180k and 103k faults
+without it and 2.7k, 1.9k and 1.4k with it, and the mkdv preset's Picard
+solve 10.0-10.5k and 5.1k.  Faults are the process's minor faults from
+getrusage, and resident memory is read from /proc/self/statm, so the fault
+tests run on Linux with glibc only.
 """
 
 import ctypes
@@ -149,6 +153,44 @@ print(code, faults() - start)
 """)
     assert code == "0"
     assert int(faults) < 30_000, faults
+
+
+# each sweep called from Python, not through cli.main, with nothing run
+# before it: the library enters the policy for its own field evaluations
+_SWEEPS = {
+    "smoothing": "check_smoothing(EquationParams(a=0.0, b=1.0), seed=1)",
+    "chain-rule": "check_chain_rules(seed=1)",
+    "leibniz-two-sided": "check_leibniz_two_sided(seed=1)",
+}
+
+
+@glibc_only
+@pytest.mark.parametrize("call", _SWEEPS.values(), ids=_SWEEPS.keys())
+def test_a_sweep_called_from_python_faults_fewer_than_thirty_thousand_times(call):
+    (faults,) = run_fresh(f"""
+from nlsa_lab.estimates import check_chain_rules, check_leibniz_two_sided, check_smoothing
+from nlsa_lab.spectral import EquationParams
+start = faults()
+{call}
+print(faults() - start)
+""")
+    assert int(faults) < 30_000, faults
+
+
+@glibc_only
+def test_a_picard_solve_faults_fewer_than_eight_thousand_times():
+    # solve-presets' mkdv soliton: 2048 points, L = 60, 129 frames
+    (faults,) = run_fresh("""
+from nlsa_lab.picard import PicardConfig, picard_iterate, reduction_preset, soliton_oracle
+from nlsa_lab.spectral import Grid, GridFunction
+grid = Grid(2048, 60.0)
+u0 = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0))
+config = PicardConfig(horizon=0.05, time_nodes=128)
+start = faults()
+picard_iterate(u0, reduction_preset("mkdv"), config)
+print(faults() - start)
+""")
+    assert int(faults) < 8_000, faults
 
 
 class _NoMallopt:

@@ -33,7 +33,6 @@ from .spectral import (
     EquationParams,
     Grid,
     GridFunction,
-    _forward_samples,
     _weight,
     apply_symbols,
 )
@@ -115,11 +114,12 @@ def _weighted_l2(grid: Grid, values: np.ndarray, m: float) -> np.ndarray:
 
 
 def _sobolev(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
-    """H^s norm along the last axis (one per frame for a frame stack)."""
-    fgrid = grid.conjugate()
-    weight = (1.0 + fgrid.x**2) ** s
-    total = fgrid.spacing * np.sum(weight * np.abs(_forward_samples(grid, values)) ** 2, axis=-1)
-    return np.sqrt(total / (2 * np.pi))
+    """H^s norm along the last axis (one per frame for a frame stack), by
+    Parseval on the FFT: sqrt(spacing/n * sum_k (1 + xi_k^2)^s |fft_k|^2).
+    No phase multiplies the spectrum, so an inf the FFT overflows to stays inf."""
+    power = np.abs(np.fft.fft(values, axis=-1)) ** 2
+    total = np.sum((1.0 + grid.xi_fft**2) ** s * power, axis=-1)
+    return np.sqrt(grid.spacing / grid.num_points * total)
 
 
 def l2_norm(f: GridFunction) -> float:

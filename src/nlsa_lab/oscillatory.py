@@ -58,6 +58,14 @@ from .spectral import (
     qn_bands,
 )
 
+__all__ = [
+    "QuadratureConvergenceError", "RegionLabel", "admissible_parameters", "classify_xi",
+    "contour_radius", "PhiProfile", "osc_integral_direct", "osc_integral_contour",
+    "OscillatoryProbe", "run_probe", "build_probe_grid", "RegionBoundSummary",
+    "decay_bound_check", "ArcExponentReport", "arc_exponent_check", "arc_summary",
+    "BandSumResult", "band_sum_report", "intermediate_count",
+]
+
 _EPS = float(np.finfo(np.float64).eps)
 _F64_MAX = float(np.finfo(np.float64).max)
 
@@ -262,107 +270,30 @@ def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int) -> np.ndar
     return out
 
 
-# the quintic B-spline's interpolation prefilter has the poles z inside the
-# unit circle of z^4 + 26 z^3 + 66 z^2 + 26 z + 1, i.e. of z + 1/z = -13 +- sqrt(105)
-_QUINTIC_POLES = (-0.43057534709997379, -0.043096288203264654)
-# z^64 < 4e-24 for both poles, so in 64-sample blocks each block's recursion
-# needs only the end value of the block before it
-_PREFILTER_BLOCK = 64
-# spline evaluation works through its input in chunks that stay in cache
+# evaluation works through its input in chunks that stay in cache
 _SPLINE_CHUNK = 8192
+# the 8-knot stencil's offsets j from the knot i below the abscissa, and the
+# integer denominator prod_{k != j} (j - k) of each offset's weight
+_STENCIL = range(-3, 5)
+_LAGRANGE_DENOMS = tuple(float(math.prod(j - k for k in _STENCIL if k != j)) for j in _STENCIL)
 
 
-def _causal_pass(blocks: np.ndarray, z: float) -> None:
-    """y_k = x_k + z y_{k-1} in place, from y = 0 before the first sample, for
-    the sequence laid out as blocks[j, b] = x_{bL + j} (L = blocks.shape[0])."""
-    size = blocks.shape[0]
-    for j in range(1, size):
-        blocks[j] += z * blocks[j - 1]
-    # each block starts from the end of the block before it; what that end
-    # owes to earlier blocks is scaled by z^L < 4e-24, below rounding
-    carry = blocks[-1].copy()
-    for j in range(size):
-        blocks[j, 1:] += z ** (j + 1) * carry[:-1]
+def _lagrange_weights(t: np.ndarray) -> list:
+    """The Lagrange basis of the knots i - 3 .. i + 4 at i + t, t in [0, 1).
 
-
-def _put_run(seq: np.ndarray, start: int, values: np.ndarray, ufunc) -> None:
-    """ufunc(values) into samples start, start + 1, ... of the blocked
-    sequence seq[b, j] = sample b*L + j (L = seq.shape[1]): a head partial
-    block, the full blocks and a tail partial block.  np.positive copies."""
-    size = seq.shape[1]
-    b, j = divmod(start, size)
-    if j:
-        head = min(size - j, values.size)
-        ufunc(values[:head], out=seq[b, j:j + head])
-        values, b = values[head:], b + 1
-    full = values.size // size
-    ufunc(values[:full * size].reshape(full, size), out=seq[b:b + full])
-    if values.size > full * size:
-        ufunc(values[full * size:], out=seq[b + full, :values.size - full * size])
-
-
-def _blocked_extension(knots: np.ndarray) -> np.ndarray:
-    """The prefilter's input, blocks[j, b] = (re, im) of f at sample
-    b*L + j (L = _PREFILTER_BLOCK): one block of zeros, the mirror
-    conj f_{n-1} .. conj f_1, the knots f_0 .. f_{n-1} from sample L + n - 1,
-    then zeros to the end of the last block.  Both runs are written straight
-    into the transposed view, so no sequence-order copy is made."""
-    n = knots.size
-    size = _PREFILTER_BLOCK
-    blocks = np.zeros((size, -(-(2 * n - 1 + 2 * size) // size), 2))
-    seq = blocks.transpose(1, 0, 2).view(np.complex128)[..., 0]
-    _put_run(seq, size, knots[:0:-1], np.conjugate)
-    _put_run(seq, size + n - 1, knots, np.positive)
-    return blocks
-
-
-def _prefilter(blocks: np.ndarray, n: int) -> np.ndarray:
-    """The cardinal quintic B-spline coefficients c_j, j = -2 .. n + 2, that
-    interpolate the knot values f_0 .. f_{n-1} continued by f_{-k} = conj f_k
-    and by zeros for |k| >= n, from their blocked extension (see
-    _blocked_extension), which the passes overwrite.
-
-    The interpolation condition sum_j c_j beta5(k - j) = f_k is inverted by
-    the recursive prefilter of Unser, Aldroubi & Eden (IEEE Trans. Signal
-    Process. 41:821, 1993): for each pole z a causal pass y_k = f_k + z y_{k-1}
-    and an anticausal pass c_k = y_k + z c_{k+1}, then the gain
-    prod (1 - z)^2.  Both passes run blocked (see _causal_pass); the
-    anticausal one is the causal pass on the reversed layout.  The zero
-    padding past either end is one block, over which a pole's response falls
-    by z^64, so neither pass needs an initial value.  The extension is built
-    apart from this, so a caller can free the knots in between.
+    The weight of knot i + j is prod_{k != j} (t - k) over the stencil's
+    offsets, formed as the product of the factors before it times the
+    product of those after it, divided by its integer denominator.  At t = 0
+    the factor t makes every weight but knot i's exactly 0, and knot i's is
+    6 * 24 / 144 = 1 exactly, so the interpolant returns a knot's bits.
     """
-    size = _PREFILTER_BLOCK
-    first = size + n - 1  # where f_0 sits
-    for z in _QUINTIC_POLES:
-        _causal_pass(blocks, z)
-        # reversing the (re, im) axis as well keeps each row one strided run
-        _causal_pass(blocks[::-1, ::-1, ::-1], z)
-    blocks *= ((1.0 - _QUINTIC_POLES[0]) * (1.0 - _QUINTIC_POLES[1])) ** 2
-    # back to sequence order, only the blocks that hold c_{-2} .. c_{n+2}
-    lo, hi = (first - 2) // size, -(-(first + n + 3) // size)
-    seq = blocks[:, lo:hi].transpose(1, 0, 2).reshape(-1).view(np.complex128)
-    return seq[first - 2 - lo * size:][:n + 5]
-
-
-def _quintic_weights(t: np.ndarray) -> tuple:
-    """beta5(t + 2 - k) for k = 0 .. 5 and t in [0, 1): the weights of
-    c_{i-2} .. c_{i+3} at i + t, in the closed form of Thevenaz, Blu & Unser
-    (IEEE Trans. Med. Imaging 19:739, 2000)."""
-    t2 = t * t
-    w5 = (1.0 / 120.0) * t2 * t2 * t
-    d = t2 - t
-    d2 = d * d
-    h = t - 0.5
-    q = d * (d - 3.0)
-    w0 = (1.0 / 24.0) * (1.0 / 5.0 + d + d2) - w5
-    even = (1.0 / 24.0) * (d * (d - 5.0) + 46.0 / 5.0)
-    odd = (-1.0 / 12.0) * h * (q + 4.0)
-    w2, w3 = even + odd, even - odd
-    even = (1.0 / 16.0) * (9.0 / 5.0 - q)
-    odd = (1.0 / 24.0) * h * (d2 - d - 5.0)
-    w1, w4 = even + odd, even - odd
-    return w0, w1, w2, w3, w4, w5
+    d = [t - k for k in _STENCIL]
+    # before[j] = d[0] ... d[j-1] and after[j] = d[j+1] ... d[7], 1 when empty
+    before, after = [1.0] * 8, [1.0] * 8
+    for j in range(1, 8):
+        before[j] = before[j - 1] * d[j - 1]
+        after[7 - j] = after[8 - j] * d[8 - j]
+    return [b * a / den for b, a, den in zip(before, after, _LAGRANGE_DENOMS)]
 
 
 class PhiProfile:
@@ -371,16 +302,17 @@ class PhiProfile:
     Real-axis values come from a table of the inverse transform, computed
     by a pruned four-step FFT over the transform's support (only the table's
     outputs are formed, and each twiddle is the product of a fine and a
-    coarse exponential table).  The even samples, at v = k*DV, are the knots of a
-    cardinal quintic B-spline on [-v_end, v_end]: the knots are continued by
-    the conjugate symmetry phi(-v) = conj phi(v) and by zeros beyond the
+    coarse exponential table).  The even samples, at v = k*DV, are the knots of
+    an 8-knot Lagrange interpolant on [-v_end, v_end]: the knots are continued
+    by the conjugate symmetry phi(-v) = conj phi(v) and by zeros beyond the
     table, so v = 0, where phi is largest, is an interior knot and needs no
-    end condition.  The coefficients come from the two-pole recursive
-    prefilter (poles -0.430575 and -0.043096), and evaluation at |v| takes
-    the index floor(|v|/DV) and six closed-form basis weights, so it needs
-    no knot search and its cost does not depend on the input's order.  The
-    spline is validated at table midpoints (the table is built at twice the
-    knot density, so the odd samples are exact held-out values).  Complex
+    end condition.  Evaluation at |v| takes the index i = floor(|v|/DV) and
+    the closed-form weights of the knots i - 3 .. i + 4, so it needs no knot
+    search and its cost does not depend on the input's order.  phi's
+    frequencies lie in [1/2, 2], so omega * DV <= 0.01 and the stencil's
+    degree-7 remainder, about 1e-19, sits below rounding.  The interpolant is
+    validated at table midpoints (the table is built at twice the knot
+    density, so the odd samples are exact held-out values).  Complex
     arguments are evaluated by a uniform trapezoid rule on the transform
     support, which is spectrally accurate because the transform vanishes to
     all orders at both support endpoints.  With the nx + 1 nodes split into
@@ -393,7 +325,7 @@ class PhiProfile:
     Attributes of note:
       mass      L1 norm of the transform (|R| <= mass/(2pi) on arcs),
       tail_l1   bound on the profile mass beyond the table end v_end,
-      err_l1 / err_max   measured spline error (integrated / pointwise),
+      err_l1 / err_max   measured interpolation error (integrated / pointwise),
       deriv_l1  L1 norms of the first eight transform derivatives, used in
                 the integration-by-parts bound that lets contour panels be
                 skipped rigorously.
@@ -478,18 +410,18 @@ class PhiProfile:
         return table
 
     def _build(self):
-        """The masses, the table end, the spline coefficients and their
+        """The masses, the table end, the knots and the interpolant's
         measured error, with no full-size temporary past its last reader.
 
-        The prefilter reads only the table's even samples and the validation
-        only its odd ones, so the table is split into the two and freed
-        before the prefilter allocates; the knots are freed once they are
-        laid out in the blocks, and the blocks once the coefficients are
-        copied out.  The midpoints are validated a _SPLINE_CHUNK run at a
+        The interpolant reads only the table's even samples and the
+        validation only its odd ones, so the odd ones are copied out and the
+        even ones written straight from the table into the knot array, which
+        holds f_{-3} .. f_{n+4} for the n knots: the mirror conj f_3, conj f_2,
+        conj f_1, the knots f_0 .. f_{n-1} and five zeros.  The table is freed
+        before the validation, which runs a _SPLINE_CHUNK of midpoints at a
         time into one err array, so err_l1 stays one pairwise sum.  At most
-        the table and its halves, or the halves and the blocks (or the
-        midpoints, the blocks and the coefficients), are live at once: about
-        29.4 MiB at v_end = 2400, where the table is 14.7 MiB.
+        the table and its halves are live at once: about 29.3 MiB at
+        v_end = 2400, where the table is 14.7 MiB.
         """
         self.mass, self.deriv_l1 = self._derivative_masses()
         a8 = self.deriv_l1[8]
@@ -501,40 +433,40 @@ class PhiProfile:
         table = self._table(2 * n_knots - 1)
         self.value_at_zero = complex(table[0])
         held_out = table[1::2].copy()
-        knots = table[::2].copy()
+        self._knots = np.zeros(n_knots + 8, dtype=np.complex128)
+        np.conjugate(table[6:0:-2], out=self._knots[:3])  # phi(-v) = conj phi(v)
+        self._knots[3:n_knots + 3] = table[::2]
         del table
-        blocks = _blocked_extension(knots)
-        del knots
-        self._coefs = _prefilter(blocks, n_knots)
-        del blocks
 
         err = np.empty(n_knots - 1)
         for lo in range(0, err.size, _SPLINE_CHUNK):
             hi = min(lo + _SPLINE_CHUNK, err.size)
             vmid = (self.DV / 2.0) * (2 * np.arange(lo, hi) + 1)
-            np.abs(self._spline(vmid) - held_out[lo:hi], out=err[lo:hi])
+            np.abs(self._interpolate(vmid) - held_out[lo:hi], out=err[lo:hi])
         self.err_max = float(err.max())
         self.err_l1 = float(2.0 * self.DV * err.sum())
 
     # -- evaluation ---------------------------------------------------
 
-    def _spline(self, av: np.ndarray) -> np.ndarray:
-        """The spline at abscissae av >= 0.  The knot index is clamped to
-        the table before the gather, so entries past the table, inf and NaN
-        read in bounds; their values mean nothing and eval_real zeroes them.
+    def _interpolate(self, av: np.ndarray) -> np.ndarray:
+        """The interpolant at abscissae av >= 0.  The knot index is clamped
+        to n, one past the table, whose stencil f_{n-3} .. f_{n+4} is the
+        last that _knots holds, so entries past the table, inf and NaN read
+        in bounds; their values mean nothing and eval_real zeroes them.
         Each entry is computed on its own, whatever its neighbours."""
         out = np.empty(av.shape, dtype=np.complex128)
         flat_in, flat_out = av.reshape(-1), out.reshape(-1)
-        last = self._coefs.size - 6  # the last knot's index
+        last = self._knots.size - 8
         for lo in range(0, flat_in.size, _SPLINE_CHUNK):
             x = flat_in[lo:lo + _SPLINE_CHUNK] / self.DV
             np.fmin(x, last, out=x)  # fmin maps NaN to the bound as well
             i = x.astype(np.int64)
             x -= i
-            weights = _quintic_weights(x)
-            acc = weights[0] * self._coefs[i]
-            for j in range(1, 6):
-                acc += weights[j] * self._coefs[i + j]
+            weights = _lagrange_weights(x)
+            # weights[j] is knot i + j - 3's, which sits at _knots[i + j]
+            acc = weights[0] * self._knots[i]
+            for j in range(1, 8):
+                acc += weights[j] * self._knots[i + j]
             flat_out[lo:lo + _SPLINE_CHUNK] = acc
         return out
 
@@ -542,7 +474,7 @@ class PhiProfile:
         """Profile values on the real axis (0 beyond the table end)."""
         v = np.asarray(v, dtype=np.float64)
         av = np.abs(v)
-        out = self._spline(av)
+        out = self._interpolate(av)
         # phi(-v) = conj(phi(v)); the zeroing comes after the conjugation so
         # that entries off the table (and NaN) read +0.0
         np.conjugate(out, out=out, where=v < 0)
@@ -944,10 +876,10 @@ def _finish(value_coarse, value_fine, l1, n_nodes, floor_extra, prefactor):
 def _close(pairs, profile, a, b, t, xi):
     """Sum the (coarse, fine) piece pairs of one path and finish it.
 
-    The floor beyond rounding is the profile's spline and tail error, every
-    arc's skipped-panel mass and trapezoid rounding term, and the
-    phase-conditioning term.  Line pieces carry no skipped mass and nx = 0,
-    so their arc terms add exact zeros.
+    The floor beyond rounding is the profile's interpolation and tail
+    error, every arc's skipped-panel mass and trapezoid rounding term, and
+    the phase-conditioning term.  Line pieces carry no skipped mass and
+    nx = 0, so their arc terms add exact zeros.
     """
     l1 = 0.0
     n_nodes = 0
@@ -976,7 +908,7 @@ def osc_integral_direct(a, b, t, omega, m, xi):
     sized by the local phase rate.  The Levin floor is built from the
     Clenshaw-Curtis L1 mass of the amplitude over its 28-node panels and
     the endpoint terms' phase conditioning sum |P(w_e)| |p(w_e)|, plus the
-    profile's spline and tail error as for every piece.  Step-halving
+    profile's interpolation and tail error as for every piece.  Step-halving
     provides the convergence flag; a refinement shift beyond 1e-4 relative
     (plus the conditioning floor) raises.  A probe that _require_probe
     refuses raises ValueError before any profile build or quadrature.

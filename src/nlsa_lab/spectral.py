@@ -3,11 +3,12 @@
 Continuum conventions: fhat(xi) = int exp(-i*x*xi) f(x) dx and
 f(x) = (1/2pi) int exp(i*x*xi) fhat(xi) dxi.  The discrete transforms
 reproduce these on [-length/2, length/2) with spectral accuracy for data
-that is negligible near the boundary.  Transformed samples are returned on
-the conjugate grid in ascending frequency order (Nyquist on the negative
-end), so multipliers, weights, and further transforms compose on either
-side without reordering.  Fourier multipliers on grid samples take their
-symbols in FFT order, sampled on Grid.xi_fft.
+that is negligible near the boundary.  Ascending frequency order is the
+convention of the dft_* API alone: dft_forward returns samples on the
+conjugate grid with frequencies ascending (Nyquist on the negative end), and
+dft_inverse takes them back.  Inside the package everything stays in FFT
+order: Fourier multipliers take their symbols sampled on Grid.xi_fft, and
+the H^s norm is a Parseval sum in that order.
 """
 
 from __future__ import annotations
@@ -175,14 +176,11 @@ class EquationParams:
 
 def dft_forward(f: GridFunction) -> GridFunction:
     """Transform samples; output lives on f.grid.conjugate(), frequencies ascending."""
-    return GridFunction(f.grid.conjugate(), _forward_samples(f.grid, f.values))
-
-
-def _forward_samples(g: Grid, values: np.ndarray) -> np.ndarray:
-    """dft_forward of samples on g along the last axis (one row per frame)."""
-    spectrum = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1) * g.spacing
-    spectrum *= np.exp(-1j * g.conjugate().x * g.x[0])
-    return spectrum
+    g = f.grid
+    fgrid = g.conjugate()
+    spectrum = np.fft.fftshift(np.fft.fft(f.values)) * g.spacing
+    spectrum *= np.exp(-1j * fgrid.x * g.x[0])
+    return GridFunction(fgrid, spectrum)
 
 
 def dft_inverse(F: GridFunction) -> GridFunction:

@@ -123,6 +123,12 @@ def _solve_config(grid=None, initial_data=None, equation=None):
                  "equation": {"a": -1.79e308, "b": -8.6e241},
                  "time": {"horizon": 120, "nodes": 8},
                  "initial_data": {"kind": "gaussian"}})
+# a Gaussian whose FFT overflows on a two-point grid, where the H^s norm's
+# phase factor turned the inf spectrum into NaN and raised under this filter
+@example(config={"equation": {"a": 0.0, "b": 0.0},
+                 "grid": {"num_points": 2, "length": 1.698309537570162e+16},
+                 "time": {"horizon": 1.0, "nodes": 2},
+                 "initial_data": {"kind": "gaussian", "amplitude": 2.1170382608041474e+292}})
 def test_every_schema_valid_solve_config_runs_or_is_refused(tmp_path_factory, config):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "config.json"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 _MODULES = ("nlsa_lab", "nlsa_lab.cli", "nlsa_lab.estimates", "nlsa_lab.norms",
-            "nlsa_lab.picard", "nlsa_lab.spectral")
+            "nlsa_lab.oscillatory", "nlsa_lab.picard", "nlsa_lab.spectral")
 
 
 @pytest.mark.parametrize("name", _MODULES)

@@ -9,7 +9,8 @@ and about 3.5 times with it.  The profile build's temporaries (its 2^23-point
 table transform, the table's halves and the prefilter blocks) went the same
 way: one PhiProfile(0.125) took about 27k faults and left 38 MiB resident,
 and with the policy 4.7k faults and 7.2 MiB, its 7.3 MiB of spline
-coefficients (x86-64, glibc 2.36, numpy 2.4.6).  The estimate sweeps' few-MiB
+coefficients (x86-64, glibc 2.36, numpy 2.4.6); the interpolant's knots,
+which replaced the coefficients, are as large.  The estimate sweeps' few-MiB
 temporaries were mapped and faulted in anew on every field once glibc's mmap
 threshold sat below them: verify-estimates running the chain-rule sweep
 alone took 171k faults, and 8k under the policy.  Each sweep enters the
@@ -119,12 +120,12 @@ print(faults() - start)
 
 @glibc_only
 def test_a_build_leaves_its_coefficients_and_little_else_resident():
-    grown, coefs = run_fresh("""
+    grown, knots = run_fresh("""
 resident = resident_mib()
 profile = PhiProfile(0.125)
-print(resident_mib() - resident, profile._coefs.nbytes / 2**20)
+print(resident_mib() - resident, profile._knots.nbytes / 2**20)
 """)
-    assert float(grown) < float(coefs) + 4.0, (grown, coefs)
+    assert float(grown) < float(knots) + 4.0, (grown, knots)
 
 
 @glibc_only
@@ -219,7 +220,7 @@ def test_a_report_without_mallopt_returns_the_same_bits(monkeypatch):
 
 def test_a_build_without_mallopt_returns_the_same_bits(monkeypatch):
     def build(profile):
-        return (profile._coefs.tobytes(), profile.value_at_zero, profile.mass,
+        return (profile._knots.tobytes(), profile.value_at_zero, profile.mass,
                 profile.deriv_l1.tobytes(), profile.v_end, profile.err_max,
                 profile.err_l1)
 

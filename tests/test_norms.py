@@ -17,7 +17,7 @@ from nlsa_lab.norms import (
     sobolev_norm,
     xt_norm,
 )
-from nlsa_lab.spectral import EquationParams, Grid, GridFunction, weight_multiply
+from nlsa_lab.spectral import EquationParams, Grid, GridFunction, dft_forward, weight_multiply
 
 SEED = 314159
 
@@ -73,6 +73,29 @@ def test_sobolev_grid_refinement():
     a = sobolev_norm(GridFunction(coarse, np.exp(-coarse.x**2 / 2)), 0.25)
     b = sobolev_norm(GridFunction(fine, np.exp(-fine.x**2 / 2)), 0.25)
     assert abs(a - b) < 1e-8
+
+
+@pytest.mark.parametrize("n, length", [(2, 3.0), (64, 20.0), (256, 60.0), (1000, 7.5)])
+@pytest.mark.parametrize("s", [0.0, 0.25, 1.0])
+def test_sobolev_norm_is_the_continuum_formula_on_dft_forward(n, length, s):
+    # (1/2pi * sum <xi>^2s |fhat|^2 dxi)^(1/2) on the conjugate grid, in
+    # ascending order and with dft_forward's phase factor
+    grid = Grid(n, length)
+    rng = np.random.default_rng(n)
+    f = GridFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    fhat = dft_forward(f)
+    weight = (1.0 + fhat.grid.x ** 2) ** s
+    total = fhat.grid.spacing * np.sum(weight * np.abs(fhat.values) ** 2)
+    want = math.sqrt(total / (2 * np.pi))
+    rounding = 4 * np.finfo(float).eps * math.log2(2 * n)
+    assert sobolev_norm(f, s) == pytest.approx(want, rel=rounding)
+
+
+def test_sobolev_norm_of_a_transform_that_overflows_is_inf():
+    # the FFT's zero mode overflows to inf; a phase factor on it read NaN
+    f = GridFunction(Grid(2, 1.698309537570162e16), np.full(2, 1.5e308))
+    with np.errstate(over="ignore", invalid="raise"):
+        assert sobolev_norm(f, 0.25) == math.inf
 
 
 def test_mixed_norms_zero_and_constant_in_time():

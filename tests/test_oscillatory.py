@@ -126,7 +126,7 @@ def test_transform_support_and_mass(prof):
 
 
 def test_real_axis_two_evaluation_paths_agree(prof):
-    # spline table (built from a dense inverse DFT) vs direct quadrature of
+    # interpolated table (built from a pruned inverse DFT) vs direct quadrature of
     # the inversion integral
     v = np.concatenate([np.linspace(0, 30, 301), np.geomspace(30, 800, 60)])
     v = np.concatenate([-v[::-1], v])

@@ -8,13 +8,13 @@ transform at small sizes (one and several chunks of twiddles) and against a
 long-double direct sum at full size.  Contour arcs evaluate the profile by a
 trapezoid sum factored into two small exponential tables; it is checked
 against a long-double trapezoid sum, and one arc panel's memory is bounded.
-The spline is a cardinal quintic B-spline: its coefficients interpolate the
-conjugate-symmetric continuation of the knots, and its six basis weights
-are closed-form.  `eval_real` evaluates the spline once on |v| and fixes up
-signs in place; it must give the same bits as the gather/scatter formula it
-replaces, whatever the input's order.  The derivative masses take ten inverse
-transforms: nine orders on 2^17 points, and the eighth alone on 2^16 for the
-build's stability check.
+The interpolant is an 8-knot Lagrange stencil on the conjugate-symmetric
+continuation of the knots; its weights are closed-form, sum to 1, reproduce
+polynomials of degree 7 and return a knot's bits.  `eval_real` evaluates the
+interpolant once on |v| and fixes up signs in place; it must give the same
+bits as the gather/scatter formula it replaces, whatever the input's order.
+The derivative masses take ten inverse transforms: nine orders on 2^17
+points, and the eighth alone on 2^16 for the build's stability check.
 """
 
 import math
@@ -25,14 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsa_lab.oscillatory import (
-    PhiProfile,
-    _gl01,
-    _pruned_ifft,
-    _blocked_extension,
-    _prefilter,
-    _quintic_weights,
-)
+from nlsa_lab.oscillatory import PhiProfile, _gl01, _lagrange_weights, _pruned_ifft
 
 N_T = 2 ** 23
 
@@ -71,8 +64,9 @@ def test_build_allocates_only_the_transform_grid():
     # a dense transform on all 2^23 points peaks at about 456 MB of traced
     # allocations, the windowed one at about 271 MB, and the pruned one with
     # a banded spline solve at about 112 MiB (61 MB of it the band matrix);
-    # the pruned transform with the prefiltered cardinal spline peaks at
-    # about 44 MiB, and the bound leaves about a quarter of that as margin
+    # the pruned transform with the prefiltered cardinal spline peaked at
+    # about 44 MiB, and the bound leaves about a quarter of that as margin;
+    # the bounded build with the 8-knot interpolant peaks at about 29.3 MiB
     tracemalloc.start()
     try:
         PhiProfile(0.125)
@@ -83,13 +77,13 @@ def test_build_allocates_only_the_transform_grid():
 
 
 def _gather_scatter(prof, v):
-    """The formula eval_real replaces: conj(spline(|v|)) for v < 0,
-    spline(v) otherwise, zero beyond the table end and at NaN."""
+    """The formula eval_real replaces: conj(interpolant(|v|)) for v < 0,
+    interpolant(v) otherwise, zero beyond the table end and at NaN."""
     v = np.asarray(v, dtype=np.float64)
     av = np.abs(v)
     out = np.zeros(v.shape, dtype=np.complex128)
     inside = av <= prof.v_end
-    vals = prof._spline(av[inside])
+    vals = prof._interpolate(av[inside])
     out[inside] = np.where(v[inside] < 0, np.conj(vals), vals)
     return out
 
@@ -154,38 +148,78 @@ def test_eval_real_commutes_with_every_permutation(prof, fractions, n_uniform, s
 
 
 # ---------------------------------------------------------------------------
-# the cardinal quintic spline
+# the 8-knot Lagrange interpolant
 # ---------------------------------------------------------------------------
 
-def _beta5(x):
-    """The centred quintic B-spline at a rational x, exactly."""
-    return sum((-1) ** k * math.comb(6, k) * max(x + 3 - k, 0) ** 5 for k in range(7)) / 120
+_EPS = np.finfo(np.float64).eps
+_OFFSETS = np.arange(-3, 5)
+# t in [0, 1): both ends, a hair off each, tiny values and the generic rest.
+# t is 0 or normal, as the rounding model below needs: a subnormal t
+# underflows in the weights' products, where errors are absolute, not relative
+_TINY = float(np.finfo(np.float64).tiny)
+_TS = st.one_of(st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False),
+                st.sampled_from([0.0, _TINY, 1e-300, 1e-8, 0.5, float(np.nextafter(1.0, 0.0))]))
 
 
-def test_quintic_weights_are_the_b_spline_basis():
-    t = np.concatenate([np.linspace(0.0, 1.0, 1001, endpoint=False),
-                        [np.nextafter(1.0, 0.0)]])
-    weights = _quintic_weights(t)
-    eps = np.finfo(np.float64).eps
-    for k, w in enumerate(weights):
-        exact = np.array([float(_beta5(Fraction(x) + 2 - k)) for x in t])
-        assert np.abs(w - exact).max() <= 2 * eps
-    assert np.abs(sum(weights) - 1.0).max() <= 2 * eps
+def _weights_at(ts):
+    weights = np.array(_lagrange_weights(np.asarray(ts, dtype=np.float64)))
+    assert weights.shape == (8, len(ts))
+    return weights
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 200])
-def test_quintic_coefficients_interpolate_the_symmetric_extension(n):
-    rng = np.random.default_rng(n)
+# Weight j is seven factors t - k (one rounding each, none for k = 0), six
+# products and one division: at most 14 roundings, so a relative error of at
+# most gamma_14 (u = eps/2, gamma_n = n u / (1 - n u)).  Scaling by the exact
+# integer j^k adds one rounding and the sum of eight terms gamma_7 of the
+# absolute sum, so |sum_j w_j j^k - t^k| <= gamma_22 sum_j |w_j| |j|^k, plus
+# the rounding of t**k itself.  12 eps covers gamma_22 = 11 eps (1 + O(eps))
+# with the bound's own rounding.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(ts=st.lists(_TS, min_size=1, max_size=16))
+def test_lagrange_weights_sum_to_one_and_reproduce_degree_seven(ts):
+    weights = _weights_at(ts)
+    t = np.asarray(ts)
+    for k in range(8):
+        powers = _OFFSETS.astype(np.float64) ** k
+        terms = weights * powers[:, None]
+        got = terms[0].copy()
+        for row in terms[1:]:
+            got += row
+        bound = 12 * _EPS * np.abs(terms).sum(axis=0) + _EPS * t ** k
+        assert np.all(np.abs(got - t ** k) <= bound), k
+
+
+def _bare_interpolant(knots, dv):
+    """An interpolant on the given knots f_0 .. f_{n-1} at spacing dv,
+    laid out as the build lays out _knots."""
+    profile = PhiProfile.__new__(PhiProfile)
+    profile.DV = dv
+    profile._knots = np.zeros(knots.size + 8, dtype=np.complex128)
+    profile._knots[:3] = np.conjugate(knots[3:0:-1])
+    profile._knots[3:knots.size + 3] = knots
+    return profile
+
+
+# dv is a power of two, so k * dv / dv is exactly k and t = 0 at every knot
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(4, 300), dv=st.sampled_from([2.0 ** -8, 0.25, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_interpolant_returns_each_knot_bit_for_bit(n, dv, seed):
+    rng = np.random.default_rng(seed)
     knots = rng.normal(size=n) + 1j * rng.normal(size=n)
-    knots[0] = knots[0].real  # f_0 = conj f_0 on the symmetric extension
-    c = _prefilter(_blocked_extension(knots), knots.size)
-    assert c.shape == (n + 5,)  # c_{-2} .. c_{n+2}
-    # sum_j c_j beta5(k - j) at k = 0 .. n, the last one on the zero padding
-    got = (c[:-4] + 26.0 * c[1:-3] + 66.0 * c[2:-2] + 26.0 * c[3:-1] + c[4:]) / 120.0
-    want = np.concatenate([knots, [0.0]])
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(knots).max()
-    # c_{-j} = conj c_j
-    np.testing.assert_allclose(c[:2], np.conj(c[4:2:-1]), rtol=0, atol=1e-15)
+    got = _bare_interpolant(knots, dv)._interpolate(np.arange(n) * dv)
+    np.testing.assert_array_equal(_bits(got), _bits(knots))
+
+
+def test_knots_hold_the_conjugate_mirror_and_the_zero_tail(prof):
+    knots = prof._knots
+    n = int(round(prof.v_end / prof.DV)) + 1
+    assert knots.shape == (n + 8,)
+    np.testing.assert_array_equal(_bits(knots[:3]), _bits(np.conjugate(knots[6:3:-1])))
+    assert knots[3] == prof.value_at_zero
+    _assert_positive_zero(knots[n + 3:].view(np.float64))
+    # v = 0 is a knot, so it reads the table's peak exactly
+    np.testing.assert_array_equal(_bits(prof.eval_real(0.0)), _bits(prof.value_at_zero))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +392,14 @@ def test_spline_error_entering_the_floors_does_not_grow(m, before):
                                        (0.125, 2.400565392471547e-15)])
 def test_spline_error_stays_under_the_not_a_knot_spline(m, before):
     # `before` is err_l1 with the not-a-knot spline from a banded solve
+    assert PhiProfile.cached(m).err_l1 <= before
+
+
+@pytest.mark.parametrize("m, before", [(0.0, 2.0605445704767088e-15),
+                                       (0.0625, 2.075420670519995e-15),
+                                       (0.125, 2.089164618134674e-15)])
+def test_interpolation_error_stays_under_the_quintic_spline(m, before):
+    # `before` is err_l1 with the prefiltered cardinal quintic B-spline
     assert PhiProfile.cached(m).err_l1 <= before
 
 

@@ -1,10 +1,10 @@
 """Both quadrature paths pinned bit for bit, and the arc summary.
 
 The pinned dicts are the returns of osc_integral_direct and
-osc_integral_contour, re-recorded when the table's twiddles and the contour
-arcs' trapezoid sums were factored into two small exponential tables each
-(x86-64, Python 3.11.7, numpy 2.4.6 with OpenBLAS 0.3.31).  The spline is
-plain numpy arithmetic, so the pins depend on pocketfft (the profile table),
+osc_integral_contour, re-recorded when the profile's quintic B-spline gave
+way to an 8-knot Lagrange interpolant on the same knots (x86-64, Python
+3.11.7, numpy 2.4.6 with OpenBLAS 0.3.31).  The interpolant is plain numpy
+arithmetic, so the pins depend on pocketfft (the profile table),
 for the far direct pins on LAPACK's batched zgesv and for the contour pins
 on BLAS's dgemm (the same bits at 1, 2 and 4 threads), and another numpy may
 move them.  Floats are compared through float.hex, so a
@@ -50,48 +50,48 @@ PROBES.update({f"{name}_m0": ((*probe[:4], 0.0, probe[5]), label)
 # name -> path -> (re value, im value, err, floor, n_nodes); all converged
 PINNED = {
     "near": {
-        "direct": ("-0x1.39a5c95411600p-52", "0x1.0000000000000p-56",
-                   "0x1.3494ea9443da0p-51", "0x1.72cccc9f136acp-44", 14144),
-        "contour": ("-0x1.c9c0000000000p-61", "-0x1.fe00000000000p-64",
-                    "0x1.f34d681abb25ep-59", "0x1.bd46729f59e4cp-45", 15616),
+        "direct": ("-0x1.0c50db4939a00p-52", "-0x1.0000000000000p-56",
+                   "0x1.947804651e613p-51", "0x1.727a26d9906ecp-44", 14144),
+        "contour": ("-0x1.1c40000000000p-59", "-0x1.f800000000000p-64",
+                    "0x1.1d572533f5cb6p-58", "0x1.bca1271453ecap-45", 15616),
     },
     "far_upper": {
-        "direct": ("0x1.abdca5e7af7b7p-57", "0x1.23ba3511e9de8p-56",
-                   "0x1.c8646659ca5ddp-56", "0x1.5349e8c88ee1ep-44", 64176),
-        "contour": ("0x1.42691721e6060p-70", "-0x1.2163aa81f5610p-61",
-                    "0x1.1c41872984b14p-62", "0x1.bd42c5b74e435p-45", 2405568),
+        "direct": ("0x1.ac01868527af4p-57", "0x1.2337900cb5d44p-56",
+                   "0x1.c7a68bb78ff2ap-56", "0x1.52f743030be5dp-44", 64176),
+        "contour": ("-0x1.7932cc2d52d68p-67", "-0x1.c8b315fc49709p-62",
+                    "0x1.1549f369a7a9bp-62", "0x1.bc9d7a2c480acp-45", 2405568),
     },
     "far_lower": {
         "direct": ("-0x1.6b80b0f85f086p-57", "-0x1.239b1d31c8b91p-56",
-                   "0x1.8881f53bbbb75p-56", "0x1.5347abcad629cp-44", 64176),
-        "contour": ("0x1.27ae1a4eada5ep-62", "0x1.cc31385273f18p-62",
-                    "0x1.79d9faff65669p-63", "0x1.bd42c5b74e434p-45", 2405568),
+                   "0x1.8820248f4b6a0p-56", "0x1.52f50605532dbp-44", 64176),
+        "contour": ("0x1.e54801de7937ap-63", "0x1.81c8fc0455606p-62",
+                    "0x1.2a225e4d14efdp-63", "0x1.bc9d7a2c480abp-45", 2405568),
     },
     "intermediate": {
-        "direct": ("-0x1.fdfb8109fbcf0p-3", "-0x1.a6caeb6997876p-2",
-                   "0x1.12ce6c9dbcc1cp-51", "0x1.3e4886af36106p-44", 20288),
+        "direct": ("-0x1.fdfb8109fbcf2p-3", "-0x1.a6caeb6997875p-2",
+                   "0x1.e61f04ebc5be2p-52", "0x1.3df5e0e9b3144p-44", 20288),
     },
     "near_m0": {
-        "direct": ("-0x1.46a0c40488a00p-52", "0x1.0000000000000p-56",
-                   "0x1.2bcbed2c0d928p-51", "0x1.7a61b12b04748p-44", 14144),
-        "contour": ("-0x1.5e6e000000000p-55", "-0x1.ed80000000000p-62",
-                    "0x1.1bf32221aac20p-55", "0x1.cd99f3d9fa4fap-45", 15616),
+        "direct": ("-0x1.96e9cf7512c00p-52", "-0x1.0000000000000p-56",
+                   "0x1.4fa416357762fp-51", "0x1.7a117d09b41f1p-44", 14144),
+        "contour": ("-0x1.6a3f000000000p-55", "-0x1.ed80000000000p-62",
+                    "0x1.2f8ab14881b6dp-55", "0x1.ccf98b9759a4ap-45", 15616),
     },
     "far_upper_m0": {
-        "direct": ("0x1.22648c55f687ep-55", "0x1.83c1fe8773c86p-55",
-                   "0x1.351bf1959a49fp-54", "0x1.152e1b5f04e5cp-43", 64176),
-        "contour": ("-0x1.e4e4c765c098ap-63", "0x1.5d4ea61590b32p-62",
-                    "0x1.af710fd5fcff6p-60", "0x1.cd961e3b31431p-45", 2405568),
+        "direct": ("0x1.2224e62c2243dp-55", "0x1.83c8afea8acc7p-55",
+                   "0x1.352e5ca0232f3p-54", "0x1.1506014e5cbb0p-43", 64176),
+        "contour": ("-0x1.a5bb37a33dfc6p-63", "0x1.0660a10f538b7p-62",
+                    "0x1.832147f6c1e0dp-60", "0x1.ccf5b5f88fd9fp-45", 2405568),
     },
     "far_lower_m0": {
         "direct": ("-0x1.fdfa51deec51fp-56", "-0x1.84cc3bded0adap-55",
-                   "0x1.05f50bfc1aebdp-54", "0x1.152b03aa04a6bp-43", 64176),
-        "contour": ("-0x1.afc7bf7aae38bp-61", "-0x1.0cf414ed83f34p-66",
-                    "0x1.31e7f78c460b5p-61", "0x1.cd961e3b3142fp-45", 2405568),
+                   "0x1.05bb8b93839ffp-54", "0x1.1502e9995c7bfp-43", 64176),
+        "contour": ("-0x1.9820e160bda68p-61", "-0x1.1c1bd9385a121p-65",
+                    "0x1.1e8accc574ba8p-61", "0x1.ccf5b5f88fd9dp-45", 2405568),
     },
     "intermediate_m0": {
-        "direct": ("-0x1.086d74ed727a0p-1", "-0x1.b66e6f9264c70p-1",
-                   "0x1.af43a55f0f450p-51", "0x1.acbb0aad6502fp-44", 20288),
+        "direct": ("-0x1.086d74ed727a0p-1", "-0x1.b66e6f9264c71p-1",
+                   "0x1.19ba5aaaf6c18p-50", "0x1.ac6ad68c14ad6p-44", 20288),
     },
 }
 

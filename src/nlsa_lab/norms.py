@@ -8,18 +8,19 @@ smooth, so the grid max converges to the sup).
 The norms read a field through its grid, its times and |u|^2 (abs_squared):
 a SpaceTimeField squares the modulus of its frames, and a separable packet
 takes |u|^2 from its factors (estimates._PacketField) without forming the
-frames.  The inner L^q integrands are |u|^q = (|u|^2)^(q/2), and they count
-as 0 where |u|^2 < 2^(-2044/q).  That is the rule |u| < 2^(-1022/q) on the
-square, so it flushes where the power would fall below float64's normal
+frames; the composite norm squares each multiplier image of a frame stack as
+soon as it is transformed back and reads it as a _Modulus, a field known by
+|u|^2 alone.  The inner L^q integrands are |u|^q = (|u|^2)^(q/2), and they
+count as 0 where |u|^2 < 2^(-2044/q).  That is the rule |u| < 2^(-1022/q) on
+the square, so it flushes where the power would fall below float64's normal
 range (2^-1022): libm's pow is tens of times slower on a subnormal result,
 and wave-packet tails put whole rows there.  pow already returns 0 below the
 smallest subnormal, 2^-1074, so only a field whose every |u|^q is subnormal
 reads differently: as 0.  The same rule flushes a |u|^2 that a factor
 product's rounding left below 0 where the components cancel; the sup norms
-take the square root of |u|^2 clipped at 0.  The smoothing sweep's LHS is
-no norm of this module: it is an L^2_x norm taken by Parseval on the
-transform side, whose squares are summed unflushed
-(estimates._derivative_sup).
+take the square root of |u|^2 clipped at 0.  The smoothing sweep's LHS is no
+norm of this module: it is an L^2_x norm taken by Parseval on the transform
+side, whose squares are summed unflushed (estimates._derivative_sup).
 """
 
 from __future__ import annotations
@@ -183,20 +184,53 @@ def mixed_norm_t_x(u, q, p) -> float:
     return float((_trapezoid_weights(u.times) @ g**q) ** (1.0 / q))
 
 
-def _mu_parts(u: SpaceTimeField) -> tuple:
-    """(mu1, ..., mu5) of u; see mu_norms."""
+@dataclass
+class _Modulus:
+    """A field known by its |u|^2 alone, as the mixed norms read it; shared,
+    so read-only."""
+
+    grid: Grid
+    times: np.ndarray
+    squared: np.ndarray
+
+    def abs_squared(self) -> np.ndarray:
+        return self.squared
+
+
+def _squared_image(spec: np.ndarray, symbol: np.ndarray, out=None) -> np.ndarray:
+    """|ifft(spec * symbol)|^2 along the last axis, from the FFT-order spectrum
+    spec and symbol; the complex image is formed in out, or a new array, and
+    is gone on return."""
+    image = np.multiply(spec, symbol, out=out)
+    squared = np.abs(np.fft.ifft(image, axis=-1, out=image))
+    return np.square(squared, out=squared)
+
+
+def _norms_of(u, squared: np.ndarray, *norms) -> list:
+    """norm(field, *exponents) for each (norm, *exponents) of norms, where
+    field has u's grid and times and |.|^2 squared."""
+    field = _Modulus(u.grid, u.times, squared)
+    return [norm(field, *exponents) for norm, *exponents in norms]
+
+
+def _mu_parts(u: SpaceTimeField, spec: np.ndarray) -> tuple:
+    """(mu1, ..., mu5) of u, from its frames and spec, their FFT-order
+    spectrum, which the last multiplier image overwrites; see mu_norms.
+
+    |.|^2 is formed once per field, u and its three multiplier images, and
+    each field's norms are taken before the next field is formed, so one
+    complex image and one |.|^2 are held at a time.
+    """
     if u.times.size < 2:
         raise ValueError("mu norms need at least two time nodes")
     xi = u.grid.xi_fft
     quarter = np.abs(xi) ** 0.25
-    du, dq_u, dq_du = u.apply_symbols(1j * xi, quarter, quarter * 1j * xi)
-
-    mu1 = mixed_norm_t_x(u, math.inf, 2) + mixed_norm_t_x(dq_u, math.inf, 2)
-    mu2 = mixed_norm_x_t(du, math.inf, 2) + mixed_norm_x_t(dq_du, math.inf, 2)
-    mu3 = mixed_norm_x_t(du, 20, 2.5)
-    mu4 = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(dq_u, 5, 10)
-    mu5 = mixed_norm_x_t(u, 4, math.inf)
-    return mu1, mu2, mu3, mu4, mu5
+    t_x, x_t, inf = mixed_norm_t_x, mixed_norm_x_t, math.inf
+    u1, u4, u5 = _norms_of(u, u.abs_squared(), (t_x, inf, 2), (x_t, 5, 10), (x_t, 4, inf))
+    du2, du3 = _norms_of(u, _squared_image(spec, 1j * xi), (x_t, inf, 2), (x_t, 20, 2.5))
+    dq_u1, dq_u4 = _norms_of(u, _squared_image(spec, quarter), (t_x, inf, 2), (x_t, 5, 10))
+    (dq_du2,) = _norms_of(u, _squared_image(spec, quarter * 1j * xi, out=spec), (x_t, inf, 2))
+    return u1 + dq_u1, du2 + dq_du2, du3, u4 + dq_u4, u5
 
 
 def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
@@ -210,7 +244,7 @@ def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
 
     The histories hold the H^s and weighted L^2 norms of every frame.
     """
-    mus = _mu_parts(u)
+    mus = _mu_parts(u, np.fft.fft(u.frames, axis=-1))
     y_norm = sum(mus)
     w_hist = _weighted_l2(u.grid, u.frames, params.m)
     weighted = float(np.max(w_hist))
@@ -226,4 +260,10 @@ def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
 
 def xt_norm(u: SpaceTimeField, params: EquationParams) -> float:
     """Composite fixed-point norm: sum of the five mu norms plus the weighted sup."""
-    return sum(_mu_parts(u)) + float(np.max(_weighted_l2(u.grid, u.frames, params.m)))
+    return _xt_norm(u, np.fft.fft(u.frames, axis=-1), params)
+
+
+def _xt_norm(u: SpaceTimeField, spec: np.ndarray, params: EquationParams) -> float:
+    """xt_norm of u from its frames and spec, their FFT-order spectrum, which
+    is overwritten."""
+    return sum(_mu_parts(u, spec)) + float(np.max(_weighted_l2(u.grid, u.frames, params.m)))

@@ -12,6 +12,15 @@ cumulative trapezoid sum, and apply a single forward flow per output node.
 Picard iteration starts from the free flow and stops when successive iterates
 are closer than the configured tolerance in the composite space-time norm.
 
+Each iterate carries its FFT-order spectrum next to its frames, and u0 is
+transformed once per solve.  With T time intervals and s substeps, one
+iteration transforms 5(T + 1) + (sT + 1) rows: u_x back from the spectrum at
+the T + 1 nodes; the cubic, formed at the sT + 1 refined times a block of
+rows at a time straight into the forcing buffer (u and u_x interpolated in
+time into reused scratch), forward in place; the new spectrum back to
+frames; and the distance's three multipliers on the difference of the two
+spectra.  No refined stack of u, u_x or the cubic is ever formed.
+
 The module also provides the local-existence bookkeeping around the solver:
 the radius/horizon selection rule, persistence histories of the Sobolev and
 weighted norms, the named coefficient reductions, closed-form soliton oracles
@@ -28,8 +37,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .norms import SpaceTimeField, NormReport, _weighted_l2, mu_norms, sobolev_norm, xt_norm
-from .spectral import (EquationParams, FlowOverflowError, Grid, GridFunction, _heap_scratch,
+from .norms import SpaceTimeField, NormReport, _weighted_l2, _xt_norm, mu_norms, sobolev_norm
+from .spectral import (EquationParams, FlowOverflowError, GridFunction, _heap_scratch,
                        _require_finite, apply_symbols, duhamel_flow)
 
 __all__ = [
@@ -68,7 +77,9 @@ class PicardConfig:
 
     ``time_nodes`` counts intervals of the uniform time grid (so there are
     ``time_nodes + 1`` frames), ``substeps`` refines the Duhamel trapezoid
-    between nodes by linear interpolation of the iterate, ``dealias`` masks
+    between nodes: the nonlinearity is sampled at substeps points per
+    interval, where u and u_x are the linear interpolants of their node rows
+    (with 1 the node rows are read as they are), ``dealias`` masks
     the top third of the spectrum of each nonlinearity sample, and
     ``full_derivative_mode`` evaluates the derivative terms as
     e*(|u|^2 u)_x, which requires d = 2e.
@@ -100,7 +111,10 @@ class PicardConfig:
             raise ValueError("substeps must be at least 1")
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.time_nodes + 1)
+        # the last node, time_nodes * (horizon / time_nodes), can round past
+        # float64's largest value; linspace then sets it to horizon
+        with np.errstate(over="ignore"):
+            return np.linspace(0.0, self.horizon, self.time_nodes + 1)
 
 
 @dataclass
@@ -155,48 +169,42 @@ def _warn_boundary_mass(u0: GridFunction) -> None:
 def semigroup_evolve(u0: GridFunction, times, params: EquationParams) -> SpaceTimeField:
     """Free dispersive flow of u0 sampled at the given times (starting at 0)."""
     _warn_boundary_mass(u0)
-    return _free_flow(u0, times, params)
-
-
-def _free_flow(u0: GridFunction, times, params: EquationParams) -> SpaceTimeField:
-    """semigroup_evolve without the boundary-mass check."""
     times = np.asarray(times, dtype=float)
-    frames = np.fft.ifft(duhamel_flow(u0.grid, params, np.fft.fft(u0.values), times), axis=1)
+    spec = duhamel_flow(u0.grid, params, np.fft.fft(u0.values), times)
+    return SpaceTimeField(u0.grid, times, _frames_of(spec, u0))
+
+
+def _frames_of(spec: np.ndarray, u0: GridFunction) -> np.ndarray:
+    """The frames of the FFT-order spectra spec, the first one u0's values exactly."""
+    frames = np.fft.ifft(spec, axis=1)
     frames[0] = u0.values
-    return SpaceTimeField(u0.grid, times, frames)
+    return frames
 
 
-_NONLINEARITY_BLOCK_ROWS = 16
-
-
-def _nonlinearity_frames(
-    frames: np.ndarray, grid: Grid, params: EquationParams, full_derivative_mode: bool
-) -> np.ndarray:
-    """N(u) = i*c*|u|^2 u + d*|u|^2 u_x + e*u^2 conj(u)_x applied frame-wise."""
+def _require_full_derivative_ok(params: EquationParams, full_derivative_mode: bool) -> None:
     if full_derivative_mode and not params.full_derivative_ok:
         raise ValueError(
             f"full-derivative evaluation needs d = 2e, got d={params.d}, e={params.e}"
         )
-    ixi = 1j * grid.xi_fft
-    mag2 = frames.real**2 + frames.imag**2
-    cubic = mag2 * frames
-    # the terms accumulate into the cubic's buffer, every product in the
-    # operand order of the formula
-    if full_derivative_mode:
-        (dcubic,) = apply_symbols(cubic, ixi)
-        out = np.multiply(1j * params.c, cubic, out=cubic)
-        return np.add(out, np.multiply(params.e, dcubic, out=dcubic), out=out)
-    (du,) = apply_symbols(frames, ixi)
-    out = np.multiply(1j * params.c, cubic, out=cubic)
-    # the derivative terms go in a block of rows at a time, so their products
-    # never take a frame stack of their own
-    for start in range(0, frames.shape[0], _NONLINEARITY_BLOCK_ROWS):
-        rows = slice(start, start + _NONLINEARITY_BLOCK_ROWS)
-        out[rows] += params.d * mag2[rows] * du[rows]
-        term = frames[rows] ** 2
-        np.multiply(params.e, term, out=term)
-        np.multiply(term, np.conjugate(du[rows]), out=term)
-        out[rows] += term
+
+
+def _cubic_terms(u: np.ndarray, du, params: EquationParams, out: np.ndarray) -> np.ndarray:
+    """i*c*|u|^2 u + d*|u|^2 u_x + e*u^2 conj(u_x) of the rows u and u_x, into out.
+
+    Every product is taken in the operand order of the formula.  Without
+    u_x (du None) only |u|^2 u is written, the cubic of the full-derivative
+    mode.
+    """
+    mag2 = u.real**2 + u.imag**2
+    np.multiply(mag2, u, out=out)
+    if du is None:
+        return out
+    np.multiply(1j * params.c, out, out=out)
+    out += params.d * mag2 * du
+    term = u**2
+    np.multiply(params.e, term, out=term)
+    np.multiply(term, np.conjugate(du), out=term)
+    out += term
     return out
 
 
@@ -209,28 +217,110 @@ def nonlinearity_eval(
     e*(|u|^2 u)_x, which agrees with the term-by-term route exactly when
     d = 2e and is rejected otherwise.
     """
-    vals = _nonlinearity_frames(u.values[None, :], u.grid, params, full_derivative_mode)
-    return GridFunction(u.grid, vals[0])
+    _require_full_derivative_ok(params, full_derivative_mode)
+    ixi = 1j * u.grid.xi_fft
+    if full_derivative_mode:
+        cubic = _cubic_terms(u.values, None, params, np.empty_like(u.values))
+        (dcubic,) = apply_symbols(cubic, ixi)
+        out = np.multiply(1j * params.c, cubic, out=cubic)
+        np.add(out, np.multiply(params.e, dcubic, out=dcubic), out=out)
+        return GridFunction(u.grid, out)
+    (du,) = apply_symbols(u.values, ixi)
+    return GridFunction(u.grid, _cubic_terms(u.values, du, params, np.empty_like(du)))
 
 
 # ---------------------------------------------------------------------------
 # Duhamel map and Picard iteration.
 # ---------------------------------------------------------------------------
 
-def _refined_times_and_frames(u: SpaceTimeField, substeps: int):
-    """Insert substeps-1 equispaced points per interval, interpolating linearly."""
-    times, frames = u.times, u.frames
-    if substeps == 1:
-        return times, frames
+_NONLINEARITY_BLOCK_ROWS = 16  # refined rows of the cubic formed per block
+
+
+def _refined_times(times: np.ndarray, substeps: int) -> np.ndarray:
+    """times with substeps-1 equispaced points inserted per interval."""
     lam = np.arange(substeps) / substeps  # interpolation weights, left endpoints
     tau = times[:-1, None] * (1.0 - lam) + times[1:, None] * lam
-    tau = np.append(tau.ravel(), times[-1])
-    fine = np.empty((tau.size, frames.shape[1]), dtype=np.complex128)
-    fine[-1] = frames[-1]
-    interp = fine[:-1].reshape(-1, substeps, frames.shape[1])
-    np.multiply(frames[:-1, None, :], (1.0 - lam)[None, :, None], out=interp)
-    interp += frames[1:, None, :] * lam[None, :, None]
-    return tau, fine
+    return np.append(tau.ravel(), times[-1])
+
+
+def _fine_rows(nodes: np.ndarray, substeps: int, k0: int, k1: int, out: np.ndarray):
+    """The rows at the refined times of nodes k0 up to k1, interpolated linearly.
+
+    These are the substeps rows of each interval from node k0 to node k1,
+    and the last node's row too when k1 is the last node.  With one substep
+    they are the node rows themselves; otherwise they are written into out.
+    """
+    last = k1 == len(nodes) - 1
+    if substeps == 1:
+        return nodes[k0:k1 + last]
+    lam = np.arange(substeps) / substeps
+    count = (k1 - k0) * substeps
+    interp = out[:count].reshape(k1 - k0, substeps, nodes.shape[1])
+    np.multiply(nodes[k0:k1, None, :], (1.0 - lam)[None, :, None], out=interp)
+    interp += nodes[k0 + 1:k1 + 1, None, :] * lam[None, :, None]
+    if last:
+        out[count] = nodes[-1]
+    return out[:count + last]
+
+
+def _forcing_hat(u: SpaceTimeField, spec: np.ndarray, params: EquationParams,
+                 config: PicardConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, FFT-order spectra of N(u) at the refined times tau), from u and
+    its spectrum spec.
+
+    u_x is transformed back from spec at the nodes and interpolated in time
+    like u: the x-derivative of the linear interpolant is the interpolant of
+    the derivatives.  In full-derivative mode e*(|u|^2 u)_x is the symbol
+    i*c + i*e*xi on the transform of |u|^2 u, and u_x is not needed.
+    """
+    grid, substeps = u.grid, config.substeps
+    intervals = u.times.size - 1
+    du = None
+    if not config.full_derivative_mode:
+        du = np.multiply(spec, 1j * grid.xi_fft)
+        np.fft.ifft(du, axis=1, out=du)
+    forcing = np.empty((substeps * intervals + 1, grid.num_points), dtype=np.complex128)
+    per_block = max(1, _NONLINEARITY_BLOCK_ROWS // substeps)  # intervals per block
+    u_rows = np.empty((per_block * substeps + 1, grid.num_points), dtype=np.complex128)
+    du_rows = np.empty_like(u_rows) if du is not None else None
+    # a field of one time has one block, its single row
+    for k0 in range(0, max(intervals, 1), per_block):
+        k1 = min(k0 + per_block, intervals)
+        rows = slice(k0 * substeps, k1 * substeps + (k1 == intervals))
+        u_block = _fine_rows(u.frames, substeps, k0, k1, u_rows)
+        du_block = None if du is None else _fine_rows(du, substeps, k0, k1, du_rows)
+        _cubic_terms(u_block, du_block, params, forcing[rows])
+    del du
+    np.fft.fft(forcing, axis=1, out=forcing)
+    if config.full_derivative_mode:
+        forcing *= 1j * params.c + 1j * params.e * grid.xi_fft
+    if config.dealias:
+        forcing *= grid.dealias_mask[None, :]
+    return _refined_times(u.times, substeps), forcing
+
+
+def _duhamel_step(
+    u: SpaceTimeField, spec: np.ndarray, u0: GridFunction, u0_hat: np.ndarray,
+    params: EquationParams, config: PicardConfig,
+) -> tuple[SpaceTimeField, np.ndarray]:
+    """Phi(u) and its FFT-order spectrum, from u and its spectrum spec.
+
+    u0_hat is the transform of u0.  The spectrum of Phi(u) is duhamel_flow's
+    output made contiguous, so its first row is u0_hat pushed by the unit
+    phase, and the frames are its inverse transform with u0 as frame 0.
+    """
+    grid = u.grid
+    if params.c == 0 and params.d == 0 and params.e == 0:
+        out_hat = duhamel_flow(grid, params, u0_hat, u.times)
+    else:
+        _require_full_derivative_ok(params, config.full_derivative_mode)
+        tau, forcing = _forcing_hat(u, spec, params, config)
+        # the integral consumes the forcing buffer; the contiguous copy of
+        # every substeps-th row lets it go
+        out_hat = np.ascontiguousarray(
+            duhamel_flow(grid, params, u0_hat, tau, forcing, config.substeps)
+        )
+    return SpaceTimeField(grid, u.times, _frames_of(out_hat, u0)), out_hat
 
 
 def duhamel_apply(
@@ -240,28 +330,17 @@ def duhamel_apply(
 
     The integral is a composite trapezoid over the (optionally substep-refined)
     time grid, taken in the interaction picture so each output frame costs one
-    multiplier application.  The frame at t = 0 is u0 exactly, and with the
-    nonlinearity switched off the result is the free flow regardless of u.
-    Boundary mass in u0 is not checked here: picard_iterate and
-    fit_contraction_exponent warn once per call.
+    multiplier application.  It is a forward transform of u (and of u0) and
+    then the step that picard_iterate runs on the spectrum it carries.  The
+    frame at t = 0 is u0 exactly, and with the nonlinearity switched off the
+    result is the free flow regardless of u.  Boundary mass in u0 is not
+    checked here: picard_iterate and fit_contraction_exponent warn once per
+    call.
     """
-    grid = u.grid
-    if grid != u0.grid:
+    if u.grid != u0.grid:
         raise ValueError("iterate and initial data live on different grids")
-    u0_hat = np.fft.fft(u0.values)
-    if params.c == 0 and params.d == 0 and params.e == 0:
-        out_hat = duhamel_flow(grid, params, u0_hat, u.times)
-    else:
-        tau, fine = _refined_times_and_frames(u, config.substeps)
-        n_hat = _nonlinearity_frames(fine, grid, params, config.full_derivative_mode)
-        del fine
-        np.fft.fft(n_hat, axis=1, out=n_hat)
-        if config.dealias:
-            n_hat *= grid.dealias_mask[None, :]
-        out_hat = duhamel_flow(grid, params, u0_hat, tau, n_hat, config.substeps)
-    frames = np.fft.ifft(out_hat, axis=1)
-    frames[0] = u0.values
-    return SpaceTimeField(grid, u.times, frames)
+    spec = np.fft.fft(u.frames, axis=1)
+    return _duhamel_step(u, spec, u0, np.fft.fft(u0.values), params, config)[0]
 
 
 def picard_iterate(
@@ -286,20 +365,28 @@ def _iterate(
 ) -> tuple[SpaceTimeField, ContractionReport]:
     """picard_iterate without the boundary-mass check, under the heap policy."""
     times = config.times()
-    # a free flow that overflows makes the first distance non-finite, caught below
+    # a free flow that overflows makes the first distance non-finite, caught
+    # below; u0's transform, taken once per solve, is in this scope too
     with np.errstate(over="ignore", invalid="ignore"):
-        current = _free_flow(u0, times, params)
+        u0_hat = np.fft.fft(u0.values)
+        current_hat = duhamel_flow(u0.grid, params, u0_hat, times)
+        current = SpaceTimeField(u0.grid, times, _frames_of(current_hat, u0))
     distances: list[float] = []
     converged = False
     growth_streak = 0
     for _ in range(config.max_iterations):
         # an iterate that overflows makes the distance non-finite, caught below
         with np.errstate(over="ignore", invalid="ignore"):
-            proposed = duhamel_apply(current, u0, params, config)
-            # no name holds the difference, so it is freed before the next
-            # duhamel_apply allocates its nonlinearity stacks
-            d = xt_norm(SpaceTimeField(u0.grid, times, proposed.frames - current.frames), params)
-        current = proposed
+            proposed, proposed_hat = _duhamel_step(
+                current, current_hat, u0, u0_hat, params, config
+            )
+            # the differences of the frames and of their spectra overwrite the
+            # current iterate, which nothing reads again; the norm's three
+            # multipliers act on the spectra's difference
+            np.subtract(proposed.frames, current.frames, out=current.frames)
+            np.subtract(proposed_hat, current_hat, out=current_hat)
+            d = _xt_norm(current, current_hat, params)
+        current, current_hat = proposed, proposed_hat
         if distances:
             growth_streak = growth_streak + 1 if d > distances[-1] else 0
         distances.append(d)

@@ -277,17 +277,20 @@ def _duhamel_integral(grid: Grid, params: EquationParams, tau, forcing_hat) -> n
     """Interaction-picture integral h(t) = int_0^t exp(-it'L) F(t') dt' at every time of tau.
 
     Every forcing row (FFT order, at the times tau) is pulled back to t = 0
-    and a cumulative trapezoid runs over tau, so row 0 is 0.
+    and a cumulative trapezoid runs over tau, so row 0 is 0.  The integral is
+    written into forcing_hat, which is returned: the caller hands over the
+    forcing and reads it no more.
     """
     pull = _flow_phase(grid, params, -1j, tau)
-    # the trapezoid steps and their running sum share one buffer; the forcing
-    # is pulled back a block of rows at a time, so no pulled stack is held
-    held = np.empty(forcing_hat.shape, dtype=np.complex128)
-    held[0] = 0.0
-    for lo in range(0, tau.size - 1, _PULL_ROWS):
+    # the trapezoid steps overwrite the forcing a block of rows at a time, from
+    # the last block down, so each block reads its left neighbour's row before
+    # that row is overwritten, and no pulled stack is held
+    held = forcing_hat
+    for lo in reversed(range(0, tau.size - 1, _PULL_ROWS)):
         rows = slice(lo, lo + _PULL_ROWS + 1)
-        pulled = pull[rows] * forcing_hat[rows]
+        pulled = pull[rows] * held[rows]
         np.add(pulled[1:], pulled[:-1], out=held[lo + 1:lo + _PULL_ROWS + 1])
+    held[0] = 0.0
     steps = held[1:]
     np.multiply(np.diff(tau)[:, None] / 2.0, steps, out=steps)
     # the running sum row by row: cumsum's additions in cumsum's order, but
@@ -317,7 +320,8 @@ def duhamel_flow(
     the latest pull-back and the latest forward phase, keyed on (a, b) and
     the times they are sampled at, so repeated calls on one grid (Picard
     iterations, fields of one sweep) build them once.  They are freed with
-    the grid.  forcing_hat is never written to.
+    the grid.  The forcing is consumed: forcing_hat, a complex128 stack, is
+    overwritten and the result is a view of it, every stride-th row.
     """
     push = _flow_phase(grid, params, 1j, tau[::stride])
     if forcing_hat is None:

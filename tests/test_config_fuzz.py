@@ -129,6 +129,12 @@ def _solve_config(grid=None, initial_data=None, equation=None):
                  "grid": {"num_points": 2, "length": 1.698309537570162e+16},
                  "time": {"horizon": 1.0, "nodes": 2},
                  "initial_data": {"kind": "gaussian", "amplitude": 2.1170382608041474e+292}})
+# a horizon at float64's largest value, whose last time node linspace
+# computed as 3 * (horizon / 3), overflowing before it set the node to horizon
+@example(config={"equation": {"preset": "mkdv"},
+                 "grid": {"num_points": 2, "length": 1.0},
+                 "time": {"horizon": 1.7976931348623157e+308, "nodes": 3},
+                 "initial_data": {"kind": "zero"}})
 def test_every_schema_valid_solve_config_runs_or_is_refused(tmp_path_factory, config):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "config.json"

@@ -32,7 +32,8 @@ from nlsa_lab.picard import (
     semigroup_evolve,
     soliton_oracle,
 )
-from nlsa_lab.spectral import EquationParams, Grid, GridFunction, spatial_derivative, weight_multiply
+from nlsa_lab.spectral import (EquationParams, Grid, GridFunction, duhamel_flow, spatial_derivative,
+                               weight_multiply)
 
 
 GRID = Grid(1024, 60.0)
@@ -103,6 +104,16 @@ def test_config_time_grid():
     assert times.size == 11
     assert times[0] == 0.0 and times[-1] == 0.5
     assert np.allclose(np.diff(times), 0.05)
+
+
+def test_config_time_grid_at_the_largest_horizon():
+    # the last node, 3 * (horizon / 3), rounds past float64's range inside
+    # linspace, which then sets it to the horizon; no warning escapes
+    horizon = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        times = PicardConfig(horizon=horizon, time_nodes=3).times()
+    assert times[-1] == horizon and np.all(np.diff(times) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +411,105 @@ def test_picard_refinement_stability():
     u0_fine = GridFunction(fine_grid, 1.0 / np.cosh(fine_grid.x) + 0j)
     u_fine_x, _ = picard_iterate(u0_fine, params, base_cfg)
     assert abs(xt_norm(u_fine_x, params) - base) < 0.01 * base
+
+
+def picard_long_hand(u0, params, config):
+    """(last iterate's frames, distances) of picard_iterate by the route that
+    forms every refined stack: the refined frames by the interpolation
+    formula, u_x by a transform pair of the refined stack, the nonlinearity
+    in x, and each distance as xt_norm of the frames' difference."""
+    grid, substeps = u0.grid, config.substeps
+    times = config.times()
+    u0_hat = np.fft.fft(u0.values)
+    ixi = 1j * grid.xi_fft
+    frames = np.fft.ifft(duhamel_flow(grid, params, u0_hat, times), axis=1)
+    frames[0] = u0.values
+    lam = np.arange(substeps) / substeps
+    tau = times[:-1, None] * (1.0 - lam) + times[1:, None] * lam
+    tau = np.append(tau.ravel(), times[-1])
+    distances = []
+    for _ in range(config.max_iterations):
+        interp = (frames[:-1, None, :] * (1.0 - lam)[None, :, None]
+                  + frames[1:, None, :] * lam[None, :, None])
+        fine = np.concatenate([interp.reshape(-1, grid.num_points), frames[-1:]])
+        mag2 = fine.real**2 + fine.imag**2
+        cubic = mag2 * fine
+        if config.full_derivative_mode:
+            dcubic = np.fft.ifft(np.fft.fft(cubic, axis=1) * ixi, axis=1)
+            n = 1j * params.c * cubic + params.e * dcubic
+        else:
+            du = np.fft.ifft(np.fft.fft(fine, axis=1) * ixi, axis=1)
+            n = 1j * params.c * cubic + params.d * mag2 * du + params.e * fine**2 * np.conj(du)
+        n_hat = np.fft.fft(n, axis=1) * grid.dealias_mask
+        new = np.fft.ifft(duhamel_flow(grid, params, u0_hat, tau, n_hat, substeps), axis=1)
+        new[0] = u0.values
+        distances.append(xt_norm(SpaceTimeField(grid, times, new - frames), params))
+        frames = new
+        if distances[-1] <= config.xt_tolerance:
+            break
+    return frames, distances
+
+
+@pytest.mark.parametrize("name, substeps, full", [
+    ("mkdv", 1, False), ("mkdv", 2, False),
+    ("nlsa-default", 1, False), ("nlsa-default", 2, False), ("nlsa-default", 2, True),
+])
+def test_picard_from_the_spectrum_matches_the_refined_stack_route(name, substeps, full):
+    grid = Grid(256, 60.0)
+    params = reduction_preset(name)
+    if name == "mkdv":
+        u0, horizon = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0)), 0.05
+    else:
+        u0, horizon = gaussian_packet(grid), 0.02
+    config = PicardConfig(horizon=horizon, time_nodes=16, substeps=substeps,
+                          full_derivative_mode=full)
+    u, report = picard_iterate(u0, params, config)
+    _, long_hand = picard_long_hand(u0, params, config)
+    assert report.iterations == len(long_hand)
+    assert report.converged == (long_hand[-1] <= config.xt_tolerance)
+    # Both routes compute the same exact distances.  A step forms the next
+    # iterate from values of the iterate's size M = ||u||_X through at most
+    # four n-point transforms (each relative error <= log2(n) eps), a running
+    # trapezoid sum over the s*T + 1 refined rows (<= s*T eps) and a few
+    # products (<= 8 eps): its rounding is at most gamma * M, with gamma =
+    # (4 log2 n + s T + 8) eps.  The map contracts with ratio r, so an
+    # iterate carries at most gamma M / (1 - r) of rounding, a distance (the
+    # norm of two iterates' difference) at most twice that plus the norm's
+    # own rounding gamma d, and the two routes differ by at most the sum.
+    eps = np.finfo(float).eps
+    gamma = (4 * math.log2(grid.num_points) + substeps * config.time_nodes + 8) * eps
+    carried = 2 * gamma * xt_norm(u, params) / (1 - report.ratio)
+    for d, d_long in zip(report.distances, long_hand):
+        assert abs(d - d_long) <= 2 * carried + gamma * (d + d_long), (d, d_long)
+
+
+def test_one_picard_iteration_transforms_902_rows(monkeypatch):
+    # per iteration: u_x at the T + 1 nodes, the forcing at the s T + 1
+    # refined times, the new frames, and the distance's three multipliers,
+    # 5 (T + 1) + (s T + 1) rows; the refined-stack route transformed
+    # 3 (s T + 1) + 5 (T + 1) = 1416
+    grid = Grid(256, 60.0)
+    u0 = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0))
+    params = reduction_preset("mkdv")
+    rows = []
+
+    def counted(transform):
+        def wrapper(a, *args, **kwargs):
+            rows.append(np.asarray(a).size // grid.num_points)
+            return transform(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+    totals = []
+    for iterations in (1, 2):
+        rows.clear()
+        config = PicardConfig(horizon=0.05, time_nodes=128, substeps=2,
+                              max_iterations=iterations)
+        _, report = picard_iterate(u0, params, config)
+        assert report.iterations == iterations
+        totals.append(sum(rows))
+    assert totals[1] - totals[0] == 5 * 129 + 257 == 902
 
 
 def test_fit_contraction_exponent_positive():

@@ -1,7 +1,8 @@
 """Work that the solver and the sweeps compute once and reuse.
 
-The Duhamel phases are memoised on their grid, the Picard substep frames are
-interpolated into one buffer, each factor of the two-sided Leibniz sweep is
+The Duhamel phases are memoised on their grid, the Picard iteration carries
+each iterate's spectrum and interpolates its refined rows a block at a time
+into reused scratch, each factor of the two-sided Leibniz sweep is
 transformed once, and the sup-embedding sweep evaluates each field once per
 scale.  Every reuse must give the bits of the straightforward computation,
 and the memoised phases must not raise the memory a call needs.
@@ -29,10 +30,13 @@ from nlsa_lab.estimates import (
 from nlsa_lab.norms import SpaceTimeField, mixed_norm_t_x, mixed_norm_x_t
 from nlsa_lab.picard import (
     PicardConfig,
-    _refined_times_and_frames,
+    _fine_rows,
+    _refined_times,
     duhamel_apply,
+    picard_iterate,
     reduction_preset,
     semigroup_evolve,
+    soliton_oracle,
 )
 from nlsa_lab.spectral import Grid, GridFunction, apply_symbols
 
@@ -40,6 +44,10 @@ MIB = 2.0**20
 # traced peaks when every call rebuilt both phases
 APPLY_PEAK_BEFORE_MIB = 52.28
 SMOOTHING_PEAK_BEFORE_MIB = 20.18
+# a Picard solve's traced peak when each iteration formed the refined frame,
+# u_x and cubic stacks (45.79 MiB); with u_x and the distance taken from the
+# iterate's spectrum and the cubic formed in blocks it is 36.40 MiB
+PICARD_PEAK_BEFORE_MIB = 46.0
 
 
 def traced(call):
@@ -92,6 +100,16 @@ def test_nonlinearity_terms_take_no_frame_stack_of_their_own():
     assert peak <= 34.0 * MIB, peak / MIB
 
 
+def test_picard_iterate_peak_holds_no_refined_stack():
+    # mkdv preset, 2048 points, 128 nodes, substeps 2, on a fresh grid so the
+    # phases count too
+    grid = Grid(2048, 60.0)
+    u0 = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0))
+    config = PicardConfig(horizon=0.05, time_nodes=128)
+    peak = traced(lambda: picard_iterate(u0, reduction_preset("mkdv"), config))[0]
+    assert peak <= PICARD_PEAK_BEFORE_MIB * MIB, peak / MIB
+
+
 def test_smoothing_peak_and_phases_released():
     peak, current = smoothing_peak()
     assert peak <= SMOOTHING_PEAK_BEFORE_MIB * MIB, peak / MIB
@@ -115,19 +133,25 @@ def test_duhamel_apply_reuses_phases_bit_for_bit():
 
 def test_refined_frames_match_the_interpolation_formula():
     rng = np.random.default_rng(5)
-    grid = Grid(64, 20.0)
     times = np.linspace(0.0, 0.1, 9)
     real = rng.standard_normal((9, 64)) + 0j  # zero imaginary parts keep their signs too
     mixed = rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64))
     for frames in (real, mixed):
-        u = SpaceTimeField(grid, times, frames)
-        for substeps in (2, 3):
+        for substeps in (1, 2, 3):
             lam = np.arange(substeps) / substeps
             left = frames[:-1, None, :] * (1.0 - lam)[None, :, None]
             interp = left + frames[1:, None, :] * lam[None, :, None]
             expected = np.concatenate([interp.reshape(-1, 64), frames[-1:]], axis=0)
-            tau, fine = _refined_times_and_frames(u, substeps)
-            assert fine.tobytes() == expected.tobytes()
+            # blocks of one, three and all eight intervals, the last one short
+            for per_block in (1, 3, 8):
+                out = np.empty((per_block * substeps + 1, 64), dtype=np.complex128)
+                fine = np.concatenate([
+                    _fine_rows(frames, substeps, k0, min(k0 + per_block, 8), out).copy()
+                    for k0 in range(0, 8, per_block)
+                ])
+                assert fine.tobytes() == expected.tobytes()
+            tau = _refined_times(times, substeps)
+            assert tau.size == expected.shape[0]
             assert np.array_equal(tau[::substeps], times)
 
 

@@ -111,16 +111,16 @@ def test_duhamel_flow_linear_in_forcing():
     zero = np.zeros(256, dtype=complex)
     alpha, beta = 0.7 - 0.2j, -1.3
     for stride in (1, 2, 3):
+        # the flow consumes its forcing, so f1 and f2 go in as copies
         combined = duhamel_flow(g, params, zero, tau, alpha * f1 + beta * f2, stride)
-        separate = alpha * duhamel_flow(g, params, zero, tau, f1, stride) + beta * duhamel_flow(
-            g, params, zero, tau, f2, stride
-        )
+        separate = (alpha * duhamel_flow(g, params, zero, tau, f1.copy(), stride)
+                    + beta * duhamel_flow(g, params, zero, tau, f2.copy(), stride))
         assert combined.shape == (tau[::stride].size, 256)
         assert np.max(np.abs(combined - separate)) < 1e-12 * np.max(np.abs(separate))
         # the data enters additively: free flow of the data plus the zero-data flow
-        with_data = duhamel_flow(g, params, start, tau, f1, stride)
+        with_data = duhamel_flow(g, params, start, tau, f1.copy(), stride)
         split = duhamel_flow(g, params, start, tau[::stride]) + duhamel_flow(
-            g, params, zero, tau, f1, stride
+            g, params, zero, tau, f1.copy(), stride
         )
         assert np.max(np.abs(with_data - split)) < 1e-12 * np.max(np.abs(with_data))
 
@@ -219,26 +219,32 @@ def test_duhamel_flow_memo_matches_unmemoised_formula_property(
         forcing = rng.standard_normal((nodes + 1, points)) + 1j * rng.standard_normal(
             (nodes + 1, points)
         )
-        kept = forcing.copy()
-    args = (start, tau, forcing, stride) if forced else (start, tau[::stride])
 
-    expected = reference_duhamel_flow(grid, params, *args)
-    assert same_bits(duhamel_flow(grid, params, *args), expected)  # memo filled
-    assert same_bits(duhamel_flow(grid, params, *args), expected)  # memo hit
+    def args(times):
+        # the flow consumes its forcing, so every call takes a fresh copy
+        return (start, times, forcing.copy(), stride) if forced else (start, times[::stride])
+
+    expected = reference_duhamel_flow(grid, params, *args(tau))
+    assert same_bits(duhamel_flow(grid, params, *args(tau)), expected)  # memo filled
+    assert same_bits(duhamel_flow(grid, params, *args(tau)), expected)  # memo hit
 
     # a different time grid or coefficient pair on the same grid is a miss
     other_tau = tau * 0.5
-    moved = (start, other_tau, forcing, stride) if forced else (start, other_tau[::stride])
     assert same_bits(
-        duhamel_flow(grid, params, *moved), reference_duhamel_flow(grid, params, *moved)
+        duhamel_flow(grid, params, *args(other_tau)),
+        reference_duhamel_flow(grid, params, *args(other_tau)),
     )
     other = EquationParams(a=params.b, b=-params.a)
     assert same_bits(
-        duhamel_flow(grid, other, *args), reference_duhamel_flow(grid, other, *args)
+        duhamel_flow(grid, other, *args(tau)),
+        reference_duhamel_flow(grid, other, *args(tau)),
     )
-    assert same_bits(duhamel_flow(grid, params, *args), expected)
+    assert same_bits(duhamel_flow(grid, params, *args(tau)), expected)
     if forced:
-        assert same_bits(forcing, kept)
+        # the output is written over the forcing, every stride-th row of it
+        handed = forcing.copy()
+        out = duhamel_flow(grid, params, start, tau, handed, stride)
+        assert np.shares_memory(out, handed) and same_bits(handed[::stride], expected)
 
 
 def test_duhamel_flow_memo_lives_on_the_grid():

@@ -202,7 +202,8 @@ ESTIMATES_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "seed": {"type": "integer"},
+        # the packet generator's seed, which numpy's default_rng takes only >= 0
+        "seed": {"type": "integer", "minimum": 0},
         "estimates": {"type": "array", "items": {"enum": list(_ESTIMATES)}, "minItems": 1},
         "samples": {"type": "integer", "minimum": 1},
         "alpha": _num(exclusiveMinimum=0, maximum=1),
@@ -738,6 +739,10 @@ def main(argv=None) -> int:
         schema, handler, _ = _COMMANDS[args.command]
         config = load_config(args.config, schema)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        # the flag is held to the config seed's bound, where the schema has one
+        least = schema["properties"]["seed"].get("minimum")
+        if least is not None and seed < least:
+            raise ConfigError(f"--seed: must be at least {least}, got {seed}")
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -257,9 +257,12 @@ def _field_sets(fields, samples, seed, maker, anchors=()):
 #                 - 2 Im(m_a conj m_b) Im(p_a conj p_b),
 #
 # one real (T x r^2)(r^2 x N) product of the factors' Hermitian rows, so no
-# complex frame stack is formed and no modulus is taken.  Its rounding is
-# absolute, of order r^2 eps (sum_c |m_c| |p_c|)^2, so where the components
-# cancel it can dip below 0; the norms flush that (see the norms module).
+# complex frame stack is formed and no modulus is taken.  An L^2-in-time
+# norm reads only sum_t w_t |u|^2, which is the weighted sum of the time
+# rows, r^2 numbers (the Gram matrix (m w) m^H), times the space rows: it
+# takes no |u|^2 at all.  Both round absolutely, to order (T + r^2) eps
+# (sum_c |m_c| |p_c|)^2, so where the components cancel they can dip below
+# 0; the norms flush or clip that (see the norms module).
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows a[i] * b[j] over every (i, j), i-major: the factor rows of the
@@ -267,10 +270,16 @@ def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[-1])
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_indices(r: int) -> tuple:
+    """np.triu_indices(r, 1), the pairs a < b; shared, so read-only."""
+    return np.triu_indices(r, 1)
+
+
 def _hermitian_rows(rows: np.ndarray, pair_weight: float = 1.0) -> np.ndarray:
     """The r^2 real rows |z_c|^2, then w Re(z_a conj z_b) and w Im(z_a conj z_b)
     over a < b, of the r complex rows z, w the pair weight."""
-    a, b = np.triu_indices(len(rows), 1)
+    a, b = _pair_indices(len(rows))
     pairs = rows[a] * rows[b].conj()
     pairs *= pair_weight
     return np.concatenate([rows.real**2 + rows.imag**2, pairs.real, pairs.imag])
@@ -278,19 +287,31 @@ def _hermitian_rows(rows: np.ndarray, pair_weight: float = 1.0) -> np.ndarray:
 
 class _PacketField:
     """The separable field u = sum_c time_rows[c] (outer) space_rows[c] as the
-    norms read it: grid, times, |u|^2 by the sum above, and single frames."""
+    norms read it: grid, times, |u|^2 by the sum above, its L^2-in-time
+    integrals by the Gram contraction, and single frames.  |u|^2 is formed
+    on the first abs_squared call and kept, so a field read only by L^2_T
+    norms never forms it."""
 
     def __init__(self, grid: Grid, times: np.ndarray, time_rows: np.ndarray,
                  space_rows: np.ndarray):
         self.grid, self.times = grid, times
         self._time_rows, self._space_rows = time_rows, space_rows
         # conj flips the sign of Im(m_a conj m_b), as the sum needs
-        time = _hermitian_rows(time_rows.conj(), 2.0)
-        self._abs_squared = time.T @ _hermitian_rows(space_rows)
+        self._time_hermitian = _hermitian_rows(time_rows.conj(), 2.0)
+        self._space_hermitian = _hermitian_rows(space_rows)
+        self._abs_squared = None
 
     def abs_squared(self) -> np.ndarray:
         """|u|^2 at every node and grid point; shared, so read-only."""
+        if self._abs_squared is None:
+            self._abs_squared = self._time_hermitian.T @ self._space_hermitian
         return self._abs_squared
+
+    def time_squares(self, weights: np.ndarray) -> np.ndarray:
+        """weights @ |u|^2 at every grid point by the Gram contraction, clipped
+        at 0."""
+        squares = (self._time_hermitian @ weights) @ self._space_hermitian
+        return np.maximum(squares, 0.0, out=squares)
 
     def frame(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self._time_rows[:, k] @ self._space_rows)

@@ -5,22 +5,34 @@ composite trapezoid rule, as one product with its weight vector, and
 essential suprema become maxima over nodes or grid points (fields are
 smooth, so the grid max converges to the sup).
 
-The norms read a field through its grid, its times and |u|^2 (abs_squared):
-a SpaceTimeField squares the modulus of its frames, and a separable packet
-takes |u|^2 from its factors (estimates._PacketField) without forming the
-frames; the composite norm squares each multiplier image of a frame stack as
-soon as it is transformed back and reads it as a _Modulus, a field known by
-|u|^2 alone.  The inner L^q integrands are |u|^q = (|u|^2)^(q/2), and they
-count as 0 where |u|^2 < 2^(-2044/q).  That is the rule |u| < 2^(-1022/q) on
-the square, so it flushes where the power would fall below float64's normal
-range (2^-1022): libm's pow is tens of times slower on a subnormal result,
-and wave-packet tails put whole rows there.  pow already returns 0 below the
+The norms read a field through its grid, its times, |u|^2 (abs_squared) and
+its L^2-in-time integrals sum_t w_t |u(t, x)|^2 (time_squares): a
+SpaceTimeField squares the modulus of its frames and sums the flushed squares
+(below) with the weights, and a separable packet u = sum_c m_c (x) p_c takes
+both from its factors (estimates._PacketField) without forming the frames.
+Its time_squares is a Gram contraction, sum_ab G_ab p_a conj(p_b) with the
+r x r matrix G = (m w) m^H, O(r^2 (T + N)) work where |u|^2 is O(r^2 T N),
+so a field read only by L^2_T norms never forms |u|^2.  The composite norm
+squares each multiplier image of a frame stack as soon as it is transformed
+back and reads it as a _Modulus, a field known by |u|^2 alone.  The inner
+L^q integrands are |u|^q = (|u|^2)^(q/2), and they count as 0 where
+|u|^2 < 2^(-2044/q).  That is the rule |u| < 2^(-1022/q) on the square, so
+it flushes where the power would fall below float64's normal range
+(2^-1022): libm's pow is tens of times slower on a subnormal result, and
+wave-packet tails put whole rows there.  pow already returns 0 below the
 smallest subnormal, 2^-1074, so only a field whose every |u|^q is subnormal
-reads differently: as 0.  The same rule flushes a |u|^2 that a factor
-product's rounding left below 0 where the components cancel; the sup norms
-take the square root of |u|^2 clipped at 0.  The smoothing sweep's LHS is no
-norm of this module: it is an L^2_x norm taken by Parseval on the transform
-side, whose squares are summed unflushed (estimates._derivative_sup).
+reads differently: as 0.  Where q/2 is an integer (q = 4, 10) the flushed
+squares are raised by products, (|u|^2)^5 = ((|u|^2)^2)^2 |u|^2: each
+product rounds correctly, so the bits are the same on every machine, where
+a vectorised pow need not match libm in the last bit, and the flush leaves
+no subnormal operand to a product.  The same rule flushes a |u|^2 that a
+factor product's rounding left below 0 where the components cancel; the
+sup norms take the square root of |u|^2 clipped at 0, and a packet's Gram
+contraction, which flushes no term (so it differs from the flushed sum by
+at most horizon * 2^-1022), is clipped at 0 too.  The smoothing sweep's LHS
+is no norm of this module: it is an L^2_x norm taken by Parseval on the
+transform side, whose squares are summed unflushed
+(estimates._derivative_sup).
 """
 
 from __future__ import annotations
@@ -35,7 +47,6 @@ from .spectral import (
     Grid,
     GridFunction,
     _weight,
-    apply_symbols,
 )
 
 __all__ = [
@@ -50,8 +61,17 @@ __all__ = [
 ]
 
 
+class _FrameSquares:
+    """time_squares for a field whose norms read its |u|^2 (abs_squared)."""
+
+    def time_squares(self, weights: np.ndarray) -> np.ndarray:
+        """weights @ |u|^2 at every grid point, of |u|^2 flushed as the L^2
+        integrands are (see the module docstring)."""
+        return weights @ _flushed_power(self.abs_squared(), 2)
+
+
 @dataclass
-class SpaceTimeField:
+class SpaceTimeField(_FrameSquares):
     """Frames of a field u(x, t) on a shared grid at increasing times from 0."""
 
     grid: Grid
@@ -78,11 +98,6 @@ class SpaceTimeField:
         """|u|^2 at every node and grid point, in a new array."""
         sq = np.abs(self.frames)
         return np.square(sq, out=sq)
-
-    def apply_symbols(self, *symbols: np.ndarray) -> list:
-        """Apply FFT-order multipliers to every frame, all from one transform."""
-        return [SpaceTimeField(self.grid, self.times, frames)
-                for frames in apply_symbols(self.frames, *symbols)]
 
 
 @dataclass
@@ -136,12 +151,25 @@ def sobolev_norm(f: GridFunction, s: float) -> float:
 
 
 def _flushed_power(sq: np.ndarray, q) -> np.ndarray:
-    """|u|**q from sq = |u|**2 in a new array, 0 where sq < 2^(-2044/q) (see
-    the module docstring)."""
+    """|u|**q from sq = |u|**2 in a new array, 0 where sq < 2^(-2044/q), by
+    products where q/2 is an integer (see the module docstring)."""
     tiny = sq < 2.0 ** (-2044.0 / q)
-    if q == 2:
-        return np.where(tiny, 0.0, sq)
-    return np.power(sq, q / 2.0, out=np.zeros_like(sq), where=~tiny)
+    half = q / 2.0
+    if not half.is_integer():
+        return np.power(sq, half, out=np.zeros_like(sq), where=~tiny)
+    return _product_power(np.where(tiny, 0.0, sq), int(half))
+
+
+def _product_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k for an integer k >= 1 by squaring and multiplying, x^5 = (x^2)^2 x;
+    a new array unless k = 1, and x is kept."""
+    if k == 1:
+        return x
+    power = _product_power(x, k // 2)
+    power = np.square(power, out=None if power is x else power)
+    if k % 2:
+        power *= x
+    return power
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -153,11 +181,14 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 
 def _time_inner(u, q) -> np.ndarray:
-    """Per-grid-point L^q norm in t (trapezoid; max for q = inf)."""
-    sq = u.abs_squared()
+    """Per-grid-point L^q norm in t (trapezoid; max for q = inf); at q = 2 the
+    field's own time_squares."""
     if q == math.inf:
-        return np.sqrt(np.maximum(sq.max(axis=0), 0.0))
-    return (_trapezoid_weights(u.times) @ _flushed_power(sq, q)) ** (1.0 / q)
+        return np.sqrt(np.maximum(u.abs_squared().max(axis=0), 0.0))
+    weights = _trapezoid_weights(u.times)
+    if q == 2:
+        return u.time_squares(weights) ** 0.5
+    return (weights @ _flushed_power(u.abs_squared(), q)) ** (1.0 / q)
 
 
 def _space_inner(u, p) -> np.ndarray:
@@ -185,7 +216,7 @@ def mixed_norm_t_x(u, q, p) -> float:
 
 
 @dataclass
-class _Modulus:
+class _Modulus(_FrameSquares):
     """A field known by its |u|^2 alone, as the mixed norms read it; shared,
     so read-only."""
 

@@ -307,6 +307,30 @@ def test_estimates_seed_flag_overrides_config(tmp_path):
     assert first.startswith("commutator,9,")
 
 
+@pytest.mark.parametrize("config_seed, flags, named", [
+    (-1, [], "config.seed"),
+    (3, ["--seed", "-3"], "--seed"),
+])
+def test_estimates_negative_seed_names_the_seed(tmp_path, capsys, config_seed, flags, named):
+    # numpy's packet generator refuses a negative seed, which the run used to
+    # blame on config.equation
+    cfg = write_config(tmp_path, {"estimates": ["commutator"], "samples": 2, "seed": config_seed})
+    out = tmp_path / "out"
+    assert main(["verify-estimates", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{named}: must be at least 0" in err
+    assert "config.equation" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_solve_keeps_a_negative_seed_as_metadata(tmp_path):
+    # solve and verify-oscillatory draw nothing from the seed
+    cfg = write_config(tmp_path, solve_payload(seed=-1))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--seed", "-3"]) == 0
+    assert read_json(out / "manifest.json")["seed"] == -3
+
+
 # ---------------------------------------------------------------------------
 # determinism and threading
 # ---------------------------------------------------------------------------

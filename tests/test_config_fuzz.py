@@ -1,10 +1,12 @@
-"""Config fuzzer for `solve`: every schema-valid config runs or is refused.
+"""Config fuzzers for `solve` and `verify-estimates`: every schema-valid
+config runs or is refused.
 
-Configs are drawn from SOLVE_SCHEMA itself (its types, bounds, enums and
-required keys), with the grid, the time grid and the iteration counts capped
-so that each run stays small.  Whatever the config, `main` must return one of
-the documented exit codes, explain a non-zero exit on stderr, and raise
-nothing.  A run that exits 0 must have written finite norms.
+Configs are drawn from SOLVE_SCHEMA and ESTIMATES_SCHEMA themselves (their
+types, bounds, enums and required keys), with the grid, the time grid, the
+iteration counts and the sample count capped, and the sweeps named, so that
+each run stays small.  Whatever the config, `main` must return one of the
+documented exit codes, explain a non-zero exit on stderr, and raise nothing.
+A solve that exits 0 must have written finite norms.
 
 The CLI's own schema walk is checked against jsonschema as the oracle, on
 documents drawn from all three schemas with one value, key or list item
@@ -15,6 +17,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,6 +37,7 @@ _CAPS = {
     ("time", "nodes"): 8,
     ("picard", "max_iterations"): 8,
     ("picard", "substeps"): 4,
+    ("samples",): 2,
 }
 
 # preset and soliton names the program knows, plus arbitrary text
@@ -92,6 +96,19 @@ def from_schema(schema, path=()):
     raise AssertionError(f"no strategy for schema type {kind!r} at {path}")
 
 
+def _run(command, config, tmp_path_factory):
+    """(exit code, stderr, output directory) of one in-process run of config."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config))
+    # stderr is captured by hand: capsys is function-scoped, and hypothesis
+    # runs the body many times within one test function
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), "--out", str(tmp / "out")])
+    return code, err.getvalue(), tmp / "out"
+
+
 def _solve_config(grid=None, initial_data=None, equation=None):
     return {
         "equation": equation or {"preset": "mkdv"},
@@ -136,24 +153,38 @@ def _solve_config(grid=None, initial_data=None, equation=None):
                  "time": {"horizon": 1.7976931348623157e+308, "nodes": 3},
                  "initial_data": {"kind": "zero"}})
 def test_every_schema_valid_solve_config_runs_or_is_refused(tmp_path_factory, config):
-    tmp = tmp_path_factory.mktemp("fuzz")
-    path = tmp / "config.json"
-    path.write_text(json.dumps(config))
-    # stderr is captured by hand: capsys is function-scoped, and hypothesis
-    # runs the body many times within one test function
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["solve", "--config", str(path), "--out", str(tmp / "out")])
+    code, err, out = _run("solve", config, tmp_path_factory)
     assert code in (0, 1, 2, 3)
     if code != 0:
-        assert err.getvalue().strip(), f"exit {code} without a message for {config}"
+        assert err.strip(), f"exit {code} without a message for {config}"
     else:
         # a successful run certifies finite norms (json writes a non-finite
         # one as null); a history's max/min ratio is inf when it touches zero
-        norms = json.loads((tmp / "out" / "norms.json").read_text())
+        norms = json.loads((out / "norms.json").read_text())
         values = [v for key, v in norms.items() if not key.endswith("_ratio")]
         flat = [x for v in values for x in (v if isinstance(v, list) else [v])]
         assert None not in flat, f"exit 0 with non-finite norms for {config}"
+
+
+# the sweeps named and the sample count given, so that no run falls back to
+# all six sweeps or to their default sample counts
+_SMALL_ESTIMATES_SCHEMA = {**ESTIMATES_SCHEMA, "required": ["estimates", "samples"]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(config=from_schema(_SMALL_ESTIMATES_SCHEMA))
+# a negative seed, which numpy's packet generator refuses; the run blamed it
+# on config.equation
+@example(config={"seed": -1, "estimates": ["commutator"], "samples": 2})
+def test_every_schema_valid_estimates_config_runs_or_is_refused(tmp_path_factory, config):
+    code, err, _ = _run("verify-estimates", config, tmp_path_factory)
+    assert code in (0, 1, 3)
+    if code != 0:
+        assert err.strip(), f"exit {code} without a message for {config}"
+    # a refusal blames a field the config gives, never one left to its default
+    for key in re.findall(r"(?<!\S)config\.([a-z_]+)", err):
+        assert key in config, f"{err!r} blames config.{key}, absent from {config}"
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A space-time packet is a sum of r products m_c(t) p_c(x), and the
 sup-embedding, chain-rule and two-sided Leibniz sweeps apply each Fourier
 multiplier D to the spatial rows only: D u = sum_c m_c (x) D p_c.  The
-frame-wise path, SpaceTimeField.apply_symbols on the sampled frames, is the
-reference here.
+frame-wise path, spectral.apply_symbols on the stack of sampled frames, is
+the reference here.
 
 Rounding bound.  Take a field with K factor rows (M_k, P_k) and a symbol
 sigma on N points, and let eps be float64's machine epsilon.  Both paths
@@ -75,8 +75,7 @@ from nlsa_lab.estimates import (
     check_sup_embedding,
     random_spacetime_packets,
 )
-from nlsa_lab.norms import SpaceTimeField
-from nlsa_lab.spectral import EquationParams, Grid
+from nlsa_lab.spectral import EquationParams, Grid, apply_symbols
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).smallest_subnormal
@@ -112,38 +111,36 @@ def test_factor_images_agree_with_the_frame_wise_multiplier(seed, s, num_points,
     sigma, half = np.abs(grid.xi_fft) ** s, np.abs(grid.xi_fft) ** (s / 2)
     mf, pf = f.factors(grid.x, times)
     mg, pg = g.factors(grid.x, times)
-    uf = SpaceTimeField(grid, times, f.sample(grid.x, times))
-    ug = SpaceTimeField(grid, times, g.sample(grid.x, times))
+    uf, ug = f.sample(grid.x, times), g.sample(grid.x, times)
 
     # D u and D(|u|^2 u) of the chain rule
     du, dcubic = (frames_of(image) for image in _chain_rule_images(mf, pf, grid, times, sigma))
-    (du_frames,) = uf.apply_symbols(sigma)
-    cubic = SpaceTimeField(grid, times, np.abs(uf.frames) ** 2 * uf.frames)
-    (dcubic_frames,) = cubic.apply_symbols(sigma)
-    assert np.max(np.abs(du - du_frames.frames)) <= rounding_bound(
+    (du_frames,) = apply_symbols(uf, sigma)
+    (dcubic_frames,) = apply_symbols(np.abs(uf) ** 2 * uf, sigma)
+    assert np.max(np.abs(du - du_frames)) <= rounding_bound(
         mf, l2_rows(pf), sigma, num_points)
     cubic_time = np.array([ma * np.conj(mb) * mc for ma in mf for mb in mf for mc in mf])
     cubic_norms = np.array([
         np.linalg.norm(pa * np.conj(pb) * pc) for pa in pf for pb in pf for pc in pf
     ])
-    assert np.max(np.abs(dcubic - dcubic_frames.frames)) <= rounding_bound(
+    assert np.max(np.abs(dcubic - dcubic_frames)) <= rounding_bound(
         cubic_time, cubic_norms, sigma, num_points)
 
     # the two-sided defect and the half-derivative images of both factors
     defect, f_half, g_half = (
         frames_of(image) for image in _two_sided_images(f, g, grid, times, sigma, half)
     )
-    (dfg,) = SpaceTimeField(grid, times, uf.frames * ug.frames).apply_symbols(sigma)
-    (df,) = uf.apply_symbols(sigma)
-    (dg,) = ug.apply_symbols(sigma)
-    defect_frames = dfg.frames - uf.frames * dg.frames - ug.frames * df.frames
+    (dfg,) = apply_symbols(uf * ug, sigma)
+    (df,) = apply_symbols(uf, sigma)
+    (dg,) = apply_symbols(ug, sigma)
+    defect_frames = dfg - uf * dg - ug * df
     pair_time = np.array([ma * mb for ma in mf for mb in mg])
     pair_norms = np.array([np.linalg.norm(pa) * np.linalg.norm(qb) for pa in pf for qb in pg])
     assert np.max(np.abs(defect - defect_frames)) <= 3 * rounding_bound(
         pair_time, pair_norms, sigma, num_points)
     for image, u, (m, p) in ((f_half, uf, (mf, pf)), (g_half, ug, (mg, pg))):
-        (frames,) = u.apply_symbols(half)
-        assert np.max(np.abs(image - frames.frames)) <= rounding_bound(
+        (frames,) = apply_symbols(u, half)
+        assert np.max(np.abs(image - frames)) <= rounding_bound(
             m, l2_rows(p), half, num_points)
 
 
@@ -176,6 +173,24 @@ def test_no_frame_stack_is_transformed_in_the_factor_sweeps(monkeypatch):
         # per field at both scales
         assert sum(name == "fft" for name, _ in shapes) == forward * 2
         assert sum(name == "ifft" for name, _ in shapes) == inverse * 2
+
+
+def test_l2_in_time_norms_form_no_abs_squared(monkeypatch):
+    # the smoothing RHS (L^1_x L^2_T) and the two-sided Leibniz LHS
+    # (L^2_x L^2_T) read their fields by the Gram contraction alone
+    f, g = random_spacetime_packets(2, np.random.default_rng(7))
+    formed = []
+    abs_squared = _PacketField.abs_squared
+    monkeypatch.setattr(
+        _PacketField, "abs_squared",
+        lambda self: formed.append(len(self._time_rows)) or abs_squared(self),
+    )
+    check_smoothing(EquationParams(a=0.0, b=1.0), fields=[f])
+    assert formed == []
+    # the defect (rank 4) is never squared; f's and g's half-derivative
+    # images (rank 2) are, for their L^4_x L^4_T norms, at both scales
+    check_leibniz_two_sided(fields=[(f, g)])
+    assert formed == [2, 2, 2, 2]
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -131,9 +131,6 @@ SOLVE_SCHEMA = {
             "properties": {
                 "max_iterations": {"type": "integer", "minimum": 1},
                 "tolerance": _num(exclusiveMinimum=0),
-                "substeps": {"type": "integer", "minimum": 1},
-                "dealias": {"type": "boolean"},
-                "full_derivative_mode": {"type": "boolean"},
             },
         },
         "initial_data": {
@@ -442,8 +439,10 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
 
     try:
         # a phase or an iterate that overflows float64 is the horizon's doing,
-        # and a time stack too big to allocate the node count's
-        with _config_field("config.picard"), \
+        # a time stack too big to allocate the node count's, and a time grid
+        # that does not increase (horizon / nodes below float64's spacing)
+        # the two's together
+        with _config_field("config.time"), \
                 _config_field("config.time.horizon", FlowOverflowError), \
                 _config_field("config.time.nodes", MemoryError):
             u, contraction = picard_iterate(u0, params, solver_config)
@@ -522,6 +521,11 @@ def _probe_tuples(config: dict) -> list:
 def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> int:
     del seed  # probes are deterministic; the seed is only manifest metadata
     pairs = _probe_tuples(config)
+    arc_samples = config.get("arc_samples", 1000)
+    with _config_field("config.arc_samples", MemoryError):
+        # the arc check's largest row, refused before any probe runs if it is
+        # too big to allocate; np.empty touches no page of a row that fits
+        np.empty(arc_samples, dtype=np.complex128)
     for m in sorted({probe[4] for _, probe in pairs}):
         with _config_field("config.probes" if "probes" in config else "config.m_values"):
             # on the main thread: built on a worker thread, in an arena of its
@@ -580,7 +584,6 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
                 f"exceeds ceiling {ceiling:.6g}"
             )
 
-    arc_samples = config.get("arc_samples", 1000)
     arc_payload = arc_summary(probes, arc_samples) if arc_samples else None
     for name, entry in (arc_payload or {}).items():
         if not entry["all_hold"]:

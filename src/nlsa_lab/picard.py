@@ -12,14 +12,19 @@ cumulative trapezoid sum, and apply a single forward flow per output node.
 Picard iteration starts from the free flow and stops when successive iterates
 are closer than the configured tolerance in the composite space-time norm.
 
+The solver has one discretisation of Phi.  The cubic is sampled at the
+nodes and at the midpoint of each interval, where u and u_x are the averages
+of their node rows; its spectrum is dealiased by the 2/3 rule
+(Grid.dealias_mask); and N(u) is formed term by term.
+
 Each iterate carries its FFT-order spectrum next to its frames, and u0 is
-transformed once per solve.  With T time intervals and s substeps, one
-iteration transforms 5(T + 1) + (sT + 1) rows: u_x back from the spectrum at
-the T + 1 nodes; the cubic, formed at the sT + 1 refined times a block of
-rows at a time straight into the forcing buffer (u and u_x interpolated in
-time into reused scratch), forward in place; the new spectrum back to
-frames; and the distance's three multipliers on the difference of the two
-spectra.  No refined stack of u, u_x or the cubic is ever formed.
+transformed once per solve.  With T time intervals, one iteration transforms
+5(T + 1) + (2T + 1) rows: u_x back from the spectrum at the T + 1 nodes; the
+cubic, formed at the 2T + 1 refined times a block of rows at a time straight
+into the forcing buffer (u and u_x interpolated in time into reused
+scratch), forward in place; the new spectrum back to frames; and the
+distance's three multipliers on the difference of the two spectra.  No
+refined stack of u, u_x or the cubic is ever formed.
 
 The module also provides the local-existence bookkeeping around the solver:
 the radius/horizon selection rule, persistence histories of the Sobolev and
@@ -73,31 +78,26 @@ class NonContractionError(RuntimeError):
 
 @dataclass
 class PicardConfig:
-    """Knobs of the fixed-point iteration.
+    """Time grid and stopping rule of the fixed-point iteration.
 
-    ``time_nodes`` counts intervals of the uniform time grid (so there are
-    ``time_nodes + 1`` frames), ``substeps`` refines the Duhamel trapezoid
-    between nodes: the nonlinearity is sampled at substeps points per
-    interval, where u and u_x are the linear interpolants of their node rows
-    (with 1 the node rows are read as they are), ``dealias`` masks
-    the top third of the spectrum of each nonlinearity sample, and
-    ``full_derivative_mode`` evaluates the derivative terms as
-    e*(|u|^2 u)_x, which requires d = 2e.
+    ``time_nodes`` counts intervals of the uniform time grid on [0,
+    ``horizon``] (so there are ``time_nodes + 1`` frames); the iteration
+    stops once two iterates are within ``xt_tolerance`` in the composite
+    norm, or after ``max_iterations`` steps.  How Phi is discretised is not
+    a setting: see the module docstring.
     """
 
     horizon: float = 0.1
     time_nodes: int = 64
     max_iterations: int = 30
     xt_tolerance: float = 1e-10
-    substeps: int = 2
-    dealias: bool = True
-    full_derivative_mode: bool = False
 
     def __post_init__(self):
         _require_finite(horizon=self.horizon, xt_tolerance=self.xt_tolerance)
-        for name in ("time_nodes", "max_iterations", "substeps"):
+        for name in ("time_nodes", "max_iterations"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            # a bool is an Integral too, but no count
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -107,8 +107,6 @@ class PicardConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.xt_tolerance <= 0:
             raise ValueError("xt_tolerance must be positive")
-        if self.substeps < 1:
-            raise ValueError("substeps must be at least 1")
 
     def times(self) -> np.ndarray:
         # the last node, time_nodes * (horizon / time_nodes), can round past
@@ -181,13 +179,6 @@ def _frames_of(spec: np.ndarray, u0: GridFunction) -> np.ndarray:
     return frames
 
 
-def _require_full_derivative_ok(params: EquationParams, full_derivative_mode: bool) -> None:
-    if full_derivative_mode and not params.full_derivative_ok:
-        raise ValueError(
-            f"full-derivative evaluation needs d = 2e, got d={params.d}, e={params.e}"
-        )
-
-
 def _cubic_terms(u: np.ndarray, du, params: EquationParams, out: np.ndarray) -> np.ndarray:
     """i*c*|u|^2 u + d*|u|^2 u_x + e*u^2 conj(u_x) of the rows u and u_x, into out.
 
@@ -217,7 +208,10 @@ def nonlinearity_eval(
     e*(|u|^2 u)_x, which agrees with the term-by-term route exactly when
     d = 2e and is rejected otherwise.
     """
-    _require_full_derivative_ok(params, full_derivative_mode)
+    if full_derivative_mode and not params.full_derivative_ok:
+        raise ValueError(
+            f"full-derivative evaluation needs d = 2e, got d={params.d}, e={params.e}"
+        )
     ixi = 1j * u.grid.xi_fft
     if full_derivative_mode:
         cubic = _cubic_terms(u.values, None, params, np.empty_like(u.values))
@@ -233,29 +227,28 @@ def nonlinearity_eval(
 # Duhamel map and Picard iteration.
 # ---------------------------------------------------------------------------
 
+_SUBSTEPS = 2  # samples of the cubic per interval: its left node and its midpoint
 _NONLINEARITY_BLOCK_ROWS = 16  # refined rows of the cubic formed per block
 
 
-def _refined_times(times: np.ndarray, substeps: int) -> np.ndarray:
-    """times with substeps-1 equispaced points inserted per interval."""
-    lam = np.arange(substeps) / substeps  # interpolation weights, left endpoints
+def _refined_times(times: np.ndarray) -> np.ndarray:
+    """times with _SUBSTEPS-1 equispaced points inserted per interval."""
+    lam = np.arange(_SUBSTEPS) / _SUBSTEPS  # interpolation weights, left endpoints
     tau = times[:-1, None] * (1.0 - lam) + times[1:, None] * lam
     return np.append(tau.ravel(), times[-1])
 
 
-def _fine_rows(nodes: np.ndarray, substeps: int, k0: int, k1: int, out: np.ndarray):
-    """The rows at the refined times of nodes k0 up to k1, interpolated linearly.
+def _fine_rows(nodes: np.ndarray, k0: int, k1: int, out: np.ndarray) -> np.ndarray:
+    """The rows at the refined times of nodes k0 up to k1, interpolated linearly
+    into out.
 
-    These are the substeps rows of each interval from node k0 to node k1,
-    and the last node's row too when k1 is the last node.  With one substep
-    they are the node rows themselves; otherwise they are written into out.
+    These are the _SUBSTEPS rows of each interval from node k0 to node k1,
+    and the last node's row too when k1 is the last node.
     """
     last = k1 == len(nodes) - 1
-    if substeps == 1:
-        return nodes[k0:k1 + last]
-    lam = np.arange(substeps) / substeps
-    count = (k1 - k0) * substeps
-    interp = out[:count].reshape(k1 - k0, substeps, nodes.shape[1])
+    lam = np.arange(_SUBSTEPS) / _SUBSTEPS
+    count = (k1 - k0) * _SUBSTEPS
+    interp = out[:count].reshape(k1 - k0, _SUBSTEPS, nodes.shape[1])
     np.multiply(nodes[k0:k1, None, :], (1.0 - lam)[None, :, None], out=interp)
     interp += nodes[k0 + 1:k1 + 1, None, :] * lam[None, :, None]
     if last:
@@ -263,45 +256,38 @@ def _fine_rows(nodes: np.ndarray, substeps: int, k0: int, k1: int, out: np.ndarr
     return out[:count + last]
 
 
-def _forcing_hat(u: SpaceTimeField, spec: np.ndarray, params: EquationParams,
-                 config: PicardConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(tau, FFT-order spectra of N(u) at the refined times tau), from u and
-    its spectrum spec.
+def _forcing_hat(u: SpaceTimeField, spec: np.ndarray,
+                 params: EquationParams) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, dealiased FFT-order spectra of N(u) at the refined times tau),
+    from u and its spectrum spec.
 
     u_x is transformed back from spec at the nodes and interpolated in time
     like u: the x-derivative of the linear interpolant is the interpolant of
-    the derivatives.  In full-derivative mode e*(|u|^2 u)_x is the symbol
-    i*c + i*e*xi on the transform of |u|^2 u, and u_x is not needed.
+    the derivatives.
     """
-    grid, substeps = u.grid, config.substeps
+    grid = u.grid
     intervals = u.times.size - 1
-    du = None
-    if not config.full_derivative_mode:
-        du = np.multiply(spec, 1j * grid.xi_fft)
-        np.fft.ifft(du, axis=1, out=du)
-    forcing = np.empty((substeps * intervals + 1, grid.num_points), dtype=np.complex128)
-    per_block = max(1, _NONLINEARITY_BLOCK_ROWS // substeps)  # intervals per block
-    u_rows = np.empty((per_block * substeps + 1, grid.num_points), dtype=np.complex128)
-    du_rows = np.empty_like(u_rows) if du is not None else None
+    du = np.multiply(spec, 1j * grid.xi_fft)
+    np.fft.ifft(du, axis=1, out=du)
+    forcing = np.empty((_SUBSTEPS * intervals + 1, grid.num_points), dtype=np.complex128)
+    per_block = _NONLINEARITY_BLOCK_ROWS // _SUBSTEPS  # intervals per block
+    u_rows = np.empty((per_block * _SUBSTEPS + 1, grid.num_points), dtype=np.complex128)
+    du_rows = np.empty_like(u_rows)
     # a field of one time has one block, its single row
     for k0 in range(0, max(intervals, 1), per_block):
         k1 = min(k0 + per_block, intervals)
-        rows = slice(k0 * substeps, k1 * substeps + (k1 == intervals))
-        u_block = _fine_rows(u.frames, substeps, k0, k1, u_rows)
-        du_block = None if du is None else _fine_rows(du, substeps, k0, k1, du_rows)
-        _cubic_terms(u_block, du_block, params, forcing[rows])
+        rows = slice(k0 * _SUBSTEPS, k1 * _SUBSTEPS + (k1 == intervals))
+        _cubic_terms(_fine_rows(u.frames, k0, k1, u_rows), _fine_rows(du, k0, k1, du_rows),
+                     params, forcing[rows])
     del du
     np.fft.fft(forcing, axis=1, out=forcing)
-    if config.full_derivative_mode:
-        forcing *= 1j * params.c + 1j * params.e * grid.xi_fft
-    if config.dealias:
-        forcing *= grid.dealias_mask[None, :]
-    return _refined_times(u.times, substeps), forcing
+    forcing *= grid.dealias_mask[None, :]
+    return _refined_times(u.times), forcing
 
 
 def _duhamel_step(
     u: SpaceTimeField, spec: np.ndarray, u0: GridFunction, u0_hat: np.ndarray,
-    params: EquationParams, config: PicardConfig,
+    params: EquationParams,
 ) -> tuple[SpaceTimeField, np.ndarray]:
     """Phi(u) and its FFT-order spectrum, from u and its spectrum spec.
 
@@ -313,34 +299,32 @@ def _duhamel_step(
     if params.c == 0 and params.d == 0 and params.e == 0:
         out_hat = duhamel_flow(grid, params, u0_hat, u.times)
     else:
-        _require_full_derivative_ok(params, config.full_derivative_mode)
-        tau, forcing = _forcing_hat(u, spec, params, config)
+        tau, forcing = _forcing_hat(u, spec, params)
         # the integral consumes the forcing buffer; the contiguous copy of
-        # every substeps-th row lets it go
+        # every _SUBSTEPS-th row lets it go
         out_hat = np.ascontiguousarray(
-            duhamel_flow(grid, params, u0_hat, tau, forcing, config.substeps)
+            duhamel_flow(grid, params, u0_hat, tau, forcing, _SUBSTEPS)
         )
     return SpaceTimeField(grid, u.times, _frames_of(out_hat, u0)), out_hat
 
 
-def duhamel_apply(
-    u: SpaceTimeField, u0: GridFunction, params: EquationParams, config: PicardConfig
-) -> SpaceTimeField:
+def duhamel_apply(u: SpaceTimeField, u0: GridFunction, params: EquationParams) -> SpaceTimeField:
     """One application of the Duhamel map Phi to the space-time iterate u.
 
-    The integral is a composite trapezoid over the (optionally substep-refined)
-    time grid, taken in the interaction picture so each output frame costs one
-    multiplier application.  It is a forward transform of u (and of u0) and
-    then the step that picard_iterate runs on the spectrum it carries.  The
-    frame at t = 0 is u0 exactly, and with the nonlinearity switched off the
-    result is the free flow regardless of u.  Boundary mass in u0 is not
-    checked here: picard_iterate and fit_contraction_exponent warn once per
-    call.
+    The integral is a composite trapezoid over u's time grid with each
+    interval's midpoint added, taken in the interaction picture so each
+    output frame costs one multiplier application; the cubic is formed term
+    by term and dealiased by the 2/3 rule.  It is a forward transform of u
+    (and of u0) and then the step that picard_iterate runs on the spectrum
+    it carries.  The frame at t = 0 is u0 exactly, and with the
+    nonlinearity switched off the result is the free flow regardless of u.
+    Boundary mass in u0 is not checked here: picard_iterate and
+    fit_contraction_exponent warn once per call.
     """
     if u.grid != u0.grid:
         raise ValueError("iterate and initial data live on different grids")
     spec = np.fft.fft(u.frames, axis=1)
-    return _duhamel_step(u, spec, u0, np.fft.fft(u0.values), params, config)[0]
+    return _duhamel_step(u, spec, u0, np.fft.fft(u0.values), params)[0]
 
 
 def picard_iterate(
@@ -377,9 +361,7 @@ def _iterate(
     for _ in range(config.max_iterations):
         # an iterate that overflows makes the distance non-finite, caught below
         with np.errstate(over="ignore", invalid="ignore"):
-            proposed, proposed_hat = _duhamel_step(
-                current, current_hat, u0, u0_hat, params, config
-            )
+            proposed, proposed_hat = _duhamel_step(current, current_hat, u0, u0_hat, params)
             # the differences of the frames and of their spectra overwrite the
             # current iterate, which nothing reads again; the norm's three
             # multipliers act on the spectra's difference

@@ -5,6 +5,7 @@ directories.  Exit-code contract: 0 success, 1 config/usage error, 2
 non-contraction, 3 verification failure.
 """
 
+import dataclasses
 import json
 import os
 import resource
@@ -15,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from nlsa_lab.cli import main
+from nlsa_lab.cli import SOLVE_SCHEMA, main
 from nlsa_lab.oscillatory import PhiProfile
+from nlsa_lab.picard import PicardConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -129,15 +131,37 @@ def test_solve_non_contraction_exits_2(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
-def test_solve_full_derivative_mode_needs_matched_coefficients(tmp_path, capsys):
-    cfg = write_config(tmp_path, solve_payload(
-        equation={"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "e": 1.0},
-        initial_data={"kind": "gaussian"},
-        picard={"full_derivative_mode": True},
-    ))
+@pytest.mark.parametrize("key, value", [
+    ("substeps", 2), ("dealias", True), ("full_derivative_mode", False),
+], ids=["substeps", "dealias", "full_derivative_mode"])
+def test_solve_refuses_a_removed_picard_key(tmp_path, capsys, key, value):
+    # the solver has one discretisation: the cubic at the nodes and the
+    # midpoints, dealiased, term by term; the keys that chose another are
+    # gone, so a config setting one, even to the old default, is refused
+    cfg = write_config(tmp_path, solve_payload(picard={key: value}))
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f'config.picard: unexpected key "{key}"' in err and "Traceback" not in err
+
+
+def test_solve_picard_keys_are_the_picard_config_fields():
+    # one statement of the solve config: each key of the schema's picard
+    # section is a PicardConfig field and back, the time grid's two aside
+    schema_keys = set(SOLVE_SCHEMA["properties"]["picard"]["properties"])
+    renamed = {"tolerance": "xt_tolerance"}
+    fields = {f.name for f in dataclasses.fields(PicardConfig)} - {"horizon", "time_nodes"}
+    assert {renamed.get(key, key) for key in schema_keys} == fields
+    assert len(schema_keys) == len(fields)
+
+
+def test_solve_with_a_horizon_below_the_time_spacing_names_the_time_section(tmp_path, capsys):
+    # linspace(0, 5e-324, 9) repeats 0, so the time grid does not increase;
+    # the refusal blamed config.picard, which the config does not give
+    cfg = write_config(tmp_path, solve_payload(time={"horizon": 5e-324, "nodes": 8}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config.time: times must increase strictly" in err and "config.picard" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +260,22 @@ def test_oscillatory_rejects_inadmissible_probe(tmp_path, capsys):
     })
     assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "probes[0]" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oscillatory_refuses_arc_samples_too_big_to_allocate(tmp_path, capsys):
+    # 10^12 samples is schema-valid; the arc check's rows ran out of memory
+    # after every probe had run, in a traceback.  numpy refuses an array
+    # this size without allocating it
+    cfg = write_config(tmp_path, {
+        "probes": [{"a": 0, "b": 1, "t": 0.5, "omega": 256, "m": 0.125, "xi": 0.5}],
+        "arc_samples": 1000000000000,
+    })
+    out = tmp_path / "o"
+    assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config.arc_samples" in err and "Traceback" not in err
+    assert not (out / "probes.csv").exists()  # refused before any probe ran
 
 
 def test_oscillatory_rejects_probes_plus_sweep(tmp_path, capsys):
@@ -545,8 +585,7 @@ _ITERATES = "Picard iterates"
         grid={"num_points": 56, "length": 4.974671610284207e16},
         time={"horizon": 8.248093612828696e307, "nodes": 6},
         initial_data={"kind": "gaussian", "x_shift": -6.902004549061749e16},
-        picard={"tolerance": 8.0, "max_iterations": 5, "dealias": True, "substeps": 1,
-                "full_derivative_mode": False},
+        picard={"tolerance": 8.0, "max_iterations": 5},
     ), _PHASE),
     (solve_payload(
         equation={"a": -4.630439892199128e16, "b": -4.5114390995696056e16,

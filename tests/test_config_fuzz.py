@@ -36,7 +36,6 @@ _CAPS = {
     ("grid", "num_points"): 64,
     ("time", "nodes"): 8,
     ("picard", "max_iterations"): 8,
-    ("picard", "substeps"): 4,
     ("samples",): 2,
 }
 

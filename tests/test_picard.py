@@ -69,7 +69,6 @@ def rel_l2(got, want, grid=GRID):
         {"time_nodes": 1},
         {"max_iterations": 0},
         {"xt_tolerance": 0.0},
-        {"substeps": 0},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -90,10 +89,12 @@ def test_config_refuses_non_finite_values_naming_the_field(kwargs, name):
         PicardConfig(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["time_nodes", "max_iterations", "substeps"])
-@pytest.mark.parametrize("value", [math.nan, 2.5], ids=["nan", "fraction"])
+@pytest.mark.parametrize("name", ["time_nodes", "max_iterations"])
+@pytest.mark.parametrize("value", [math.nan, 2.5, True, False],
+                         ids=["nan", "fraction", "true", "false"])
 def test_config_refuses_non_integer_counts_naming_the_field(name, value):
-    # times() and the substep refinement take these counts as integers
+    # times() and the iteration loop take these counts as integers; a bool
+    # is an Integral, and True once ran one iteration
     with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
         PicardConfig(**{name: value})
 
@@ -244,15 +245,6 @@ def test_nonlinearity_full_derivative_requires_matching_coefficients():
         nonlinearity_eval(u, EquationParams(a=1.0, b=1.0, d=1.0, e=1.0), full_derivative_mode=True)
 
 
-def test_duhamel_full_derivative_requires_matching_coefficients():
-    u0 = gaussian_packet(GRID)
-    params = EquationParams(a=1.0, b=1.0, d=1.0, e=1.0)
-    config = PicardConfig(horizon=0.01, time_nodes=4, full_derivative_mode=True)
-    seed = semigroup_evolve(u0, config.times(), params)
-    with pytest.raises(ValueError, match="d = 2e"):
-        duhamel_apply(seed, u0, params, config)
-
-
 # ---------------------------------------------------------------------------
 # Duhamel map.
 # ---------------------------------------------------------------------------
@@ -266,7 +258,7 @@ def test_duhamel_linear_case_returns_free_flow():
     junk = SpaceTimeField(
         GRID, times, np.stack([random_field(GRID, rng).values for _ in times])
     )
-    out = duhamel_apply(junk, u0, params, cfg)
+    out = duhamel_apply(junk, u0, params)
     free = semigroup_evolve(u0, times, params)
     assert np.max(np.abs(out.frames - free.frames)) < 1e-12
 
@@ -275,7 +267,7 @@ def test_duhamel_zero_everything():
     zero = GridFunction(GRID, np.zeros(GRID.num_points))
     cfg = PicardConfig(horizon=0.1, time_nodes=4)
     field = semigroup_evolve(zero, cfg.times(), reduction_preset("mkdv"))
-    out = duhamel_apply(field, zero, reduction_preset("mkdv"), cfg)
+    out = duhamel_apply(field, zero, reduction_preset("mkdv"))
     assert np.all(out.frames == 0)
 
 
@@ -284,7 +276,7 @@ def test_duhamel_initial_frame_exact():
     u0 = GridFunction(GRID, sol(GRID.x, 0.0))
     cfg = PicardConfig(horizon=0.05, time_nodes=8)
     field = semigroup_evolve(u0, cfg.times(), sol.params())
-    out = duhamel_apply(field, u0, sol.params(), cfg)
+    out = duhamel_apply(field, u0, sol.params())
     assert np.array_equal(out.frames[0], u0.values)
 
 
@@ -295,7 +287,7 @@ def test_duhamel_grid_mismatch():
     )
     other = gaussian_packet(Grid(512, 60.0))
     with pytest.raises(ValueError, match="grids"):
-        duhamel_apply(field, other, reduction_preset("mkdv"), cfg)
+        duhamel_apply(field, other, reduction_preset("mkdv"))
 
 
 def rk4_interaction_picture(u0, params, horizon, nsteps):
@@ -329,9 +321,9 @@ def rk4_interaction_picture(u0, params, horizon, nsteps):
 def test_one_picard_step_matches_fine_integrator():
     params = reduction_preset("nlsa-default")
     u0 = gaussian_packet(GRID, amplitude=0.1)
-    cfg = PicardConfig(horizon=0.01, time_nodes=64, dealias=False)
+    cfg = PicardConfig(horizon=0.01, time_nodes=64)
     seed = semigroup_evolve(u0, cfg.times(), params)
-    one_step = duhamel_apply(seed, u0, params, cfg)
+    one_step = duhamel_apply(seed, u0, params)
     reference = rk4_interaction_picture(u0, params, 0.01, 400)
     assert rel_l2(one_step.frames[-1], reference) < 1e-5
 
@@ -371,7 +363,7 @@ def test_picard_soliton_contraction_and_accuracy():
     assert all(b < a for a, b in zip(report.distances, report.distances[1:]))
     assert rel_l2(u.frames[-1], sol(GRID.x, cfg.horizon)) < 1e-4
     # fixed-point residual within a burn factor of the tolerance
-    final = duhamel_apply(u, u0, sol.params(), cfg)
+    final = duhamel_apply(u, u0, sol.params())
     gap = xt_norm(
         SpaceTimeField(GRID, u.times, final.frames - u.frames), sol.params()
     )
@@ -417,8 +409,9 @@ def picard_long_hand(u0, params, config):
     """(last iterate's frames, distances) of picard_iterate by the route that
     forms every refined stack: the refined frames by the interpolation
     formula, u_x by a transform pair of the refined stack, the nonlinearity
-    in x, and each distance as xt_norm of the frames' difference."""
-    grid, substeps = u0.grid, config.substeps
+    in x, and each distance as xt_norm of the frames' difference.  The
+    cubic is sampled at the nodes and the intervals' midpoints (s = 2)."""
+    grid, substeps = u0.grid, 2
     times = config.times()
     u0_hat = np.fft.fft(u0.values)
     ixi = 1j * grid.xi_fft
@@ -434,12 +427,8 @@ def picard_long_hand(u0, params, config):
         fine = np.concatenate([interp.reshape(-1, grid.num_points), frames[-1:]])
         mag2 = fine.real**2 + fine.imag**2
         cubic = mag2 * fine
-        if config.full_derivative_mode:
-            dcubic = np.fft.ifft(np.fft.fft(cubic, axis=1) * ixi, axis=1)
-            n = 1j * params.c * cubic + params.e * dcubic
-        else:
-            du = np.fft.ifft(np.fft.fft(fine, axis=1) * ixi, axis=1)
-            n = 1j * params.c * cubic + params.d * mag2 * du + params.e * fine**2 * np.conj(du)
+        du = np.fft.ifft(np.fft.fft(fine, axis=1) * ixi, axis=1)
+        n = 1j * params.c * cubic + params.d * mag2 * du + params.e * fine**2 * np.conj(du)
         n_hat = np.fft.fft(n, axis=1) * grid.dealias_mask
         new = np.fft.ifft(duhamel_flow(grid, params, u0_hat, tau, n_hat, substeps), axis=1)
         new[0] = u0.values
@@ -450,19 +439,15 @@ def picard_long_hand(u0, params, config):
     return frames, distances
 
 
-@pytest.mark.parametrize("name, substeps, full", [
-    ("mkdv", 1, False), ("mkdv", 2, False),
-    ("nlsa-default", 1, False), ("nlsa-default", 2, False), ("nlsa-default", 2, True),
-])
-def test_picard_from_the_spectrum_matches_the_refined_stack_route(name, substeps, full):
+@pytest.mark.parametrize("name", ["mkdv", "nlsa-default"])
+def test_picard_from_the_spectrum_matches_the_refined_stack_route(name):
     grid = Grid(256, 60.0)
     params = reduction_preset(name)
     if name == "mkdv":
         u0, horizon = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0)), 0.05
     else:
         u0, horizon = gaussian_packet(grid), 0.02
-    config = PicardConfig(horizon=horizon, time_nodes=16, substeps=substeps,
-                          full_derivative_mode=full)
+    config = PicardConfig(horizon=horizon, time_nodes=16)
     u, report = picard_iterate(u0, params, config)
     _, long_hand = picard_long_hand(u0, params, config)
     assert report.iterations == len(long_hand)
@@ -470,24 +455,24 @@ def test_picard_from_the_spectrum_matches_the_refined_stack_route(name, substeps
     # Both routes compute the same exact distances.  A step forms the next
     # iterate from values of the iterate's size M = ||u||_X through at most
     # four n-point transforms (each relative error <= log2(n) eps), a running
-    # trapezoid sum over the s*T + 1 refined rows (<= s*T eps) and a few
-    # products (<= 8 eps): its rounding is at most gamma * M, with gamma =
-    # (4 log2 n + s T + 8) eps.  The map contracts with ratio r, so an
+    # trapezoid sum over the s*T + 1 refined rows (<= s*T eps, s = 2) and a
+    # few products (<= 8 eps): its rounding is at most gamma * M, with gamma
+    # = (4 log2 n + s T + 8) eps.  The map contracts with ratio r, so an
     # iterate carries at most gamma M / (1 - r) of rounding, a distance (the
     # norm of two iterates' difference) at most twice that plus the norm's
     # own rounding gamma d, and the two routes differ by at most the sum.
     eps = np.finfo(float).eps
-    gamma = (4 * math.log2(grid.num_points) + substeps * config.time_nodes + 8) * eps
+    gamma = (4 * math.log2(grid.num_points) + 2 * config.time_nodes + 8) * eps
     carried = 2 * gamma * xt_norm(u, params) / (1 - report.ratio)
     for d, d_long in zip(report.distances, long_hand):
         assert abs(d - d_long) <= 2 * carried + gamma * (d + d_long), (d, d_long)
 
 
 def test_one_picard_iteration_transforms_902_rows(monkeypatch):
-    # per iteration: u_x at the T + 1 nodes, the forcing at the s T + 1
+    # per iteration: u_x at the T + 1 nodes, the forcing at the 2T + 1
     # refined times, the new frames, and the distance's three multipliers,
-    # 5 (T + 1) + (s T + 1) rows; the refined-stack route transformed
-    # 3 (s T + 1) + 5 (T + 1) = 1416
+    # 5 (T + 1) + (2T + 1) rows; the refined-stack route transformed
+    # 3 (2T + 1) + 5 (T + 1) = 1416
     grid = Grid(256, 60.0)
     u0 = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0))
     params = reduction_preset("mkdv")
@@ -504,8 +489,7 @@ def test_one_picard_iteration_transforms_902_rows(monkeypatch):
     totals = []
     for iterations in (1, 2):
         rows.clear()
-        config = PicardConfig(horizon=0.05, time_nodes=128, substeps=2,
-                              max_iterations=iterations)
+        config = PicardConfig(horizon=0.05, time_nodes=128, max_iterations=iterations)
         _, report = picard_iterate(u0, params, config)
         assert report.iterations == iterations
         totals.append(sum(rows))

@@ -64,7 +64,7 @@ def traced(call):
 def nlsa_default_iterate():
     """An nlsa-default free-flow iterate on 2048 points and 128 nodes, on a fresh grid."""
     params = reduction_preset("nlsa-default")
-    config = PicardConfig(horizon=0.02, time_nodes=128, substeps=2)
+    config = PicardConfig(horizon=0.02, time_nodes=128)
     source = Grid(2048, 60.0)
     u0 = GridFunction(source, np.exp(-source.x**2))
     free = semigroup_evolve(u0, config.times(), params)
@@ -73,13 +73,12 @@ def nlsa_default_iterate():
         SpaceTimeField(grid, free.times, free.frames.copy()),
         GridFunction(grid, u0.values.copy()),
         params,
-        config,
     )
 
 
 def apply_peak():
-    u, u0, params, config = nlsa_default_iterate()
-    return traced(lambda: duhamel_apply(u, u0, params, config))[0]
+    u, u0, params = nlsa_default_iterate()
+    return traced(lambda: duhamel_apply(u, u0, params))[0]
 
 
 def smoothing_peak():
@@ -101,7 +100,7 @@ def test_nonlinearity_terms_take_no_frame_stack_of_their_own():
 
 
 def test_picard_iterate_peak_holds_no_refined_stack():
-    # mkdv preset, 2048 points, 128 nodes, substeps 2, on a fresh grid so the
+    # mkdv preset, 2048 points, 128 nodes, on a fresh grid so the
     # phases count too
     grid = Grid(2048, 60.0)
     u0 = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0))
@@ -118,15 +117,15 @@ def test_smoothing_peak_and_phases_released():
 
 
 def test_duhamel_apply_reuses_phases_bit_for_bit():
-    u, u0, params, config = nlsa_default_iterate()
-    first = duhamel_apply(u, u0, params, config)
+    u, u0, params = nlsa_default_iterate()
+    first = duhamel_apply(u, u0, params)
     phases = {d: held[1] for d, held in u.grid._flow_phases.items()}
-    again = duhamel_apply(u, u0, params, config)
+    again = duhamel_apply(u, u0, params)
     assert all(u.grid._flow_phases[d][1] is phase for d, phase in phases.items())
     assert first.frames.tobytes() == again.frames.tobytes()
     fresh = Grid(2048, 60.0)
     cold = duhamel_apply(
-        SpaceTimeField(fresh, u.times, u.frames), GridFunction(fresh, u0.values), params, config
+        SpaceTimeField(fresh, u.times, u.frames), GridFunction(fresh, u0.values), params
     )
     assert cold.frames.tobytes() == first.frames.tobytes()
 
@@ -136,23 +135,23 @@ def test_refined_frames_match_the_interpolation_formula():
     times = np.linspace(0.0, 0.1, 9)
     real = rng.standard_normal((9, 64)) + 0j  # zero imaginary parts keep their signs too
     mixed = rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64))
+    # each interval's left node and midpoint, s = 2 rows an interval
+    lam = np.arange(2) / 2
     for frames in (real, mixed):
-        for substeps in (1, 2, 3):
-            lam = np.arange(substeps) / substeps
-            left = frames[:-1, None, :] * (1.0 - lam)[None, :, None]
-            interp = left + frames[1:, None, :] * lam[None, :, None]
-            expected = np.concatenate([interp.reshape(-1, 64), frames[-1:]], axis=0)
-            # blocks of one, three and all eight intervals, the last one short
-            for per_block in (1, 3, 8):
-                out = np.empty((per_block * substeps + 1, 64), dtype=np.complex128)
-                fine = np.concatenate([
-                    _fine_rows(frames, substeps, k0, min(k0 + per_block, 8), out).copy()
-                    for k0 in range(0, 8, per_block)
-                ])
-                assert fine.tobytes() == expected.tobytes()
-            tau = _refined_times(times, substeps)
-            assert tau.size == expected.shape[0]
-            assert np.array_equal(tau[::substeps], times)
+        left = frames[:-1, None, :] * (1.0 - lam)[None, :, None]
+        interp = left + frames[1:, None, :] * lam[None, :, None]
+        expected = np.concatenate([interp.reshape(-1, 64), frames[-1:]], axis=0)
+        # blocks of one, three and all eight intervals, the last one short
+        for per_block in (1, 3, 8):
+            out = np.empty((per_block * 2 + 1, 64), dtype=np.complex128)
+            fine = np.concatenate([
+                _fine_rows(frames, k0, min(k0 + per_block, 8), out).copy()
+                for k0 in range(0, 8, per_block)
+            ])
+            assert fine.tobytes() == expected.tobytes()
+        tau = _refined_times(times)
+        assert tau.size == expected.shape[0]
+        assert np.array_equal(tau[::2], times)
 
 
 # ---------------------------------------------------------------------------

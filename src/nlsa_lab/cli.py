@@ -12,6 +12,7 @@ wall-clock duration is the one intentionally non-reproducible field.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
@@ -19,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .estimates import (
     check_smoothing,
     check_sup_embedding,
 )
+from .norms import _sobolev_weight
 from .oscillatory import (
     PhiProfile,
     QuadratureConvergenceError,
@@ -427,6 +429,13 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
             raise ValueError(
                 "the dispersion a*xi^2 + b*xi^3 is not finite on the grid's frequencies"
             )
+    # a Sobolev weight that overflows would otherwise surface after the whole
+    # solve, as norms that overflow blamed on config.initial_data
+    with _config_field("config.s"), np.errstate(over="ignore"):
+        if not np.isfinite(_sobolev_weight(grid, params.s)).all():
+            raise ValueError(
+                "the Sobolev weight (1 + xi^2)^s overflows float64 on the grid's frequencies"
+            )
     u0 = _initial_field(config["initial_data"], grid)
     # the config's picard keys are PicardConfig fields, tolerance aside
     options = dict(config.get("picard", {}))
@@ -736,6 +745,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 
+    created = []  # the output directories this run makes, deepest first
     try:
         if args.command == "report":
             return cmd_report(Path(args.out))
@@ -747,6 +757,7 @@ def main(argv=None) -> int:
         if least is not None and seed < least:
             raise ConfigError(f"--seed: must be at least {least}, got {seed}")
         out = Path(args.out)
+        created = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -764,6 +775,11 @@ def main(argv=None) -> int:
         })
         return code
     except ConfigError as exc:
+        # a refused run leaves the file system as it found it: each directory
+        # it made goes again, if it is still empty
+        for directory in created:
+            with suppress(OSError):
+                directory.rmdir()
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -190,19 +191,55 @@ class EstimateSweepResult:
         return {**asdict(self), "sample_count": self.sample_count, "drift": self.drift}
 
 
-def _assemble(name, seed, base_fields, fine_fields, evaluate, exponent_fit=math.nan):
-    """Run evaluate(field, scale) -> [(lhs, rhs), ...] at both resolutions under
-    the heap policy, dropping the pairs whose rhs is 0; a NaN ratio reaches its maximum."""
-    def pairs(fields, scale):
-        return [pair for f in fields for pair in evaluate(f, scale)]
+def _require_alpha(alpha: float) -> None:
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha={alpha} outside (0, 1]")
 
+
+def _sweep(name, evaluate, fields, samples, seed, maker, anchors=(), points=_BASE_POINTS,
+           nodes=_BASE_TIME_NODES, collapse=None):
+    """One inequality sweep: its fields at two scales, and the refinement verdict.
+
+    Scale 1 takes the anchors plus ``samples`` seeded draws of maker(count,
+    rng), scale 2 the anchors plus twice the draws; given fields serve both
+    scales.  Anchors are deterministic extremal members of the packet family;
+    keeping them in both sets pins the maximum, so the verdict measures
+    discretization error rather than sampling luck.
+
+    Scale s evaluates each field, under the heap policy, as
+    evaluate(field, grid, times) -> [(lhs, rhs), ...] on one Grid of
+    points * s points over _BASE_LENGTH and the nodes linspace(0, 1,
+    nodes * s + 1), both built on the scale's first field before the previous
+    scale's (with the phases its grid memoises) are released: released first,
+    they raised smoothing's peak RSS by 2 MB (glibc, x86-64).
+    collapse(base, fine) -> (base, fine, exponent_fit) may fold what evaluate
+    returned into pairs.  The ratios drop the pairs whose rhs is 0; a NaN
+    ratio reaches its maximum.
+    """
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples={samples!r}: a sweep needs an integer count of at least 1")
+    if fields is None:
+        drawn = maker(2 * samples, np.random.default_rng(seed))
+        base_fields, fine_fields = list(anchors) + drawn[:samples], list(anchors) + drawn
+    else:
+        base_fields = fine_fields = list(fields)
+        if not base_fields:
+            raise ValueError("fields is empty: a sweep needs at least one field")
+
+    base, fine = [], []
     with _heap_scratch():
-        base, fine = pairs(base_fields, 1), pairs(fine_fields, 2)
+        for scale, scale_fields, pairs in ((1, base_fields, base), (2, fine_fields, fine)):
+            for k, f in enumerate(scale_fields):
+                if k == 0:
+                    grid, times = (Grid(points * scale, _BASE_LENGTH),
+                                   np.linspace(0.0, 1.0, nodes * scale + 1))
+                pairs += evaluate(f, grid, times)
+    base, fine, exponent_fit = collapse(base, fine) if collapse else (base, fine, math.nan)
+
     kept = [(left, right) for left, right in base if right != 0.0]
     ratios = [left / right for left, right in kept]
     max_base = float(np.max(ratios, initial=0.0))
     max_fine = float(np.max([left / right for left, right in fine if right != 0.0], initial=0.0))
-
     if max_base == 0.0:
         stable = max_fine == 0.0
     else:
@@ -219,27 +256,6 @@ def _assemble(name, seed, base_fields, fine_fields, evaluate, exponent_fit=math.
         refinement_stable=bool(stable),
         exponent_fit=exponent_fit,
     )
-
-
-def _require_alpha(alpha: float) -> None:
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha={alpha} outside (0, 1]")
-
-
-def _field_sets(fields, samples, seed, maker, anchors=()):
-    """Provided fields verbatim, or anchors plus a seeded base/doubled fine set.
-
-    Anchors are deterministic extremal members of the packet family (the
-    directions that empirically maximize each ratio); keeping them in both
-    the base and refined sets pins the maximum, so the stability flag
-    measures discretization error rather than sampling luck.
-    """
-    if fields is not None:
-        fields = list(fields)
-        return fields, fields
-    rng = np.random.default_rng(seed)
-    fine = maker(2 * samples, rng)
-    return list(anchors) + fine[:samples], list(anchors) + fine
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +404,8 @@ def check_smoothing(
     """
     if params.b == 0:
         raise ValueError("smoothing sweep needs third-order dispersion (b != 0)")
-    base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
-    # one grid per scale, so its memoised pull-back phase serves every field
-    # of that scale; only the current scale's grid is kept
-    @functools.lru_cache(maxsize=1)
-    def setup(scale):
-        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
-        return grid, np.linspace(0.0, 1.0, 2 * _BASE_TIME_NODES * scale + 1)
 
-    def evaluate(f, scale):
-        grid, times = setup(scale)
+    def evaluate(f, grid, times):
         modulations, spatial = f.factors(grid.x, times)
         rhs = mixed_norm_x_t(_PacketField(grid, times, modulations, spatial), 1, 2)
         # the forcing's spectrum, from the transforms of its r spatial rows
@@ -406,7 +414,8 @@ def check_smoothing(
         )
         return [(_derivative_sup(grid, integral), rhs)]
 
-    return _assemble("smoothing", seed, base, fine, evaluate)
+    return _sweep("smoothing", evaluate, fields, samples, seed, random_spacetime_packets,
+                  nodes=2 * _BASE_TIME_NODES)
 
 
 def check_sup_embedding(
@@ -422,36 +431,30 @@ def check_sup_embedding(
     ratios are collapsed by the fitted power so boundedness and stability
     are horizon-uniform statements.
     """
-    base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
 
-    def raw_pairs(field_list, scale):
-        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
-        quarter = np.abs(grid.xi_fft) ** 0.25
-        clocks = [np.linspace(0.0, h, _BASE_TIME_NODES * scale + 1) for h in _SUP_HORIZONS]
-        per_field = []
-        for f in field_list:
-            # the factors are built, and the spatial ones transformed, once
-            # for all four horizons
-            modulations, spatial = f.factors(grid.x, np.concatenate(clocks))
-            (quarter_rows,) = apply_symbols(spatial, quarter)
-            pairs = []
-            for horizon, times, horizon_modulations in zip(
-                _SUP_HORIZONS, clocks, np.split(modulations, len(clocks), axis=1)
-            ):
-                u = _PacketField(grid, times, horizon_modulations, spatial)
-                du = _PacketField(grid, times, horizon_modulations, quarter_rows)
-                lhs = mixed_norm_t_x(u, 5, math.inf)
-                rhs = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(du, 5, 10)
-                pairs.append((horizon, lhs, rhs))
-            per_field.append(pairs)
-        return per_field
+    def evaluate(f, grid, times):
+        # each clock is exactly linspace(0, horizon, times.size): the horizons are powers of 2
+        clocks = [horizon * times for horizon in _SUP_HORIZONS]
+        # the factors are built, and the spatial ones transformed, once for all four horizons
+        modulations, spatial = f.factors(grid.x, np.concatenate(clocks))
+        (quarter_rows,) = apply_symbols(spatial, np.abs(grid.xi_fft) ** 0.25)
+        triples = []
+        for horizon, clock, horizon_modulations in zip(
+            _SUP_HORIZONS, clocks, np.split(modulations, len(clocks), axis=1)
+        ):
+            u = _PacketField(grid, clock, horizon_modulations, spatial)
+            du = _PacketField(grid, clock, horizon_modulations, quarter_rows)
+            lhs = mixed_norm_t_x(u, 5, math.inf)
+            rhs = mixed_norm_x_t(u, 5, 10) + mixed_norm_x_t(du, 5, 10)
+            triples.append((horizon, lhs, rhs))
+        return triples
 
-    def fit_exponent(per_field):
-        # _assemble's rule: the pairs whose rhs is not exactly 0, folded by a
-        # reduction that carries a NaN ratio to the fit
+    def fit_exponent(triples):
+        # the verdict's rule: the pairs whose rhs is not exactly 0, folded by
+        # a reduction that carries a NaN ratio to the fit
         worst = [
-            float(np.max([lhs / rhs for pairs in per_field for h, lhs, rhs in pairs
-                          if h == horizon and rhs != 0.0], initial=0.0))
+            float(np.max([lhs / rhs for h, lhs, rhs in triples if h == horizon and rhs != 0.0],
+                         initial=0.0))
             for horizon in _SUP_HORIZONS
         ]
         if any(math.isnan(r) for r in worst):
@@ -461,19 +464,15 @@ def check_sup_embedding(
             return math.nan
         return float(np.polyfit(*zip(*points), 1)[0])
 
-    # each field's pairs are computed once, under the heap policy, for the fit and the ratios
-    with _heap_scratch():
-        raw_base, raw_fine = raw_pairs(base, 1), raw_pairs(fine, 2)
-    gain_base = fit_exponent(raw_base)
-    gain_fine = fit_exponent(raw_fine)
-    if not math.isfinite(gain_fine):
-        gain_fine = gain_base
+    def collapse(base, fine):
+        gain_base, gain_fine = fit_exponent(base), fit_exponent(fine)
+        if not math.isfinite(gain_fine):
+            gain_fine = gain_base
+        return ([(lhs, h**gain_base * rhs) for h, lhs, rhs in base],
+                [(lhs, h**gain_fine * rhs) for h, lhs, rhs in fine], gain_base)
 
-    def evaluate(pairs, scale):
-        gain = gain_base if scale == 1 else gain_fine
-        return [(lhs, horizon**gain * rhs) for horizon, lhs, rhs in pairs]
-
-    return _assemble("sup-embedding", seed, raw_base, raw_fine, evaluate, exponent_fit=gain_base)
+    return _sweep("sup-embedding", evaluate, fields, samples, seed, random_spacetime_packets,
+                  collapse=collapse)
 
 
 def check_commutator(
@@ -492,10 +491,8 @@ def check_commutator(
         WavePacket((1.0 + 0j,), (freq,), (width,), (0.0,))
         for freq, width in ((0.8, 2.0), (1.0, 1.5), (1.0, 1.0))
     )
-    base, fine = _field_sets(fields, samples, seed, random_wave_packets, anchors)
 
-    def evaluate(f, scale):
-        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
+    def evaluate(f, grid, times):
         vals = f.sample(grid.x)
         phi = np.tanh(grid.x)
         d_alpha = np.abs(grid.xi_fft) ** alpha
@@ -506,7 +503,7 @@ def check_commutator(
         rhs = slope * l2_norm(GridFunction(grid, vals))
         return [(lhs, rhs)]
 
-    return _assemble("commutator", seed, base, fine, evaluate)
+    return _sweep("commutator", evaluate, fields, samples, seed, random_wave_packets, anchors)
 
 
 def check_leibniz_band(
@@ -533,12 +530,10 @@ def check_leibniz_band(
         (mono(1.0, 1.5), mono(3.0, 1.0)),
     )
     maker = lambda n, rng: list(zip(random_wave_packets(n, rng), random_wave_packets(n, rng)))
-    base, fine = _field_sets(fields, samples, seed, maker, anchors)
     uncovered = []  # per evaluated sample, at both scales
 
-    def evaluate(pair, scale):
+    def evaluate(pair, grid, times):
         f, g = pair
-        grid = Grid(2 * _BASE_POINTS * scale, _BASE_LENGTH)
         fv, gv = f.sample(grid.x), g.sample(grid.x)
         ay = np.abs(grid.xi_fft)
         d_alpha = ay ** alpha
@@ -556,7 +551,8 @@ def check_leibniz_band(
         uncovered.append(total > 0 and float(np.sum(power[~covered])) > 0.01 * total)
         return [(lhs, rhs)]
 
-    result = _assemble("leibniz-band", seed, base, fine, evaluate)
+    result = _sweep("leibniz-band", evaluate, fields, samples, seed, maker, anchors,
+                    points=2 * _BASE_POINTS)
     # warned here, not in evaluate, so the warning names the caller's line
     if any(uncovered):
         warnings.warn(
@@ -581,11 +577,8 @@ def check_chain_rules(
     peaks, and the analogous bound in the L^5_x L^10_T mixed norm.
     """
     _require_alpha(alpha)
-    base, fine = _field_sets(fields, samples, seed, random_spacetime_packets)
 
-    def evaluate(f, scale):
-        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
-        times = np.linspace(0.0, 1.0, _BASE_TIME_NODES * scale + 1)
+    def evaluate(f, grid, times):
         modulations, spatial = f.factors(grid.x, times)
         du, dcubic = _chain_rule_images(
             modulations, spatial, grid, times, np.abs(grid.xi_fft) ** alpha
@@ -603,7 +596,7 @@ def check_chain_rules(
         rhs_xt = sup_square * mixed_norm_x_t(du, 5, 10)
         return [(lhs_slice, rhs_slice), (lhs_xt, rhs_xt)]
 
-    return _assemble("chain-rule", seed, base, fine, evaluate)
+    return _sweep("chain-rule", evaluate, fields, samples, seed, random_spacetime_packets)
 
 
 def check_leibniz_two_sided(
@@ -622,12 +615,9 @@ def check_leibniz_two_sided(
     maker = lambda n, rng: list(
         zip(random_spacetime_packets(n, rng), random_spacetime_packets(n, rng))
     )
-    base, fine = _field_sets(fields, samples, seed, maker)
 
-    def evaluate(pair, scale):
+    def evaluate(pair, grid, times):
         f, g = pair
-        grid = Grid(_BASE_POINTS * scale, _BASE_LENGTH)
-        times = np.linspace(0.0, 1.0, _BASE_TIME_NODES * scale + 1)
         ay = np.abs(grid.xi_fft)
         defect, f_half, g_half = _two_sided_images(
             f, g, grid, times, ay**alpha, ay ** (alpha / 2.0)
@@ -636,4 +626,4 @@ def check_leibniz_two_sided(
         rhs = mixed_norm_x_t(f_half, 4.0, 4.0) * mixed_norm_x_t(g_half, 4.0, 4.0)
         return [(lhs, rhs)]
 
-    return _assemble("leibniz-two-sided", seed, base, fine, evaluate)
+    return _sweep("leibniz-two-sided", evaluate, fields, samples, seed, maker)

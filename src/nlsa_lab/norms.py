@@ -132,12 +132,17 @@ def _weighted_l2(grid: Grid, values: np.ndarray, m: float) -> np.ndarray:
     return _l2(grid, _weight(grid, m) * values)
 
 
+def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+    """(1 + xi^2)^s at the grid's frequencies, in FFT order."""
+    return (1.0 + grid.xi_fft**2) ** s
+
+
 def _sobolev(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
     """H^s norm along the last axis (one per frame for a frame stack), by
     Parseval on the FFT: sqrt(spacing/n * sum_k (1 + xi_k^2)^s |fft_k|^2).
     No phase multiplies the spectrum, so an inf the FFT overflows to stays inf."""
     power = np.abs(np.fft.fft(values, axis=-1)) ** 2
-    total = np.sum((1.0 + grid.xi_fft**2) ** s * power, axis=-1)
+    total = np.sum(_sobolev_weight(grid, s) * power, axis=-1)
     return np.sqrt(grid.spacing / grid.num_points * total)
 
 

@@ -515,8 +515,8 @@ def _heap_scratch():
     The rule: a phase that makes and frees frame-sized temporaries over and
     over enters this scope itself, so its cost does not hang on what ran
     before.  The phases: PhiProfile's build, band_sum_report's band loop, the
-    sweeps' evaluations (estimates._assemble, check_sup_embedding's raw
-    pairs) and picard._iterate.
+    sweeps' field evaluations (estimates._sweep, the one pipeline all six
+    run through) and picard._iterate.
 
     glibc maps buffers above its mmap threshold (at most 32 MiB) and trims
     free pages off the heap top straight back to the system, so a phase that

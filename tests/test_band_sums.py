@@ -18,10 +18,9 @@ import numpy as np
 import pytest
 
 from nlsa_lab.estimates import (
-    _BASE_LENGTH,
     _BASE_POINTS,
     WavePacket,
-    _assemble,
+    _sweep,
     check_leibniz_band,
     random_wave_packets,
 )
@@ -77,10 +76,9 @@ def test_band_sums_match_the_full_grid_formula_bit_for_bit(a, b, t, m, num_point
     assert rep.tail_fraction.hex() == tail_fraction.hex()
 
 
-def leibniz_band_pair_on_the_full_grid(pair, scale):
+def leibniz_band_pair_on_the_full_grid(pair, grid, times):
     """(lhs, rhs) of one leibniz-band sample, its band sum over masked supports."""
     f, g = pair
-    grid = Grid(2 * _BASE_POINTS * scale, _BASE_LENGTH)
     fv, gv = f.sample(grid.x), g.sample(grid.x)
     d_alpha = np.abs(grid.xi_fft) ** 0.25
     df, dg, dfg = (apply_symbols(v, d_alpha)[0] for v in (fv, gv, fv * gv))
@@ -96,7 +94,8 @@ def test_leibniz_band_matches_the_full_grid_formula():
     rng = np.random.default_rng(17)
     mono = WavePacket((1.0 + 0j,), (1.0,), (1.0,), (0.0,))
     fields = [(mono, mono)] + list(zip(random_wave_packets(4, rng), random_wave_packets(4, rng)))
-    expected = _assemble("leibniz-band", 0, fields, fields, leibniz_band_pair_on_the_full_grid)
+    expected = _sweep("leibniz-band", leibniz_band_pair_on_the_full_grid, fields, 1, 0, None,
+                      points=2 * _BASE_POINTS)
     assert check_leibniz_band(fields=fields).to_dict() == expected.to_dict()
 
 

@@ -131,6 +131,21 @@ def test_solve_non_contraction_exits_2(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_with_an_overflowing_sobolev_weight_names_s_before_solving(
+        tmp_path, capsys, monkeypatch):
+    # (1 + xi^2)^400 overflows at this grid's top frequencies (|xi| up to 13.4)
+    # for any data; the run used to solve in full and then blame the initial data
+    monkeypatch.setattr("nlsa_lab.cli.picard_iterate", lambda *args: pytest.fail("solved"))
+    cfg = write_config(tmp_path, solve_payload(
+        s=400, initial_data={"kind": "soliton", "name": "mkdv", "amplitude": 1.0},
+    ))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config.s" in err and "Sobolev weight" in err
+    assert "config.initial_data" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("substeps", 2), ("dealias", True), ("full_derivative_mode", False),
 ], ids=["substeps", "dealias", "full_derivative_mode"])
@@ -260,6 +275,32 @@ def test_oscillatory_rejects_inadmissible_probe(tmp_path, capsys):
     })
     assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "probes[0]" in capsys.readouterr().err
+
+
+# a probe the schema accepts but run_probe's gate refuses: a / (2b) = 2.5 > xi
+_GATED_PROBE = {"probes": [{"a": 5.0, "b": 1.0, "t": 1.0, "omega": 2.0, "m": 0.0, "xi": 1.0}]}
+
+
+def test_a_refused_run_removes_the_output_directories_it_made(tmp_path, capsys):
+    cfg = write_config(tmp_path, _GATED_PROBE)
+    out = tmp_path / "a" / "b" / "c"
+    assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config.probes[0]" in capsys.readouterr().err
+    # a, a/b and a/b/c were made by the run and go; tmp_path was there before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("held", [[], ["notes.txt"]], ids=["empty", "holding-a-file"])
+def test_a_refused_run_leaves_an_existing_output_directory_as_it_was(tmp_path, capsys, held):
+    cfg = write_config(tmp_path, _GATED_PROBE)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in held:
+        (out / name).write_text("kept\n")
+    assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config.probes[0]" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == held
+    assert all((out / name).read_text() == "kept\n" for name in held)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlsa_lab import estimates
 from nlsa_lab.estimates import (
     BandCoverageWarning,
     EstimateSweepResult,
@@ -140,6 +141,74 @@ def test_zero_samples_are_discarded():
     res = check_commutator(fields=[zero, live])
     assert res.discarded == 1
     assert res.sample_count == 1
+
+
+# ---------------------------------------------------------------------------
+# The one pipeline every sweep runs through.
+# ---------------------------------------------------------------------------
+
+SWEEPS = {
+    "smoothing": lambda **kw: check_smoothing(EquationParams(a=0.0, b=1.0), **kw),
+    "sup-embedding": check_sup_embedding,
+    "commutator": check_commutator,
+    "leibniz-band": check_leibniz_band,
+    "chain-rule": check_chain_rules,
+    "leibniz-two-sided": check_leibniz_two_sided,
+}
+# sweep -> (grid points, time intervals, anchors) at the base scale
+BASE_SCALES = {
+    "smoothing": (256, 256, 0),
+    "sup-embedding": (256, 128, 0),
+    "commutator": (256, 128, 3),
+    "leibniz-band": (512, 128, 3),
+    "chain-rule": (256, 128, 0),
+    "leibniz-two-sided": (256, 128, 0),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -3, True, 2.5, None],
+                         ids=["zero", "negative", "bool", "float", "none"])
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_a_sweep_without_samples_is_refused(name, samples):
+    # with no samples both maxima read 0, which used to certify the sweep stable
+    with pytest.raises(ValueError, match="samples"):
+        SWEEPS[name](samples=samples)
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_a_sweep_over_no_fields_is_refused(name):
+    with pytest.raises(ValueError, match="fields"):
+        SWEEPS[name](fields=[])
+
+
+@pytest.mark.filterwarnings("ignore::nlsa_lab.estimates.BandCoverageWarning")
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_each_scale_evaluates_every_field_on_one_grid(monkeypatch, name):
+    points, nodes, anchors = BASE_SCALES[name]
+    seen = []  # (grid, time count) per evaluated field; holding the grids keeps ids unique
+    pipeline = estimates._sweep
+
+    def recording_sweep(sweep_name, evaluate, *args, **kwargs):
+        def recorded(f, grid, times):
+            seen.append((grid, times.size))
+            return evaluate(f, grid, times)
+
+        return pipeline(sweep_name, recorded, *args, **kwargs)
+
+    built = []
+    monkeypatch.setattr(estimates, "_sweep", recording_sweep)
+    monkeypatch.setattr(estimates, "Grid", lambda *args: built.append(Grid(*args)) or built[-1])
+    SWEEPS[name](samples=2, seed=4)
+    # the refinement rule: anchors plus 2 draws, then anchors plus 4
+    assert len(seen) == (anchors + 2) + (anchors + 4)
+    scales = ((1, seen[:anchors + 2]), (2, seen[anchors + 2:]))
+    for scale, evaluated in scales:
+        grid = evaluated[0][0]
+        assert all(other is grid for other, _ in evaluated)
+        assert (grid.num_points, grid.length) == (points * scale, 60.0)
+        assert {size for _, size in evaluated} == {nodes * scale + 1}
+    # and no evaluate builds a grid of its own
+    assert len(built) == 2 and built[0] is seen[0][0] and built[1] is seen[-1][0]
 
 
 # ---------------------------------------------------------------------------

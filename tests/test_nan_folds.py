@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nlsa_lab import cli, estimates, oscillatory
-from nlsa_lab.estimates import _assemble, check_sup_embedding, random_spacetime_packets
+from nlsa_lab.estimates import _sweep, check_sup_embedding, random_spacetime_packets
 from nlsa_lab.norms import SpaceTimeField
 from nlsa_lab.oscillatory import ArcExponentReport, OscillatoryProbe, RegionLabel, arc_summary
 from nlsa_lab.picard import persistence_report
@@ -25,14 +25,24 @@ from nlsa_lab.spectral import EquationParams, Grid
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
+def is_refined(grid):
+    """Whether the sweep pipeline passed the grid of its refined scale."""
+    return grid.num_points == 2 * estimates._BASE_POINTS
+
+
+def base_only(pair):
+    """An evaluate that gives pair at the base scale and (1, 2) at the refined one."""
+    return lambda field, grid, times: [(1.0, 2.0)] if is_refined(grid) else [pair]
+
+
 @pytest.mark.parametrize("nan_pair", [(math.nan, 2.0), (1.0, math.nan)], ids=["lhs", "rhs"])
 def test_a_nan_refined_pair_reaches_the_refined_maximum(nan_pair):
-    def evaluate(field, scale):
-        if scale == 2 and field == 1:
+    def evaluate(field, grid, times):
+        if is_refined(grid) and field == 1:
             return [nan_pair]
         return [(1.0, 2.0)]
 
-    res = _assemble("nan-pair", 0, [0, 1], [0, 1], evaluate)
+    res = _sweep("nan-pair", evaluate, [0, 1], 1, 0, None)
     assert res.max_ratio == 0.5
     assert math.isnan(res.max_ratio_refined)
     assert res.refinement_stable is False
@@ -88,7 +98,7 @@ def test_a_nan_agreement_gap_is_written_as_null(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("nan_pair", [(math.nan, 2.0), (1.0, math.nan)], ids=["lhs", "rhs"])
 def test_a_nan_base_pair_reaches_the_base_maximum(nan_pair):
-    res = _assemble("x", 0, [0], [0], lambda f, s: [nan_pair] if s == 1 else [(1.0, 2.0)])
+    res = _sweep("x", base_only(nan_pair), [0], 1, 0, None)
     assert math.isnan(res.max_ratio)
     assert res.max_ratio_refined == 0.5
     assert res.refinement_stable is False
@@ -100,13 +110,12 @@ def test_a_nan_base_pair_reaches_the_base_maximum(nan_pair):
                          ids=["negative", "infinite", "negative-rhs"])
 def test_a_negative_or_infinite_base_ratio_still_raises(bad_pair):
     with pytest.raises(ValueError, match="negative or infinite"):
-        _assemble("x", 0, [0], [0], lambda f, s: [bad_pair] if s == 1 else [(1.0, 2.0)])
+        _sweep("x", base_only(bad_pair), [0], 1, 0, None)
 
 
 def test_a_nan_base_sweep_exits_unstable_naming_it(monkeypatch, tmp_path, capsys):
     def sweep(params, alpha, **kwargs):
-        return _assemble("nan-base", kwargs["seed"], [0], [0],
-                         lambda f, s: [(math.nan, 2.0)] if s == 1 else [(1.0, 2.0)])
+        return _sweep("nan-base", base_only((math.nan, 2.0)), [0], 1, kwargs["seed"], None)
 
     monkeypatch.setitem(cli._ESTIMATES, "smoothing", sweep)
     config = tmp_path / "config.json"

@@ -21,7 +21,7 @@ import numpy as np
 from nlsa_lab.estimates import (
     SpaceTimePacket,
     _PacketField,
-    _assemble,
+    _sweep,
     check_leibniz_two_sided,
     check_smoothing,
     check_sup_embedding,
@@ -185,10 +185,12 @@ def sup_embedding_as_evaluated_twice(fields, horizons=(1.0, 0.5, 0.25, 0.125)):
 
     gains = {1: fit_exponent(1), 2: fit_exponent(2)}
 
-    def evaluate(f, scale):
+    def evaluate(f, grid, times):
+        scale = grid.num_points // 256
         return [(lhs, h ** gains[scale] * rhs) for h, lhs, rhs in raw_pairs(f, scale)]
 
-    return _assemble("sup-embedding", 0, fields, fields, evaluate, exponent_fit=gains[1])
+    return _sweep("sup-embedding", evaluate, fields, 1, 0, None,
+                  collapse=lambda base, fine: (base, fine, gains[1]))
 
 
 def test_sup_embedding_samples_each_field_once_per_scale(monkeypatch):

@@ -218,6 +218,8 @@ def _sweep(name, evaluate, fields, samples, seed, maker, anchors=(), points=_BAS
     """
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
         raise ValueError(f"samples={samples!r}: a sweep needs an integer count of at least 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed={seed!r}: a sweep's seed must be a non-negative integer")
     if fields is None:
         drawn = maker(2 * samples, np.random.default_rng(seed))
         base_fields, fine_fields = list(anchors) + drawn[:samples], list(anchors) + drawn

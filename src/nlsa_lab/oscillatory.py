@@ -29,10 +29,18 @@ Numerical ground rules (see also the floor discussion in the test suite):
   K*2.2*omega (K = _LEVIN_MIN_RATE = 16, the far probes): there the
   amplitude oscillates at <= 2*omega while the phase runs hundreds of times
   faster, and Levin collocation on panels sized to the amplitude replaces
-  millions of GL nodes with tens of thousands.  Its floor carries the
-  Clenshaw-Curtis L1 mass of the amplitude (in the rounding term) and the
-  phase conditioning of its endpoint terms.  The contour path's real-axis
-  tails always stay on GL, so that it checks the Levin value independently.
+  millions of GL nodes with tens of thousands.  Each panel's collocation
+  system (D/r + i diag P') p = A, r the panel's half-width, is solved by the
+  Neumann series in -(i diag P')^-1 D/r, one real matrix product per term
+  for all panels together; a panel stops once its last term is at most eps
+  times its partial sum, and a panel still summing after 28 terms is solved
+  by LU instead (both paths return that count as lu_panels; far probes stop
+  after 7-15 terms and need none).  Its floor carries the Clenshaw-Curtis
+  L1 mass of the amplitude (in the rounding term) and the phase
+  conditioning of its endpoint terms; the series' own rounding, bounded in
+  _levin_solve, stays below 0.1 * eps * l1 on far probes and is not added.
+  The contour path's real-axis tails always stay on GL, so that it checks
+  the Levin value independently.
 """
 
 from __future__ import annotations
@@ -83,8 +91,12 @@ _ENDPOINT_PERIODS = 1.6
 # 2 amplitude periods pi/omega on the coarse pass and 1 on the fine pass, 28
 # Chebyshev-Lobatto nodes each: at the band edge 2*omega and a phase rate at
 # the threshold, 20 nodes leave the coarse pass 1e-9 off and 24 nodes 1e-12.
-# K = 16 keeps the collocation diagonal |P'| * h/2 at 55 or more, where the
-# matrices' condition number is <= 55; on far probes it is about 1.5.
+# K = 16 keeps the collocation diagonal |P'| * h/2 at 55 or more.  The panels
+# are solved by a Neumann series in B = -(i diag P')^-1 D/(h/2), capped at
+# _LEVIN_NODES terms (with a constant rate B is nilpotent of that order);
+# on far probes the row sums of |B| are at most 0.97 and ||(I - B)^-1|| at
+# most 2.1, so the series stops after 7-15 terms; there the matrices
+# D/(h/2) + i diag P' have an infinity-norm condition number of at most 2.8.
 _LEVIN_NODES = 28
 _LEVIN_PERIODS = 2.0
 _LEVIN_MIN_RATE = 16.0
@@ -587,6 +599,7 @@ class _Quad:
     cond: float
     skipped: float = 0.0
     nx: int = 0
+    lu_panels: int = 0
 
 
 def _line_edges(w_lo, w_hi, omega, cs, periods):
@@ -658,44 +671,104 @@ def _line_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods) -> _Quad:
     return _Quad(value, l1, widths.size * _GL_LINE, cond)
 
 
+def _levin_solve(dh, rate, amp):
+    """p with (dh + i diag(rate)) p = amp on every panel (column), and the
+    number of panels that took the LU.
+
+    The series is p = sum_k B^k t_0 with t_0 = (i diag(rate))^-1 amp and
+    B = -(i diag(rate))^-1 dh, so t_{k+1} = (i/rate) * (dh t_k).  The real
+    and imaginary columns of all panels are stacked, and each term is one
+    real (n x n)(n x 2 n_pan) product and a multiply by i/rate at each node.
+    A panel stops once its last term is at most eps times its partial sum,
+    both read as the largest |re| or |im| over the panel (a squared modulus
+    underflows for subnormal amplitudes and stops too early).  A panel still
+    summing after n terms is solved by batched LU instead.
+
+    Rounding, per panel, to first order in eps and in the norm |v| = the
+    largest |re| or |im| of v over the panel.  Let beta = max_i sum_j
+    |dh_ij| / |rate_i| (the row sums of |B|), G the norm of (I - B)^-1 on
+    the stacked real and imaginary parts, K the number of terms summed and
+    T = sum_k |t_k|.  Each term adds at most (n + 2) eps beta |t_{k-1}| (an
+    n-term dot product, the rounded 1/rate and the multiply) and the first
+    2 eps |t_0|; the sum adds at most (K - 1) eps T; and the tail left off
+    is B t_{K-1}, at most beta eps |p| by the stopping rule.  The computed
+    terms satisfy (I - B) sum_k t_k = t_0 + (the terms' rounding) - B t_{K-1},
+    so
+        |p_computed - p| <= (K - 1) eps T + G eps (((n + 2) beta + 2) T + beta |p|).
+    A panel that reaches the cap carries LU's cond(M) n eps |p| instead.
+    """
+    n, n_pan = amp.shape
+    inv = 1.0 / rate
+    neg_inv = -inv
+    # at each node the real parts of all panels, then their imaginary parts
+    term = np.empty((n, 2, n_pan))
+    np.multiply(amp.imag, inv, out=term[:, 0])
+    np.multiply(amp.real, neg_inv, out=term[:, 1])
+    total = term.copy()
+    prod = np.empty_like(term)
+    size = np.empty((2 * n, n_pan))
+
+    def largest(x):
+        return np.abs(x.reshape(2 * n, n_pan), out=size).max(axis=0)
+
+    active = largest(term) > _EPS * largest(total)
+    for _ in range(1, n):
+        if not active.any():
+            break
+        np.matmul(dh, term.reshape(n, 2 * n_pan), out=prod.reshape(n, 2 * n_pan))
+        np.multiply(prod[:, 1], neg_inv, out=term[:, 0])
+        np.multiply(prod[:, 0], inv, out=term[:, 1])
+        np.add(total, term, out=total, where=active)
+        active &= largest(term) > _EPS * largest(total)
+    p = total[:, 0] + 1j * total[:, 1]
+    stuck = np.flatnonzero(active)
+    if stuck.size:
+        mat = np.empty((stuck.size, n, n), dtype=np.complex128)
+        mat[:] = dh
+        diag = np.arange(n)
+        mat[:, diag, diag] += 1j * rate[:, stuck].T
+        # the right-hand side keeps a trailing axis: numpy 2 reads a stack of
+        # plain vectors as one matrix
+        p[:, stuck] = np.linalg.solve(mat, amp[:, stuck].T[..., None])[..., 0].T
+    return p, stuck.size
+
+
 def _levin_piece(profile, omega, m, xi, cs, w_lo, w_hi, periods) -> _Quad:
     """Levin collocation of one real-axis piece (Levin 1982; Olver 2006).
 
     The integrand is A e^{iP} with amplitude A(w) = omega*phi(-omega*w) *
     (1 + (xi + w)^2)^(-m).  On equal panels of `periods` amplitude periods
     pi/omega, the non-oscillatory solution of p' + iP'p = A is collocated at
-    Chebyshev-Lobatto nodes, all panels in one batched solve, and the value
-    is the telescoping sum of the endpoint terms p e^{iP}.  The L1 mass is
-    the Clenshaw-Curtis integral of |A|; the conditioning mass is
-    sum |P(w_e)| |p(w_e)| over the endpoint terms, whose e^{iP} carry the
-    angle noise.  The solve's own rounding, about cond(M) * n * eps * |p| per
-    term, is not added: |p| ~ |A|/|P'| is small, and on far probes (cond(M)
-    ~ 1.5, sum |p(w_e)| ~ 0.0014 * l1) it comes to about 0.06 * eps * l1,
-    far below the eps * l1 * sqrt(n_nodes) ~ 250 * eps * l1 that every floor
-    carries.
+    Chebyshev-Lobatto nodes, all panels solved together by _levin_solve,
+    and the value is the telescoping sum of the endpoint terms p e^{iP}.
+    The L1 mass is the Clenshaw-Curtis integral of |A|; the conditioning
+    mass is sum |P(w_e)| |p(w_e)| over the endpoint terms, whose e^{iP}
+    carry the angle noise.  The solve's own rounding is not added: on the
+    far probes of the benchmark sweep and the pinned ones (beta <= 0.97,
+    G <= 2.1, K <= 15, T <= 2.2 |p|) _levin_solve's bound is at most
+    160 eps |p| per panel, and over both endpoint terms of every panel (a
+    factor 2 sqrt(2) for the modulus) at most 0.08 * eps * l1, far below
+    the eps * l1 * sqrt(n_nodes) ~ 250 * eps * l1 that every floor carries.
     """
     x, d, ccw = _cheb_lobatto(_LEVIN_NODES)
     n_pan = max(1, math.ceil((w_hi - w_lo) * omega / (periods * np.pi)))
     edges = np.linspace(w_lo, w_hi, n_pan + 1)
     half = (w_hi - w_lo) / (2.0 * n_pan)
-    w = (edges[:-1, None] + half) + half * x
+    # node by panel: column j holds panel j's nodes
+    w = (edges[:-1] + half) + half * x[:, None]
     amp = profile.eval_real(-omega * w)
     np.multiply(omega, amp, out=amp)
     amp *= (1.0 + (xi + w) ** 2) ** (-m)
-    mat = np.empty((n_pan, x.size, x.size), dtype=np.complex128)
-    mat[:] = d / half
-    diag = np.arange(x.size)
-    mat[:, diag, diag] += 1j * _rel_phase_rate(w, cs)
-    # the right-hand side keeps a trailing axis: numpy 2 reads a stack of
-    # plain vectors as one matrix
-    p = np.linalg.solve(mat, amp[..., None])[..., 0]
+    p, lu_panels = _levin_solve(d / half, _rel_phase_rate(w, cs), amp)
     ph = _rel_phase(edges, cs)
     e = np.exp(1j * ph)
-    value = np.sum(p[:, -1] * e[1:]) - np.sum(p[:, 0] * e[:-1])
+    value = np.sum(p[-1] * e[1:]) - np.sum(p[0] * e[:-1])
     np.abs(ph, out=ph)
-    cond = np.sum(ph[1:] * np.abs(p[:, -1])) + np.sum(ph[:-1] * np.abs(p[:, 0]))
-    l1 = half * np.sum(np.abs(amp) @ ccw)
-    return _Quad(value, l1, p.size, cond)
+    cond = np.sum(ph[1:] * np.abs(p[-1])) + np.sum(ph[:-1] * np.abs(p[0]))
+    # panel by node, as BLAS sums each panel's row (a node-by-panel product
+    # sums in another order and moves the floor's last bit)
+    l1 = half * np.sum(np.abs(amp.T, order="C") @ ccw)
+    return _Quad(value, l1, p.size, cond, lu_panels=lu_panels)
 
 
 def _min_rate(cs, w_lo, w_hi) -> float:
@@ -854,7 +927,7 @@ def _arc_piece(profile, a, b, t, omega, m, xi, eps, phase_dir, cs,
 # the two integral paths
 # ---------------------------------------------------------------------------
 
-def _finish(value_coarse, value_fine, l1, n_nodes, floor_extra, prefactor):
+def _finish(value_coarse, value_fine, l1, n_nodes, floor_extra, prefactor, lu_panels):
     err = abs(value_fine - value_coarse)
     floor = _EPS * l1 * math.sqrt(max(n_nodes, 1)) + floor_extra
     mag = abs(value_fine)
@@ -870,6 +943,7 @@ def _finish(value_coarse, value_fine, l1, n_nodes, floor_extra, prefactor):
         "floor": floor,
         "converged": converged,
         "n_nodes": n_nodes,
+        "lu_panels": lu_panels,
     }
 
 
@@ -894,7 +968,8 @@ def _close(pairs, profile, a, b, t, xi):
     return _finish(sum(coarse.value for coarse, _ in pairs),
                    sum(fine.value for _, fine in pairs),
                    l1, n_nodes, extra + _EPS * _COND_MULT * cond,
-                   _global_phase_factor(a, b, t, xi))
+                   _global_phase_factor(a, b, t, xi),
+                   sum(coarse.lu_panels + fine.lu_panels for coarse, fine in pairs))
 
 
 def osc_integral_direct(a, b, t, omega, m, xi):
@@ -905,14 +980,21 @@ def osc_integral_direct(a, b, t, omega, m, xi):
     K*2.2*omega over it (K = 16; far probes, which have no stationary point
     there) the piece is evaluated by Levin collocation on panels of 2 and 1
     amplitude periods pi/omega; otherwise by composite Gauss-Legendre panels
-    sized by the local phase rate.  The Levin floor is built from the
-    Clenshaw-Curtis L1 mass of the amplitude over its 28-node panels and
-    the endpoint terms' phase conditioning sum |P(w_e)| |p(w_e)|, plus the
-    profile's interpolation and tail error as for every piece.  Step-halving
+    sized by the local phase rate.  Each Levin panel's collocation system
+    is solved by a Neumann series that stops once its last term is at most
+    eps times its partial sum; a panel still summing after 28 terms is
+    solved by LU, and lu_panels counts those panels over both passes (0 on
+    every far probe of the acceptance and benchmark sweeps).  The Levin
+    floor is built from the Clenshaw-Curtis L1 mass of the amplitude over
+    its 28-node panels and the endpoint terms' phase conditioning
+    sum |P(w_e)| |p(w_e)|, plus the profile's interpolation and tail error
+    as for every piece; the series' rounding (bounded in _levin_solve, at
+    most 0.08 * eps * l1 on far probes) is not added.  Step-halving
     provides the convergence flag; a refinement shift beyond 1e-4 relative
     (plus the conditioning floor) raises.  A probe that _require_probe
     refuses raises ValueError before any profile build or quadrature.
-    Returns the dict value, err, floor, converged, n_nodes of _finish.
+    Returns the dict value, err, floor, converged, n_nodes, lu_panels of
+    _finish.
     """
     _require_probe(a, b, t, omega, xi)
     profile = PhiProfile.cached(m)
@@ -932,7 +1014,8 @@ def osc_integral_contour(a, b, t, omega, m, xi):
     1/100 < 1; far, the admissibility rule |a/(2b)| <= sqrt(omega/(|b| t))/100
     puts |xi| above 9.99 eps.  Raises ValueError for intermediate frequencies
     and, before any profile build or quadrature, for a probe that
-    _require_probe refuses.  Returns the same dict as osc_integral_direct.
+    _require_probe refuses.  Returns the same dict as osc_integral_direct,
+    with lu_panels 0: this path runs no Levin piece.
     """
     label = _require_probe(a, b, t, omega, xi)
     if label is RegionLabel.INTERMEDIATE:

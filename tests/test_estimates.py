@@ -175,6 +175,15 @@ def test_a_sweep_without_samples_is_refused(name, samples):
         SWEEPS[name](samples=samples)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None], ids=["negative", "float", "bool", "none"])
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_a_sweep_with_a_bad_seed_is_refused_by_name(name, seed):
+    # numpy's own refusals ("expected non-negative integer", SeedSequence's
+    # TypeError) named no parameter, and True ran as seed 1
+    with pytest.raises(ValueError, match="seed"):
+        SWEEPS[name](samples=2, seed=seed)
+
+
 @pytest.mark.parametrize("name", list(SWEEPS))
 def test_a_sweep_over_no_fields_is_refused(name):
     with pytest.raises(ValueError, match="fields"):

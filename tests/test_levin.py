@@ -2,9 +2,14 @@
 
 `_levin_piece` solves p' + iP'p = A by Chebyshev collocation on panels sized
 to the amplitude, and `_line_pair` uses it only where min |P'| over the piece
-is at least K*2.2*omega.  Checked here: a manufactured solution with a known
-integral, agreement with Gauss-Legendre on the two pinned far probes, the
-exact eligibility minimum, and that ineligible pieces keep the GL bits.
+is at least K*2.2*omega.  `_levin_solve` solves the collocation systems by a
+Neumann series and hands a panel that reaches its 28-term cap to LU.
+Checked here: a manufactured solution with a known integral, the series
+against LU within the rounding bound derived in `_levin_solve`, the LU
+fallback and its count, that no panel of the acceptance and benchmark
+sweeps falls back, agreement with Gauss-Legendre on the two pinned far
+probes, the exact eligibility minimum, and that ineligible pieces keep the
+GL bits.
 """
 
 import math
@@ -58,6 +63,11 @@ def _manufactured_profile(omega, cs, q, beta):
 # pass, with the phase rate at the Levin threshold
 @example(log2_omega=8.0, k_ratio=1.0, c2_rel=0.0, c3_rel=0.02, beta_rel=2.0, q=[1.0, 0.5j],
          lo_periods=0.0, span_periods=8.0, periods=oscillatory._LEVIN_PERIODS)
+# a subnormal amplitude: a series that stopped on squared moduli, which
+# underflow to 0, left this piece 1.6e-311 off against a floor of 5.7e-322
+@example(log2_omega=4.0, k_ratio=1.0, c2_rel=0.0, c3_rel=1.0, beta_rel=1.0,
+         q=[2.225073858507203e-309 + 0j], lo_periods=0.0, span_periods=1.0,
+         periods=oscillatory._LEVIN_PERIODS)
 @given(
     log2_omega=st.floats(4.0, 16.0),
     k_ratio=st.floats(1.0, 400.0),
@@ -96,6 +106,107 @@ def test_manufactured_solution_is_met_within_the_piece_floor(
     exact = term(w_hi) - term(w_lo)
     floor = EPS * got.l1 * math.sqrt(got.n_nodes) + oscillatory._COND_MULT * EPS * got.cond
     assert abs(got.value - exact) <= floor
+
+
+def _captured_far_systems(monkeypatch):
+    """The (dh, rate, amp) systems that the two pinned far probes' direct
+    passes hand to _levin_solve, coarse and fine."""
+    systems = []
+    solve = oscillatory._levin_solve
+
+    def record(dh, rate, amp):
+        systems.append((dh, rate, amp))
+        return solve(dh, rate, amp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oscillatory, "_levin_solve", record)
+        for probe in FAR_PROBES.values():
+            assert oscillatory.osc_integral_direct(*probe)["lu_panels"] == 0
+    return systems
+
+
+def _largest(v):
+    """Per panel (column) the largest |re| or |im|: the series' norm."""
+    return np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=0)
+
+
+def test_series_matches_lu_within_the_derived_rounding_bound(monkeypatch):
+    systems = _captured_far_systems(monkeypatch)
+    assert len(systems) == 2 * len(FAR_PROBES)
+    for dh, rate, amp in systems:
+        n, n_pan = amp.shape
+        got, lu_panels = oscillatory._levin_solve(dh, rate, amp)
+        assert lu_panels == 0
+        mat = np.empty((n_pan, n, n), dtype=np.complex128)
+        mat[:] = dh
+        mat[:, np.arange(n), np.arange(n)] += 1j * rate.T
+        want = np.linalg.solve(mat, amp.T[..., None])[..., 0].T
+
+        # the bound of _levin_solve with K = n, the cap, and T summed over
+        # n terms of the exact recursion
+        beta = (np.abs(dh).sum(axis=1)[:, None] / np.abs(rate)).max(axis=0)
+        step = np.eye(n) - (1j / rate.T)[:, :, None] * dh
+        stacked = np.block([[step.real, -step.imag], [step.imag, step.real]])
+        g = np.abs(np.linalg.inv(stacked)).sum(axis=2).max(axis=1)
+        term = amp / (1j * rate)
+        total = _largest(term)
+        for _ in range(1, n):
+            term = (1j / rate) * (dh @ term)
+            total += _largest(term)
+        size = _largest(got)
+        bound = (n - 1) * EPS * total + g * EPS * (((n + 2) * beta + 2) * total + beta * size)
+        lu_bound = np.linalg.cond(mat, p=np.inf) * n * EPS * _largest(want)
+        assert np.all(_largest(got - want) <= bound + lu_bound)
+
+
+def test_a_panel_whose_rate_is_too_slow_for_the_series_takes_the_lu_and_is_counted():
+    x, d, _ = oscillatory._cheb_lobatto(oscillatory._LEVIN_NODES)
+    n = x.size
+    rng = np.random.default_rng(5)
+    amp = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    # |rate| * h is 1 on the first two panels, far below the Levin threshold's
+    # 55, so the terms grow through the cap; 1e4 on the third
+    rate = np.ones((n, 3)) * np.array([1.0, -1.0, 1e4])
+    got, lu_panels = oscillatory._levin_solve(d, rate, amp)
+    assert lu_panels == 2
+    for j in range(3):
+        want = np.linalg.solve(d + 1j * np.diag(rate[:, j]), amp[:, j])
+        assert np.abs(got[:, j] - want).max() <= 1e-13 * np.abs(want).max()
+    # both passes' counts reach the dict that the quadrature paths return
+    coarse = oscillatory._Quad(0j, 1.0, n, 0.0, lu_panels=lu_panels)
+    fine = oscillatory._Quad(0j, 1.0, n, 0.0, lu_panels=1)
+    stub = SimpleNamespace(err_l1=0.0, tail_l1=0.0)
+    assert oscillatory._close([(coarse, fine)], stub, 0.0, 1.0, 1.0, 0.0)["lu_panels"] == 3
+
+
+def _sweep_probes():
+    """Every probe of acceptance criteria 02 and 03 and of the benchmark's
+    osc-sweep, once each: criterion 02's grid, criterion 03's dense grid at
+    t 0.1 and 1, and the same grid at t 0.5, which holds osc-sweep's."""
+    grids = [dict(omegas=[2.0 ** k for k in (8, 10, 12, 14, 16)],
+                  ab_pairs=[(0.0, 1.0), (0.0, -1.0), (1.0, 1.0), (1.0, -1.0), (2.0, 1.0),
+                            (2.0, -1.0)],
+                  ms=(0.0, 1.0 / 16.0, 1.0 / 8.0), t_request=0.5)]
+    grids += [dict(omegas=[2.0 ** k for k in (8, 10, 12, 14, 16)],
+                   ab_pairs=[(0.0, 1.0), (1.0, -1.0)], ms=(1.0 / 16.0, 1.0 / 8.0),
+                   t_request=t, near_fracs=(0.35, 0.8), far_fracs=(1.5,),
+                   intermediate_fracs=(0.5, 3.0))
+              for t in (0.1, 1.0, 0.5)]
+    return sorted({p for grid in grids for p in oscillatory.build_probe_grid(**grid)})
+
+
+def test_no_panel_of_the_acceptance_or_benchmark_probes_takes_the_lu():
+    levin = 0
+    for a, b, t, omega, m, xi in _sweep_probes():
+        prof = PhiProfile.cached(m)
+        cs = oscillatory._phase_coeffs(a, b, t, xi)
+        wmax = prof.v_end / omega
+        if oscillatory._min_rate(cs, -wmax, wmax) < oscillatory._LEVIN_MIN_RATE * 2.2 * omega:
+            continue
+        levin += 1
+        for piece in oscillatory._line_pair(prof, omega, m, xi, cs, -wmax, wmax):
+            assert piece.lu_panels == 0, (a, b, t, omega, m, xi)
+    assert levin == 126
 
 
 def test_min_rate_finds_the_vertex_inside_the_piece():

@@ -203,7 +203,7 @@ def test_direct_small_time_vanishes():
 
 def test_refinement_guard_raises():
     with pytest.raises(QuadratureConvergenceError):
-        _finish(1.0 + 0j, 1.5 + 0j, 1.0, 10, 0.0, 1.0 + 0j)
+        _finish(1.0 + 0j, 1.5 + 0j, 1.0, 10, 0.0, 1.0 + 0j, 0)
 
 
 # ---------------------------------------------------------------------------

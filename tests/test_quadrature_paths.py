@@ -2,13 +2,15 @@
 
 The pinned dicts are the returns of osc_integral_direct and
 osc_integral_contour, re-recorded when the profile's quintic B-spline gave
-way to an 8-knot Lagrange interpolant on the same knots (x86-64, Python
-3.11.7, numpy 2.4.6 with OpenBLAS 0.3.31).  The interpolant is plain numpy
-arithmetic, so the pins depend on pocketfft (the profile table),
-for the far direct pins on LAPACK's batched zgesv and for the contour pins
-on BLAS's dgemm (the same bits at 1, 2 and 4 threads), and another numpy may
-move them.  Floats are compared through float.hex, so a
-one-ulp change in a value, a floor or a step-halving error fails.
+way to an 8-knot Lagrange interpolant on the same knots, and the four far
+direct pins again when the Levin panels' batched LU gave way to a Neumann
+series (x86-64, Python 3.11.7, numpy 2.4.6 with OpenBLAS 0.3.31).  The
+interpolant is plain numpy arithmetic, so the pins depend on pocketfft (the
+profile table) and, for the far direct pins (the series' terms) and the
+contour pins, on BLAS's dgemm: the same bits at 1, 2 and 4 threads, and
+another numpy may move them.  Floats are compared through float.hex, so a
+one-ulp change in a value, a floor or a step-halving error fails.  No
+pinned pass has a Levin panel that falls back to LU.
 """
 
 import math
@@ -56,14 +58,14 @@ PINNED = {
                     "0x1.1d572533f5cb6p-58", "0x1.bca1271453ecap-45", 15616),
     },
     "far_upper": {
-        "direct": ("0x1.ac01868527af4p-57", "0x1.2337900cb5d44p-56",
-                   "0x1.c7a68bb78ff2ap-56", "0x1.52f743030be5dp-44", 64176),
+        "direct": ("0x1.ac412caefbf34p-57", "0x1.2334375b2a524p-56",
+                   "0x1.c7bd846aadda1p-56", "0x1.52f743030be5dp-44", 64176),
         "contour": ("-0x1.7932cc2d52d68p-67", "-0x1.c8b315fc49709p-62",
                     "0x1.1549f369a7a9bp-62", "0x1.bc9d7a2c480acp-45", 2405568),
     },
     "far_lower": {
-        "direct": ("-0x1.6b80b0f85f086p-57", "-0x1.239b1d31c8b91p-56",
-                   "0x1.8820248f4b6a0p-56", "0x1.52f50605532dbp-44", 64176),
+        "direct": ("-0x1.6b1c2a3112909p-57", "-0x1.23151f7b092cdp-56",
+                   "0x1.87cc6bf423ce9p-56", "0x1.52f50605532dbp-44", 64176),
         "contour": ("0x1.e54801de7937ap-63", "0x1.81c8fc0455606p-62",
                     "0x1.2a225e4d14efdp-63", "0x1.bc9d7a2c480abp-45", 2405568),
     },
@@ -78,14 +80,14 @@ PINNED = {
                     "0x1.2f8ab14881b6dp-55", "0x1.ccf98b9759a4ap-45", 15616),
     },
     "far_upper_m0": {
-        "direct": ("0x1.2224e62c2243dp-55", "0x1.83c8afea8acc7p-55",
-                   "0x1.352e5ca0232f3p-54", "0x1.1506014e5cbb0p-43", 64176),
+        "direct": ("0x1.2296cfb99cc3ep-55", "0x1.833c00d0b43c2p-55",
+                   "0x1.34e53f9120a77p-54", "0x1.1506014e5cbb0p-43", 64176),
         "contour": ("-0x1.a5bb37a33dfc6p-63", "0x1.0660a10f538b7p-62",
                     "0x1.832147f6c1e0dp-60", "0x1.ccf5b5f88fd9fp-45", 2405568),
     },
     "far_lower_m0": {
-        "direct": ("-0x1.fdfa51deec51fp-56", "-0x1.84cc3bded0adap-55",
-                   "0x1.05bb8b93839ffp-54", "0x1.1502e9995c7bfp-43", 64176),
+        "direct": ("-0x1.fcb1f7fcaada0p-56", "-0x1.83b98f0e3a911p-55",
+                   "0x1.05ab2399b54fap-54", "0x1.1502e9995c7bfp-43", 64176),
         "contour": ("-0x1.9820e160bda68p-61", "-0x1.1c1bd9385a121p-65",
                     "0x1.1e8accc574ba8p-61", "0x1.ccf5b5f88fd9dp-45", 2405568),
     },
@@ -109,7 +111,8 @@ def test_full_output_is_pinned_bit_for_bit(name):
     assert classify_xi(probe[5], *probe[:4]) is label
     for path, pinned in PINNED[name].items():
         out = PATHS[path](*probe)
-        assert set(out) == {"value", "err", "floor", "converged", "n_nodes"}
+        assert set(out) == {"value", "err", "floor", "converged", "n_nodes", "lu_panels"}
+        assert out["lu_panels"] == 0
         got = (out["value"].real.hex(), out["value"].imag.hex(),
                float(out["err"]).hex(), float(out["floor"]).hex(), out["n_nodes"])
         assert got == pinned, path

@@ -235,22 +235,27 @@ def _cheb_lobatto(n: int):
     return x, d, wts
 
 
-def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int) -> np.ndarray:
-    """The first n_out values of np.fft.ifft of the length-n array that holds
-    the real values x at indices (lo + j) mod n and zeros elsewhere.
+def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int, parity: int):
+    """The values at k < n_out of np.fft.ifft of the length-n array that holds
+    the real values x at indices (lo + j) mod n and zeros elsewhere, yielded
+    as 1-D arrays (k, values), k ascending, a batch of up to 16 columns k2 of
+    the given parity at a time.
 
     Four-step split n = n1 * n2 (Bailey 1990): output k = k1*n2 + k2 is the
     size-n1 inverse transform, at k1, of x_j e^{2 pi i (lo + j) k2 / n} placed
     at (lo + j) mod n1, which needs the window to fit in n1; only
-    k1 < ceil(n_out / n2) is kept.  The k2 run in chunks of 64, and with
-    k2 = c + r (c the chunk's first, r < 64) each twiddle is the product of a
-    fine factor e^{2 pi i (r (lo + j) mod n) / n}, tabled once, and the
-    chunk's coarse row e^{2 pi i (c (lo + j) mod n) / n} x_j.  Both angles are
-    reduced mod n in integers, so each is exact before the one rounding of
-    its exponential.  Each chunk is transformed in place in one (64, n1)
-    buffer, zeroed first because the last chunk's transform filled the places
-    outside the window; beside it only the output, the fine table and one
-    coarse row are live.
+    k1 < ceil(n_out / n2) is transformed, and only k < n_out is yielded.  The
+    k2 run in chunks of 64, and with k2 = c + r (c the chunk's first, r < 64)
+    each twiddle is the product of a fine factor
+    e^{2 pi i (r (lo + j) mod n) / n}, tabled once for the r of the parity,
+    and the chunk's coarse row e^{2 pi i (c (lo + j) mod n) / n} x_j.  Both
+    angles are reduced mod n in integers, so each is exact before the one
+    rounding of its exponential; the split at 64 fixes which products round,
+    and so the output's bits.  Up to 16 columns are transformed at a time
+    in place in one (16, n1) buffer, zeroed first because the last batch's
+    transform filled the places outside the window; beside it only the fine
+    table, one coarse row and the batch's output are live.  Each batch's
+    values are divided by n2 and are the caller's to keep or overwrite.
     """
     n2 = n // n1
     if n1 * n2 != n or x.size > n1:
@@ -259,27 +264,33 @@ def _pruned_ifft(x: np.ndarray, lo: int, n: int, n1: int, n_out: int) -> np.ndar
     idx = lo + np.arange(x.size, dtype=np.int64)
     turn = 2.0j * np.pi / n
     chunk = min(n2, 64)
-    fine = np.multiply(turn, (np.arange(chunk, dtype=np.int64)[:, None] * idx) % n)
+    fine = np.multiply(turn, (np.arange(parity, chunk, 2, dtype=np.int64)[:, None] * idx) % n)
     np.exp(fine, out=fine)
     # the window's places (lo + j) mod n1 are one cyclic run: from lo mod n1
     # to the end of the row, then on from the row's start
     start = lo % n1
     split = min(x.size, n1 - start)
-    out = np.empty((keep, n2), dtype=np.complex128)
-    buf = np.empty((chunk, n1), dtype=np.complex128)
-    for k2 in range(0, n2, chunk):
-        rows = min(chunk, n2 - k2)
-        coarse = np.exp(np.multiply(turn, (k2 * idx) % n))
+    row_starts = n2 * np.arange(keep, dtype=np.int64)
+    batch = 16
+    buf = np.empty((min(fine.shape[0], batch), n1), dtype=np.complex128)
+    for c in range(0, n2, chunk):
+        coarse = np.exp(np.multiply(turn, (c * idx) % n))
         coarse *= x
-        step = buf[:rows]
-        step[...] = 0.0
-        np.multiply(fine[:rows, :split], coarse[:split], out=step[:, start:start + split])
-        np.multiply(fine[:rows, split:], coarse[split:], out=step[:, :x.size - split])
-        np.fft.ifft(step, axis=1, out=step)
-        out[:, k2:k2 + rows] = step[:, :keep].T
-    out = out.reshape(-1)[:n_out]
-    out /= n2
-    return out
+        k2 = np.arange(c + parity, min(c + chunk, n2), 2, dtype=np.int64)
+        for b in range(0, k2.size, batch):
+            step = buf[:min(batch, k2.size - b)]
+            rows = fine[b:b + step.shape[0]]
+            step[...] = 0.0
+            np.multiply(rows[:, :split], coarse[:split], out=step[:, start:start + split])
+            np.multiply(rows[:, split:], coarse[split:], out=step[:, :x.size - split])
+            np.fft.ifft(step, axis=1, out=step)
+            # k1-major, so k ascends and the caller's reads and writes by k
+            # run through memory in order
+            k = row_starts[:, None] + k2[b:b + step.shape[0]]
+            kept = k < n_out
+            values = step[:, :keep].T[kept]
+            values /= n2
+            yield k[kept], values
 
 
 # evaluation works through its input in chunks that stay in cache
@@ -314,7 +325,8 @@ class PhiProfile:
     Real-axis values come from a table of the inverse transform, computed
     by a pruned four-step FFT over the transform's support (only the table's
     outputs are formed, and each twiddle is the product of a fine and a
-    coarse exponential table).  The even samples, at v = k*DV, are the knots of
+    coarse exponential table) that streams its columns: the table is never
+    assembled.  The even samples, at v = k*DV, are the knots of
     an 8-knot Lagrange interpolant on [-v_end, v_end]: the knots are continued
     by the conjugate symmetry phi(-v) = conj phi(v) and by zeros beyond the
     table, so v = 0, where phi is largest, is an interior knot and needs no
@@ -324,15 +336,17 @@ class PhiProfile:
     frequencies lie in [1/2, 2], so omega * DV <= 0.01 and the stencil's
     degree-7 remainder, about 1e-19, sits below rounding.  The interpolant is
     validated at table midpoints (the table is built at twice the knot
-    density, so the odd samples are exact held-out values).  Complex
+    density, so the odd samples are exact held-out values), each batch of
+    odd samples as the transform yields it.  Complex
     arguments are evaluated by a uniform trapezoid rule on the transform
     support, which is spectrally accurate because the transform vanishes to
     all orders at both support endpoints.  With the nx + 1 nodes split into
     J blocks of B ~ sqrt(nx), the sum at a point takes B + J exponentials
     and a real matrix product with the J x B weight blocks (eval_shifted),
     instead of one exponential per node.  The build runs under
-    spectral._heap_scratch, as the band loop does, so its large temporaries
-    reuse heap pages and are handed back when it ends.
+    spectral._heap_scratch, as the band loop does, so its temporaries
+    reuse heap pages and are handed back when it ends; at most about 19 MiB
+    of numpy buffers are live, 11 MiB of them the knots and err.
 
     Attributes of note:
       mass      L1 norm of the transform (|R| <= mass/(2pi) on arcs),
@@ -401,15 +415,17 @@ class PhiProfile:
         # 5% headroom on the bound masses; the plain integral stays exact
         return float(a17[0]), 1.05 * a17
 
-    def _table(self, n_fine: int) -> np.ndarray:
-        """Profile samples at v = k * DV/2 for k < n_fine: the inverse
-        transform of the transform sampled on a 2^23-point grid whose period
-        matches that spacing.
+    def _samples(self, n_fine: int, parity: int):
+        """Profile samples at v = k * DV/2 for the k < n_fine of the given
+        parity, yielded as (k, values) a batch of _pruned_ifft's columns at
+        a time: the inverse transform of the transform sampled on a
+        2^23-point grid whose period matches that spacing.
 
         The closest alias of the v-grid sits at 2^23 * DV/2 ~ 2.1e4, where
         the profile has decayed far below float64 resolution.  The transform
         is exactly +0.0 off (1/2, 2), so only the window over the support
-        (one point of margin each side) enters the transform.
+        (one point of margin each side) enters the transform.  n2 = 2^10 is
+        even, so k has the parity of its column k2.
         """
         n_t = 2 ** 23
         period = 2.0 * np.pi / (self.DV / 2.0)
@@ -417,23 +433,27 @@ class PhiProfile:
         lo = max(0, math.floor(0.5 / dx_t) - 1)
         hi = min(n_t, math.ceil(2.0 / dx_t) + 2)
         ft = self._transform_values(np.arange(lo, hi) * dx_t)
-        table = _pruned_ifft(ft, lo, n_t, 2 ** 13, n_fine)
-        table *= period / (2.0 * np.pi)
-        return table
+        scale = period / (2.0 * np.pi)
+        for k, values in _pruned_ifft(ft, lo, n_t, 2 ** 13, n_fine, parity):
+            values *= scale
+            yield k, values
 
     def _build(self):
         """The masses, the table end, the knots and the interpolant's
-        measured error, with no full-size temporary past its last reader.
+        measured error, with no array of the table's size.
 
-        The interpolant reads only the table's even samples and the
-        validation only its odd ones, so the odd ones are copied out and the
-        even ones written straight from the table into the knot array, which
-        holds f_{-3} .. f_{n+4} for the n knots: the mirror conj f_3, conj f_2,
-        conj f_1, the knots f_0 .. f_{n-1} and five zeros.  The table is freed
-        before the validation, which runs a _SPLINE_CHUNK of midpoints at a
-        time into one err array, so err_l1 stays one pairwise sum.  At most
-        the table and its halves are live at once: about 29.3 MiB at
-        v_end = 2400, where the table is 14.7 MiB.
+        The table has twice the knot density: its even samples are the knots
+        and its odd ones, at the midpoints, are exact held-out values.  The
+        even samples are written straight from the transform's columns into
+        the knot array, which holds f_{-3} .. f_{n+4} for the n knots: the
+        mirror conj f_3, conj f_2, conj f_1, the knots f_0 .. f_{n-1} and
+        five zeros.  The odd samples are then transformed a batch of columns
+        at a time and checked against the finished interpolant as they come
+        out, each error written by its index into one err array, so err_l1
+        stays one pairwise sum.  At most the knots (7.3 MiB at v_end = 2400),
+        err (3.7 MiB), the transform's fine table and buffer (2.4 and
+        2.0 MiB), one batch of about 15k samples and the interpolant's
+        temporaries are live at once: about 18.9 MiB.
         """
         self.mass, self.deriv_l1 = self._derivative_masses()
         a8 = self.deriv_l1[8]
@@ -442,19 +462,16 @@ class PhiProfile:
         self.tail_l1 = a8 / (7.0 * np.pi * self.v_end ** 7)
 
         n_knots = int(round(self.v_end / self.DV)) + 1
-        table = self._table(2 * n_knots - 1)
-        self.value_at_zero = complex(table[0])
-        held_out = table[1::2].copy()
+        n_fine = 2 * n_knots - 1
         self._knots = np.zeros(n_knots + 8, dtype=np.complex128)
-        np.conjugate(table[6:0:-2], out=self._knots[:3])  # phi(-v) = conj phi(v)
-        self._knots[3:n_knots + 3] = table[::2]
-        del table
+        for k, values in self._samples(n_fine, 0):
+            self._knots[3 + k // 2] = values
+        np.conjugate(self._knots[6:3:-1], out=self._knots[:3])  # phi(-v) = conj phi(v)
+        self.value_at_zero = complex(self._knots[3])
 
         err = np.empty(n_knots - 1)
-        for lo in range(0, err.size, _SPLINE_CHUNK):
-            hi = min(lo + _SPLINE_CHUNK, err.size)
-            vmid = (self.DV / 2.0) * (2 * np.arange(lo, hi) + 1)
-            np.abs(self._interpolate(vmid) - held_out[lo:hi], out=err[lo:hi])
+        for k, values in self._samples(n_fine, 1):
+            err[k // 2] = np.abs(self._interpolate((self.DV / 2.0) * k) - values)
         self.err_max = float(err.max())
         self.err_l1 = float(2.0 * self.DV * err.sum())
 

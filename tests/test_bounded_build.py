@@ -1,16 +1,22 @@
-"""The profile build holds no full-size temporary past its last reader, and
-every value it produces is bit-identical to the layouts it replaced.
+"""The profile build holds no array of the table's size, and every value it
+produces is bit-identical to the layouts it replaced.
 
-Each pruned-FFT chunk is transformed in place in one buffer, and the table's
-even samples are written straight into the knot array, its odd ones copied
-out for the validation, before the table is freed.  The replaced transform
-is kept here as a reference and the new one must match it bit for bit; the
+The pruned FFT yields its columns a batch at a time, each batch transformed
+in place in one buffer: the even ones are written straight into the knot
+array, and the odd ones are checked against the interpolant as they come
+out.  The replaced out-of-place transform, which assembled the whole table,
+is kept here as a reference, and the yielded columns, assembled, must match
+it bit for bit; the
 build's outputs are pinned by float.hex and sha256, recorded on x86-64 with
 Python 3.11.7 and numpy 2.4.6 (the table comes from pocketfft).  Memory is
 measured with tracemalloc, which sees numpy's data buffers.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -55,6 +61,19 @@ def _pruned_ifft_out_of_place(x, lo, n, n1, n_out):
     return out
 
 
+def _assembled(x, lo, n, n1, n_out):
+    """The streamed transform's columns of both parities, placed at their
+    indices; every index below n_out must come exactly once."""
+    out = np.empty(n_out, dtype=np.complex128)
+    seen = np.zeros(n_out, dtype=np.int64)
+    for parity in (0, 1):
+        for k, values in _pruned_ifft(x, lo, n, n1, n_out, parity):
+            out[k] = values
+            np.add.at(seen, k, 1)
+    assert np.all(seen == 1)
+    return out
+
+
 # (n, n1): n2 = 64 runs one chunk of twiddles, n2 = 256 four
 SHAPES = ((2 ** 12, 2 ** 6), (2 ** 14, 2 ** 6))
 
@@ -71,7 +90,7 @@ def _windows(draw):
 def test_pruned_ifft_matches_the_out_of_place_transform_bit_for_bit(window, seed):
     n, n1, lo, width, n_out = window
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, width)
-    np.testing.assert_array_equal(_bits(_pruned_ifft(x, lo, n, n1, n_out)),
+    np.testing.assert_array_equal(_bits(_assembled(x, lo, n, n1, n_out)),
                                   _bits(_pruned_ifft_out_of_place(x, lo, n, n1, n_out)))
 
 
@@ -104,16 +123,53 @@ def test_build_outputs_are_the_pinned_bits(m):
 def test_build_peak_is_the_table_split_or_the_blocks():
     # with an ext copy, a transposed copy and a full-length validation the
     # build peaked at about 44 MiB; with the prefiltered spline at about
-    # 29.5 MiB, and now at about 29.3 MiB: the table and its two halves,
-    # the held-out midpoints and the knots, while it is split; the bound
-    # leaves about 15% of that as margin
+    # 29.5 MiB; at about 29.3 MiB while the assembled table was split into
+    # the knots and the held-out midpoints; and now, with the columns
+    # streamed, at about 18.9 MiB: the knots, err, the transform's fine
+    # table and buffer, and one batch of odd columns in the validation; the
+    # bound leaves about 15% of that as margin
     tracemalloc.start()
     try:
         PhiProfile(0.125)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 34 * 2 ** 20
+    assert peak < 22 * 2 ** 20
+
+
+# the two builds of osc-sweep in a fresh interpreter; numpy's huge-page
+# advice is off, so the resident high-water counts 4 KiB pages only.  The
+# high-water is the process's own VmHWM: getrusage's ru_maxrss starts a child
+# at its parent's peak, which the pytest process has long passed
+_TWO_BUILDS = """
+from nlsa_lab.oscillatory import PhiProfile
+
+def high_water_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+start = high_water_kib()
+PhiProfile(1 / 16)
+PhiProfile(1 / 8)
+print(high_water_kib() - start)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="VmHWM is Linux's, and the build's heap policy is glibc's")
+def test_two_builds_raise_the_resident_high_water_by_at_most_26_mib():
+    # tracemalloc does not see pocketfft's scratch, so the resident memory is
+    # guarded too.  The rise over the post-import high-water was about
+    # 33.7 MiB while the build assembled its table and 19.4-19.6 MiB with
+    # the columns streamed (x86-64, glibc 2.36, numpy 2.4.6, transparent huge
+    # pages on madvise); the bound is that, rounded up to 20 MiB, plus a
+    # margin of 6 MiB
+    env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0")
+    proc = subprocess.run([sys.executable, "-c", _TWO_BUILDS], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rise_kib = int(proc.stdout)
+    assert rise_kib <= 26 * 1024, rise_kib / 1024
 
 
 def test_picard_solve_peak_holds_no_previous_difference():

@@ -2,10 +2,12 @@
 
 The build evaluates the transform only on the grid window over its support
 [1/2, 2]; that is exact only because the transform is +0.0 everywhere else
-on the 2^23-point grid.  The table comes from a pruned four-step transform
-that forms only the outputs the table keeps; it is checked against the dense
-transform at small sizes (one and several chunks of twiddles) and against a
-long-double direct sum at full size.  Contour arcs evaluate the profile by a
+on the 2^23-point grid.  The table's samples come from a pruned four-step
+transform that forms only the outputs the table keeps and yields them a
+batch of columns at a time; assembled, they are checked against the dense
+transform at small sizes (one and several chunks of twiddles), and the knots
+and the held-out odd samples against a long-double direct sum at full size.
+Contour arcs evaluate the profile by a
 trapezoid sum factored into two small exponential tables; it is checked
 against a long-double trapezoid sum, and one arc panel's memory is bounded.
 The interpolant is an 8-knot Lagrange stencil on the conjugate-symmetric
@@ -17,6 +19,7 @@ The derivative masses take ten inverse transforms: nine orders on 2^17
 points, and the eighth alone on 2^16 for the build's stability check.
 """
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -65,15 +68,17 @@ def test_build_allocates_only_the_transform_grid():
     # allocations, the windowed one at about 271 MB, and the pruned one with
     # a banded spline solve at about 112 MiB (61 MB of it the band matrix);
     # the pruned transform with the prefiltered cardinal spline peaked at
-    # about 44 MiB, and the bound leaves about a quarter of that as margin;
-    # the bounded build with the 8-knot interpolant peaks at about 29.3 MiB
+    # about 44 MiB and the 8-knot interpolant over an assembled table at
+    # about 29.3 MiB; with the transform's columns streamed into the knots
+    # and the validation the build peaks at about 18.9 MiB, and the bound
+    # leaves about 15% of that as margin
     tracemalloc.start()
     try:
         PhiProfile(0.125)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 56 * 2 ** 20
+    assert peak < 22 * 2 ** 20
 
 
 def _gather_scatter(prof, v):
@@ -241,6 +246,15 @@ def _windows(draw):
             draw(st.integers(1, n)))
 
 
+def _assembled(columns, n_out):
+    """The (k, values) batches of one or more column streams, placed at
+    their indices; NaN where no batch wrote."""
+    out = np.full(n_out, np.nan, dtype=np.complex128)
+    for k, values in columns:
+        out[k] = values
+    return out
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(window=_windows(), seed=st.integers(0, 2 ** 32 - 1))
 def test_pruned_ifft_matches_the_dense_transform(window, seed):
@@ -248,15 +262,15 @@ def test_pruned_ifft_matches_the_dense_transform(window, seed):
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, width)
     full = np.zeros(n, dtype=np.complex128)
     full[(lo + np.arange(width)) % n] = x  # the window may wrap
-    got = _pruned_ifft(x, lo, n, n1, n_out)
-    assert got.shape == (n_out,)
+    got = _assembled(itertools.chain(_pruned_ifft(x, lo, n, n1, n_out, 0),
+                                     _pruned_ifft(x, lo, n, n1, n_out, 1)), n_out)
     tol = 4.0 * np.finfo(np.float64).eps * math.log2(n) * np.abs(x).sum() / n
     assert np.abs(got - np.fft.ifft(full)[:n_out]).max() <= tol
 
 
 def test_pruned_ifft_rejects_a_window_wider_than_n1():
     with pytest.raises(ValueError):
-        _pruned_ifft(np.ones(N1_SMALL + 1), 0, N_SMALL, N1_SMALL, 8)
+        next(_pruned_ifft(np.ones(N1_SMALL + 1), 0, N_SMALL, N1_SMALL, 8, 0))
 
 
 def _long_double_table(prof, ks):
@@ -278,9 +292,13 @@ def _long_double_table(prof, ks):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="long double is no wider than double here")
 def test_table_agrees_with_a_long_double_direct_sum(prof):
-    n_fine = 2 * int(round(prof.v_end / prof.DV)) + 1
-    table = prof._table(n_fine)
-    assert table.shape == (n_fine,)
+    # the even samples are the knots, the odd ones the build's held-out
+    # values, which it streams into the validation and keeps nowhere
+    n_knots = int(round(prof.v_end / prof.DV)) + 1
+    n_fine = 2 * n_knots - 1
+    table = _assembled(prof._samples(n_fine, 1), n_fine)
+    table[::2] = prof._knots[3:n_knots + 3]
+    assert not np.isnan(table).any()
     # k = 0 is the table's peak, so the comparison covers it
     ks = np.concatenate([[0], np.random.default_rng(7).integers(1, n_fine, 255)])
     assert np.abs(table[ks] - _long_double_table(prof, ks)).max() <= 5e-17

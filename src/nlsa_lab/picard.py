@@ -27,7 +27,7 @@ distance's three multipliers on the difference of the two spectra.  No
 refined stack of u, u_x or the cubic is ever formed.
 
 The module also provides the local-existence bookkeeping around the solver:
-the radius/horizon selection rule, persistence histories of the Sobolev and
+the ball radius of the initial data, persistence histories of the Sobolev and
 weighted norms, the named coefficient reductions, closed-form soliton oracles
 for two of them, and the pointwise factorizations of cubic differences that
 underpin the contraction estimate.
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,9 +55,6 @@ __all__ = [
     "nonlinearity_eval",
     "duhamel_apply",
     "picard_iterate",
-    "fit_contraction_exponent",
-    "admissible_time_bound",
-    "select_radius_and_horizon",
     "persistence_report",
     "reduction_preset",
     "Soliton",
@@ -120,10 +117,10 @@ class ContractionReport:
     """Distances between successive Picard iterates and derived quantities.
 
     ``ratio`` is the median of successive distance quotients (0 when the
-    first step already lands inside tolerance), ``radius`` the ball radius
-    select_radius_and_horizon picks for the initial data, and
-    ``horizon_exponent_fit`` an empirical horizon exponent (NaN unless filled by a ratio-vs-horizon
-    regression).
+    first step already lands inside tolerance).  It is read off the
+    trajectory, not fitted, and the stopping tolerance moves it: a tighter
+    tolerance adds late steps whose quotients shift the median.  ``radius``
+    is the ball radius of the initial data, 2*(||u0||_{H^s} + |||x|^m u0||).
     """
 
     distances: list
@@ -131,7 +128,6 @@ class ContractionReport:
     radius: float
     horizon: float
     converged: bool
-    horizon_exponent_fit: float = math.nan
 
     @property
     def iterations(self) -> int:
@@ -318,8 +314,8 @@ def duhamel_apply(u: SpaceTimeField, u0: GridFunction, params: EquationParams) -
     (and of u0) and then the step that picard_iterate runs on the spectrum
     it carries.  The frame at t = 0 is u0 exactly, and with the
     nonlinearity switched off the result is the free flow regardless of u.
-    Boundary mass in u0 is not checked here: picard_iterate and
-    fit_contraction_exponent warn once per call.
+    Boundary mass in u0 is not checked here: picard_iterate warns once per
+    call.
     """
     if u.grid != u0.grid:
         raise ValueError("iterate and initial data live on different grids")
@@ -340,53 +336,50 @@ def picard_iterate(
     overflows float64 or a distance is otherwise not finite.
     """
     _warn_boundary_mass(u0)
-    return _iterate(u0, params, config)
-
-
-@_heap_scratch()
-def _iterate(
-    u0: GridFunction, params: EquationParams, config: PicardConfig
-) -> tuple[SpaceTimeField, ContractionReport]:
-    """picard_iterate without the boundary-mass check, under the heap policy."""
-    times = config.times()
-    # a free flow that overflows makes the first distance non-finite, caught
-    # below; u0's transform, taken once per solve, is in this scope too
-    with np.errstate(over="ignore", invalid="ignore"):
-        u0_hat = np.fft.fft(u0.values)
-        current_hat = duhamel_flow(u0.grid, params, u0_hat, times)
-        current = SpaceTimeField(u0.grid, times, _frames_of(current_hat, u0))
-    distances: list[float] = []
-    converged = False
-    growth_streak = 0
-    for _ in range(config.max_iterations):
-        # an iterate that overflows makes the distance non-finite, caught below
+    # a with block, not the decorator, whose extra frame would move the
+    # warning's stacklevel off the caller's line
+    with _heap_scratch():
+        times = config.times()
+        # a free flow that overflows makes the first distance non-finite,
+        # caught below; u0's transform, taken once per solve, is in this
+        # scope too
         with np.errstate(over="ignore", invalid="ignore"):
-            proposed, proposed_hat = _duhamel_step(current, current_hat, u0, u0_hat, params)
-            # the differences of the frames and of their spectra overwrite the
-            # current iterate, which nothing reads again; the norm's three
-            # multipliers act on the spectra's difference
-            np.subtract(proposed.frames, current.frames, out=current.frames)
-            np.subtract(proposed_hat, current_hat, out=current_hat)
-            d = _xt_norm(current, current_hat, params)
-        current, current_hat = proposed, proposed_hat
-        if distances:
-            growth_streak = growth_streak + 1 if d > distances[-1] else 0
-        distances.append(d)
-        if growth_streak >= 3:
-            raise NonContractionError(
-                f"distances grew three times in a row ({distances[-4:]}); "
-                f"shrink the horizon below {config.horizon}"
-            )
-        # an infinite distance that ends a run of growth is divergence, above;
-        # any other non-finite one leaves nothing to compare
-        if not math.isfinite(d):
-            raise FlowOverflowError(
-                f"the Picard iterates overflow float64 (distance {d} at step "
-                f"{len(distances)}); shrink the horizon below {config.horizon}"
-            )
-        if d <= config.xt_tolerance:
-            converged = True
-            break
+            u0_hat = np.fft.fft(u0.values)
+            current_hat = duhamel_flow(u0.grid, params, u0_hat, times)
+            current = SpaceTimeField(u0.grid, times, _frames_of(current_hat, u0))
+        distances: list[float] = []
+        converged = False
+        growth_streak = 0
+        for _ in range(config.max_iterations):
+            # an iterate that overflows makes the distance non-finite, caught below
+            with np.errstate(over="ignore", invalid="ignore"):
+                proposed, proposed_hat = _duhamel_step(current, current_hat, u0, u0_hat,
+                                                       params)
+                # the differences of the frames and of their spectra overwrite
+                # the current iterate, which nothing reads again; the norm's
+                # three multipliers act on the spectra's difference
+                np.subtract(proposed.frames, current.frames, out=current.frames)
+                np.subtract(proposed_hat, current_hat, out=current_hat)
+                d = _xt_norm(current, current_hat, params)
+            current, current_hat = proposed, proposed_hat
+            if distances:
+                growth_streak = growth_streak + 1 if d > distances[-1] else 0
+            distances.append(d)
+            if growth_streak >= 3:
+                raise NonContractionError(
+                    f"distances grew three times in a row ({distances[-4:]}); "
+                    f"shrink the horizon below {config.horizon}"
+                )
+            # an infinite distance that ends a run of growth is divergence,
+            # above; any other non-finite one leaves nothing to compare
+            if not math.isfinite(d):
+                raise FlowOverflowError(
+                    f"the Picard iterates overflow float64 (distance {d} at step "
+                    f"{len(distances)}); shrink the horizon below {config.horizon}"
+                )
+            if d <= config.xt_tolerance:
+                converged = True
+                break
 
     quotients = [
         b / a for a, b in zip(distances, distances[1:]) if a > 0 and math.isfinite(b / a)
@@ -395,7 +388,7 @@ def _iterate(
     # norms of u0 that overflow give radius inf, and frame 0 of the solution's
     # norm histories (persistence_report) overflows with them
     with np.errstate(over="ignore"):
-        radius = _ball_radius(u0, params)[0]
+        radius = _ball_radius(u0, params)
     report = ContractionReport(
         distances=distances,
         ratio=ratio,
@@ -406,88 +399,14 @@ def _iterate(
     return current, report
 
 
-def fit_contraction_exponent(
-    u0: GridFunction,
-    params: EquationParams,
-    config: PicardConfig,
-    horizons=(0.05, 0.025, 0.0125),
-) -> tuple[float, list[ContractionReport]]:
-    """Fit the horizon exponent of the contraction ratio, r ~ const * horizon^p.
-
-    Runs the iteration at each horizon and regresses log(ratio) on
-    log(horizon); the slope is written into every returned report.  Returns
-    NaN when fewer than two runs produce a positive ratio.
-    """
-    _warn_boundary_mass(u0)
-    reports = []
-    points = []
-    for horizon in horizons:
-        _, rep = _iterate(u0, params, replace(config, horizon=float(horizon)))
-        reports.append(rep)
-        if rep.ratio > 0 and math.isfinite(rep.ratio):
-            points.append((math.log(horizon), math.log(rep.ratio)))
-    if len(points) < 2:
-        return math.nan, reports
-    slope = float(np.polyfit(*zip(*points), 1)[0])
-    for rep in reports:
-        rep.horizon_exponent_fit = slope
-    return slope, reports
-
-
 # ---------------------------------------------------------------------------
-# Radius/horizon selection and persistence.
+# Ball radius and persistence.
 # ---------------------------------------------------------------------------
 
-def admissible_time_bound(
-    radius: float, h_norm: float, constant: float = 1.0, time_exponent: float = 0.25, t_max: float = 1.0
-) -> float:
-    """Largest T <= t_max with constant*T*h_norm + constant*T^p*radius^3 <= radius/2.
-
-    The left side increases in T and vanishes at T = 0, so a feasible
-    bisection always lands on a horizon satisfying the inequality.
-    """
-    if constant <= 0 or time_exponent <= 0:
-        raise ValueError("constant and time_exponent must be positive")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if radius == 0:
-        return t_max
-    with np.errstate(over="ignore"):  # a radius past 5.6e102 cubes to inf, not OverflowError
-        cube = np.float64(radius) ** 3
-
-    def excess(t: float) -> float:
-        return constant * t * h_norm + constant * t**time_exponent * cube - radius / 2.0
-
-    if excess(t_max) <= 0:
-        return t_max
-    feasible, infeasible = 0.0, t_max
-    for _ in range(100):
-        mid = (feasible + infeasible) / 2.0
-        if excess(mid) <= 0:
-            feasible = mid
-        else:
-            infeasible = mid
-    return feasible
-
-
-def _ball_radius(u0: GridFunction, params: EquationParams) -> tuple[float, float]:
-    """The ball radius 2*(H^s norm + weighted L^2 norm of u0), and the H^s norm."""
+def _ball_radius(u0: GridFunction, params: EquationParams) -> float:
+    """The ball radius 2*(H^s norm + weighted L^2 norm of u0)."""
     h_norm = sobolev_norm(u0, params.s)
-    return 2.0 * (h_norm + float(_weighted_l2(u0.grid, u0.values, params.m))), h_norm
-
-
-def select_radius_and_horizon(
-    u0: GridFunction, params: EquationParams, t_max: float = 1.0
-) -> tuple[float, float]:
-    """Ball radius and horizon for the fixed-point argument.
-
-    radius = 2*(H^s norm + weighted L^2 norm of u0); the horizon is the
-    largest T <= t_max satisfying the smallness inequality of
-    admissible_time_bound at its default constant 1 and time exponent 1/4.
-    Zero data admits any horizon, so t_max is returned.
-    """
-    radius, h_norm = _ball_radius(u0, params)
-    return radius, admissible_time_bound(radius, h_norm, t_max=t_max)
+    return 2.0 * (h_norm + float(_weighted_l2(u0.grid, u0.values, params.m)))
 
 
 def persistence_report(u: SpaceTimeField, params: EquationParams) -> NormReport:
@@ -559,7 +478,9 @@ class Soliton:
         k, x0 = self.amplitude, self.x_shift
         if self.name == "mkdv":
             arg = k * (x - x0 - k**2 * t)
-            return math.sqrt(6.0) * k**4 * np.tanh(arg) / np.cosh(arg) + 0j
+            # where cosh overflows, tanh/cosh is 0, as __call__'s sech is
+            with np.errstate(over="ignore"):
+                return math.sqrt(6.0) * k**4 * np.tanh(arg) / np.cosh(arg) + 0j
         return 1j * k**2 * self(x, t)
 
     def params(self) -> EquationParams:

@@ -516,7 +516,7 @@ def _heap_scratch():
     over enters this scope itself, so its cost does not hang on what ran
     before.  The phases: PhiProfile's build, band_sum_report's band loop, the
     sweeps' field evaluations (estimates._sweep, the one pipeline all six
-    run through) and picard._iterate.
+    run through) and picard_iterate.
 
     glibc maps buffers above its mmap threshold (at most 32 MiB) and trims
     free pages off the heap top straight back to the system, so a phase that

@@ -55,6 +55,8 @@ def test_solve_zero_data(tmp_path):
     norms = read_json(out / "norms.json")
     assert norms["x_norm"] == 0.0
     contraction = read_json(out / "contraction.json")
+    assert contraction.keys() == {"converged", "distances", "horizon", "iterations", "radius",
+                                  "ratio"}
     assert contraction["converged"] is True
     manifest = read_json(out / "manifest.json")
     assert manifest["command"] == "solve"

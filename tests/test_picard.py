@@ -12,23 +12,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlsa_lab import picard
 from nlsa_lab.norms import SpaceTimeField, l2_norm, sobolev_norm, xt_norm
 from nlsa_lab.picard import (
     BoundaryMassWarning,
     NonContractionError,
     PicardConfig,
-    admissible_time_bound,
     conjugate_derivative_difference_split,
     cubic_difference_split,
     derivative_difference_split,
     duhamel_apply,
-    fit_contraction_exponent,
     nonlinearity_eval,
     persistence_report,
     picard_iterate,
     reduction_preset,
-    select_radius_and_horizon,
     semigroup_evolve,
     soliton_oracle,
 )
@@ -196,18 +192,6 @@ def test_boundary_mass_warning_names_the_callers_line():
             entry()
         (w,) = [w for w in caught if w.category is BoundaryMassWarning]
         assert w.filename == __file__
-
-
-def test_fit_contraction_exponent_warns_once_naming_the_callers_line():
-    # one call on one initial datum is one warning, however many horizons it runs
-    grid = Grid(256, 20.0)
-    wide = gaussian_packet(grid, width=6.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fit_contraction_exponent(wide, reduction_preset("mkdv"),
-                                 PicardConfig(time_nodes=4, max_iterations=2))
-    (w,) = [w for w in caught if w.category is BoundaryMassWarning]
-    assert w.filename == __file__
 
 
 # ---------------------------------------------------------------------------
@@ -496,85 +480,33 @@ def test_one_picard_iteration_transforms_902_rows(monkeypatch):
     assert totals[1] - totals[0] == 5 * 129 + 257 == 902
 
 
-def test_fit_contraction_exponent_positive():
-    sol = soliton_oracle("mkdv", 1.5)
-    u0 = GridFunction(GRID, sol(GRID.x, 0.0))
-    cfg = PicardConfig(time_nodes=32, xt_tolerance=1e-12)
-    slope, reports = fit_contraction_exponent(
-        u0, sol.params(), cfg, horizons=(0.04, 0.02, 0.01)
-    )
-    assert slope > 0
-    assert len(reports) == 3
-    assert all(rep.horizon_exponent_fit == slope for rep in reports)
-
-
 # ---------------------------------------------------------------------------
-# Radius and horizon selection.
+# Ball radius.
 # ---------------------------------------------------------------------------
-
-def test_admissible_time_worked_example():
-    horizon = admissible_time_bound(2.0, 1.0, constant=1.0, time_exponent=0.5, t_max=1.0)
-    assert horizon + 8.0 * math.sqrt(horizon) <= 1.0 + 1e-12
-    assert horizon >= 0.013  # hand-checked feasible point
-    # maximality: nudging up breaks the inequality
-    bumped = horizon * 1.01
-    assert bumped + 8.0 * math.sqrt(bumped) > 1.0
-
-
-def test_admissible_time_zero_radius_and_validation():
-    assert admissible_time_bound(0.0, 1.0, t_max=0.7) == 0.7
-    with pytest.raises(ValueError):
-        admissible_time_bound(1.0, 1.0, constant=0.0)
-    with pytest.raises(ValueError):
-        admissible_time_bound(1.0, 1.0, time_exponent=-1.0)
-    with pytest.raises(ValueError):
-        admissible_time_bound(1.0, 1.0, t_max=0.0)
-
 
 def test_select_radius_and_horizon():
+    # the report's ball radius: 0 for zero data, and homogeneous of degree 1
     params = reduction_preset("nlsa-default")
+    config = PicardConfig(horizon=0.01, time_nodes=4, max_iterations=2)
     zero = GridFunction(GRID, np.zeros(GRID.num_points))
-    radius, horizon = select_radius_and_horizon(zero, params, t_max=0.8)
-    assert radius == 0.0 and horizon == 0.8
+    assert picard_iterate(zero, params, config)[1].radius == 0.0
 
     u0 = gaussian_packet(GRID)
-    radius1, horizon1 = select_radius_and_horizon(u0, params)
+    radius1 = picard_iterate(u0, params, config)[1].radius
     doubled = GridFunction(GRID, 2.0 * u0.values)
-    radius2, _ = select_radius_and_horizon(doubled, params)
+    radius2 = picard_iterate(doubled, params, config)[1].radius
     assert abs(radius2 - 2 * radius1) < 1e-12 * radius1
-
-    h_norm = sobolev_norm(u0, params.s)
-    assert horizon1 * h_norm + horizon1**0.25 * radius1**3 <= radius1 / 2 + 1e-12
 
 
 def test_radius_whose_cube_overflows():
-    # radius**3 of a radius past 5.6e102 is beyond float64: only T = 0 is
-    # admissible, and the solver still reports the radius
+    # a radius past 5.6e102 cubes beyond float64, and the report still gives
+    # it exactly while the solve converges
     params = EquationParams(a=1.0, b=1.0)
     u0 = gaussian_packet(GRID, amplitude=1e120)
-    radius, horizon = select_radius_and_horizon(u0, params)
-    assert radius == 2.0 * (sobolev_norm(u0, params.s) + l2_norm(weight_multiply(u0, params.m)))
-    assert horizon == 0.0
     _, report = picard_iterate(u0, params, PicardConfig(horizon=0.01, time_nodes=4))
-    assert report.converged and report.radius == radius
-
-
-def test_report_radius_is_selected_without_a_horizon(monkeypatch):
-    # the report keeps select_radius_and_horizon's radius bit for bit, and
-    # runs no horizon bisection it would throw away
-    params = reduction_preset("nlsa-default")
-    u0 = gaussian_packet(GRID, amplitude=0.3)
-    radius, _ = select_radius_and_horizon(u0, params)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return admissible_time_bound(*args, **kwargs)
-
-    monkeypatch.setattr(picard, "admissible_time_bound", counted)
-    _, report = picard_iterate(u0, params, PicardConfig(horizon=0.01, time_nodes=4))
-    assert report.radius.hex() == radius.hex()
-    assert calls == []
+    assert report.converged
+    assert report.radius == 2.0 * (sobolev_norm(u0, params.s)
+                                   + l2_norm(weight_multiply(u0, params.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +601,14 @@ def test_soliton_profile_and_scaling():
         soliton_oracle("kdv")
     with pytest.raises(ValueError, match="amplitude"):
         soliton_oracle("mkdv", -1.0)
+    # where k*x's cosh overflows, the profile and its time derivative are 0
+    steep = soliton_oracle("mkdv", 30.0)
+    x = np.linspace(-30.0, 30.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, dt = steep(x, 0.0), steep.time_derivative(x, 0.0)
+    assert np.all(np.isfinite(dt))
+    assert vals[0] == vals[-1] == dt[0] == dt[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .spectral import (
     Grid,
     GridFunction,
     _band_sums,
+    _rows_per_block,
     _duhamel_integral,
     _heap_scratch,
     apply_symbols,
@@ -371,17 +372,21 @@ def _two_sided_images(f, g, grid, times, d_all, d_half) -> tuple:
             _PacketField(grid, times, mg, dg_half))
 
 
-def _derivative_sup(grid: Grid, integral: np.ndarray) -> float:
-    """max over rows t of ||d/dx S(t) h(t)||_2, h the FFT-order rows of integral.
+def _derivative_sup(grid: Grid, blocks) -> float:
+    """max over rows t of ||d/dx S(t) h(t)||_2, h the FFT-order rows of the
+    integral, which blocks yields a stack of rows at a time.
 
     S(t) multiplies every mode by a phase of modulus 1, so by Parseval the
     norm is sqrt(spacing / n * sum_xi xi^2 |h(t, xi)|^2), with no flush of
-    small squares.  integral's imaginary parts are squared in place, so the
-    sum takes one new array.
+    small squares.  The blocks are only read.
     """
-    power = integral.real**2
-    power += np.square(integral.imag, out=integral.imag)
-    return math.sqrt(grid.spacing / grid.num_points * float(np.max(power @ grid.xi_fft**2)))
+    xi2 = grid.xi_fft**2
+    peaks = []
+    for integral in blocks:
+        power = integral.real**2
+        power += integral.imag**2
+        peaks.append(np.max(power @ xi2))
+    return math.sqrt(grid.spacing / grid.num_points * float(np.max(peaks)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +415,16 @@ def check_smoothing(
     def evaluate(f, grid, times):
         modulations, spatial = f.factors(grid.x, times)
         rhs = mixed_norm_x_t(_PacketField(grid, times, modulations, spatial), 1, 2)
-        # the forcing's spectrum, from the transforms of its r spatial rows
-        integral = _duhamel_integral(
-            grid, params, times, modulations.T @ np.fft.fft(spatial, axis=1)
-        )
-        return [(_derivative_sup(grid, integral), rhs)]
+        # the forcing's spectrum, a block of rows at a time from the
+        # transforms of its r spatial rows
+        spatial_hat, forcing = np.fft.fft(spatial, axis=1), modulations.T
+
+        def produce(rows, out):
+            np.matmul(forcing[rows], spatial_hat, out=out)
+
+        blocks = _duhamel_integral(grid, params, times, produce,
+                                   _rows_per_block(grid.num_points))
+        return [(_derivative_sup(grid, (h for _, h in blocks)), rhs)]
 
     return _sweep("smoothing", evaluate, fields, samples, seed, random_spacetime_packets,
                   nodes=2 * _BASE_TIME_NODES)

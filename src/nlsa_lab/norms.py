@@ -14,9 +14,10 @@ Its time_squares is a Gram contraction, sum_ab G_ab p_a conj(p_b) with the
 r x r matrix G = (m w) m^H, O(r^2 (T + N)) work where |u|^2 is O(r^2 T N),
 so a field read only by L^2_T norms never forms |u|^2.  The composite norm
 squares each multiplier image of a frame stack as soon as it is transformed
-back and reads it as a _Modulus, a field known by |u|^2 alone.  The inner
-L^q integrands are |u|^q = (|u|^2)^(q/2), and they count as 0 where |u|^2
-is below the float64 threshold 2.0 ** (-2044.0 / q).  That is about the rule
+back, a block of rows at a time into one real array, and reads it as a
+_Modulus, a field known by |u|^2 alone.  The inner L^q integrands are
+|u|^q = (|u|^2)^(q/2), and they count as 0 where |u|^2 is below the float64
+threshold 2.0 ** (-2044.0 / q).  That is about the rule
 |u| < 2^(-1022/q) on the square, so it flushes where the power would fall
 below float64's normal range (2^-1022): libm's pow is tens of times slower
 on a subnormal result, and wave-packet tails put whole rows there.  The
@@ -49,6 +50,8 @@ from .spectral import (
     EquationParams,
     Grid,
     GridFunction,
+    _rows_per_block,
+    _row_blocks,
     _weight,
 )
 
@@ -236,13 +239,17 @@ class _Modulus(_FrameSquares):
         return self.squared
 
 
-def _squared_image(spec: np.ndarray, symbol: np.ndarray, out=None) -> np.ndarray:
-    """|ifft(spec * symbol)|^2 along the last axis, from the FFT-order spectrum
-    spec and symbol; the complex image is formed in out, or a new array, and
-    is gone on return."""
-    image = np.multiply(spec, symbol, out=out)
-    squared = np.abs(np.fft.ifft(image, axis=-1, out=image))
-    return np.square(squared, out=squared)
+def _squared_image(spec: np.ndarray, symbol: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|ifft(spec * symbol)|^2 along the last axis into the real array out, from
+    the FFT-order spectrum stack spec and symbol; the complex image is formed
+    a block of rows at a time (spectral._row_blocks) in one reused buffer."""
+    block = _rows_per_block(spec.shape[-1])
+    image = np.empty((min(block + 1, len(spec)), spec.shape[-1]), dtype=np.complex128)
+    for rows in _row_blocks(len(spec), block):
+        part = image[:rows.stop - rows.start]
+        np.multiply(spec[rows], symbol, out=part)
+        np.abs(np.fft.ifft(part, axis=-1, out=part), out=out[rows])
+    return np.square(out, out=out)
 
 
 def _norms_of(u, squared: np.ndarray, *norms) -> list:
@@ -254,21 +261,25 @@ def _norms_of(u, squared: np.ndarray, *norms) -> list:
 
 def _mu_parts(u: SpaceTimeField, spec: np.ndarray) -> tuple:
     """(mu1, ..., mu5) of u, from its frames and spec, their FFT-order
-    spectrum, which the last multiplier image overwrites; see mu_norms.
+    spectrum; see mu_norms.
 
-    |.|^2 is formed once per field, u and its three multiplier images, and
-    each field's norms are taken before the next field is formed, so one
-    complex image and one |.|^2 are held at a time.
+    |.|^2 is formed in one real array, for u and then for each of its three
+    multiplier images in turn, and each field's norms are taken before the
+    next field is written over it; an image is complex a block of rows at a
+    time only.
     """
     if u.times.size < 2:
         raise ValueError("mu norms need at least two time nodes")
     xi = u.grid.xi_fft
     quarter = np.abs(xi) ** 0.25
     t_x, x_t, inf = mixed_norm_t_x, mixed_norm_x_t, math.inf
-    u1, u4, u5 = _norms_of(u, u.abs_squared(), (t_x, inf, 2), (x_t, 5, 10), (x_t, 4, inf))
-    du2, du3 = _norms_of(u, _squared_image(spec, 1j * xi), (x_t, inf, 2), (x_t, 20, 2.5))
-    dq_u1, dq_u4 = _norms_of(u, _squared_image(spec, quarter), (t_x, inf, 2), (x_t, 5, 10))
-    (dq_du2,) = _norms_of(u, _squared_image(spec, quarter * 1j * xi, out=spec), (x_t, inf, 2))
+    squared = u.abs_squared()
+    u1, u4, u5 = _norms_of(u, squared, (t_x, inf, 2), (x_t, 5, 10), (x_t, 4, inf))
+    du2, du3 = _norms_of(u, _squared_image(spec, 1j * xi, squared),
+                         (x_t, inf, 2), (x_t, 20, 2.5))
+    dq_u1, dq_u4 = _norms_of(u, _squared_image(spec, quarter, squared),
+                             (t_x, inf, 2), (x_t, 5, 10))
+    (dq_du2,) = _norms_of(u, _squared_image(spec, quarter * 1j * xi, squared), (x_t, inf, 2))
     return u1 + dq_u1, du2 + dq_du2, du3, u4 + dq_u4, u5
 
 
@@ -303,6 +314,5 @@ def xt_norm(u: SpaceTimeField, params: EquationParams) -> float:
 
 
 def _xt_norm(u: SpaceTimeField, spec: np.ndarray, params: EquationParams) -> float:
-    """xt_norm of u from its frames and spec, their FFT-order spectrum, which
-    is overwritten."""
+    """xt_norm of u from its frames and spec, their FFT-order spectrum."""
     return sum(_mu_parts(u, spec)) + float(np.max(_weighted_l2(u.grid, u.frames, params.m)))

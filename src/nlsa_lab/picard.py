@@ -19,12 +19,14 @@ of their node rows; its spectrum is dealiased by the 2/3 rule
 
 Each iterate carries its FFT-order spectrum next to its frames, and u0 is
 transformed once per solve.  With T time intervals, one iteration transforms
-5(T + 1) + (2T + 1) rows: u_x back from the spectrum at the T + 1 nodes; the
-cubic, formed at the 2T + 1 refined times a block of rows at a time straight
-into the forcing buffer (u and u_x interpolated in time into reused
-scratch), forward in place; the new spectrum back to frames; and the
-distance's three multipliers on the difference of the two spectra.  No
-refined stack of u, u_x or the cubic is ever formed.
+5(T + 1) + (2T + 1) rows: u_x back from the spectrum at the T + 1 nodes and
+the cubic forward at the 2T + 1 refined times, both a block of rows at a
+time as the streamed Duhamel integral (spectral._duhamel_integral) asks for
+its forcing; the new spectrum back to frames; and the distance's three
+multipliers on the difference of the two spectra.  The spectrum of Phi(u)
+is written a block at a time as conj(pull) (u0_hat - h), pull the memoised
+pull-back phase, so a step holds no stack of u_x, the cubic, its spectrum
+or the integral, and a solve no forward phase.
 
 The module also provides the local-existence bookkeeping around the solver:
 the ball radius of the initial data, persistence histories of the Sobolev and
@@ -43,8 +45,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .norms import SpaceTimeField, NormReport, _weighted_l2, _xt_norm, mu_norms, sobolev_norm
-from .spectral import (EquationParams, FlowOverflowError, GridFunction, _heap_scratch,
-                       _require_finite, apply_symbols, duhamel_flow)
+from .spectral import (EquationParams, FlowOverflowError, GridFunction, _rows_per_block,
+                       _duhamel_integral, _flow_phase, _heap_scratch, _require_finite,
+                       apply_symbols, duhamel_flow)
 
 __all__ = [
     "BoundaryMassWarning",
@@ -224,7 +227,6 @@ def nonlinearity_eval(
 # ---------------------------------------------------------------------------
 
 _SUBSTEPS = 2  # samples of the cubic per interval: its left node and its midpoint
-_NONLINEARITY_BLOCK_ROWS = 16  # refined rows of the cubic formed per block
 
 
 def _refined_times(times: np.ndarray) -> np.ndarray:
@@ -234,51 +236,64 @@ def _refined_times(times: np.ndarray) -> np.ndarray:
     return np.append(tau.ravel(), times[-1])
 
 
-def _fine_rows(nodes: np.ndarray, k0: int, k1: int, out: np.ndarray) -> np.ndarray:
-    """The rows at the refined times of nodes k0 up to k1, interpolated linearly
-    into out.
+def _is_linear(params: EquationParams) -> bool:
+    return params.c == 0 and params.d == 0 and params.e == 0
 
-    These are the _SUBSTEPS rows of each interval from node k0 to node k1,
-    and the last node's row too when k1 is the last node.
+
+def _free_flow(grid, params: EquationParams, u0_hat: np.ndarray, times: np.ndarray):
+    """The FFT-order spectrum of S(t) u0 at the nodes times.
+
+    A nonlinear solve pushes by the conjugate of the pull-back phase at the
+    refined times, the phase its Duhamel steps memoise, so it builds no
+    forward phase; a linear one pulls nothing back and pushes by duhamel_flow.
     """
-    last = k1 == len(nodes) - 1
-    lam = np.arange(_SUBSTEPS) / _SUBSTEPS
-    count = (k1 - k0) * _SUBSTEPS
-    interp = out[:count].reshape(k1 - k0, _SUBSTEPS, nodes.shape[1])
-    np.multiply(nodes[k0:k1, None, :], (1.0 - lam)[None, :, None], out=interp)
-    interp += nodes[k0 + 1:k1 + 1, None, :] * lam[None, :, None]
-    if last:
-        out[count] = nodes[-1]
-    return out[:count + last]
+    if _is_linear(params):
+        return duhamel_flow(grid, params, u0_hat, times)
+    push = np.conjugate(_flow_phase(grid, params, -1j, _refined_times(times))[::_SUBSTEPS])
+    return np.multiply(push, u0_hat[None, :], out=push)
 
 
-def _forcing_hat(u: SpaceTimeField, spec: np.ndarray,
-                 params: EquationParams) -> tuple[np.ndarray, np.ndarray]:
-    """(tau, dealiased FFT-order spectra of N(u) at the refined times tau),
-    from u and its spectrum spec.
+def _forcing(u: SpaceTimeField, spec: np.ndarray, params: EquationParams):
+    """produce(rows, out) for _duhamel_integral: the dealiased FFT-order
+    spectrum of N(u) at the refined times tau[rows], from u and its spectrum.
 
-    u_x is transformed back from spec at the nodes and interpolated in time
-    like u: the x-derivative of the linear interpolant is the interpolant of
-    the derivatives.
+    Refined row 2k is node k, where the cubic reads u's frame k and u_x
+    transformed back from spec; row 2k + 1 is the midpoint of interval k,
+    where u and u_x are the 0.5/0.5 averages of their node rows (the
+    x-derivative of the linear interpolant is the interpolant of the
+    derivatives).  A block of refined rows starts at a node, the last node
+    of the block before it, whose u_x row is carried over, so every node's
+    u_x is transformed once.
     """
     grid = u.grid
-    intervals = u.times.size - 1
-    du = np.multiply(spec, 1j * grid.xi_fft)
-    np.fft.ifft(du, axis=1, out=du)
-    forcing = np.empty((_SUBSTEPS * intervals + 1, grid.num_points), dtype=np.complex128)
-    per_block = _NONLINEARITY_BLOCK_ROWS // _SUBSTEPS  # intervals per block
-    u_rows = np.empty((per_block * _SUBSTEPS + 1, grid.num_points), dtype=np.complex128)
-    du_rows = np.empty_like(u_rows)
-    # a field of one time has one block, its single row
-    for k0 in range(0, max(intervals, 1), per_block):
-        k1 = min(k0 + per_block, intervals)
-        rows = slice(k0 * _SUBSTEPS, k1 * _SUBSTEPS + (k1 == intervals))
-        _cubic_terms(_fine_rows(u.frames, k0, k1, u_rows), _fine_rows(du, k0, k1, du_rows),
-                     params, forcing[rows])
-    del du
-    np.fft.fft(forcing, axis=1, out=forcing)
-    forcing *= grid.dealias_mask[None, :]
-    return _refined_times(u.times), forcing
+    ixi = 1j * grid.xi_fft
+    du = mid_u = mid_du = None
+
+    def produce(rows, out):
+        nonlocal du, mid_u, mid_du
+        # scratch sized by the first block; a later one is at most one row
+        # longer, which adds a node row but no midpoint
+        if du is None:
+            du = np.empty((len(out) // 2 + 1, grid.num_points), dtype=np.complex128)
+            mid_u, mid_du = np.empty_like(du), np.empty_like(du)
+        # the nodes k0 up to k1 - 1 of the block; node k0 is carried over
+        k0, k1 = rows.start // 2, rows.stop // 2 + 1
+        fresh = du[(rows.start > 0):k1 - k0]
+        if len(fresh):
+            np.multiply(spec[k1 - len(fresh):k1], ixi, out=fresh)
+            np.fft.ifft(fresh, axis=1, out=fresh)
+        nodes, mids = (len(out) + 1) // 2, len(out) // 2
+        _cubic_terms(u.frames[k0:k0 + nodes], du[:nodes], params, out[0::2])
+        if mids:
+            for mid, rows_at in ((mid_u, u.frames[k0:k1]), (mid_du, du[:k1 - k0])):
+                np.multiply(rows_at[:mids], 0.5, out=mid[:mids])
+                mid[:mids] += rows_at[1:mids + 1] * 0.5
+            _cubic_terms(mid_u[:mids], mid_du[:mids], params, out[1::2])
+        du[0] = du[k1 - k0 - 1]
+        np.fft.fft(out, axis=1, out=out)
+        out *= grid.dealias_mask[None, :]
+
+    return produce
 
 
 def _duhamel_step(
@@ -287,20 +302,26 @@ def _duhamel_step(
 ) -> tuple[SpaceTimeField, np.ndarray]:
     """Phi(u) and its FFT-order spectrum, from u and its spectrum spec.
 
-    u0_hat is the transform of u0.  The spectrum of Phi(u) is duhamel_flow's
-    output made contiguous, so its first row is u0_hat pushed by the unit
-    phase, and the frames are its inverse transform with u0 as frame 0.
+    u0_hat is the transform of u0.  The spectrum of Phi(u) is written a
+    block at a time as conj(pull) (u0_hat - h) at the nodes, h the streamed
+    Duhamel integral of the forcing and pull its pull-back phase, so its
+    first row is u0_hat pushed by the unit phase; the frames are its
+    inverse transform with u0 as frame 0.
     """
     grid = u.grid
-    if params.c == 0 and params.d == 0 and params.e == 0:
+    if _is_linear(params):
         out_hat = duhamel_flow(grid, params, u0_hat, u.times)
     else:
-        tau, forcing = _forcing_hat(u, spec, params)
-        # the integral consumes the forcing buffer; the contiguous copy of
-        # every _SUBSTEPS-th row lets it go
-        out_hat = np.ascontiguousarray(
-            duhamel_flow(grid, params, u0_hat, tau, forcing, _SUBSTEPS)
-        )
+        tau = _refined_times(u.times)
+        out_hat = np.empty_like(spec)
+        blocks = _duhamel_integral(grid, params, tau, _forcing(u, spec, params),
+                                   _rows_per_block(grid.num_points))
+        pull = _flow_phase(grid, params, -1j, tau)
+        for rows, h in blocks:
+            # the block's node rows: it starts at a node
+            nodes = slice(rows.start // _SUBSTEPS, (rows.stop + 1) // _SUBSTEPS)
+            held = np.subtract(u0_hat[None, :], h[::_SUBSTEPS], out=out_hat[nodes])
+            np.multiply(np.conjugate(pull[rows][::_SUBSTEPS]), held, out=held)
     return SpaceTimeField(grid, u.times, _frames_of(out_hat, u0)), out_hat
 
 
@@ -308,14 +329,15 @@ def duhamel_apply(u: SpaceTimeField, u0: GridFunction, params: EquationParams) -
     """One application of the Duhamel map Phi to the space-time iterate u.
 
     The integral is a composite trapezoid over u's time grid with each
-    interval's midpoint added, taken in the interaction picture so each
-    output frame costs one multiplier application; the cubic is formed term
-    by term and dealiased by the 2/3 rule.  It is a forward transform of u
-    (and of u0) and then the step that picard_iterate runs on the spectrum
-    it carries.  The frame at t = 0 is u0 exactly, and with the
-    nonlinearity switched off the result is the free flow regardless of u.
-    Boundary mass in u0 is not checked here: picard_iterate warns once per
-    call.
+    interval's midpoint added, taken in the interaction picture and streamed
+    a block of rows at a time (spectral._duhamel_integral), so each output
+    frame costs one multiplier application and no stack of the forcing or
+    the integral is held; the cubic is formed term by term and dealiased by
+    the 2/3 rule.  It is a forward transform of u (and of u0) and then the
+    step that picard_iterate runs on the spectrum it carries.  The frame at
+    t = 0 is u0 exactly, and with the nonlinearity switched off the result
+    is the free flow regardless of u.  Boundary mass in u0 is not checked
+    here: picard_iterate warns once per call.
     """
     if u.grid != u0.grid:
         raise ValueError("iterate and initial data live on different grids")
@@ -345,7 +367,7 @@ def picard_iterate(
         # scope too
         with np.errstate(over="ignore", invalid="ignore"):
             u0_hat = np.fft.fft(u0.values)
-            current_hat = duhamel_flow(u0.grid, params, u0_hat, times)
+            current_hat = _free_flow(u0.grid, params, u0_hat, times)
             current = SpaceTimeField(u0.grid, times, _frames_of(current_hat, u0))
         distances: list[float] = []
         converged = False
@@ -384,7 +406,7 @@ def picard_iterate(
     quotients = [
         b / a for a, b in zip(distances, distances[1:]) if a > 0 and math.isfinite(b / a)
     ]
-    ratio = float(np.median(quotients)) if quotients else 0.0
+    ratio = _median(quotients) if quotients else 0.0
     # norms of u0 that overflow give radius inf, and frame 0 of the solution's
     # norm histories (persistence_report) overflows with them
     with np.errstate(over="ignore"):
@@ -397,6 +419,17 @@ def picard_iterate(
         converged=converged,
     )
     return current, report
+
+
+def _median(values: list) -> float:
+    """The median of a nonempty list of finite floats, as np.median computes it:
+    the middle value, or (a + b) / 2 of the two middle ones.  np.median
+    imports numpy.ma on its first call, which a solve has no other use for."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +533,9 @@ def soliton_oracle(name: str, amplitude: float = 1.0, x_shift: float = 0.0) -> S
     _require_finite(amplitude=amplitude, x_shift=x_shift)
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
+    # the profiles take the Python float power k**2, which raises OverflowError
+    if math.isinf(float(amplitude) * float(amplitude)):
+        raise ValueError(f"amplitude {amplitude!r}: its square overflows float64")
     return Soliton(key, float(amplitude), float(x_shift))
 
 

@@ -70,7 +70,8 @@ class Grid:
 
     num_points: int
     length: float
-    # the latest exp(-i tau L) and exp(i t L) of duhamel_flow, keyed per direction
+    # the latest exp(-i tau L) of _duhamel_integral and exp(i t L) of duhamel_flow,
+    # keyed per direction
     _flow_phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -246,7 +247,26 @@ def weight_multiply(f: GridFunction, m: float) -> GridFunction:
     return GridFunction(f.grid, _weight(f.grid, m) * f.values)
 
 
-_PULL_ROWS = 64  # forcing rows pulled back per block in duhamel_flow
+# The one block rule of the streamed row loops (the Duhamel integral and its
+# producers, the composite norm's multiplier images): a block holds about
+# this many bytes of complex rows.
+_BLOCK_BYTES = 2**19
+
+
+def _rows_per_block(num_points: int) -> int:
+    """Rows per block of num_points-point complex rows under _BLOCK_BYTES: an
+    even count, so a block of refined rows starts at a node, and at least 2.
+    16 rows at 2048 points, 128 at 256."""
+    return max(2, _BLOCK_BYTES // (32 * num_points) * 2)
+
+
+def _row_blocks(count: int, block: int):
+    """Slices of block rows covering range(count), cut at the multiples of
+    block; a last row that would stand alone joins the block before it, since
+    numpy's matmul rounds a one-row product on a path of its own."""
+    for lo in range(0, max(count - 1, 1), block):
+        hi = min(lo + block, count)
+        yield slice(lo, count if hi == count - 1 else hi)
 
 
 def _flow_phase(grid: Grid, params: EquationParams, direction: complex, tau: np.ndarray):
@@ -273,62 +293,59 @@ def _flow_phase(grid: Grid, params: EquationParams, direction: complex, tau: np.
     return held[1]
 
 
-def _duhamel_integral(grid: Grid, params: EquationParams, tau, forcing_hat) -> np.ndarray:
-    """Interaction-picture integral h(t) = int_0^t exp(-it'L) F(t') dt' at every time of tau.
+def _duhamel_integral(grid: Grid, params: EquationParams, tau: np.ndarray, produce,
+                      block: int):
+    """Interaction-picture integral h(t) = int_0^t exp(-it'L) F(t') dt' at the
+    times of tau, streamed: yields (rows, h at the times tau[rows]) for the
+    rows of _row_blocks(tau.size, block).
 
-    Every forcing row (FFT order, at the times tau) is pulled back to t = 0
-    and a cumulative trapezoid runs over tau, so row 0 is 0.  The integral is
-    written into forcing_hat, which is returned: the caller hands over the
-    forcing and reads it no more.
+    produce(rows, out) writes the FFT-order spectrum of the forcing F at the
+    times tau[rows] into out, a (rows, n) buffer the kernel then pulls back
+    in place.  The trapezoid runs in one order whatever the block: the
+    pulled rows p_j = exp(-i tau_j L) F_j (the phase the left factor), the
+    steps s_j = (dtau_j / 2) (p_j + p_{j-1}) and the sums h_j = s_j + h_{j-1}
+    from h_1 = s_1, row by row as cumsum adds them, with h_0 = 0.  The last
+    pulled row and the last sum cross from block to block, so no bit depends
+    on the block size.  The yielded rows are read-only and live until the
+    next block is asked for.
     """
     pull = _flow_phase(grid, params, -1j, tau)
-    # the trapezoid steps overwrite the forcing a block of rows at a time, from
-    # the last block down, so each block reads its left neighbour's row before
-    # that row is overwritten, and no pulled stack is held
-    held = forcing_hat
-    for lo in reversed(range(0, tau.size - 1, _PULL_ROWS)):
-        rows = slice(lo, lo + _PULL_ROWS + 1)
-        pulled = pull[rows] * held[rows]
-        np.add(pulled[1:], pulled[:-1], out=held[lo + 1:lo + _PULL_ROWS + 1])
-    held[0] = 0.0
-    steps = held[1:]
-    np.multiply(np.diff(tau)[:, None] / 2.0, steps, out=steps)
-    # the running sum row by row: cumsum's additions in cumsum's order, but
-    # each one over a contiguous row rather than strided down a column
-    for k in range(1, len(steps)):
-        steps[k] += steps[k - 1]
-    return held
+    half_steps = np.diff(tau)[:, None] / 2.0
+    # row 0 of each buffer carries the previous block's last row
+    pulled = np.empty((min(block + 1, tau.size) + 1, grid.num_points), dtype=np.complex128)
+    held = np.empty_like(pulled)
+    for span in _row_blocks(tau.size, block):
+        lo, hi = span.start, span.stop
+        count = hi - lo
+        rows = pulled[1:count + 1]
+        produce(span, rows)
+        np.multiply(pull[lo:hi], rows, out=rows)
+        first = 1 if lo == 0 else 0  # the row of tau_0 takes no step
+        steps = held[1 + first:count + 1]
+        np.add(pulled[1 + first:count + 1], pulled[first:count], out=steps)
+        np.multiply(half_steps[lo + first - 1:hi - 1], steps, out=steps)
+        if lo == 0:
+            held[1] = 0.0
+        # h_1 = s_1, and from h_2 on each sum adds the row before it
+        for k in range(max(1 + first, 3 - lo), count + 1):
+            held[k] += held[k - 1]
+        yield span, held[1:count + 1]
+        pulled[0] = pulled[count]
+        held[0] = held[count]
 
 
-def duhamel_flow(
-    grid: Grid,
-    params: EquationParams,
-    start_hat: np.ndarray,
-    tau: np.ndarray,
-    forcing_hat: np.ndarray | None = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """Transform-side solution of v_t = i*(a*xi^2 + b*xi^3)*v - F with v(0) = start.
+def duhamel_flow(grid: Grid, params: EquationParams, start_hat: np.ndarray,
+                 tau: np.ndarray) -> np.ndarray:
+    """Free flow exp(itL) * start_hat at the times t of tau, one row per time,
+    in FFT frequency order.
 
-    Returns exp(itL) * (start_hat - h(t)) at the times t = tau[::stride], one
-    row per time, in FFT frequency order, where h is _duhamel_integral of the
-    forcing (rows of forcing_hat, at the times tau): each output row costs
-    one forward flow, the push.  Without forcing this is the free flow of
-    start_hat.
-
-    The phases exp(-i tau L) and exp(i t L) are memoised on grid: it keeps
-    the latest pull-back and the latest forward phase, keyed on (a, b) and
-    the times they are sampled at, so repeated calls on one grid (Picard
-    iterations, fields of one sweep) build them once.  They are freed with
-    the grid.  The forcing is consumed: forcing_hat, a complex128 stack, is
-    overwritten and the result is a view of it, every stride-th row.
+    The forward phase exp(i tau L) is memoised on grid, keyed on (a, b) and
+    the times, so repeated calls on one grid build it once; it is freed with
+    the grid.  The forced flow exp(itL) (start_hat - h(t)) is read off
+    _duhamel_integral's h by its caller, with the conjugate of the memoised
+    pull-back phase as the push.
     """
-    push = _flow_phase(grid, params, 1j, tau[::stride])
-    if forcing_hat is None:
-        return push * start_hat[None, :]
-    held = _duhamel_integral(grid, params, tau, forcing_hat)
-    held = np.subtract(start_hat[None, :], held, out=held)[::stride]
-    return np.multiply(push, held, out=held)
+    return _flow_phase(grid, params, 1j, tau) * start_hat[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +533,10 @@ def _heap_scratch():
     over enters this scope itself, so its cost does not hang on what ran
     before.  The phases: PhiProfile's build, band_sum_report's band loop, the
     sweeps' field evaluations (estimates._sweep, the one pipeline all six
-    run through) and picard_iterate.
+    run through) and picard_iterate.  The streamed Duhamel integral's blocks
+    (_rows_per_block, 512 KiB) sit above glibc's initial 128 KiB mmap
+    threshold, so its callers, picard_iterate and the smoothing sweep, run
+    in a scope too.
 
     glibc maps buffers above its mmap threshold (at most 32 MiB) and trims
     free pages off the heap top straight back to the system, so a phase that

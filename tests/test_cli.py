@@ -601,6 +601,20 @@ def test_out_of_domain_values_name_the_field(tmp_path, capsys, command, payload,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["mkdv", "nls"])
+def test_solve_refuses_a_soliton_amplitude_whose_square_overflows(tmp_path, capsys, name):
+    # the profile's Python float power k**2 raised OverflowError, and the
+    # message named the section only: "(34, 'Numerical result out of range')"
+    cfg = write_config(tmp_path, solve_payload(
+        equation={"preset": name},
+        initial_data={"kind": "soliton", "name": name, "amplitude": 1e200},
+    ))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config.initial_data: amplitude 1e+200: its square overflows float64" in err
+    assert "Traceback" not in err and "out of range" not in err
+
+
 def test_solve_grid_with_overflowing_dispersion_names_the_grid(tmp_path, capsys):
     # the top frequency of a 1e-300-long grid cubes to inf; the run used to
     # exit 2 on NaN Picard distances

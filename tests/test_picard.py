@@ -6,17 +6,21 @@ the Duhamel map, and hand-expanded algebra for the pointwise identities.
 """
 
 import math
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsa_lab.norms import SpaceTimeField, l2_norm, sobolev_norm, xt_norm
 from nlsa_lab.picard import (
     BoundaryMassWarning,
     NonContractionError,
     PicardConfig,
+    _median,
     conjugate_derivative_difference_split,
     cubic_difference_split,
     derivative_difference_split,
@@ -393,12 +397,14 @@ def picard_long_hand(u0, params, config):
     """(last iterate's frames, distances) of picard_iterate by the route that
     forms every refined stack: the refined frames by the interpolation
     formula, u_x by a transform pair of the refined stack, the nonlinearity
-    in x, and each distance as xt_norm of the frames' difference.  The
-    cubic is sampled at the nodes and the intervals' midpoints (s = 2)."""
+    in x, the integral as one trapezoid stack, and each distance as xt_norm
+    of the frames' difference.  The cubic is sampled at the nodes and the
+    intervals' midpoints (s = 2)."""
     grid, substeps = u0.grid, 2
     times = config.times()
     u0_hat = np.fft.fft(u0.values)
     ixi = 1j * grid.xi_fft
+    pol = params.a * grid.xi_fft**2 + params.b * grid.xi_fft**3
     frames = np.fft.ifft(duhamel_flow(grid, params, u0_hat, times), axis=1)
     frames[0] = u0.values
     lam = np.arange(substeps) / substeps
@@ -414,7 +420,13 @@ def picard_long_hand(u0, params, config):
         du = np.fft.ifft(np.fft.fft(fine, axis=1) * ixi, axis=1)
         n = 1j * params.c * cubic + params.d * mag2 * du + params.e * fine**2 * np.conj(du)
         n_hat = np.fft.fft(n, axis=1) * grid.dealias_mask
-        new = np.fft.ifft(duhamel_flow(grid, params, u0_hat, tau, n_hat, substeps), axis=1)
+        # the trapezoid over tau of the pulled-back forcing, pushed at the nodes
+        pulled = np.exp(-1j * tau[:, None] * pol) * n_hat
+        held = np.zeros_like(pulled)
+        steps = np.diff(tau)[:, None] / 2.0 * (pulled[1:] + pulled[:-1])
+        np.cumsum(steps, axis=0, out=held[1:])
+        pushed = np.exp(1j * times[:, None] * pol) * (u0_hat - held[::substeps])
+        new = np.fft.ifft(pushed, axis=1)
         new[0] = u0.values
         distances.append(xt_norm(SpaceTimeField(grid, times, new - frames), params))
         frames = new
@@ -478,6 +490,33 @@ def test_one_picard_iteration_transforms_902_rows(monkeypatch):
         assert report.iterations == iterations
         totals.append(sum(rows))
     assert totals[1] - totals[0] == 5 * 129 + 257 == 902
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.floats(0.0, 10.0) | st.floats(1e-300, 1e300), min_size=1, max_size=20))
+def test_ratio_median_is_numpys(quotients):
+    # odd and even counts: the middle value, or (a + b) / 2 of the two middle ones
+    assert _median(quotients) == np.median(quotients)
+    assert type(_median(quotients)) is float
+
+
+def test_a_solve_does_not_import_numpy_ma():
+    # np.median imported numpy.ma on its first call, 16.6 ms inside a solve
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from nlsa_lab.picard import (PicardConfig, picard_iterate, reduction_preset,\n"
+        "                             soliton_oracle)\n"
+        "from nlsa_lab.spectral import Grid, GridFunction\n"
+        "grid = Grid(256, 60.0)\n"
+        "u0 = GridFunction(grid, soliton_oracle('mkdv')(grid.x, 0.0))\n"
+        "_, report = picard_iterate(u0, reduction_preset('mkdv'), PicardConfig(0.05, 16))\n"
+        "print(report.iterations, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    iterations, imported = proc.stdout.split()
+    assert int(iterations) > 2 and imported == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +627,16 @@ def test_soliton_oracle_refuses_non_finite_values_naming_the_field(kwargs, name)
     # a non-finite shift or amplitude gives an all-NaN field, or an all-zero one (shift inf)
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         soliton_oracle("nls", **kwargs)
+
+
+@pytest.mark.parametrize("name", ["mkdv", "nls"])
+def test_soliton_oracle_refuses_an_amplitude_whose_square_overflows(name):
+    # the profiles take the Python float power k**2, which raised OverflowError
+    with pytest.raises(ValueError, match=r"^amplitude 1e\+200: its square overflows float64$"):
+        soliton_oracle(name, 1e200)
+    # the largest amplitudes whose square is finite still evaluate
+    top = math.sqrt(np.finfo(float).max)
+    assert np.isfinite(soliton_oracle(name, top)(np.linspace(-1.0, 1.0, 3), 0.0)).all()
 
 
 def test_soliton_profile_and_scaling():

@@ -1,8 +1,8 @@
 """Work that the solver and the sweeps compute once and reuse.
 
 The Duhamel phases are memoised on their grid, the Picard iteration carries
-each iterate's spectrum and interpolates its refined rows a block at a time
-into reused scratch, each factor of the two-sided Leibniz sweep is
+each iterate's spectrum and forms its refined rows a block at a time into
+reused scratch, each factor of the two-sided Leibniz sweep is
 transformed once, and the sup-embedding sweep evaluates each field once per
 scale.  Every reuse must give the bits of the straightforward computation,
 and the memoised phases must not raise the memory a call needs.
@@ -30,7 +30,8 @@ from nlsa_lab.estimates import (
 from nlsa_lab.norms import SpaceTimeField, mixed_norm_t_x, mixed_norm_x_t
 from nlsa_lab.picard import (
     PicardConfig,
-    _fine_rows,
+    _cubic_terms,
+    _forcing,
     _refined_times,
     duhamel_apply,
     picard_iterate,
@@ -38,7 +39,7 @@ from nlsa_lab.picard import (
     semigroup_evolve,
     soliton_oracle,
 )
-from nlsa_lab.spectral import Grid, GridFunction, apply_symbols
+from nlsa_lab.spectral import Grid, GridFunction, _row_blocks, apply_symbols
 
 MIB = 2.0**20
 # traced peaks when every call rebuilt both phases
@@ -131,27 +132,50 @@ def test_duhamel_apply_reuses_phases_bit_for_bit():
 
 
 def test_refined_frames_match_the_interpolation_formula():
+    # the Picard producer's forcing, a block of refined rows at a time, is the
+    # cubic of the frames interpolated in time by the formula, transformed
+    # and dealiased as one stack, bit for bit
     rng = np.random.default_rng(5)
+    grid = Grid(64, 20.0)
+    params = reduction_preset("nlsa-default")
     times = np.linspace(0.0, 0.1, 9)
     real = rng.standard_normal((9, 64)) + 0j  # zero imaginary parts keep their signs too
     mixed = rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64))
     # each interval's left node and midpoint, s = 2 rows an interval
     lam = np.arange(2) / 2
+
+    def refined(rows):
+        interp = rows[:-1, None, :] * (1.0 - lam)[None, :, None]
+        interp += rows[1:, None, :] * lam[None, :, None]
+        return np.concatenate([interp.reshape(-1, 64), rows[-1:]], axis=0)
+
     for frames in (real, mixed):
-        left = frames[:-1, None, :] * (1.0 - lam)[None, :, None]
-        interp = left + frames[1:, None, :] * lam[None, :, None]
-        expected = np.concatenate([interp.reshape(-1, 64), frames[-1:]], axis=0)
-        # blocks of one, three and all eight intervals, the last one short
-        for per_block in (1, 3, 8):
-            out = np.empty((per_block * 2 + 1, 64), dtype=np.complex128)
-            fine = np.concatenate([
-                _fine_rows(frames, k0, min(k0 + per_block, 8), out).copy()
-                for k0 in range(0, 8, per_block)
-            ])
-            assert fine.tobytes() == expected.tobytes()
+        spec = np.fft.fft(frames, axis=1)
+        du = np.fft.ifft(spec * (1j * grid.xi_fft), axis=1)
+        expected = _cubic_terms(refined(frames), refined(du), params,
+                                np.empty((17, 64), dtype=np.complex128))
+        expected = np.fft.fft(expected, axis=1) * grid.dealias_mask[None, :]
+        # blocks of one, three and all eight intervals, the last one taking
+        # the last node
+        for block in (2, 6, 16):
+            produce = _forcing(SpaceTimeField(grid, times, frames), spec, params)
+            forcing = np.empty_like(expected)
+            for rows in _row_blocks(17, block):
+                produce(rows, forcing[rows])
+            assert forcing.tobytes() == expected.tobytes()
         tau = _refined_times(times)
         assert tau.size == expected.shape[0]
         assert np.array_equal(tau[::2], times)
+
+
+def test_picard_iterate_holds_only_the_pull_back_phase():
+    # the free flow and every step push by the conjugate of the pull-back
+    # phase, so a nonlinear solve memoises no forward phase
+    grid = Grid(256, 60.0)
+    u0 = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0))
+    picard_iterate(u0, reduction_preset("mkdv"), PicardConfig(horizon=0.05, time_nodes=16))
+    assert set(grid._flow_phases) == {-1j}
+    assert grid._flow_phases[-1j][1].shape == (33, 256)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ from hypothesis import given, settings, strategies as st
 
 from nlsa_lab.estimates import _derivative_sup, random_spacetime_packets
 from nlsa_lab.norms import SpaceTimeField, _trapezoid_weights, mixed_norm_t_x
-from nlsa_lab.spectral import EquationParams, Grid, _duhamel_integral, duhamel_flow
+from nlsa_lab.spectral import (EquationParams, Grid, _rows_per_block, _duhamel_integral,
+                               duhamel_flow)
 
 EPS = np.finfo(float).eps
 
@@ -120,13 +121,18 @@ def test_parseval_lhs_agrees_with_the_frame_wise_path(seed, num_points, time_nod
     times = np.linspace(0.0, 1.0, time_nodes)
     forcing_hat = np.fft.fft(packet.sample(grid.x, times), axis=1)
 
-    # the frame-wise path: push forward, differentiate, transform back
-    # the flow consumes its forcing, so it takes a copy
-    flow = duhamel_flow(grid, params, np.zeros(num_points, dtype=np.complex128), times,
-                        forcing_hat.copy())
+    def integral(block):
+        return _duhamel_integral(grid, params, times,
+                                 lambda rows, out: np.copyto(out, forcing_hat[rows]), block)
+
+    # the frame-wise path: push the whole integral forward, differentiate,
+    # transform back
+    held = np.concatenate([h.copy() for _, h in integral(time_nodes)])
+    flow = duhamel_flow(grid, params, np.ones(num_points, dtype=np.complex128), times) * -held
     frames = np.fft.ifft(1j * grid.xi_fft * flow, axis=1)
     frame_wise = mixed_norm_t_x(SpaceTimeField(grid, times, frames), math.inf, 2)
-    parseval = _derivative_sup(grid, _duhamel_integral(grid, params, times, forcing_hat))
+    # the sweep's path, block by block
+    parseval = _derivative_sup(grid, (h for _, h in integral(_rows_per_block(num_points))))
 
     assert parseval > 0.0
     bound = (4 * math.log2(num_points) + num_points / 2 + 10) * EPS

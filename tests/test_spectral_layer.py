@@ -13,6 +13,7 @@ from nlsa_lab.spectral import (
     EquationParams,
     Grid,
     GridFunction,
+    _duhamel_integral,
     apply_symbols,
     dft_forward,
     duhamel_flow,
@@ -101,6 +102,14 @@ def test_batched_histories_equal_per_frame_norms():
     assert xt_norm(u, params) == report.x_norm
 
 
+def streamed_integral(grid, params, tau, forcing_hat, block):
+    """The streamed Duhamel integral of the forcing stack forcing_hat,
+    assembled from its blocks."""
+    blocks = _duhamel_integral(grid, params, tau,
+                               lambda rows, out: np.copyto(out, forcing_hat[rows]), block)
+    return np.concatenate([h.copy() for _, h in blocks])
+
+
 def test_duhamel_flow_linear_in_forcing():
     g = Grid(256, 40.0)
     rng = np.random.default_rng(SEED + 3)
@@ -108,19 +117,19 @@ def test_duhamel_flow_linear_in_forcing():
     tau = np.linspace(0.0, 0.3, 13)
     start = np.fft.fft(random_function(g, rng).values)
     f1, f2 = (rng.standard_normal((13, 256)) + 1j * rng.standard_normal((13, 256)) for _ in "ab")
-    zero = np.zeros(256, dtype=complex)
     alpha, beta = 0.7 - 0.2j, -1.3
-    for stride in (1, 2, 3):
-        # the flow consumes its forcing, so f1 and f2 go in as copies
-        combined = duhamel_flow(g, params, zero, tau, alpha * f1 + beta * f2, stride)
-        separate = (alpha * duhamel_flow(g, params, zero, tau, f1.copy(), stride)
-                    + beta * duhamel_flow(g, params, zero, tau, f2.copy(), stride))
-        assert combined.shape == (tau[::stride].size, 256)
+    for block in (1, 2, 3, 13):
+        combined = streamed_integral(g, params, tau, alpha * f1 + beta * f2, block)
+        separate = (alpha * streamed_integral(g, params, tau, f1, block)
+                    + beta * streamed_integral(g, params, tau, f2, block))
+        assert combined.shape == (13, 256)
         assert np.max(np.abs(combined - separate)) < 1e-12 * np.max(np.abs(separate))
-        # the data enters additively: free flow of the data plus the zero-data flow
-        with_data = duhamel_flow(g, params, start, tau, f1.copy(), stride)
-        split = duhamel_flow(g, params, start, tau[::stride]) + duhamel_flow(
-            g, params, zero, tau, f1.copy(), stride
+        # the data enters additively: free flow of the data plus the zero-data
+        # flow, each pushed by the conjugate of the pull-back phase
+        push = np.conjugate(g._flow_phases[-1j][1])
+        with_data = push * (start[None, :] - streamed_integral(g, params, tau, f1, block))
+        split = duhamel_flow(g, params, start, tau) + push * (
+            0.0 - streamed_integral(g, params, tau, f1, block)
         )
         assert np.max(np.abs(with_data - split)) < 1e-12 * np.max(np.abs(with_data))
 
@@ -172,19 +181,20 @@ def test_partition_of_unity_property(y):
     assert np.all(np.abs(bands - 1.0) < 1e-12)
 
 
-def reference_duhamel_flow(grid, params, start_hat, tau, forcing_hat=None, stride=1):
-    """duhamel_flow as it was before its phases were memoised: every call
-    builds both phases and keeps the pulled forcing and the steps as stacks."""
+def reference_duhamel_flow(grid, params, start_hat, tau, forcing_hat=None):
+    """The forced flow as it was before its phases were memoised and its
+    integral streamed, as (flow, integral): every call builds both phases
+    and keeps the pulled forcing, the steps and the integral as stacks.
+    Without forcing the integral is None and the flow is the free flow."""
     pol = params.a * grid.xi_fft**2 + params.b * grid.xi_fft**3
+    push = np.exp(1j * tau[:, None] * pol[None, :])
     if forcing_hat is None:
-        held = start_hat[None, :]
-    else:
-        pulled = np.exp(-1j * tau[:, None] * pol[None, :]) * forcing_hat
-        steps = np.diff(tau)[:, None] / 2.0 * (pulled[1:] + pulled[:-1])
-        held = np.zeros(forcing_hat.shape, dtype=np.complex128)
-        np.cumsum(steps, axis=0, out=held[1:])
-        held = np.subtract(start_hat[None, :], held, out=held)[::stride]
-    return np.exp(1j * tau[::stride, None] * pol[None, :]) * held
+        return push * start_hat[None, :], None
+    pulled = np.exp(-1j * tau[:, None] * pol[None, :]) * forcing_hat
+    steps = np.diff(tau)[:, None] / 2.0 * (pulled[1:] + pulled[:-1])
+    held = np.zeros(forcing_hat.shape, dtype=np.complex128)
+    np.cumsum(steps, axis=0, out=held[1:])
+    return push * (start_hat[None, :] - held), held
 
 
 def same_bits(x, y):
@@ -200,15 +210,17 @@ def same_bits(x, y):
     sizes=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
     nodes=st.integers(0, 150),
     horizon=st.floats(1e-3, 1.0),
-    stride=st.sampled_from([1, 2]),
     forced=st.booleans(),
 )
-@example(128, 40.0, 1, (1, -1), (1.0, 1.0), 150, 0.3, 2, True)  # three pull-back blocks
-@example(64, 10.0, 2, (1, 1), (0.5, 2.0), 0, 0.1, 1, True)  # a single time node
+@example(128, 40.0, 1, (1, -1), (1.0, 1.0), 150, 0.3, True)  # ten blocks of 16 rows
+@example(64, 10.0, 2, (1, 1), (0.5, 2.0), 0, 0.1, True)  # a single time node
+@example(64, 10.0, 3, (1, -1), (1.0, 1.0), 1, 0.1, True)  # two time nodes
 def test_duhamel_flow_memo_matches_unmemoised_formula_property(
-    points, length, seed, signs, sizes, nodes, horizon, stride, forced
+    points, length, seed, signs, sizes, nodes, horizon, forced
 ):
-    # nodes above the pull-back block (64 rows) cross block boundaries
+    # the streamed integral, in blocks of 1, 3 and 16 rows and in one block
+    # of the whole horizon, against the long-hand trapezoid bit for bit; the
+    # free flow against the long-hand push
     grid = Grid(points, length)
     params = EquationParams(a=signs[0] * sizes[0], b=signs[1] * sizes[1])
     rng = np.random.default_rng(seed)
@@ -220,31 +232,21 @@ def test_duhamel_flow_memo_matches_unmemoised_formula_property(
             (nodes + 1, points)
         )
 
-    def args(times):
-        # the flow consumes its forcing, so every call takes a fresh copy
-        return (start, times, forcing.copy(), stride) if forced else (start, times[::stride])
+    def check(params, times, expected=None):
+        flow, integral = reference_duhamel_flow(grid, params, start, times, forcing)
+        if not forced:
+            assert same_bits(duhamel_flow(grid, params, start, times), flow)
+            return flow
+        for block in (1, 3, 16, times.size):
+            assert same_bits(streamed_integral(grid, params, times, forcing, block), integral)
+        return integral
 
-    expected = reference_duhamel_flow(grid, params, *args(tau))
-    assert same_bits(duhamel_flow(grid, params, *args(tau)), expected)  # memo filled
-    assert same_bits(duhamel_flow(grid, params, *args(tau)), expected)  # memo hit
-
+    expected = check(params, tau)  # memo filled
+    assert same_bits(check(params, tau), expected)  # memo hit
     # a different time grid or coefficient pair on the same grid is a miss
-    other_tau = tau * 0.5
-    assert same_bits(
-        duhamel_flow(grid, params, *args(other_tau)),
-        reference_duhamel_flow(grid, params, *args(other_tau)),
-    )
-    other = EquationParams(a=params.b, b=-params.a)
-    assert same_bits(
-        duhamel_flow(grid, other, *args(tau)),
-        reference_duhamel_flow(grid, other, *args(tau)),
-    )
-    assert same_bits(duhamel_flow(grid, params, *args(tau)), expected)
-    if forced:
-        # the output is written over the forcing, every stride-th row of it
-        handed = forcing.copy()
-        out = duhamel_flow(grid, params, start, tau, handed, stride)
-        assert np.shares_memory(out, handed) and same_bits(handed[::stride], expected)
+    check(params, tau * 0.5)
+    check(EquationParams(a=params.b, b=-params.a), tau)
+    assert same_bits(check(params, tau), expected)
 
 
 def test_duhamel_flow_memo_lives_on_the_grid():
@@ -252,8 +254,8 @@ def test_duhamel_flow_memo_lives_on_the_grid():
     params = EquationParams(a=1.0, b=-1.0)
     tau = np.linspace(0.0, 0.2, 9)
     start = np.ones(128, dtype=complex)
-    forcing = np.ones((9, 128), dtype=complex)
-    duhamel_flow(g, params, start, tau, forcing, 2)
+    streamed_integral(g, params, tau, np.ones((9, 128), dtype=complex), 4)
+    duhamel_flow(g, params, start, tau[::2])
     # the latest pull-back and forward phase only, invisible to eq and repr
     assert set(g._flow_phases) == {-1j, 1j}
     assert g._flow_phases[-1j][1].shape == (9, 128)

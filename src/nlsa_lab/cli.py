@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import operator
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +34,6 @@ from .estimates import (
     check_smoothing,
     check_sup_embedding,
 )
-from .norms import _sobolev_weight
 from .oscillatory import (
     PhiProfile,
     QuadratureConvergenceError,
@@ -108,7 +106,6 @@ SOLVE_SCHEMA = {
         "seed": {"type": "integer"},
         "equation": _EQUATION_SCHEMA,
         "m": _WEIGHT,
-        "s": _NUMBER,
         "grid": {
             "type": "object",
             "additionalProperties": False,
@@ -215,7 +212,6 @@ _TYPES = {
     "object": (lambda v: isinstance(v, dict), "an object"),
     "array": (lambda v: isinstance(v, list), "an array"),
     "string": (lambda v: isinstance(v, str), "a string"),
-    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
     "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
     "integer": (lambda v: (isinstance(v, int) and not isinstance(v, bool))
                 or (isinstance(v, float) and v.is_integer()), "an integer"),
@@ -322,7 +318,7 @@ def _config_field(where: str, errors=(ValueError, ArithmeticError)):
 def load_config(path, schema) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def finite(literal: str) -> float:
@@ -338,6 +334,12 @@ def load_config(path, schema) -> dict:
         raise ConfigError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except ConfigError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # nesting past the recursion limit, or an integer literal past the
+        # interpreter's digit limit for int()
+        raise ConfigError(f"{path} is not readable JSON: {exc}") from exc
     error = _schema_error(data, schema)
     if error is not None:
         where, reason = error
@@ -347,14 +349,13 @@ def load_config(path, schema) -> dict:
 
 
 def _thread_count(text: str) -> int:
-    """argparse type of --threads, which also parses NLSA_LAB_THREADS as its default."""
+    """argparse type of --threads: a positive integer."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a positive integer (from the flag or NLSA_LAB_THREADS)")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value
 
 
@@ -383,10 +384,9 @@ def _equation_from(config: dict, default: dict | None = None) -> EquationParams:
                 d=equation.get("d", 0.0),
                 e=equation.get("e", 0.0),
             )
-    overrides = {key: config[key] for key in ("m", "s") if key in config}
-    if overrides:
+    if "m" in config:
         with _config_field("config.m"):
-            params = replace(params, **overrides)
+            params = replace(params, m=config["m"])
     return params
 
 
@@ -422,19 +422,14 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
     with _config_field("config.grid", (ValueError, ArithmeticError, MemoryError)):
         grid = Grid(config["grid"]["num_points"], config["grid"]["length"])
         # a frequency whose cube overflows would otherwise surface in the flow
-        # phase as a FlowOverflowError blamed on config.time.horizon
+        # phase as a FlowOverflowError blamed on config.time.horizon; the norms'
+        # H^{1/4} weight (1 + xi^2)^(1/4) overflows only where xi^2 does, and
+        # a*xi^2 + b*xi^3 is then not finite for any finite a and b
         with np.errstate(over="ignore", invalid="ignore"):
             dispersion = _dispersion(grid.xi_fft, params.a, params.b)
         if not np.isfinite(dispersion).all():
             raise ValueError(
                 "the dispersion a*xi^2 + b*xi^3 is not finite on the grid's frequencies"
-            )
-    # a Sobolev weight that overflows would otherwise surface after the whole
-    # solve, as norms that overflow blamed on config.initial_data
-    with _config_field("config.s"), np.errstate(over="ignore"):
-        if not np.isfinite(_sobolev_weight(grid, params.s)).all():
-            raise ValueError(
-                "the Sobolev weight (1 + xi^2)^s overflows float64 on the grid's frequencies"
             )
     u0 = _initial_field(config["initial_data"], grid)
     # the config's picard keys are PicardConfig fields, tolerance aside
@@ -676,7 +671,8 @@ def cmd_report(out: Path) -> int:
     for path in sorted(out.rglob("manifest.json")):
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers undecodable bytes and JSON that does not parse
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: unreadable manifest: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: manifest must be a JSON object")
@@ -725,12 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags.add_argument("--config", required=True, help="path to the JSON config")
     run_flags.add_argument("--out", required=True, help="output directory (created if missing)")
     run_flags.add_argument("--seed", type=int, default=None, help="override the config seed")
-    # argparse types a string default only when the flag is absent; a blank env means 1
-    run_flags.add_argument(
-        "--threads", type=_thread_count,
-        default=os.environ.get("NLSA_LAB_THREADS", "").strip() or "1",
-        help="worker threads (default: NLSA_LAB_THREADS or 1)",
-    )
+    run_flags.add_argument("--threads", type=_thread_count, default=1,
+                           help="worker threads (default: 1)")
     for name, (_, _, help_text) in _COMMANDS.items():
         sub.add_parser(name, parents=[run_flags], help=help_text)
     report = sub.add_parser("report", help="aggregate run manifests under a directory")

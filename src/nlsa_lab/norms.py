@@ -135,9 +135,9 @@ def _weighted_l2(grid: Grid, values: np.ndarray, m: float) -> np.ndarray:
     return _l2(grid, _weight(grid, m) * values)
 
 
-def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
-    """(1 + xi^2)^s at the grid's frequencies, in FFT order."""
-    return (1.0 + grid.xi_fft**2) ** s
+# The Sobolev index of the data space H^{1/4} cap L^2(|x|^{2m} dx): the
+# h_quarter histories and Picard's ball radius are H^{1/4} norms.
+_SOBOLEV_INDEX = 0.25
 
 
 def _sobolev(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
@@ -145,7 +145,7 @@ def _sobolev(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
     Parseval on the FFT: sqrt(spacing/n * sum_k (1 + xi_k^2)^s |fft_k|^2).
     No phase multiplies the spectrum, so an inf the FFT overflows to stays inf."""
     power = np.abs(np.fft.fft(values, axis=-1)) ** 2
-    total = np.sum(_sobolev_weight(grid, s) * power, axis=-1)
+    total = np.sum((1.0 + grid.xi_fft**2) ** s * power, axis=-1)
     return np.sqrt(grid.spacing / grid.num_points * total)
 
 
@@ -292,7 +292,7 @@ def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
     mu4 = ||u|| + ||D^(1/4) u|| in L^5_x L^10_T
     mu5 = ||u|| in L^4_x L^inf_T
 
-    The histories hold the H^s and weighted L^2 norms of every frame.
+    The histories hold the H^{1/4} and weighted L^2 norms of every frame.
     """
     mus = _mu_parts(u, np.fft.fft(u.frames, axis=-1))
     y_norm = sum(mus)
@@ -303,7 +303,7 @@ def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
         y_norm=y_norm,
         weighted_sup=weighted,
         x_norm=y_norm + weighted,
-        h_quarter_history=_sobolev(u.grid, u.frames, params.s).tolist(),
+        h_quarter_history=_sobolev(u.grid, u.frames, _SOBOLEV_INDEX).tolist(),
         weighted_history=w_hist.tolist(),
     )
 

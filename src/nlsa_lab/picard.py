@@ -26,10 +26,12 @@ its forcing; the new spectrum back to frames; and the distance's three
 multipliers on the difference of the two spectra.  The spectrum of Phi(u)
 is written a block at a time as conj(pull) (u0_hat - h), pull the memoised
 pull-back phase, so a step holds no stack of u_x, the cubic, its spectrum
-or the integral, and a solve no forward phase.
+or the integral.  The free flow is pushed by the conjugate of that phase
+too (spectral.duhamel_flow): the pull-back exp(-i tau L) is the one flow
+phase a solve builds.
 
 The module also provides the local-existence bookkeeping around the solver:
-the ball radius of the initial data, persistence histories of the Sobolev and
+the ball radius of the initial data, persistence histories of the H^{1/4} and
 weighted norms, the named coefficient reductions, closed-form soliton oracles
 for two of them, and the pointwise factorizations of cubic differences that
 underpin the contraction estimate.
@@ -44,7 +46,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .norms import SpaceTimeField, NormReport, _weighted_l2, _xt_norm, mu_norms, sobolev_norm
+from .norms import (SpaceTimeField, NormReport, _SOBOLEV_INDEX, _weighted_l2, _xt_norm, mu_norms,
+                    sobolev_norm)
 from .spectral import (EquationParams, FlowOverflowError, GridFunction, _rows_per_block,
                        _duhamel_integral, _flow_phase, _heap_scratch, _require_finite,
                        apply_symbols, duhamel_flow)
@@ -123,7 +126,7 @@ class ContractionReport:
     first step already lands inside tolerance).  It is read off the
     trajectory, not fitted, and the stopping tolerance moves it: a tighter
     tolerance adds late steps whose quotients shift the median.  ``radius``
-    is the ball radius of the initial data, 2*(||u0||_{H^s} + |||x|^m u0||).
+    is the ball radius of the initial data, 2*(||u0||_{H^{1/4}} + |||x|^m u0||).
     """
 
     distances: list
@@ -244,12 +247,12 @@ def _free_flow(grid, params: EquationParams, u0_hat: np.ndarray, times: np.ndarr
     """The FFT-order spectrum of S(t) u0 at the nodes times.
 
     A nonlinear solve pushes by the conjugate of the pull-back phase at the
-    refined times, the phase its Duhamel steps memoise, so it builds no
-    forward phase; a linear one pulls nothing back and pushes by duhamel_flow.
+    refined times, the phase its Duhamel steps memoise; a linear one pulls
+    nothing back and pushes at the nodes by duhamel_flow.
     """
     if _is_linear(params):
         return duhamel_flow(grid, params, u0_hat, times)
-    push = np.conjugate(_flow_phase(grid, params, -1j, _refined_times(times))[::_SUBSTEPS])
+    push = np.conjugate(_flow_phase(grid, params, _refined_times(times))[::_SUBSTEPS])
     return np.multiply(push, u0_hat[None, :], out=push)
 
 
@@ -316,7 +319,7 @@ def _duhamel_step(
         out_hat = np.empty_like(spec)
         blocks = _duhamel_integral(grid, params, tau, _forcing(u, spec, params),
                                    _rows_per_block(grid.num_points))
-        pull = _flow_phase(grid, params, -1j, tau)
+        pull = _flow_phase(grid, params, tau)
         for rows, h in blocks:
             # the block's node rows: it starts at a node
             nodes = slice(rows.start // _SUBSTEPS, (rows.stop + 1) // _SUBSTEPS)
@@ -437,8 +440,8 @@ def _median(values: list) -> float:
 # ---------------------------------------------------------------------------
 
 def _ball_radius(u0: GridFunction, params: EquationParams) -> float:
-    """The ball radius 2*(H^s norm + weighted L^2 norm of u0)."""
-    h_norm = sobolev_norm(u0, params.s)
+    """The ball radius 2*(H^{1/4} norm + weighted L^2 norm of u0)."""
+    h_norm = sobolev_norm(u0, _SOBOLEV_INDEX)
     return 2.0 * (h_norm + float(_weighted_l2(u0.grid, u0.values, params.m)))
 
 
@@ -511,9 +514,11 @@ class Soliton:
         k, x0 = self.amplitude, self.x_shift
         if self.name == "mkdv":
             arg = k * (x - x0 - k**2 * t)
-            # where cosh overflows, tanh/cosh is 0, as __call__'s sech is
+            # k a factor at a time: k**4 overflows above 1.2e77 where the result
+            # need not; where cosh overflows, k/cosh is 0, as __call__'s sech is
             with np.errstate(over="ignore"):
-                return math.sqrt(6.0) * k**4 * np.tanh(arg) / np.cosh(arg) + 0j
+                sech_k2 = k * (k / np.cosh(arg))
+                return math.sqrt(6.0) * k * ((k * np.tanh(arg)) * sech_k2) + 0j
         return 1j * k**2 * self(x, t)
 
     def params(self) -> EquationParams:

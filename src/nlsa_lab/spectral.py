@@ -70,9 +70,8 @@ class Grid:
 
     num_points: int
     length: float
-    # the latest exp(-i tau L) of _duhamel_integral and exp(i t L) of duhamel_flow,
-    # keyed per direction
-    _flow_phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the latest pull-back phase exp(-i tau L) of _flow_phase, as (key, phase)
+    _flow_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (not isinstance(self.num_points, numbers.Integral)
@@ -153,8 +152,9 @@ def _require_weight_exponent(m: float) -> None:
 class EquationParams:
     """Coefficients of u_t + i*a*u_xx + b*u_xxx + i*c*|u|^2 u + d*|u|^2 u_x + e*u^2 conj(u)_x = 0.
 
-    m is the spatial-weight exponent, s the Sobolev index of the data space.
-    A non-finite coefficient or index raises ValueError naming the field.
+    m is the spatial-weight exponent of the data space H^{1/4} cap
+    L^2(|x|^{2m} dx), whose Sobolev index is fixed (norms._SOBOLEV_INDEX).
+    A non-finite coefficient raises ValueError naming the field.
     """
 
     a: float
@@ -163,10 +163,9 @@ class EquationParams:
     d: complex = 0.0
     e: complex = 0.0
     m: float = 0.125
-    s: float = 0.25
 
     def __post_init__(self):
-        _require_finite(a=self.a, b=self.b, c=self.c, d=self.d, e=self.e, s=self.s)
+        _require_finite(a=self.a, b=self.b, c=self.c, d=self.d, e=self.e)
         _require_weight_exponent(self.m)
 
     @property
@@ -196,10 +195,14 @@ def dft_inverse(F: GridFunction) -> GridFunction:
 def apply_symbols(values: np.ndarray, *symbols: np.ndarray) -> list:
     """Apply FFT-order multipliers along the last axis, all from one transform.
 
-    values is one sample row or a stack of frames.  The package's Fourier
-    multipliers go through here, the dyadic band pieces aside, as
+    values is one sample row or a stack of frames.  The public multipliers,
+    the nonlinearity and the sweeps' derivatives go through here, as
     spectrum * symbol: each product is transformed back in place and the
     last one reuses the spectrum's buffer, so n symbols allocate n arrays.
+    Three paths multiply spectra and transform the products back themselves:
+    the dyadic band pieces, a run of frequencies at a time, and the
+    composite norm's images (norms._squared_image) and the Picard forcing's
+    u_x (picard._forcing), a block of rows at a time.
     """
     spec = np.fft.fft(values, axis=-1)
     applied = []
@@ -269,28 +272,27 @@ def _row_blocks(count: int, block: int):
         yield slice(lo, count if hi == count - 1 else hi)
 
 
-def _flow_phase(grid: Grid, params: EquationParams, direction: complex, tau: np.ndarray):
-    """exp(direction * tau * L) with one row per time, memoised on grid.
+def _flow_phase(grid: Grid, params: EquationParams, tau: np.ndarray):
+    """The pull-back phase exp(-i tau L) with one row per time, memoised on grid.
 
-    The grid keeps the latest phase of each direction (+1j pushes forward,
-    -1j pulls back), keyed on (a, b) and the bytes of the times used.  An
-    argument that overflows float64 raises FlowOverflowError, before exp
-    would turn it into NaN.  Callers keep the phase the left factor of every
-    product: numpy's vectorised complex product can round differently in the
-    last bit when its operands are swapped.
+    The grid keeps the latest phase, keyed on (a, b) and the bytes of the
+    times used; the push exp(i tau L) is its conjugate.  An argument that
+    overflows float64 raises FlowOverflowError, before exp would turn it
+    into NaN.  Callers keep the phase the left factor of every product:
+    numpy's vectorised complex product can round differently in the last
+    bit when its operands are swapped.
     """
     key = (params.a, params.b, tau.dtype.str, tau.tobytes())
-    held = grid._flow_phases.get(direction)
-    if held is None or held[0] != key:
+    if grid._flow_memo is None or grid._flow_memo[0] != key:
         with np.errstate(over="ignore", invalid="ignore"):
             pol = _dispersion(grid.xi_fft, params.a, params.b)
-            phase = direction * tau[:, None] * pol[None, :]
+            phase = -1j * tau[:, None] * pol[None, :]
         if not np.isfinite(phase).all():
             raise FlowOverflowError(
                 f"the flow phase t*(a*xi^2 + b*xi^3) overflows float64 by t = {tau.max():g}"
             )
-        held = grid._flow_phases[direction] = (key, np.exp(phase, out=phase))
-    return held[1]
+        grid._flow_memo = (key, np.exp(phase, out=phase))
+    return grid._flow_memo[1]
 
 
 def _duhamel_integral(grid: Grid, params: EquationParams, tau: np.ndarray, produce,
@@ -309,7 +311,7 @@ def _duhamel_integral(grid: Grid, params: EquationParams, tau: np.ndarray, produ
     on the block size.  The yielded rows are read-only and live until the
     next block is asked for.
     """
-    pull = _flow_phase(grid, params, -1j, tau)
+    pull = _flow_phase(grid, params, tau)
     half_steps = np.diff(tau)[:, None] / 2.0
     # row 0 of each buffer carries the previous block's last row
     pulled = np.empty((min(block + 1, tau.size) + 1, grid.num_points), dtype=np.complex128)
@@ -339,13 +341,12 @@ def duhamel_flow(grid: Grid, params: EquationParams, start_hat: np.ndarray,
     """Free flow exp(itL) * start_hat at the times t of tau, one row per time,
     in FFT frequency order.
 
-    The forward phase exp(i tau L) is memoised on grid, keyed on (a, b) and
-    the times, so repeated calls on one grid build it once; it is freed with
-    the grid.  The forced flow exp(itL) (start_hat - h(t)) is read off
-    _duhamel_integral's h by its caller, with the conjugate of the memoised
-    pull-back phase as the push.
+    The push is the conjugate of _flow_phase's memoised pull-back phase, the
+    left factor of the product, as in the forced flow exp(itL) (start_hat -
+    h(t)) that its caller reads off _duhamel_integral's h.
     """
-    return _flow_phase(grid, params, 1j, tau) * start_hat[None, :]
+    push = np.conjugate(_flow_phase(grid, params, tau))
+    return np.multiply(push, start_hat[None, :], out=push)
 
 
 # ---------------------------------------------------------------------------

@@ -560,8 +560,7 @@ def _snapshot(out_dir):
     return tree
 
 
-def test_criterion_10_deterministic_reruns(tmp_path, monkeypatch):
-    monkeypatch.delenv("NLSA_LAB_THREADS", raising=False)
+def test_criterion_10_deterministic_reruns(tmp_path):
     solve, osc, est = _write_configs(tmp_path / "cfg")
     out = tmp_path / "run"
 

@@ -133,19 +133,17 @@ def test_solve_non_contraction_exits_2(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_solve_with_an_overflowing_sobolev_weight_names_s_before_solving(
-        tmp_path, capsys, monkeypatch):
-    # (1 + xi^2)^400 overflows at this grid's top frequencies (|xi| up to 13.4)
-    # for any data; the run used to solve in full and then blame the initial data
+def test_solve_refuses_a_sobolev_index(tmp_path, capsys, monkeypatch):
+    # the data space is H^{1/4} cap L^2(|x|^{2m} dx): the Sobolev index is no
+    # setting, so a config that gives one, even the paper's 1/4, is refused
     monkeypatch.setattr("nlsa_lab.cli.picard_iterate", lambda *args: pytest.fail("solved"))
-    cfg = write_config(tmp_path, solve_payload(
-        s=400, initial_data={"kind": "soliton", "name": "mkdv", "amplitude": 1.0},
-    ))
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert "config.s" in err and "Sobolev weight" in err
-    assert "config.initial_data" not in err and "Traceback" not in err
+    for value in (0.25, 400):
+        cfg = write_config(tmp_path, solve_payload(s=value))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert 'config: unexpected key "s"' in err and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -210,6 +208,45 @@ def test_invalid_json_rejected(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+# the interpreter's limit on the digits int() converts; 0 where there is none
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+# files json cannot decode without raising something other than JSONDecodeError
+_UNDECODABLE = {
+    "non-utf8": b'{"samples": "\xff\xfe"}',
+    "nested": b"[" * 100_000,
+    "digits": b'{"samples": ' + b"1" * (_INT_DIGITS + 1) + b"}",
+}
+
+
+@pytest.mark.parametrize("defect", [
+    "non-utf8", "nested",
+    pytest.param("digits", marks=pytest.mark.skipif(
+        not _INT_DIGITS, reason="this interpreter converts integers of any length")),
+])
+def test_undecodable_config_rejected(tmp_path, capsys, defect):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(_UNDECODABLE[defect])
+    out = tmp_path / "o"
+    assert main(["verify-estimates", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", ["non-utf8", "nested"])
+def test_report_rejects_an_undecodable_manifest(tmp_path, capsys, defect):
+    manifest = tmp_path / "runs" / "a" / "manifest.json"
+    manifest.parent.mkdir(parents=True)
+    manifest.write_bytes(_UNDECODABLE[defect])
+    assert main(["report", "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(manifest) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs" / "report.json").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -431,22 +468,18 @@ def test_reruns_are_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
+def test_thread_count_does_not_change_results(tmp_path):
     cfg = write_config(tmp_path, {
         "estimates": ["commutator", "leibniz-band"], "samples": 4, "seed": 2,
     })
     serial = tmp_path / "serial"
     threaded = tmp_path / "threaded"
-    env_backed = tmp_path / "env"
     assert main(["verify-estimates", "--config", str(cfg), "--out", str(serial)]) == 0
     rc = main(["verify-estimates", "--config", str(cfg), "--out", str(threaded),
                "--threads", "2"])
     assert rc == 0
-    monkeypatch.setenv("NLSA_LAB_THREADS", "2")
-    assert main(["verify-estimates", "--config", str(cfg), "--out", str(env_backed)]) == 0
     reference = (serial / "estimates_summary.json").read_bytes()
     assert (threaded / "estimates_summary.json").read_bytes() == reference
-    assert (env_backed / "estimates_summary.json").read_bytes() == reference
 
 
 def test_thread_count_does_not_change_the_factor_sweeps(tmp_path):
@@ -465,34 +498,22 @@ def test_thread_count_does_not_change_the_factor_sweeps(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_bad_threads_env_rejected(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, {"estimates": ["commutator"], "samples": 4})
-    monkeypatch.setenv("NLSA_LAB_THREADS", "lots")
-    assert main(["verify-estimates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "NLSA_LAB_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("env, flags, code, named", [
-    ("", [], 0, None),
-    ("  ", [], 0, None),
-    ("0", [], 1, "NLSA_LAB_THREADS"),
-    ("-1", [], 1, "NLSA_LAB_THREADS"),
-    ("lots", [], 1, "NLSA_LAB_THREADS"),
-    ("2.5", [], 1, "NLSA_LAB_THREADS"),
-    (None, ["--threads", "0"], 1, "--threads"),
-    ("lots", ["--threads", "1"], 0, None),  # the flag wins over the environment
-])
-def test_thread_count_contract(tmp_path, capsys, monkeypatch, env, flags, code, named):
+@pytest.mark.parametrize("flags, code", [
+    ([], 0),
+    (["--threads", "0"], 1),
+    (["--threads", "-1"], 1),
+    (["--threads", "lots"], 1),
+    (["--threads", "2.5"], 1),
+    (["--threads", ""], 1),
+], ids=["default", "0", "-1", "lots", "2.5", "empty"])
+def test_thread_count_contract(tmp_path, capsys, flags, code):
+    # --threads, default 1, is the one way to set the worker count
     cfg = write_config(tmp_path, {"estimates": ["commutator"], "samples": 2})
-    if env is None:
-        monkeypatch.delenv("NLSA_LAB_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("NLSA_LAB_THREADS", env)
     args = ["verify-estimates", "--config", str(cfg), "--out", str(tmp_path / "o")]
     assert main(args + flags) == code
     err = capsys.readouterr().err
-    if named is not None:
-        assert named in err
+    if code:
+        assert "--threads" in err and "not a positive integer" in err
     assert "Traceback" not in err
 
 

@@ -88,8 +88,6 @@ def from_schema(schema, path=()):
     if kind == "array":
         return st.lists(from_schema(schema["items"], path + ("[]",)),
                         min_size=schema.get("minItems", 0), max_size=schema.get("maxItems", 3))
-    if kind == "boolean":
-        return st.booleans()
     if kind == "string":
         return _NAMES
     raise AssertionError(f"no strategy for schema type {kind!r} at {path}")
@@ -302,7 +300,7 @@ def _full(schema):
             return (lo + hi) / 2
         # two above the lower bound is a multiple of 2 for the one multipleOf
         return lo + 2 if lo is not None else 1
-    return {"string": "x", "boolean": True}[kind]
+    return {"string": "x"}[kind]
 
 
 def _check_against_jsonschema(holder, schema):

@@ -544,7 +544,7 @@ def test_radius_whose_cube_overflows():
     u0 = gaussian_packet(GRID, amplitude=1e120)
     _, report = picard_iterate(u0, params, PicardConfig(horizon=0.01, time_nodes=4))
     assert report.converged
-    assert report.radius == 2.0 * (sobolev_norm(u0, params.s)
+    assert report.radius == 2.0 * (sobolev_norm(u0, 0.25)
                                    + l2_norm(weight_multiply(u0, params.m)))
 
 
@@ -593,7 +593,7 @@ def test_reduction_presets_coefficients():
     assert dnls.d == 2 * dnls.e != 0
     default = reduction_preset("nlsa-default")
     assert default.full_derivative_ok
-    assert mkdv.m == 0.125 and mkdv.s == 0.25
+    assert mkdv.m == 0.125
     with pytest.raises(ValueError, match="preset"):
         reduction_preset("kdv")
 
@@ -656,8 +656,15 @@ def test_soliton_profile_and_scaling():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         vals, dt = steep(x, 0.0), steep.time_derivative(x, 0.0)
+        # amplitudes whose fourth power overflows, up to the largest whose
+        # square does not: sech(k) and tanh(0) make the derivative 0 at -1, 0, 1
+        huge = [soliton_oracle("mkdv", k).time_derivative(np.linspace(-1.0, 1.0, 3), 0.0)
+                for k in (1e77, 1e100, 1.3e154)]
+        nls_huge = soliton_oracle("nls", 1e100).time_derivative(np.linspace(-1.0, 1.0, 3), 0.0)
     assert np.all(np.isfinite(dt))
     assert vals[0] == vals[-1] == dt[0] == dt[-1] == 0.0
+    assert all(np.array_equal(row, np.zeros(3)) for row in huge)
+    assert np.array_equal(nls_huge, [0.0, 1e300j, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,9 @@ def test_smoothing_peak_and_phases_released():
 def test_duhamel_apply_reuses_phases_bit_for_bit():
     u, u0, params = nlsa_default_iterate()
     first = duhamel_apply(u, u0, params)
-    phases = {d: held[1] for d, held in u.grid._flow_phases.items()}
+    phase = u.grid._flow_memo[1]
     again = duhamel_apply(u, u0, params)
-    assert all(u.grid._flow_phases[d][1] is phase for d, phase in phases.items())
+    assert u.grid._flow_memo[1] is phase
     assert first.frames.tobytes() == again.frames.tobytes()
     fresh = Grid(2048, 60.0)
     cold = duhamel_apply(
@@ -170,12 +170,13 @@ def test_refined_frames_match_the_interpolation_formula():
 
 def test_picard_iterate_holds_only_the_pull_back_phase():
     # the free flow and every step push by the conjugate of the pull-back
-    # phase, so a nonlinear solve memoises no forward phase
+    # phase at the refined times, the one phase the grid memoises
     grid = Grid(256, 60.0)
     u0 = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0))
-    picard_iterate(u0, reduction_preset("mkdv"), PicardConfig(horizon=0.05, time_nodes=16))
-    assert set(grid._flow_phases) == {-1j}
-    assert grid._flow_phases[-1j][1].shape == (33, 256)
+    config = PicardConfig(horizon=0.05, time_nodes=16)
+    picard_iterate(u0, reduction_preset("mkdv"), config)
+    key, phase = grid._flow_memo
+    assert key[-1] == _refined_times(config.times()).tobytes() and phase.shape == (33, 256)
 
 
 # ---------------------------------------------------------------------------

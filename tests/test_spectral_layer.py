@@ -14,6 +14,8 @@ from nlsa_lab.spectral import (
     Grid,
     GridFunction,
     _duhamel_integral,
+    _row_blocks,
+    _rows_per_block,
     apply_symbols,
     dft_forward,
     duhamel_flow,
@@ -92,9 +94,9 @@ def test_batched_histories_equal_per_frame_norms():
         -g.x**2 / 20
     )
     u = SpaceTimeField(g, times, frames)
-    params = EquationParams(a=1.0, b=1.0, m=0.125, s=0.25)
+    params = EquationParams(a=1.0, b=1.0, m=0.125)
     report = mu_norms(u, params)
-    assert report.h_quarter_history == [sobolev_norm(u.frame(k), params.s) for k in range(9)]
+    assert report.h_quarter_history == [sobolev_norm(u.frame(k), 0.25) for k in range(9)]
     assert report.weighted_history == [
         l2_norm(weight_multiply(u.frame(k), params.m)) for k in range(9)
     ]
@@ -126,7 +128,7 @@ def test_duhamel_flow_linear_in_forcing():
         assert np.max(np.abs(combined - separate)) < 1e-12 * np.max(np.abs(separate))
         # the data enters additively: free flow of the data plus the zero-data
         # flow, each pushed by the conjugate of the pull-back phase
-        push = np.conjugate(g._flow_phases[-1j][1])
+        push = np.conjugate(g._flow_memo[1])
         with_data = push * (start[None, :] - streamed_integral(g, params, tau, f1, block))
         split = duhamel_flow(g, params, start, tau) + push * (
             0.0 - streamed_integral(g, params, tau, f1, block)
@@ -142,6 +144,26 @@ grids = st.builds(
     Grid, st.sampled_from([64, 128, 256]), st.floats(5.0, 100.0, allow_nan=False)
 )
 seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(count=st.integers(1, 600), block=st.integers(1, 40), points=st.integers(1, 2**22))
+@example(1, 1, 1)
+@example(2, 1, 2**14)  # a last row that would stand alone joins the block before it
+@example(41, 40, 2**15)
+@example(600, 40, 2**22)
+def test_the_one_block_rule_property(count, block, points):
+    # the rule under the streamed Duhamel kernel, Picard's producer and the
+    # composite norm's images, on which their bit pins rest
+    spans = list(_row_blocks(count, block))
+    assert [i for span in spans for i in range(span.start, span.stop)] == list(range(count))
+    for span in spans:
+        assert span.step is None and span.start % block == 0
+        assert 1 <= span.stop - span.start <= block + 1
+        # no row stands alone but a block of one: the last one joins its neighbour
+        assert span.stop - span.start > 1 or count == 1 or (block == 1 and span is not spans[-1])
+    rows = _rows_per_block(points)
+    assert rows % 2 == 0 and 2 <= rows <= max(2, 2**19 / (16 * points))
 
 
 @PROPERTY
@@ -256,10 +278,10 @@ def test_duhamel_flow_memo_lives_on_the_grid():
     start = np.ones(128, dtype=complex)
     streamed_integral(g, params, tau, np.ones((9, 128), dtype=complex), 4)
     duhamel_flow(g, params, start, tau[::2])
-    # the latest pull-back and forward phase only, invisible to eq and repr
-    assert set(g._flow_phases) == {-1j, 1j}
-    assert g._flow_phases[-1j][1].shape == (9, 128)
-    assert g._flow_phases[1j][1].shape == (5, 128)
+    # the latest pull-back phase only, which the free flow's push conjugates,
+    # invisible to eq and repr
+    key, phase = g._flow_memo
+    assert key[-1] == tau[::2].tobytes() and phase.shape == (5, 128)
     assert g == Grid(128, 30.0)
     assert repr(g) == repr(Grid(128, 30.0))
 

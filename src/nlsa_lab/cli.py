@@ -494,23 +494,23 @@ def cmd_solve(config: dict, out: Path, seed: int, threads: int) -> int:
 def _probe_tuples(config: dict) -> list:
     """(field, probe) pairs, each gated before any profile is built; the field
     names the config entry a probe's errors blame."""
-    if "probes" in config and "omegas" in config:
-        raise ConfigError("config: give explicit probes or a sweep grid, not both")
+    needed = ("omegas", "ab_pairs", "m_values")
+    optional = ("t_request", "near_fracs", "far_fracs", "intermediate_fracs")
     if "probes" in config:
+        for key in needed + optional:
+            if key in config:
+                raise ConfigError(
+                    f"config.{key}: give explicit probes or a sweep grid, not both")
         pairs = [(f"config.probes[{i}]", tuple(p[k] for k in ("a", "b", "t", "omega", "m", "xi")))
                  for i, p in enumerate(config["probes"])]
     else:
-        for key in ("omegas", "ab_pairs", "m_values"):
+        for key in needed:
             if key not in config:
                 raise ConfigError(f"config: sweep needs '{key}' (or give explicit probes)")
         for i, (_, b) in enumerate(config["ab_pairs"]):
             if b == 0:
                 raise ConfigError(f"config.ab_pairs[{i}]: b must be nonzero")
-        grid_options = {
-            key: config[key]
-            for key in ("t_request", "near_fracs", "far_fracs", "intermediate_fracs")
-            if key in config
-        }
+        grid_options = {key: config[key] for key in optional if key in config}
         with _config_field("config sweep (omegas, ab_pairs, t_request)"):
             grid = build_probe_grid(config["omegas"], config["ab_pairs"], config["m_values"],
                                     **grid_options)
@@ -629,6 +629,10 @@ def cmd_verify_estimates(config: dict, out: Path, seed: int, threads: int) -> in
     keywords = {"seed": seed}
     if "samples" in config:
         keywords["samples"] = config["samples"]
+        # the refined scale's (lhs, rhs) rows, refused before any packet is drawn
+        # if too big to allocate; np.empty touches no page of rows that fit
+        with _config_field("config.samples", (ValueError, MemoryError)):
+            np.empty((2 * config["samples"], 2))
     # the schema bounds alpha and samples, so only the equation is refused here
     with _config_field("config.equation"), ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda name: _ESTIMATES[name](params, alpha, **keywords), names))
@@ -679,10 +683,13 @@ def cmd_report(out: Path) -> int:
         duration = data.get("duration_seconds", 0.0)
         if isinstance(duration, bool) or not isinstance(duration, (int, float)):
             raise ConfigError(f"{path}: duration_seconds must be a number, got {duration!r}")
+        # an integer past float64's range raises OverflowError
+        with _config_field(f"{path}: duration_seconds", OverflowError):
+            seconds = float(duration)
         runs.append(data)
         print(
             f"{data.get('command', '?')}: config {data.get('config', '?')}, "
-            f"seed {data.get('seed', '?')}, {duration:.2f} s"
+            f"seed {data.get('seed', '?')}, {seconds:.2f} s"
         )
     # durations vary run to run; the aggregate stays byte-reproducible
     stripped = [

@@ -140,11 +140,11 @@ def _weighted_l2(grid: Grid, values: np.ndarray, m: float) -> np.ndarray:
 _SOBOLEV_INDEX = 0.25
 
 
-def _sobolev(grid: Grid, values: np.ndarray, s: float) -> np.ndarray:
-    """H^s norm along the last axis (one per frame for a frame stack), by
-    Parseval on the FFT: sqrt(spacing/n * sum_k (1 + xi_k^2)^s |fft_k|^2).
+def _sobolev(grid: Grid, spec: np.ndarray, s: float) -> np.ndarray:
+    """H^s norm along the last axis (one per frame for a frame stack) of the FFT-order
+    spectrum spec: sqrt(spacing/n * sum_k (1 + xi_k^2)^s |spec_k|^2), by Parseval.
     No phase multiplies the spectrum, so an inf the FFT overflows to stays inf."""
-    power = np.abs(np.fft.fft(values, axis=-1)) ** 2
+    power = np.abs(spec) ** 2
     total = np.sum((1.0 + grid.xi_fft**2) ** s * power, axis=-1)
     return np.sqrt(grid.spacing / grid.num_points * total)
 
@@ -158,7 +158,7 @@ def sobolev_norm(f: GridFunction, s: float) -> float:
 
     At s=0 this reduces to the L^2 norm by the Plancherel bookkeeping.
     """
-    return float(_sobolev(f.grid, f.values, s))
+    return float(_sobolev(f.grid, np.fft.fft(f.values), s))
 
 
 def _flushed_power(sq: np.ndarray, q) -> np.ndarray:
@@ -294,7 +294,8 @@ def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
 
     The histories hold the H^{1/4} and weighted L^2 norms of every frame.
     """
-    mus = _mu_parts(u, np.fft.fft(u.frames, axis=-1))
+    spec = np.fft.fft(u.frames, axis=-1)
+    mus = _mu_parts(u, spec)
     y_norm = sum(mus)
     w_hist = _weighted_l2(u.grid, u.frames, params.m)
     weighted = float(np.max(w_hist))
@@ -303,7 +304,7 @@ def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
         y_norm=y_norm,
         weighted_sup=weighted,
         x_norm=y_norm + weighted,
-        h_quarter_history=_sobolev(u.grid, u.frames, _SOBOLEV_INDEX).tolist(),
+        h_quarter_history=_sobolev(u.grid, spec, _SOBOLEV_INDEX).tolist(),
         weighted_history=w_hist.tolist(),
     )
 

@@ -46,8 +46,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .norms import (SpaceTimeField, NormReport, _SOBOLEV_INDEX, _weighted_l2, _xt_norm, mu_norms,
-                    sobolev_norm)
+from .norms import (SpaceTimeField, NormReport, _SOBOLEV_INDEX, _sobolev, _weighted_l2, _xt_norm,
+                    mu_norms)
 from .spectral import (EquationParams, FlowOverflowError, GridFunction, _rows_per_block,
                        _duhamel_integral, _flow_phase, _heap_scratch, _require_finite,
                        apply_symbols, duhamel_flow)
@@ -184,14 +184,10 @@ def _frames_of(spec: np.ndarray, u0: GridFunction) -> np.ndarray:
 def _cubic_terms(u: np.ndarray, du, params: EquationParams, out: np.ndarray) -> np.ndarray:
     """i*c*|u|^2 u + d*|u|^2 u_x + e*u^2 conj(u_x) of the rows u and u_x, into out.
 
-    Every product is taken in the operand order of the formula.  Without
-    u_x (du None) only |u|^2 u is written, the cubic of the full-derivative
-    mode.
+    Every product is taken in the operand order of the formula.
     """
     mag2 = u.real**2 + u.imag**2
     np.multiply(mag2, u, out=out)
-    if du is None:
-        return out
     np.multiply(1j * params.c, out, out=out)
     out += params.d * mag2 * du
     term = u**2
@@ -216,7 +212,7 @@ def nonlinearity_eval(
         )
     ixi = 1j * u.grid.xi_fft
     if full_derivative_mode:
-        cubic = _cubic_terms(u.values, None, params, np.empty_like(u.values))
+        cubic = (u.values.real**2 + u.values.imag**2) * u.values  # |u|^2 u
         (dcubic,) = apply_symbols(cubic, ixi)
         out = np.multiply(1j * params.c, cubic, out=cubic)
         np.add(out, np.multiply(params.e, dcubic, out=dcubic), out=out)
@@ -229,14 +225,12 @@ def nonlinearity_eval(
 # Duhamel map and Picard iteration.
 # ---------------------------------------------------------------------------
 
-_SUBSTEPS = 2  # samples of the cubic per interval: its left node and its midpoint
-
-
 def _refined_times(times: np.ndarray) -> np.ndarray:
-    """times with _SUBSTEPS-1 equispaced points inserted per interval."""
-    lam = np.arange(_SUBSTEPS) / _SUBSTEPS  # interpolation weights, left endpoints
-    tau = times[:-1, None] * (1.0 - lam) + times[1:, None] * lam
-    return np.append(tau.ravel(), times[-1])
+    """The times the cubic is sampled at: times, bit for bit, and the midpoints between."""
+    tau = np.empty(2 * len(times) - 1)
+    tau[0::2] = times
+    tau[1::2] = times[:-1] * 0.5 + times[1:] * 0.5
+    return tau
 
 
 def _is_linear(params: EquationParams) -> bool:
@@ -248,11 +242,14 @@ def _free_flow(grid, params: EquationParams, u0_hat: np.ndarray, times: np.ndarr
 
     A nonlinear solve pushes by the conjugate of the pull-back phase at the
     refined times, the phase its Duhamel steps memoise; a linear one pulls
-    nothing back and pushes at the nodes by duhamel_flow.
+    nothing back and pushes at the nodes by duhamel_flow.  The bits agree;
+    one branch for both raised peak RSS, the refined push from 46.4 to 48.4
+    MB (linear, 2048 x 64) and the node push from 64.5 to 65.6 MB (the
+    bench's solve presets).
     """
     if _is_linear(params):
         return duhamel_flow(grid, params, u0_hat, times)
-    push = np.conjugate(_flow_phase(grid, params, _refined_times(times))[::_SUBSTEPS])
+    push = np.conjugate(_flow_phase(grid, params, _refined_times(times))[::2])
     return np.multiply(push, u0_hat[None, :], out=push)
 
 
@@ -270,15 +267,15 @@ def _forcing(u: SpaceTimeField, spec: np.ndarray, params: EquationParams):
     """
     grid = u.grid
     ixi = 1j * grid.xi_fft
-    du = mid_u = mid_du = None
+    scratch = []  # the node rows of u_x, then the midpoints' u and u_x
 
     def produce(rows, out):
-        nonlocal du, mid_u, mid_du
         # scratch sized by the first block; a later one is at most one row
         # longer, which adds a node row but no midpoint
-        if du is None:
-            du = np.empty((len(out) // 2 + 1, grid.num_points), dtype=np.complex128)
-            mid_u, mid_du = np.empty_like(du), np.empty_like(du)
+        if not scratch:
+            shape = (len(out) // 2 + 1, grid.num_points)
+            scratch.extend(np.empty(shape, dtype=np.complex128) for _ in range(3))
+        du, mid_u, mid_du = scratch
         # the nodes k0 up to k1 - 1 of the block; node k0 is carried over
         k0, k1 = rows.start // 2, rows.stop // 2 + 1
         fresh = du[(rows.start > 0):k1 - k0]
@@ -309,7 +306,10 @@ def _duhamel_step(
     block at a time as conj(pull) (u0_hat - h) at the nodes, h the streamed
     Duhamel integral of the forcing and pull its pull-back phase, so its
     first row is u0_hat pushed by the unit phase; the frames are its
-    inverse transform with u0 as frame 0.
+    inverse transform with u0 as frame 0.  A linear equation takes the free
+    flow: the same bits, but where its zero forcing's integral overflows
+    (amplitude 1e120) a solve would blame config.time.horizon, not
+    config.initial_data.
     """
     grid = u.grid
     if _is_linear(params):
@@ -322,21 +322,15 @@ def _duhamel_step(
         pull = _flow_phase(grid, params, tau)
         for rows, h in blocks:
             # the block's node rows: it starts at a node
-            nodes = slice(rows.start // _SUBSTEPS, (rows.stop + 1) // _SUBSTEPS)
-            held = np.subtract(u0_hat[None, :], h[::_SUBSTEPS], out=out_hat[nodes])
-            np.multiply(np.conjugate(pull[rows][::_SUBSTEPS]), held, out=held)
+            nodes = slice(rows.start // 2, (rows.stop + 1) // 2)
+            held = np.subtract(u0_hat[None, :], h[::2], out=out_hat[nodes])
+            np.multiply(np.conjugate(pull[rows][::2]), held, out=held)
     return SpaceTimeField(grid, u.times, _frames_of(out_hat, u0)), out_hat
 
 
 def duhamel_apply(u: SpaceTimeField, u0: GridFunction, params: EquationParams) -> SpaceTimeField:
-    """One application of the Duhamel map Phi to the space-time iterate u.
-
-    The integral is a composite trapezoid over u's time grid with each
-    interval's midpoint added, taken in the interaction picture and streamed
-    a block of rows at a time (spectral._duhamel_integral), so each output
-    frame costs one multiplier application and no stack of the forcing or
-    the integral is held; the cubic is formed term by term and dealiased by
-    the 2/3 rule.  It is a forward transform of u (and of u0) and then the
+    """One application of the Duhamel map Phi (see the module docstring) to
+    the space-time iterate u: a forward transform of u and of u0, then the
     step that picard_iterate runs on the spectrum it carries.  The frame at
     t = 0 is u0 exactly, and with the nonlinearity switched off the result
     is the free flow regardless of u.  Boundary mass in u0 is not checked
@@ -413,7 +407,8 @@ def picard_iterate(
     # norms of u0 that overflow give radius inf, and frame 0 of the solution's
     # norm histories (persistence_report) overflows with them
     with np.errstate(over="ignore"):
-        radius = _ball_radius(u0, params)
+        radius = 2.0 * (float(_sobolev(u0.grid, u0_hat, _SOBOLEV_INDEX))
+                        + float(_weighted_l2(u0.grid, u0.values, params.m)))
     report = ContractionReport(
         distances=distances,
         ratio=ratio,
@@ -436,14 +431,8 @@ def _median(values: list) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ball radius and persistence.
+# Persistence.
 # ---------------------------------------------------------------------------
-
-def _ball_radius(u0: GridFunction, params: EquationParams) -> float:
-    """The ball radius 2*(H^{1/4} norm + weighted L^2 norm of u0)."""
-    h_norm = sobolev_norm(u0, _SOBOLEV_INDEX)
-    return 2.0 * (h_norm + float(_weighted_l2(u0.grid, u0.values, params.m)))
-
 
 def persistence_report(u: SpaceTimeField, params: EquationParams) -> NormReport:
     """Norm report of a solved field plus max/min ratios of the two histories.

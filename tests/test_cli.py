@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from nlsa_lab import estimates
 from nlsa_lab.cli import SOLVE_SCHEMA, main
 from nlsa_lab.oscillatory import PhiProfile
 from nlsa_lab.picard import PicardConfig
@@ -359,14 +360,20 @@ def test_oscillatory_refuses_arc_samples_too_big_to_allocate(tmp_path, capsys):
 
 
 def test_oscillatory_rejects_probes_plus_sweep(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "probes": [{"a": 0.0, "b": 1.0, "t": 1.0, "omega": 64.0, "m": 0.0, "xi": 1.0}],
-        "omegas": [64.0],
-        "ab_pairs": [[0.0, 1.0]],
-        "m_values": [0.0],
-    })
-    assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "not both" in capsys.readouterr().err
+    # each sweep key alone: probes with any but omegas once exited 0 and
+    # ignored the key
+    sweep = {"omegas": [64.0], "ab_pairs": [[0.0, 1.0]], "m_values": [0.0], "t_request": 1.0,
+             "near_fracs": [0.5], "far_fracs": [2.0], "intermediate_fracs": [1.0]}
+    for key, value in sweep.items():
+        cfg = write_config(tmp_path, {
+            "probes": [{"a": 0.0, "b": 1.0, "t": 1.0, "omega": 64.0, "m": 0.0, "xi": 1.0}],
+            key: value,
+        })
+        out = tmp_path / "o"
+        assert main(["verify-oscillatory", "--config", str(cfg), "--out", str(out)]) == 1, key
+        err = capsys.readouterr().err
+        assert f"config.{key}" in err and "not both" in err
+        assert not out.exists()
 
 
 def test_oscillatory_ceiling_violation_exits_3(tmp_path, capsys):
@@ -386,6 +393,23 @@ def test_oscillatory_ceiling_violation_exits_3(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # verify-estimates
 # ---------------------------------------------------------------------------
+
+def test_estimates_refuses_samples_too_big_to_allocate(tmp_path, capsys, monkeypatch):
+    # 10^30 samples is schema-valid; it drew packets until killed and left
+    # its output directory.  numpy refuses the result rows without
+    # allocating them
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a packet was drawn")
+
+    monkeypatch.setattr(estimates, "random_wave_packets", no_draw)
+    for samples in (10**30, 10**12):
+        cfg = write_config(tmp_path, {"estimates": ["commutator"], "samples": samples})
+        out = tmp_path / "o"
+        assert main(["verify-estimates", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config.samples" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 def test_estimates_single_sweep(tmp_path):
     cfg = write_config(tmp_path, {"estimates": ["commutator"], "samples": 5, "seed": 3})
@@ -830,8 +854,12 @@ def test_report_rejects_manifest_that_is_not_an_object(tmp_path, capsys):
 def test_report_rejects_null_duration(tmp_path, capsys):
     run = tmp_path / "runs" / "a"
     run.mkdir(parents=True)
-    (run / "manifest.json").write_text(json.dumps({"command": "solve", "duration_seconds": None}))
-    assert main(["report", "--out", str(tmp_path / "runs")]) == 1
-    err = capsys.readouterr().err
-    assert "manifest.json" in err and "duration_seconds" in err
-    assert "Traceback" not in err
+    # null, and an integer past float64's range, which the duration's
+    # formatting once raised OverflowError on
+    for duration in (None, 10**400):
+        manifest = {"command": "solve", "duration_seconds": duration}
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["report", "--out", str(tmp_path / "runs")]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "duration_seconds" in err
+        assert "Traceback" not in err

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nlsa_lab.norms import SpaceTimeField, l2_norm, sobolev_norm, xt_norm
 from nlsa_lab.picard import (
@@ -21,6 +21,7 @@ from nlsa_lab.picard import (
     NonContractionError,
     PicardConfig,
     _median,
+    _refined_times,
     conjugate_derivative_difference_split,
     cubic_difference_split,
     derivative_difference_split,
@@ -498,6 +499,25 @@ def test_ratio_median_is_numpys(quotients):
     # odd and even counts: the middle value, or (a + b) / 2 of the two middle ones
     assert _median(quotients) == np.median(quotients)
     assert type(_median(quotients)) is float
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(nodes=st.lists(_FINITE, min_size=2, max_size=20, unique=True), negative_zero=st.booleans())
+@example(nodes=[0.0, 0.5, 1.0], negative_zero=True)
+def test_refined_times_are_the_nodes_and_their_midpoints(nodes, negative_zero):
+    # strictly increasing finite times, the first node -0.0 or not; compared
+    # on bytes, so a -0.0 that turned into +0.0 shows
+    times = np.array(sorted(nodes))
+    if negative_zero:
+        times = np.append(-0.0, times[times > 0.0])
+    assume(len(times) >= 2)
+    tau = _refined_times(times)
+    assert len(tau) == 2 * len(times) - 1
+    assert tau[0::2].tobytes() == times.tobytes()
+    assert tau[1::2].tobytes() == (0.5 * times[:-1] + 0.5 * times[1:]).tobytes()
 
 
 def test_a_solve_does_not_import_numpy_ma():

@@ -41,6 +41,7 @@ from .oscillatory import (
     build_probe_grid,
     decay_bound_check,
     run_probe,
+    _require_line_work,
     _require_probe,
 )
 from .picard import (
@@ -514,6 +515,8 @@ def _probe_tuples(config: dict) -> list:
         with _config_field("config sweep (omegas, ab_pairs, t_request)"):
             grid = build_probe_grid(config["omegas"], config["ab_pairs"], config["m_values"],
                                     **grid_options)
+        if not grid:
+            raise ConfigError("config: near_fracs, far_fracs and intermediate_fracs are all empty")
         # a sweep probe combines several fields, so it is named by its parameters
         pairs = [(f"config sweep probe (a, b, t, omega, m, xi) = {p}", p) for p in grid]
     for where, (a, b, t, omega, _, xi) in pairs:
@@ -535,6 +538,9 @@ def cmd_verify_oscillatory(config: dict, out: Path, seed: int, threads: int) -> 
             # on the main thread: built on a worker thread, in an arena of its
             # own, osc-sweep's peak RSS went from 80.1 to 83.0 MB
             PhiProfile.cached(m)
+    for where, probe in pairs:  # with every v_end known, before any node array exists
+        with _config_field(where):
+            _require_line_work(*probe)
 
     def run(pair):
         where, probe = pair

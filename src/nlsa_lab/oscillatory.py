@@ -8,8 +8,8 @@ evaluates the band-profile oscillatory integral
 
 along the real axis and along a semicircle-deformed contour, and provides
 sweep summaries for the decay bounds the two paths are expected to satisfy.
-Here ``phi`` is the analytic profile whose transform is |x|^m eta(x),
-supported on the dyadic band [1/2, 2].
+Here ``phi`` is the analytic profile whose transform is spectral.qn_symbol
+at N = 0 on y > 0, |y|^m eta(y) on the dyadic band [1/2, 2], and 0 below.
 
 Numerical ground rules (see also the floor discussion in the test suite):
 
@@ -57,13 +57,14 @@ from numpy.polynomial.legendre import leggauss
 
 from .spectral import (
     Grid,
+    _BLOCK_BYTES,
     _band_sums,
     _heap_scratch,
     _require_finite,
     _require_weight_exponent,
-    _runs,
-    eta,
+    _row_blocks,
     qn_bands,
+    qn_symbol,
 )
 
 __all__ = [
@@ -104,6 +105,11 @@ _LEVIN_MIN_RATE = 16.0
 # arc quadrature: 96-node panels, dyadically widening away from the arc ends.
 _GL_ARC = 96
 _NX_CAP = 2 ** 18
+
+# a real-axis pass plans at most this many GL panels: the probe (a, b, t, omega,
+# m, xi) = (0, 1, 0.25, 4, 1/8, 48) plans 2.92 M on its fine pass and runs for
+# 31 s (Intel Xeon, one thread); (0, 1, 1, 1.0000001, 0, 0) would plan 733 M
+_LINE_PANEL_CAP = 2 ** 22
 
 _RTOL_AGREE = 1e-6
 _FLOOR_MULT = 8.0
@@ -320,7 +326,7 @@ def _lagrange_weights(t: np.ndarray) -> list:
 
 
 class PhiProfile:
-    """The analytic profile with transform |x|^m eta(x) on [1/2, 2].
+    """The analytic profile whose transform, qn_symbol(y, 0, m) on y > 0, is |y|^m eta(y).
 
     Real-axis values come from a table of the inverse transform, computed
     by a pruned four-step FFT over the transform's support (only the table's
@@ -380,9 +386,7 @@ class PhiProfile:
     # -- construction -------------------------------------------------
 
     def _transform_values(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(x > 0, np.abs(x) ** self.m, 0.0)
-        return p * eta(x)
+        return qn_symbol(np.maximum(x, 0.0), 0, self.m)
 
     def _derivative_masses(self) -> tuple[float, np.ndarray]:
         """The transform's L1 norm, and 1.05 times the L1 norms of its
@@ -620,20 +624,28 @@ class _Quad:
 
 
 def _line_edges(w_lo, w_hi, omega, cs, periods):
-    """Panel edges over [w_lo, w_hi], sized so each panel spans `periods`
-    oscillation periods of the local rate |P'| + 2.2*omega (the 2.2*omega
-    floor covers the profile's own band-limited oscillation)."""
+    """Panel edges over [w_lo, w_hi], each panel `periods` periods of the local
+    rate |P'| + 2.2*omega (the floor covers the profile's own band-limited
+    oscillation); more than _LINE_PANEL_CAP panels raise ValueError first."""
     grid = np.linspace(w_lo, w_hi, 4097)
     rate = np.abs(_rel_phase_rate(grid, cs)) + 2.2 * omega
     cum = np.concatenate(
         ([0.0], np.cumsum((rate[1:] + rate[:-1]) / 2.0 * np.diff(grid)))
     )
-    total_periods = cum[-1] / (2.0 * np.pi)
-    n_pan = max(1, math.ceil(total_periods / periods))
-    targets = np.linspace(0.0, cum[-1], n_pan + 1)
-    edges = np.interp(targets, cum, grid)
+    n_pan = max(1, math.ceil(cum[-1] / (2.0 * np.pi) / periods))
+    if n_pan > _LINE_PANEL_CAP:
+        raise ValueError(f"a real-axis pass plans {n_pan:,} Gauss-Legendre panels, above "
+                         f"the cap {_LINE_PANEL_CAP:,}")
+    edges = np.interp(np.linspace(0.0, cum[-1], n_pan + 1), cum, grid)
     edges[0], edges[-1] = w_lo, w_hi
     return edges
+
+
+def _require_line_work(a, b, t, omega, m, xi) -> None:
+    """_line_edges' refusal of the fine pass over |w| <= v_end/omega, which bounds every
+    real-axis Gauss-Legendre piece of both paths; reads (or builds) m's profile."""
+    wmax = PhiProfile.cached(m).v_end / omega
+    _line_edges(-wmax, wmax, omega, _phase_coeffs(a, b, t, xi), _PANEL_PERIODS / 2)
 
 
 def _subdivide_endpoint_panels(edges, periods):
@@ -1269,9 +1281,9 @@ class BandSumResult:
 
 
 def _phase_function_spectrum(grid, a, b, t, m) -> np.ndarray:
-    """FFT of e^{i t (a x^2 + b x^3)} (1 + x^2)^{-m} on grid, built a run at a time in place."""
+    """FFT of e^{i t (a x^2 + b x^3)} (1 + x^2)^{-m} on grid, built a block at a time in place."""
     spec = np.empty(grid.num_points, dtype=np.complex128)
-    for run in _runs(0, grid.num_points):
+    for run in _row_blocks(grid.num_points, _BLOCK_BYTES // 16):
         x = grid._x_at(np.arange(run.start, run.stop))
         np.multiply(
             np.exp(1j * (t * (a * x * x + b * x ** 3))), (1.0 + x * x) ** (-m), out=spec[run]

@@ -250,9 +250,9 @@ def weight_multiply(f: GridFunction, m: float) -> GridFunction:
     return GridFunction(f.grid, _weight(f.grid, m) * f.values)
 
 
-# The one block rule of the streamed row loops (the Duhamel integral and its
-# producers, the composite norm's multiplier images): a block holds about
-# this many bytes of complex rows.
+# The one block rule of the streamed loops (the Duhamel integral and its
+# producers, the composite norm's images, and the band loops' runs of
+# _BLOCK_BYTES // 16 points): a block holds about this many bytes of complex rows.
 _BLOCK_BYTES = 2**19
 
 
@@ -263,11 +263,11 @@ def _rows_per_block(num_points: int) -> int:
     return max(2, _BLOCK_BYTES // (32 * num_points) * 2)
 
 
-def _row_blocks(count: int, block: int):
-    """Slices of block rows covering range(count), cut at the multiples of
-    block; a last row that would stand alone joins the block before it, since
+def _row_blocks(count: int, block: int, start: int = 0):
+    """Slices of block rows covering range(start, count), cut at start +
+    k*block; a last row that would stand alone joins the block before it, since
     numpy's matmul rounds a one-row product on a path of its own."""
-    for lo in range(0, max(count - 1, 1), block):
+    for lo in range(start, max(count - 1, start + 1), block):
         hi = min(lo + block, count)
         yield slice(lo, count if hi == count - 1 else hi)
 
@@ -382,10 +382,7 @@ def eta(y):
 def qn_symbol(conj: np.ndarray, N: int, m: float = 0.0) -> np.ndarray:
     """Band multiplier |2^-N y|^m * (eta(2^-N y) + eta(-2^-N y)) sampled at y=conj."""
     y = np.abs(conj) * 2.0 ** (-N)
-    sym = eta(y)
-    if m != 0.0:
-        sym = sym * y**m
-    return sym
+    return eta(y) * y**m
 
 
 def qn_resolvable(grid: Grid, N: int) -> bool:
@@ -414,25 +411,12 @@ def qn_pieces(F: GridFunction, bands, m: float = 0.0):
     return _band_pieces(F.grid, np.fft.fft(F.values), bands, m)
 
 
-# Band symbols and window sums are evaluated in runs cut at the multiples of
-# this many points, so no temporary has the grid's length.
-_BAND_CHUNK = 2**15
-
-
-def _runs(lo: int, hi: int):
-    """Slices covering [lo, hi), cut at the multiples of _BAND_CHUNK."""
-    while lo < hi:
-        stop = min(hi, (lo // _BAND_CHUNK + 1) * _BAND_CHUNK)
-        yield slice(lo, stop)
-        lo = stop
-
-
 def _band_pieces(grid: Grid, spec: np.ndarray, bands, m: float):
     """Yield (N, Q_N^m of the FFT-order spectrum spec) for each N in bands.
 
     The band's support on the positive frequencies, 2^(N-1) < xi < 2^(N+1),
     is one slice of xi_fft, found by bisection.  The symbol is evaluated
-    there a run at a time, and since it is even and xi_fft[size - k] is
+    there in runs (_row_blocks), and since it is even and xi_fft[size - k] is
     -xi_fft[k], the mirrored run takes it reversed; only the Nyquist mode
     has no positive twin.  Every piece is transformed back in place in one
     reused buffer, and spec is never written to.
@@ -445,7 +429,7 @@ def _band_pieces(grid: Grid, spec: np.ndarray, bands, m: float):
         lo, hi = 2.0 ** (n - 1), 2.0 ** (n + 1)
         support = (bisect_right(positive, lo, key=key), bisect_left(positive, hi, key=key))
         piece.fill(0.0)
-        for run in _runs(*support):
+        for run in _row_blocks(support[1], _BLOCK_BYTES // 16, support[0]):
             symbol = qn_symbol(key(np.arange(run.start, run.stop)), n, m)
             np.multiply(spec[run], symbol, out=piece[run])
             mirror = slice(size - run.stop + 1, size - run.start + 1)
@@ -464,14 +448,12 @@ def _band_sums(grid: Grid, spec: np.ndarray, bands, m: float, window: slice) -> 
     at a time, so the memory is spec, one piece and the window's sums.
     """
     total = np.zeros(window.stop - window.start)
-    term = np.empty(min(_BAND_CHUNK, total.size))
     band_sups = {}
     for n, piece in _band_pieces(grid, spec, bands, m):
         weight = 2.0 ** (n * m)
         peaks = []
-        for run in _runs(window.start, window.stop):
-            chunk = term[: run.stop - run.start]
-            np.abs(piece[run], out=chunk)
+        for run in _row_blocks(window.stop, _BLOCK_BYTES // 16, window.start):
+            chunk = np.abs(piece[run])
             chunk *= weight
             total[run.start - window.start : run.stop - window.start] += chunk
             peaks.append(chunk.max())

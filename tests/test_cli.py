@@ -767,6 +767,12 @@ _EDGE_PROBE = {"a": 0.0, "b": 1.0, "t": 0.1, "m": 0.125, "xi": 0.0}
     # a / (2b) overflows, so no t > 0 is admissible
     ({"omegas": [1024.0], "ab_pairs": [[1e200, 1e-200]], "m_values": [0.125]},
      ["config sweep (omegas, ab_pairs, t_request)", "t must be positive"]),
+    # a sweep with no fractions has no probe to certify
+    ({"omegas": [4], "ab_pairs": [[0, 1]], "m_values": [0], "near_fracs": [], "far_fracs": [],
+      "arc_samples": 0}, ["near_fracs", "far_fracs", "intermediate_fracs"]),
+    # the real-axis fine pass would plan 733,386,126 panels, 2.3e10 nodes
+    ({"probes": [{"a": 0, "b": 1, "t": 1, "omega": 1.0000001, "m": 0, "xi": 0}]},
+     ["config.probes[0]", "733,386,126 Gauss-Legendre panels", "4,194,304"]),
 ])
 def test_probes_out_of_range_name_the_field(tmp_path, capsys, payload, fields):
     cfg = write_config(tmp_path, payload)
@@ -774,6 +780,7 @@ def test_probes_out_of_range_name_the_field(tmp_path, capsys, payload, fields):
     err = capsys.readouterr().err
     assert all(field in err for field in fields)
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_whose_divided_t_bound_was_inadmissible_runs(tmp_path):

@@ -713,3 +713,74 @@ def test_difference_factorizations():
         scale = np.max(np.abs(lhs)) + 1e-30
         terms = conjugate_derivative_difference_split(uu, vv, du, dv)
         assert np.max(np.abs(sum(terms) - lhs)) < 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# The equation's symmetries, kept by the discrete solve.
+# ---------------------------------------------------------------------------
+# Each bound is on max |difference| / max |u| over all frames, in units of eps,
+# and was stated before measuring: 32 eps for the three exact symmetries, and
+# 2^13 eps for the time-reversal round trip.  The round trip reads whether
+# today's rule is time-symmetric, not its accuracy: a one-sided rule would miss
+# by its time error, about 1e-7.
+
+SYMMETRY_GRID = Grid(256, 40.0)
+SYMMETRY_CONFIG = PicardConfig(horizon=0.1, time_nodes=16, xt_tolerance=1e-13)
+SYMMETRY = settings(max_examples=20, derandomize=True, deadline=None)
+EPS = np.finfo(float).eps
+unit = st.floats(-1.0, 1.0)
+# real a and b, complex c, d and e
+coefficient_sets = st.tuples(unit, unit, *[st.builds(complex, unit, unit)] * 3)
+packets = st.builds(lambda center, carrier: gaussian_packet(SYMMETRY_GRID, freq=carrier,
+                                                            center=center).values,
+                    st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
+
+
+def symmetry_solve(coefficients, values):
+    u, _ = picard_iterate(GridFunction(SYMMETRY_GRID, values), EquationParams(*coefficients),
+                          SYMMETRY_CONFIG)
+    return u.frames
+
+
+def sup_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def reflect(values):
+    """v(-x) on the grid: index k goes to (n - k) mod n."""
+    return np.roll(values[..., ::-1], 1, axis=-1)
+
+
+@SYMMETRY
+@given(coefficients=coefficient_sets, u0=packets, theta=st.floats(0.0, 2 * np.pi))
+def test_solve_commutes_with_phase_rotation(coefficients, u0, theta):
+    rotation = np.exp(1j * theta)
+    assert sup_gap(symmetry_solve(coefficients, rotation * u0),
+                   rotation * symmetry_solve(coefficients, u0)) <= 32 * EPS
+
+
+@SYMMETRY
+@given(coefficients=coefficient_sets, u0=packets, cells=st.integers(-40, 40))
+def test_solve_commutes_with_translation_by_whole_cells(coefficients, u0, cells):
+    assert sup_gap(symmetry_solve(coefficients, np.roll(u0, cells)),
+                   np.roll(symmetry_solve(coefficients, u0), cells, axis=-1)) <= 32 * EPS
+
+
+@SYMMETRY
+@given(coefficients=coefficient_sets, u0=packets)
+def test_reflected_conjugate_solves_the_negated_equation(coefficients, u0):
+    # conj(u(-x, t)) solves the equation with all five coefficients negated
+    # and conjugated (a and b are real)
+    negated = [-np.conj(k) for k in coefficients]
+    assert sup_gap(symmetry_solve(negated, np.conj(reflect(u0))),
+                   np.conj(reflect(symmetry_solve(coefficients, u0)))) <= 32 * EPS
+
+
+@pytest.mark.filterwarnings("ignore::nlsa_lab.picard.BoundaryMassWarning")
+@SYMMETRY
+@given(coefficients=coefficient_sets, u0=packets)
+def test_negated_equation_from_the_last_frame_returns_the_data(coefficients, u0):
+    # u(T)'s high frequencies can reach the box edge, which the warning names
+    negated = [-k for k in coefficients]
+    back = symmetry_solve(negated, symmetry_solve(coefficients, u0)[-1])
+    assert sup_gap(back[-1], u0) <= 2**13 * EPS

@@ -147,12 +147,15 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(count=st.integers(1, 600), block=st.integers(1, 40), points=st.integers(1, 2**22))
-@example(1, 1, 1)
-@example(2, 1, 2**14)  # a last row that would stand alone joins the block before it
-@example(41, 40, 2**15)
-@example(600, 40, 2**22)
-def test_the_one_block_rule_property(count, block, points):
+@given(count=st.integers(1, 600), block=st.integers(1, 40), points=st.integers(1, 2**22),
+       start=st.integers(0, 2**21))
+@example(1, 1, 1, 0)
+@example(2, 1, 2**14, 0)  # a last row that would stand alone joins the block before it
+@example(41, 40, 2**15, 3)
+@example(600, 40, 2**22, 0)
+# band_sum_report's window at 2^20 points, |x| <= 20: its last point joins the run before it
+@example(2**19 + 1, 2**15, 2**20, 2**18)
+def test_the_one_block_rule_property(count, block, points, start):
     # the rule under the streamed Duhamel kernel, Picard's producer and the
     # composite norm's images, on which their bit pins rest
     spans = list(_row_blocks(count, block))
@@ -162,6 +165,10 @@ def test_the_one_block_rule_property(count, block, points):
         assert 1 <= span.stop - span.start <= block + 1
         # no row stands alone but a block of one: the last one joins its neighbour
         assert span.stop - span.start > 1 or count == 1 or (block == 1 and span is not spans[-1])
+    # from a start, the band loops' runs: the same spans, shifted, so they
+    # cover range(start, start + count) and are cut at start + k*block
+    shifted = list(_row_blocks(start + count, block, start))
+    assert shifted == [slice(span.start + start, span.stop + start) for span in spans]
     rows = _rows_per_block(points)
     assert rows % 2 == 0 and 2 <= rows <= max(2, 2**19 / (16 * points))
 

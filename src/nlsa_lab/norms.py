@@ -130,9 +130,22 @@ def _l2(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.sqrt(grid.spacing * np.sum(np.abs(values) ** 2, axis=-1))
 
 
+def _by_rows(values: np.ndarray, norm) -> np.ndarray:
+    """norm(values) for one row, or one per frame of a frame stack, taken a
+    block of rows at a time (spectral._row_blocks); norm is a product and a
+    sum along the last axis, row by row, so no bit depends on the block."""
+    if values.ndim == 1:
+        return norm(values)
+    out = np.empty(len(values))
+    for rows in _row_blocks(len(values), _rows_per_block(values.shape[-1])):
+        out[rows] = norm(values[rows])
+    return out
+
+
 def _weighted_l2(grid: Grid, values: np.ndarray, m: float) -> np.ndarray:
     """|| |x|^m u || along the last axis (one per frame for a frame stack)."""
-    return _l2(grid, _weight(grid, m) * values)
+    weight = _weight(grid, m)
+    return _by_rows(values, lambda rows: _l2(grid, weight * rows))
 
 
 # The Sobolev index of the data space H^{1/4} cap L^2(|x|^{2m} dx): the
@@ -144,8 +157,8 @@ def _sobolev(grid: Grid, spec: np.ndarray, s: float) -> np.ndarray:
     """H^s norm along the last axis (one per frame for a frame stack) of the FFT-order
     spectrum spec: sqrt(spacing/n * sum_k (1 + xi_k^2)^s |spec_k|^2), by Parseval.
     No phase multiplies the spectrum, so an inf the FFT overflows to stays inf."""
-    power = np.abs(spec) ** 2
-    total = np.sum((1.0 + grid.xi_fft**2) ** s * power, axis=-1)
+    symbol = (1.0 + grid.xi_fft**2) ** s
+    total = _by_rows(spec, lambda rows: np.sum(symbol * np.abs(rows) ** 2, axis=-1))
     return np.sqrt(grid.spacing / grid.num_points * total)
 
 
@@ -228,8 +241,8 @@ def mixed_norm_t_x(u, q, p) -> float:
 
 @dataclass
 class _Modulus(_FrameSquares):
-    """A field known by its |u|^2 alone, as the mixed norms read it; shared,
-    so read-only."""
+    """A field known by its |u|^2 alone, as the mixed norms read it; they
+    only read it (_mu_parts writes each image's |.|^2 over it between them)."""
 
     grid: Grid
     times: np.ndarray
@@ -252,34 +265,31 @@ def _squared_image(spec: np.ndarray, symbol: np.ndarray, out: np.ndarray) -> np.
     return np.square(out, out=out)
 
 
-def _norms_of(u, squared: np.ndarray, *norms) -> list:
-    """norm(field, *exponents) for each (norm, *exponents) of norms, where
-    field has u's grid and times and |.|^2 squared."""
-    field = _Modulus(u.grid, u.times, squared)
+def _norms_of(field, *norms) -> list:
+    """norm(field, *exponents) for each (norm, *exponents) of norms."""
     return [norm(field, *exponents) for norm, *exponents in norms]
 
 
-def _mu_parts(u: SpaceTimeField, spec: np.ndarray) -> tuple:
-    """(mu1, ..., mu5) of u, from its frames and spec, their FFT-order
-    spectrum; see mu_norms.
+def _mu_parts(field: _Modulus, spec: np.ndarray) -> tuple:
+    """(mu1, ..., mu5) of u, from field, u known by its |u|^2, and spec, its
+    FFT-order spectrum; see mu_norms.
 
-    |.|^2 is formed in one real array, for u and then for each of its three
-    multiplier images in turn, and each field's norms are taken before the
-    next field is written over it; an image is complex a block of rows at a
-    time only.
+    u's norms are taken first; then |.|^2 of each of u's three multiplier
+    images in turn is written over field.squared and its norms are taken
+    before the next; an image is complex a block of rows at a time only.
     """
-    if u.times.size < 2:
+    if field.times.size < 2:
         raise ValueError("mu norms need at least two time nodes")
-    xi = u.grid.xi_fft
+    xi = field.grid.xi_fft
     quarter = np.abs(xi) ** 0.25
     t_x, x_t, inf = mixed_norm_t_x, mixed_norm_x_t, math.inf
-    squared = u.abs_squared()
-    u1, u4, u5 = _norms_of(u, squared, (t_x, inf, 2), (x_t, 5, 10), (x_t, 4, inf))
-    du2, du3 = _norms_of(u, _squared_image(spec, 1j * xi, squared),
-                         (x_t, inf, 2), (x_t, 20, 2.5))
-    dq_u1, dq_u4 = _norms_of(u, _squared_image(spec, quarter, squared),
-                             (t_x, inf, 2), (x_t, 5, 10))
-    (dq_du2,) = _norms_of(u, _squared_image(spec, quarter * 1j * xi, squared), (x_t, inf, 2))
+    u1, u4, u5 = _norms_of(field, (t_x, inf, 2), (x_t, 5, 10), (x_t, 4, inf))
+    _squared_image(spec, 1j * xi, field.squared)
+    du2, du3 = _norms_of(field, (x_t, inf, 2), (x_t, 20, 2.5))
+    _squared_image(spec, quarter, field.squared)
+    dq_u1, dq_u4 = _norms_of(field, (t_x, inf, 2), (x_t, 5, 10))
+    _squared_image(spec, quarter * 1j * xi, field.squared)
+    (dq_du2,) = _norms_of(field, (x_t, inf, 2))
     return u1 + dq_u1, du2 + dq_du2, du3, u4 + dq_u4, u5
 
 
@@ -295,7 +305,7 @@ def mu_norms(u: SpaceTimeField, params: EquationParams) -> NormReport:
     The histories hold the H^{1/4} and weighted L^2 norms of every frame.
     """
     spec = np.fft.fft(u.frames, axis=-1)
-    mus = _mu_parts(u, spec)
+    mus = _mu_parts(_Modulus(u.grid, u.times, u.abs_squared()), spec)
     y_norm = sum(mus)
     w_hist = _weighted_l2(u.grid, u.frames, params.m)
     weighted = float(np.max(w_hist))
@@ -316,4 +326,12 @@ def xt_norm(u: SpaceTimeField, params: EquationParams) -> float:
 
 def _xt_norm(u: SpaceTimeField, spec: np.ndarray, params: EquationParams) -> float:
     """xt_norm of u from its frames and spec, their FFT-order spectrum."""
-    return sum(_mu_parts(u, spec)) + float(np.max(_weighted_l2(u.grid, u.frames, params.m)))
+    return _composite_norm(_Modulus(u.grid, u.times, u.abs_squared()), spec,
+                           _weighted_l2(u.grid, u.frames, params.m))
+
+
+def _composite_norm(field: _Modulus, spec: np.ndarray, weighted: np.ndarray) -> float:
+    """xt_norm of u from field, u known by its |u|^2 (written over; see
+    _mu_parts), spec, its FFT-order spectrum, and weighted, its weighted L^2
+    norm at every node."""
+    return sum(_mu_parts(field, spec)) + float(np.max(weighted))

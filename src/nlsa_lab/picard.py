@@ -17,24 +17,30 @@ nodes and at the midpoint of each interval, where u and u_x are the averages
 of their node rows; its spectrum is dealiased by the 2/3 rule
 (Grid.dealias_mask); and N(u) is formed term by term.
 
-Each iterate carries its FFT-order spectrum next to its frames, and u0 is
-transformed once per solve.  With T time intervals, one iteration transforms
-5(T + 1) + (2T + 1) rows: u_x back from the spectrum at the T + 1 nodes and
-the cubic forward at the 2T + 1 refined times, both a block of rows at a
-time as the streamed Duhamel integral (spectral._duhamel_integral) asks for
-its forcing; the new spectrum back to frames; and the distance's three
-multipliers on the difference of the two spectra.  The spectrum of Phi(u)
-is written a block at a time as conj(pull) (u0_hat - h), pull the memoised
-pull-back phase, so a step holds no stack of u_x, the cubic, its spectrum
-or the integral.  The free flow is pushed by the conjugate of that phase
-too (spectral.duhamel_flow): the pull-back exp(-i tau L) is the one flow
-phase a solve builds.
+An iterate is carried as its FFT-order spectrum alone, and u0 is
+transformed once per solve.  Its frames are formed only where they are read,
+a block of rows at a time, as the inverse transform of the spectrum's rows
+with frame 0 u0's values exactly; the last iterate's frames are formed once,
+after the last iteration.  With T time intervals, one iteration transforms
+6(T + 1) + (2T + 1) rows: u and u_x back from the spectrum at the T + 1
+nodes and the cubic forward at the 2T + 1 refined times, a block of rows at
+a time as the streamed Duhamel integral (spectral._duhamel_integral) asks
+for its forcing; the new spectrum's rows back to frames as they are written,
+for the distance, which subtracts the frames the step read from them; and
+the distance's three multipliers on the difference of the two spectra.  The
+spectrum of Phi(u) is written a block at a time as conj(pull) (u0_hat - h),
+pull the memoised pull-back phase, so an iteration holds the two spectra,
+the phase and the distance's real |.|^2, and no stack of frames, u_x, the
+cubic, its spectrum or the integral.  The free flow is pushed by the
+conjugate of that phase too (spectral.duhamel_flow): the pull-back
+exp(-i tau L) is the one flow phase a solve builds.
 
 The module also provides the local-existence bookkeeping around the solver:
 the ball radius of the initial data, persistence histories of the H^{1/4} and
-weighted norms, the named coefficient reductions, closed-form soliton oracles
-for two of them, and the pointwise factorizations of cubic differences that
-underpin the contraction estimate.
+weighted norms, the named coefficient reductions, and closed-form soliton
+oracles for two of them.  It also states the pointwise factorizations of
+cubic differences on which the paper's contraction estimate rests; no solver
+path calls them, and the tests check them as identities.
 """
 
 from __future__ import annotations
@@ -46,11 +52,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .norms import (SpaceTimeField, NormReport, _SOBOLEV_INDEX, _sobolev, _weighted_l2, _xt_norm,
-                    mu_norms)
+from .norms import (SpaceTimeField, NormReport, _SOBOLEV_INDEX, _Modulus, _composite_norm,
+                    _sobolev, _weighted_l2, mu_norms)
 from .spectral import (EquationParams, FlowOverflowError, GridFunction, _rows_per_block,
                        _duhamel_integral, _flow_phase, _heap_scratch, _require_finite,
-                       apply_symbols, duhamel_flow)
+                       _row_blocks, apply_symbols, duhamel_flow)
 
 __all__ = [
     "BoundaryMassWarning",
@@ -176,9 +182,31 @@ def semigroup_evolve(u0: GridFunction, times, params: EquationParams) -> SpaceTi
 
 def _frames_of(spec: np.ndarray, u0: GridFunction) -> np.ndarray:
     """The frames of the FFT-order spectra spec, the first one u0's values exactly."""
-    frames = np.fft.ifft(spec, axis=1)
-    frames[0] = u0.values
-    return frames
+    return _spectrum_frames(spec, u0)(slice(0, len(spec)), np.empty_like(spec))
+
+
+# A frame source is rows(nodes, out): it writes an iterate's frames at the
+# node slice nodes into out and returns out.  The Duhamel step reads u through
+# one, so duhamel_apply reads the frames it is given and picard_iterate forms
+# them from the spectrum it carries, where they are read.
+
+def _given_frames(frames: np.ndarray):
+    """The frame source of an iterate given by its frames."""
+    def rows(nodes: slice, out: np.ndarray) -> np.ndarray:
+        out[...] = frames[nodes]
+        return out
+    return rows
+
+
+def _spectrum_frames(spec: np.ndarray, u0: GridFunction):
+    """The frame source of an iterate carried as its FFT-order spectrum spec:
+    the inverse transform of spec's rows, frame 0 u0's values exactly."""
+    def rows(nodes: slice, out: np.ndarray) -> np.ndarray:
+        np.fft.ifft(spec[nodes], axis=1, out=out)
+        if nodes.start == 0:
+            out[0] = u0.values
+        return out
+    return rows
 
 
 def _cubic_terms(u: np.ndarray, du, params: EquationParams, out: np.ndarray) -> np.ndarray:
@@ -253,93 +281,103 @@ def _free_flow(grid, params: EquationParams, u0_hat: np.ndarray, times: np.ndarr
     return np.multiply(push, u0_hat[None, :], out=push)
 
 
-def _forcing(u: SpaceTimeField, spec: np.ndarray, params: EquationParams):
-    """produce(rows, out) for _duhamel_integral: the dealiased FFT-order
-    spectrum of N(u) at the refined times tau[rows], from u and its spectrum.
+def _forcing(grid, frames, spec: np.ndarray, params: EquationParams, block: int):
+    """(produce, u): produce(rows, out) for _duhamel_integral, in blocks of at
+    most block + 1 refined rows, writes the dealiased FFT-order spectrum of
+    N(u) at the refined times tau[rows] from the frame source frames of u
+    and spec, u's spectrum; it leaves u's frames at the block's nodes in the
+    rows of u, node rows.start // 2 first.
 
     Refined row 2k is node k, where the cubic reads u's frame k and u_x
     transformed back from spec; row 2k + 1 is the midpoint of interval k,
     where u and u_x are the 0.5/0.5 averages of their node rows (the
     x-derivative of the linear interpolant is the interpolant of the
     derivatives).  A block of refined rows starts at a node, the last node
-    of the block before it, whose u_x row is carried over, so every node's
-    u_x is transformed once.
+    of the block before it, whose rows of u and u_x are carried over, so
+    each node's frame and u_x are formed once.
     """
-    grid = u.grid
     ixi = 1j * grid.xi_fft
-    scratch = []  # the node rows of u_x, then the midpoints' u and u_x
+    shape = (min(block + 1, 2 * len(spec) - 1) // 2 + 1, grid.num_points)
+    u, du, mid_u, mid_du = (np.empty(shape, dtype=np.complex128) for _ in range(4))
+    last = 0  # the row of u and du holding the last block's last node
 
     def produce(rows, out):
-        # scratch sized by the first block; a later one is at most one row
-        # longer, which adds a node row but no midpoint
-        if not scratch:
-            shape = (len(out) // 2 + 1, grid.num_points)
-            scratch.extend(np.empty(shape, dtype=np.complex128) for _ in range(3))
-        du, mid_u, mid_du = scratch
-        # the nodes k0 up to k1 - 1 of the block; node k0 is carried over
+        nonlocal last
+        # the nodes k0 up to k1 - 1 of the block; after the first block,
+        # node k0 is carried over
         k0, k1 = rows.start // 2, rows.stop // 2 + 1
-        fresh = du[(rows.start > 0):k1 - k0]
-        if len(fresh):
-            np.multiply(spec[k1 - len(fresh):k1], ixi, out=fresh)
-            np.fft.ifft(fresh, axis=1, out=fresh)
-        nodes, mids = (len(out) + 1) // 2, len(out) // 2
-        _cubic_terms(u.frames[k0:k0 + nodes], du[:nodes], params, out[0::2])
+        first = 1 if rows.start > 0 else 0
+        if first:
+            u[0], du[0] = u[last], du[last]
+        fresh, nodes = slice(first, k1 - k0), slice(k0 + first, k1)
+        frames(nodes, u[fresh])
+        np.multiply(spec[nodes], ixi, out=du[fresh])
+        np.fft.ifft(du[fresh], axis=1, out=du[fresh])
+        last = k1 - k0 - 1
+        count, mids = (len(out) + 1) // 2, len(out) // 2
+        _cubic_terms(u[:count], du[:count], params, out[0::2])
         if mids:
-            for mid, rows_at in ((mid_u, u.frames[k0:k1]), (mid_du, du[:k1 - k0])):
-                np.multiply(rows_at[:mids], 0.5, out=mid[:mids])
-                mid[:mids] += rows_at[1:mids + 1] * 0.5
+            for mid, at in ((mid_u, u), (mid_du, du)):
+                np.multiply(at[:mids], 0.5, out=mid[:mids])
+                mid[:mids] += at[1:mids + 1] * 0.5
             _cubic_terms(mid_u[:mids], mid_du[:mids], params, out[1::2])
-        du[0] = du[k1 - k0 - 1]
         np.fft.fft(out, axis=1, out=out)
         out *= grid.dealias_mask[None, :]
 
-    return produce
+    return produce, u
 
 
-def _duhamel_step(
-    u: SpaceTimeField, spec: np.ndarray, u0: GridFunction, u0_hat: np.ndarray,
-    params: EquationParams,
-) -> tuple[SpaceTimeField, np.ndarray]:
-    """Phi(u) and its FFT-order spectrum, from u and its spectrum spec.
+def _duhamel_step(grid, times: np.ndarray, frames, spec: np.ndarray, u0_hat: np.ndarray,
+                  params: EquationParams, out_hat: np.ndarray):
+    """Write the FFT-order spectrum of Phi(u) into out_hat a block of nodes
+    at a time, from the frame source frames of u and spec, u's spectrum;
+    after each block yield (nodes, u's frames at nodes), read-only and live
+    until the next block is asked for.
 
-    u0_hat is the transform of u0.  The spectrum of Phi(u) is written a
-    block at a time as conj(pull) (u0_hat - h) at the nodes, h the streamed
-    Duhamel integral of the forcing and pull its pull-back phase, so its
-    first row is u0_hat pushed by the unit phase; the frames are its
-    inverse transform with u0 as frame 0.  A linear equation takes the free
-    flow: the same bits, but where its zero forcing's integral overflows
-    (amplitude 1e120) a solve would blame config.time.horizon, not
-    config.initial_data.
+    u0_hat is the transform of u0.  The spectrum of Phi(u) is conj(pull)
+    (u0_hat - h) at the nodes, h the streamed Duhamel integral of the
+    forcing and pull its pull-back phase, so its first row is u0_hat pushed
+    by the unit phase.  A linear equation takes the free flow as
+    duhamel_flow pushes it: the same bits, but where its zero forcing's
+    integral overflows (amplitude 1e120) a solve would blame
+    config.time.horizon, not config.initial_data.
     """
-    grid = u.grid
+    block = _rows_per_block(grid.num_points)
     if _is_linear(params):
-        out_hat = duhamel_flow(grid, params, u0_hat, u.times)
-    else:
-        tau = _refined_times(u.times)
-        out_hat = np.empty_like(spec)
-        blocks = _duhamel_integral(grid, params, tau, _forcing(u, spec, params),
-                                   _rows_per_block(grid.num_points))
-        pull = _flow_phase(grid, params, tau)
-        for rows, h in blocks:
-            # the block's node rows: it starts at a node
-            nodes = slice(rows.start // 2, (rows.stop + 1) // 2)
-            held = np.subtract(u0_hat[None, :], h[::2], out=out_hat[nodes])
-            np.multiply(np.conjugate(pull[rows][::2]), held, out=held)
-    return SpaceTimeField(grid, u.times, _frames_of(out_hat, u0)), out_hat
+        push = np.conjugate(_flow_phase(grid, params, times), out=out_hat)
+        np.multiply(push, u0_hat[None, :], out=push)
+        u = np.empty((min(block // 2 + 1, len(times)), grid.num_points), dtype=np.complex128)
+        for nodes in _row_blocks(len(times), block // 2):
+            yield nodes, frames(nodes, u[:nodes.stop - nodes.start])
+        return
+    tau = _refined_times(times)
+    produce, u = _forcing(grid, frames, spec, params, block)
+    blocks = _duhamel_integral(grid, params, tau, produce, block)
+    pull = _flow_phase(grid, params, tau)
+    for rows, h in blocks:
+        # the block's node rows: it starts at a node
+        nodes = slice(rows.start // 2, (rows.stop + 1) // 2)
+        held = np.subtract(u0_hat[None, :], h[::2], out=out_hat[nodes])
+        np.multiply(np.conjugate(pull[rows][::2]), held, out=held)
+        yield nodes, u[:nodes.stop - nodes.start]
 
 
 def duhamel_apply(u: SpaceTimeField, u0: GridFunction, params: EquationParams) -> SpaceTimeField:
     """One application of the Duhamel map Phi (see the module docstring) to
     the space-time iterate u: a forward transform of u and of u0, then the
-    step that picard_iterate runs on the spectrum it carries.  The frame at
-    t = 0 is u0 exactly, and with the nonlinearity switched off the result
-    is the free flow regardless of u.  Boundary mass in u0 is not checked
-    here: picard_iterate warns once per call.
+    step that picard_iterate runs, reading u's frames as given.  The frame
+    at t = 0 is u0 exactly, and with the nonlinearity switched off the
+    result is the free flow regardless of u.  Boundary mass in u0 is not
+    checked here: picard_iterate warns once per call.
     """
     if u.grid != u0.grid:
         raise ValueError("iterate and initial data live on different grids")
     spec = np.fft.fft(u.frames, axis=1)
-    return _duhamel_step(u, spec, u0, np.fft.fft(u0.values), params)[0]
+    out_hat = np.empty_like(spec)
+    for _ in _duhamel_step(u.grid, u.times, _given_frames(u.frames), spec,
+                           np.fft.fft(u0.values), params, out_hat):
+        pass
+    return SpaceTimeField(u.grid, u.times, _frames_of(out_hat, u0))
 
 
 def picard_iterate(
@@ -355,6 +393,7 @@ def picard_iterate(
     overflows float64 or a distance is otherwise not finite.
     """
     _warn_boundary_mass(u0)
+    grid = u0.grid
     # a with block, not the decorator, whose extra frame would move the
     # warning's stacklevel off the caller's line
     with _heap_scratch():
@@ -364,23 +403,33 @@ def picard_iterate(
         # scope too
         with np.errstate(over="ignore", invalid="ignore"):
             u0_hat = np.fft.fft(u0.values)
-            current_hat = _free_flow(u0.grid, params, u0_hat, times)
-            current = SpaceTimeField(u0.grid, times, _frames_of(current_hat, u0))
+            current_hat = _free_flow(grid, params, u0_hat, times)
+        proposed_hat = np.empty_like(current_hat)
+        # the distance's |.|^2 and weighted norms, frame by frame, and one
+        # block of frame differences
+        squared = np.empty(current_hat.shape)
+        weighted = np.empty(len(times))
+        diff_rows = np.empty((min(_rows_per_block(grid.num_points) // 2 + 1, len(times)),
+                              grid.num_points), dtype=np.complex128)
         distances: list[float] = []
         converged = False
         growth_streak = 0
         for _ in range(config.max_iterations):
             # an iterate that overflows makes the distance non-finite, caught below
             with np.errstate(over="ignore", invalid="ignore"):
-                proposed, proposed_hat = _duhamel_step(current, current_hat, u0, u0_hat,
-                                                       params)
-                # the differences of the frames and of their spectra overwrite
-                # the current iterate, which nothing reads again; the norm's
-                # three multipliers act on the spectra's difference
-                np.subtract(proposed.frames, current.frames, out=current.frames)
+                proposed = _spectrum_frames(proposed_hat, u0)
+                for nodes, u in _duhamel_step(grid, times, _spectrum_frames(current_hat, u0),
+                                              current_hat, u0_hat, params, proposed_hat):
+                    # the proposed frames at the nodes less the frames the step read
+                    diff = proposed(nodes, diff_rows[:nodes.stop - nodes.start])
+                    np.subtract(diff, u, out=diff)
+                    np.square(np.abs(diff, out=squared[nodes]), out=squared[nodes])
+                    weighted[nodes] = _weighted_l2(grid, diff, params.m)
+                # the spectra's difference overwrites the current spectrum,
+                # which nothing reads again; the norm's three multipliers act on it
                 np.subtract(proposed_hat, current_hat, out=current_hat)
-                d = _xt_norm(current, current_hat, params)
-            current, current_hat = proposed, proposed_hat
+                d = _composite_norm(_Modulus(grid, times, squared), current_hat, weighted)
+            current_hat, proposed_hat = proposed_hat, current_hat
             if distances:
                 growth_streak = growth_streak + 1 if d > distances[-1] else 0
             distances.append(d)
@@ -399,6 +448,7 @@ def picard_iterate(
             if d <= config.xt_tolerance:
                 converged = True
                 break
+        current = SpaceTimeField(grid, times, _frames_of(current_hat, u0))
 
     quotients = [
         b / a for a, b in zip(distances, distances[1:]) if a > 0 and math.isfinite(b / a)
@@ -538,7 +588,10 @@ def soliton_oracle(name: str, amplitude: float = 1.0, x_shift: float = 0.0) -> S
 # ---------------------------------------------------------------------------
 
 def cubic_difference_split(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Terms summing to |v|^2 v - |u|^2 u, each linear in (v-u) or its conjugate."""
+    """Terms summing to |v|^2 v - |u|^2 u, each linear in (v-u) or its conjugate.
+
+    No solver path calls this; the tests check it as an identity.
+    """
     diff = v - u
     return (np.abs(v) ** 2 + u * np.conj(v)) * diff, u**2 * np.conj(diff)
 
@@ -546,7 +599,10 @@ def cubic_difference_split(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np
 def derivative_difference_split(
     u: np.ndarray, v: np.ndarray, du: np.ndarray, dv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terms summing to |v|^2 dv - |u|^2 du, each linear in (v-u) or d(v-u)."""
+    """Terms summing to |v|^2 dv - |u|^2 du, each linear in (v-u) or d(v-u).
+
+    No solver path calls this; the tests check it as an identity.
+    """
     diff = v - u
     return np.abs(v) ** 2 * (dv - du), v * du * np.conj(diff), np.conj(u) * du * diff
 
@@ -554,5 +610,8 @@ def derivative_difference_split(
 def conjugate_derivative_difference_split(
     u: np.ndarray, v: np.ndarray, du: np.ndarray, dv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Terms summing to v^2 conj(dv) - u^2 conj(du)."""
+    """Terms summing to v^2 conj(dv) - u^2 conj(du).
+
+    No solver path calls this; the tests check it as an identity.
+    """
     return v**2 * np.conj(dv - du), (v + u) * np.conj(du) * (v - u)

@@ -251,7 +251,8 @@ def weight_multiply(f: GridFunction, m: float) -> GridFunction:
 
 
 # The one block rule of the streamed loops (the Duhamel integral and its
-# producers, the composite norm's images, and the band loops' runs of
+# producers, the Picard distance's frame rows, the composite norm's images,
+# the norms' per-frame histories, and the band loops' runs of
 # _BLOCK_BYTES // 16 points): a block holds about this many bytes of complex rows.
 _BLOCK_BYTES = 2**19
 

@@ -178,9 +178,11 @@ def test_picard_solve_peak_holds_no_previous_difference():
     # 129 x 2048 complex stack (4 MiB) and peaked at about 56.5 MiB, against
     # about 52.6 MiB without it.  With the forcing spectrum, the u_x stack,
     # the forward phase and each multiplier image of the distance held whole
-    # it peaked at 36.40 MiB; with the Duhamel integral streamed it peaks at
-    # 30.65 MiB.  The bound is that plus a margin of 2 MiB, half a frame
-    # stack, so a stack held again fails
+    # it peaked at 36.40 MiB; with the Duhamel integral streamed, at 30.65
+    # MiB; with the iterate carried as its spectrum alone, its frames formed
+    # a block of rows at a time where they are read, it peaks at 23.15 MiB.
+    # The bound is that plus a margin of 2 MiB, half a frame stack, so a
+    # stack held again fails
     grid = Grid(2048, 60.0)
     u0 = GridFunction(grid, soliton_oracle("mkdv", 1.0)(grid.x, 0.0))
     config = PicardConfig(horizon=0.05, time_nodes=128)
@@ -190,7 +192,7 @@ def test_picard_solve_peak_holds_no_previous_difference():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32.65 * 2 ** 20, peak / 2 ** 20
+    assert peak < 25.15 * 2 ** 20, peak / 2 ** 20
 
 
 # the same solve in a fresh interpreter, its resident high-water measured as
@@ -214,16 +216,17 @@ print(high_water_kib() - start)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                     reason="VmHWM is Linux's, and the solve's heap policy is glibc's")
-def test_picard_solve_raises_the_resident_high_water_by_at_most_36_mib():
+def test_picard_solve_raises_the_resident_high_water_by_at_most_28_mib():
     # tracemalloc does not see pocketfft's scratch, so the resident memory is
     # guarded too.  The rise over the high-water before the solve was
     # 41.8-41.9 MiB with the forcing, u_x, forward-phase and image stacks
-    # held whole, and 32.95-32.98 MiB with the Duhamel integral streamed
-    # (x86-64, glibc 2.36, numpy 2.4.6, transparent huge pages on madvise);
-    # the bound is that, rounded up to 33 MiB, plus a margin of 3 MiB
+    # held whole, 32.95-32.98 MiB with the Duhamel integral streamed, and
+    # 23.9-24.0 MiB with the iterate carried as its spectrum alone (x86-64,
+    # glibc 2.36, numpy 2.4.6, transparent huge pages on madvise); the bound
+    # is that, rounded up to 25 MiB, plus a margin of 3 MiB
     env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0")
     proc = subprocess.run([sys.executable, "-c", _ONE_SOLVE], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     rise_kib = int(proc.stdout)
-    assert rise_kib <= 36 * 1024, rise_kib / 1024
+    assert rise_kib <= 28 * 1024, rise_kib / 1024

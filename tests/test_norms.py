@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nlsa_lab import norms
 from nlsa_lab.norms import (
     NormReport,
     SpaceTimeField,
+    _sobolev,
     _weighted_l2,
     l2_norm,
     mixed_norm_t_x,
@@ -17,7 +19,8 @@ from nlsa_lab.norms import (
     sobolev_norm,
     xt_norm,
 )
-from nlsa_lab.spectral import EquationParams, Grid, GridFunction, dft_forward, weight_multiply
+from nlsa_lab.spectral import (EquationParams, Grid, GridFunction, _weight, dft_forward,
+                               weight_multiply)
 
 SEED = 314159
 
@@ -240,6 +243,38 @@ def test_weighted_l2_kernel(half, length, m, seed):
             terms = [abs(-length / 2 + g.spacing * j) ** (2 * m) * abs(u) ** 2
                      for j, u in enumerate(row) if j != half]
             assert norm == pytest.approx(math.sqrt(g.spacing * math.fsum(terms)), rel=1e-13)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    half=st.integers(1, 512),
+    length=st.floats(1e-2, 1e3),
+    frames=st.integers(1, 40),
+    m=st.floats(0.0, 1.0, exclude_max=True) | st.just(0.0),
+    s=st.sampled_from([0.0, 0.25, 1.0]) | st.floats(-1.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_and_sobolev_histories_stream_bit_for_bit(half, length, frames, m, s, seed):
+    # the weighted and H^s norms of a frame stack are taken a block of rows
+    # at a time; blocks of 1, 3 and 16 rows and the whole stack give the bytes
+    # of the whole-stack formulas, each a product and a sum along the last axis
+    g = Grid(2 * half, length)
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((frames, g.num_points)) + 1j * rng.standard_normal(
+        (frames, g.num_points))
+    spec = np.fft.fft(stack, axis=-1)
+    weighted = np.sqrt(g.spacing * np.sum(np.abs(_weight(g, m) * stack) ** 2, axis=-1))
+    power = np.abs(spec) ** 2
+    sobolev = np.sqrt(g.spacing / g.num_points
+                      * np.sum((1.0 + g.xi_fft**2) ** s * power, axis=-1))
+    for block in (1, 3, 16, frames):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(norms, "_rows_per_block", lambda num_points: block)
+            assert _weighted_l2(g, stack, m).tobytes() == weighted.tobytes()
+            assert _sobolev(g, spec, s).tobytes() == sobolev.tobytes()
+    # and a single row reads as the row of a stack
+    assert _weighted_l2(g, stack[-1], m).tobytes() == weighted[-1].tobytes()
+    assert _sobolev(g, spec[-1], s).tobytes() == sobolev[-1].tobytes()
 
 
 def test_norm_homogeneity_and_triangle():

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from nlsa_lab.norms import SpaceTimeField, l2_norm, sobolev_norm, xt_norm
+from nlsa_lab.norms import SpaceTimeField, _xt_norm, l2_norm, sobolev_norm, xt_norm
 from nlsa_lab.picard import (
     BoundaryMassWarning,
     NonContractionError,
     PicardConfig,
+    _cubic_terms,
     _median,
     _refined_times,
     conjugate_derivative_difference_split,
@@ -33,8 +34,8 @@ from nlsa_lab.picard import (
     semigroup_evolve,
     soliton_oracle,
 )
-from nlsa_lab.spectral import (EquationParams, Grid, GridFunction, duhamel_flow, spatial_derivative,
-                               weight_multiply)
+from nlsa_lab.spectral import (EquationParams, Grid, GridFunction, _duhamel_integral, _flow_phase,
+                               duhamel_flow, spatial_derivative, weight_multiply)
 
 
 GRID = Grid(1024, 60.0)
@@ -465,11 +466,87 @@ def test_picard_from_the_spectrum_matches_the_refined_stack_route(name):
         assert abs(d - d_long) <= 2 * carried + gamma * (d + d_long), (d, d_long)
 
 
-def test_one_picard_iteration_transforms_902_rows(monkeypatch):
-    # per iteration: u_x at the T + 1 nodes, the forcing at the 2T + 1
-    # refined times, the new frames, and the distance's three multipliers,
-    # 5 (T + 1) + (2T + 1) rows; the refined-stack route transformed
-    # 3 (2T + 1) + 5 (T + 1) = 1416
+def picard_carrying_frames(u0, params, config):
+    """(last iterate's frames, distances, ratio) of picard_iterate by the loop
+    that carried each iterate's frames next to its spectrum: the forcing
+    formed as one refined stack from the whole frame and u_x stacks, the
+    integral in one block, each new iterate's frames transformed whole, and
+    each distance as _xt_norm of the frames' and the spectra's differences."""
+    grid, times = u0.grid, config.times()
+    tau = _refined_times(times)
+    u0_hat = np.fft.fft(u0.values)
+    linear = params.c == 0 and params.d == 0 and params.e == 0
+
+    def frames_of(spec):
+        frames = np.fft.ifft(spec, axis=1)
+        frames[0] = u0.values
+        return frames
+
+    if linear:
+        spec = duhamel_flow(grid, params, u0_hat, times)
+    else:
+        spec = np.conjugate(_flow_phase(grid, params, tau)[::2])
+        np.multiply(spec, u0_hat[None, :], out=spec)
+    frames = frames_of(spec)
+    distances = []
+    for _ in range(config.max_iterations):
+        if linear:
+            new_spec = duhamel_flow(grid, params, u0_hat, times)
+        else:
+            du = np.fft.ifft(spec * (1j * grid.xi_fft), axis=1)
+            forcing = np.empty((tau.size, grid.num_points), dtype=np.complex128)
+            _cubic_terms(frames, du, params, forcing[0::2])
+            _cubic_terms(frames[:-1] * 0.5 + frames[1:] * 0.5, du[:-1] * 0.5 + du[1:] * 0.5,
+                         params, forcing[1::2])
+            forcing = np.fft.fft(forcing, axis=1)
+            forcing *= grid.dealias_mask[None, :]
+
+            def produce(rows, out):
+                out[...] = forcing[rows]
+
+            ((_, h),) = _duhamel_integral(grid, params, tau, produce, tau.size)
+            new_spec = np.conjugate(_flow_phase(grid, params, tau)[::2]) * (u0_hat - h[::2])
+        new = frames_of(new_spec)
+        distances.append(_xt_norm(SpaceTimeField(grid, times, new - frames), new_spec - spec,
+                                  params))
+        frames, spec = new, new_spec
+        if distances[-1] <= config.xt_tolerance:
+            break
+    quotients = [b / a for a, b in zip(distances, distances[1:]) if a > 0]
+    return frames, distances, float(np.median(quotients)) if quotients else 0.0
+
+
+carried_unit = st.floats(-1.0, 1.0)
+# each of c, d and e is 0 or drawn, so mkdv's zero terms and the linear
+# equation's free flow are reached
+carried_cubic = st.just(0j) | st.builds(complex, carried_unit, carried_unit)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(a=carried_unit, b=carried_unit, c=carried_cubic, d=carried_cubic, e=carried_cubic,
+       amplitude=st.floats(0.1, 1.0), width=st.floats(0.5, 2.0), carrier=st.floats(-3.0, 3.0))
+@example(a=0.0, b=1.0, c=0j, d=1 + 0j, e=0j, amplitude=1.0, width=1.0, carrier=0.0)
+@example(a=1.0, b=1.0, c=0j, d=0j, e=0j, amplitude=1.0, width=1.0, carrier=2.0)
+def test_picard_from_the_spectrum_is_the_frame_carrying_loop_bit_for_bit(
+        a, b, c, d, e, amplitude, width, carrier):
+    grid = Grid(256, 40.0)
+    params = EquationParams(a=a, b=b, c=c, d=d, e=e)
+    u0 = gaussian_packet(grid, amplitude=amplitude, width=width, freq=carrier)
+    config = PicardConfig(horizon=0.1, time_nodes=16)
+    u, report = picard_iterate(u0, params, config)
+    frames, distances, ratio = picard_carrying_frames(u0, params, config)
+    assert u.frames.tobytes() == frames.tobytes()
+    assert np.array(report.distances).tobytes() == np.array(distances).tobytes()
+    assert report.ratio.hex() == ratio.hex()
+
+
+def test_one_picard_iteration_transforms_1031_rows(monkeypatch):
+    # per iteration: u and u_x at the T + 1 nodes, both from the iterate's
+    # spectrum, the forcing at the 2T + 1 refined times, the new frames, and
+    # the distance's three multipliers, 6 (T + 1) + (2T + 1) rows; an
+    # iteration that carried the frames next to the spectrum transformed
+    # 5 (T + 1) + (2T + 1) = 902, and the refined-stack route
+    # 3 (2T + 1) + 5 (T + 1) = 1416.  A stack transformed twice adds T + 1
     grid = Grid(256, 60.0)
     u0 = GridFunction(grid, soliton_oracle("mkdv")(grid.x, 0.0))
     params = reduction_preset("mkdv")
@@ -490,7 +567,7 @@ def test_one_picard_iteration_transforms_902_rows(monkeypatch):
         _, report = picard_iterate(u0, params, config)
         assert report.iterations == iterations
         totals.append(sum(rows))
-    assert totals[1] - totals[0] == 5 * 129 + 257 == 902
+    assert totals[1] - totals[0] == 6 * 129 + 257 == 1031
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -32,7 +32,9 @@ from nlsa_lab.picard import (
     PicardConfig,
     _cubic_terms,
     _forcing,
+    _given_frames,
     _refined_times,
+    _spectrum_frames,
     duhamel_apply,
     picard_iterate,
     reduction_preset,
@@ -134,13 +136,16 @@ def test_duhamel_apply_reuses_phases_bit_for_bit():
 def test_refined_frames_match_the_interpolation_formula():
     # the Picard producer's forcing, a block of refined rows at a time, is the
     # cubic of the frames interpolated in time by the formula, transformed
-    # and dealiased as one stack, bit for bit
+    # and dealiased as one stack, bit for bit, whether it reads the frames
+    # it is given or forms them from the spectrum; either way it leaves the
+    # frames of each block's nodes in its rows of u
     rng = np.random.default_rng(5)
     grid = Grid(64, 20.0)
     params = reduction_preset("nlsa-default")
     times = np.linspace(0.0, 0.1, 9)
     real = rng.standard_normal((9, 64)) + 0j  # zero imaginary parts keep their signs too
     mixed = rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64))
+    u0 = GridFunction(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
     # each interval's left node and midpoint, s = 2 rows an interval
     lam = np.arange(2) / 2
 
@@ -149,20 +154,27 @@ def test_refined_frames_match_the_interpolation_formula():
         interp += rows[1:, None, :] * lam[None, :, None]
         return np.concatenate([interp.reshape(-1, 64), rows[-1:]], axis=0)
 
-    for frames in (real, mixed):
-        spec = np.fft.fft(frames, axis=1)
-        du = np.fft.ifft(spec * (1j * grid.xi_fft), axis=1)
-        expected = _cubic_terms(refined(frames), refined(du), params,
-                                np.empty((17, 64), dtype=np.complex128))
-        expected = np.fft.fft(expected, axis=1) * grid.dealias_mask[None, :]
-        # blocks of one, three and all eight intervals, the last one taking
-        # the last node
-        for block in (2, 6, 16):
-            produce = _forcing(SpaceTimeField(grid, times, frames), spec, params)
-            forcing = np.empty_like(expected)
-            for rows in _row_blocks(17, block):
-                produce(rows, forcing[rows])
-            assert forcing.tobytes() == expected.tobytes()
+    for given in (real, mixed):
+        spec = np.fft.fft(given, axis=1)
+        # the spectrum's frames: its inverse transform, frame 0 u0's values
+        formed = np.fft.ifft(spec, axis=1)
+        formed[0] = u0.values
+        for frames, source in ((given, _given_frames(given)),
+                               (formed, _spectrum_frames(spec, u0))):
+            du = np.fft.ifft(spec * (1j * grid.xi_fft), axis=1)
+            expected = _cubic_terms(refined(frames), refined(du), params,
+                                    np.empty((17, 64), dtype=np.complex128))
+            expected = np.fft.fft(expected, axis=1) * grid.dealias_mask[None, :]
+            # blocks of one, three and all eight intervals, the last one taking
+            # the last node
+            for block in (2, 6, 16):
+                produce, u = _forcing(grid, source, spec, params, block)
+                forcing = np.empty_like(expected)
+                for rows in _row_blocks(17, block):
+                    produce(rows, forcing[rows])
+                    k0, k1 = rows.start // 2, rows.stop // 2 + 1
+                    assert u[:k1 - k0].tobytes() == frames[k0:k1].tobytes()
+                assert forcing.tobytes() == expected.tobytes()
         tau = _refined_times(times)
         assert tau.size == expected.shape[0]
         assert np.array_equal(tau[::2], times)

@@ -554,13 +554,14 @@ def check_leibniz_band(
 
         bands = qn_bands(grid)
         spectrum = np.fft.fft(dg)
-        band_abs, _ = _band_sums(grid, spectrum, bands, 0.0, slice(0, grid.num_points))
-        rhs = float(np.max(band_abs)) * l2_norm(GridFunction(grid, fv))
-
+        # the coverage is read first: the band sums consume the spectrum
         covered = (ay >= 2.0 ** (min(bands) - 1)) & (ay <= 2.0 ** (max(bands) + 1))
         power = np.abs(spectrum) ** 2
         total = float(np.sum(power))
         uncovered.append(total > 0 and float(np.sum(power[~covered])) > 0.01 * total)
+
+        band_abs, _ = _band_sums(grid, spectrum, bands, 0.0, slice(0, grid.num_points))
+        rhs = float(np.max(band_abs)) * l2_norm(GridFunction(grid, fv))
         return [(lhs, rhs)]
 
     result = _sweep("leibniz-band", evaluate, fields, samples, seed, maker, anchors,

@@ -1304,9 +1304,12 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20) -> BandSumResult:
     the sum (range too small to trust the sup).
 
     g is built a run at a time into the array that is transformed in place,
-    and the sums are accumulated over the interior window only, so the
-    memory is two num_points complex arrays (the spectrum and one band
-    piece) plus the window's sums.  numpy's FFT adds two more per band
+    and the band-sum kernel consumes that spectrum: its buffer is reused as
+    each band piece, the lower bands read a compact copy of the modes below
+    the top band (40% of the grid at 2^21), and the sums are accumulated over
+    the interior window only.  So the memory is one num_points complex array,
+    the compact copy and two window arrays (the top band's terms and the
+    sums).  numpy's FFT adds two more num_points complex arrays per band
     transform, which glibc would map, or trim, straight back to the system
     and page-fault in anew for every band; the spectrum and the band loop
     therefore run under spectral._heap_scratch, which keeps the scratch on
@@ -1338,7 +1341,7 @@ def band_sum_report(a, b, t, m, num_points=2 ** 20) -> BandSumResult:
         bisect_left(points, -radius, key=grid._x_at),
         bisect_right(points, radius, key=grid._x_at),
     )
-    # the spectrum is freed, like every band piece, before the heap policy ends
+    # the spectrum, which the kernel consumes, is freed before the heap policy ends
     with _heap_scratch():
         sums, band_sups = _band_sums(
             grid, _phase_function_spectrum(grid, a, b, t, m), bands, m, interior

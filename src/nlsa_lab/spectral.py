@@ -412,45 +412,81 @@ def qn_pieces(F: GridFunction, bands, m: float = 0.0):
     return _band_pieces(F.grid, np.fft.fft(F.values), bands, m)
 
 
-def _band_pieces(grid: Grid, spec: np.ndarray, bands, m: float):
-    """Yield (N, Q_N^m of the FFT-order spectrum spec) for each N in bands.
+def _band_spectrum(grid: Grid, source: np.ndarray, n: int, m: float, out: np.ndarray) -> None:
+    """Write the FFT-order spectrum of Q_N^m into out, its modes read from source.
 
     The band's support on the positive frequencies, 2^(N-1) < xi < 2^(N+1),
     is one slice of xi_fft, found by bisection.  The symbol is evaluated
     there in runs (_row_blocks), and since it is even and xi_fft[size - k] is
     -xi_fft[k], the mirrored run takes it reversed; only the Nyquist mode
-    has no positive twin.  Every piece is transformed back in place in one
-    reused buffer, and spec is never written to.
+    has no positive twin.  source is a full FFT-order spectrum, out itself
+    allowed, or a compact low one, spec[:cut] ++ spec[size - cut + 1:], whose
+    mode -k sits at source.size - k; a compact source must hold the band's
+    whole support, so it is never asked for the Nyquist mode.  The modes
+    outside the support are zeroed after it is written.
     """
     size, key = grid.num_points, grid._xi_at
-    nyquist = size // 2
+    nyquist, tail = size // 2, source.size + 1
+    lo, hi = 2.0 ** (n - 1), 2.0 ** (n + 1)
     positive = range(nyquist)
+    start, stop = bisect_right(positive, lo, key=key), bisect_left(positive, hi, key=key)
+    for run in _row_blocks(stop, _BLOCK_BYTES // 16, start):
+        symbol = qn_symbol(key(np.arange(run.start, run.stop)), n, m)
+        np.multiply(source[run], symbol, out=out[run])
+        np.multiply(source[tail - run.stop : tail - run.start], symbol[::-1],
+                    out=out[size + 1 - run.stop : size + 1 - run.start])
+    top = np.arange(nyquist, nyquist + 1)
+    if lo < -key(nyquist) < hi:
+        out[top] = source[top] * qn_symbol(key(top), n, m)
+    else:
+        out[top] = 0.0
+    out[:start] = 0.0
+    out[stop:nyquist] = 0.0
+    out[nyquist + 1 : size + 1 - stop] = 0.0
+    out[size + 1 - start :] = 0.0
+
+
+def _band_pieces(grid: Grid, spec: np.ndarray, bands, m: float):
+    """Yield (N, Q_N^m of the FFT-order spectrum spec) for each N in bands.
+
+    Every piece is transformed back in place in one reused buffer, and spec
+    is never written to.
+    """
     piece = np.empty_like(spec)
     for n in bands:
-        lo, hi = 2.0 ** (n - 1), 2.0 ** (n + 1)
-        support = (bisect_right(positive, lo, key=key), bisect_left(positive, hi, key=key))
-        piece.fill(0.0)
-        for run in _row_blocks(support[1], _BLOCK_BYTES // 16, support[0]):
-            symbol = qn_symbol(key(np.arange(run.start, run.stop)), n, m)
-            np.multiply(spec[run], symbol, out=piece[run])
-            mirror = slice(size - run.stop + 1, size - run.start + 1)
-            np.multiply(spec[mirror], symbol[::-1], out=piece[mirror])
-        if lo < -key(nyquist) < hi:
-            top = np.arange(nyquist, nyquist + 1)
-            piece[top] = spec[top] * qn_symbol(key(top), n, m)
+        _band_spectrum(grid, spec, n, m, piece)
         yield n, np.fft.ifft(piece, out=piece)
 
 
 def _band_sums(grid: Grid, spec: np.ndarray, bands, m: float, window: slice) -> tuple:
-    """Sum over the bands of 2^(N m) |Q_N^m|, from the FFT-order spectrum spec.
+    """Sum over the bands of 2^(N m) |Q_N^m|, from the FFT-order spectrum spec,
+    which it consumes: spec's buffer holds each band's piece in turn.
 
-    Returns (sums, band_sups): the sum at the grid points of window, and
-    each band's largest term there.  Only the window is accumulated, a run
-    at a time, so the memory is spec, one piece and the window's sums.
+    bands ascend, and the grid resolves the highest, top (as qn_bands gives
+    them).  Returns (sums, band_sups): the sum at the grid points of window,
+    added in ascending N, and each band's largest term there, keyed in
+    ascending N.  The modes below 2^top, all that the lower bands read, are
+    first copied into a compact low spectrum spec[:cut] ++ spec[size - cut +
+    1:] (2 cut - 1 entries, 40% of the grid at 2^21).  The top band's piece
+    is then formed and transformed back in spec's own buffer, and its terms
+    over the window kept in a window array; each lower band is formed from
+    the compact copy into the same buffer and summed into the window's sums
+    a run at a time; the top band's terms are added last.  So the memory is
+    spec, the compact copy and two window arrays, besides pocketfft's
+    transient of two spec-sized arrays per transform.
     """
+    *lower, top = bands
+    size = grid.num_points
+    cut = bisect_left(range(size // 2), 2.0 ** top, key=grid._xi_at)
+    low = np.concatenate((spec[:cut], spec[size - cut + 1 :]))
+    _band_spectrum(grid, spec, top, m, spec)
+    top_terms = np.abs(np.fft.ifft(spec, out=spec)[window])
+    top_terms *= 2.0 ** (top * m)
     total = np.zeros(window.stop - window.start)
     band_sups = {}
-    for n, piece in _band_pieces(grid, spec, bands, m):
+    for n in lower:
+        _band_spectrum(grid, low, n, m, spec)
+        piece = np.fft.ifft(spec, out=spec)
         weight = 2.0 ** (n * m)
         peaks = []
         for run in _row_blocks(window.stop, _BLOCK_BYTES // 16, window.start):
@@ -459,6 +495,8 @@ def _band_sums(grid: Grid, spec: np.ndarray, bands, m: float, window: slice) -> 
             total[run.start - window.start : run.stop - window.start] += chunk
             peaks.append(chunk.max())
         band_sups[n] = float(np.max(peaks))
+    band_sups[top] = float(top_terms.max())
+    total += top_terms
     return total, band_sups
 
 

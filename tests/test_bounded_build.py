@@ -230,3 +230,38 @@ def test_picard_solve_raises_the_resident_high_water_by_at_most_28_mib():
     assert proc.returncode == 0, proc.stderr
     rise_kib = int(proc.stdout)
     assert rise_kib <= 28 * 1024, rise_kib / 1024
+
+
+# one 2^20-point band-sum report in a fresh interpreter, its resident
+# high-water measured as the two builds' is above
+_ONE_REPORT = """
+from nlsa_lab.oscillatory import band_sum_report
+
+def high_water_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+start = high_water_kib()
+band_sum_report(0.0, 1.0, 1.0, 0.125, num_points=2**20)
+print(high_water_kib() - start)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="VmHWM is Linux's, and the band loop's heap policy is glibc's")
+def test_a_band_sum_report_raises_the_resident_high_water_by_at_most_67_mib():
+    # tracemalloc does not see pocketfft's scratch, so the resident memory is
+    # guarded too.  The rise over the post-import high-water was 70.3-70.4
+    # MiB with a separate piece buffer next to the spectrum, and 63.9 MiB
+    # with the spectrum reused as the piece and the lower bands read from a
+    # compact low spectrum (x86-64, glibc 2.36, numpy 2.4.6, transparent
+    # huge pages on madvise): the spectrum (16 MiB), the compact copy (6.4
+    # MiB), two window arrays (4 MiB each) and pocketfft's two-array scratch
+    # (32 MiB).  The bound is that plus a margin of about 3 MiB, so a piece
+    # buffer held next to the spectrum again fails
+    env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0")
+    proc = subprocess.run([sys.executable, "-c", _ONE_REPORT], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rise_kib = int(proc.stdout)
+    assert rise_kib <= 67 * 1024, rise_kib / 1024

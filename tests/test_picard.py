@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from nlsa_lab import picard
 from nlsa_lab.norms import SpaceTimeField, _xt_norm, l2_norm, sobolev_norm, xt_norm
 from nlsa_lab.picard import (
     BoundaryMassWarning,
@@ -466,12 +467,30 @@ def test_picard_from_the_spectrum_matches_the_refined_stack_route(name):
         assert abs(d - d_long) <= 2 * carried + gamma * (d + d_long), (d, d_long)
 
 
+def carried_step(grid, params, tau, frames, spec, u0_hat):
+    """The spectrum of Phi(u) by the step of the loop that carried u's frames
+    next to its spectrum spec: the forcing formed as one refined stack from
+    the whole frame and u_x stacks, and the integral in one block."""
+    du = np.fft.ifft(spec * (1j * grid.xi_fft), axis=1)
+    forcing = np.empty((tau.size, grid.num_points), dtype=np.complex128)
+    _cubic_terms(frames, du, params, forcing[0::2])
+    _cubic_terms(frames[:-1] * 0.5 + frames[1:] * 0.5, du[:-1] * 0.5 + du[1:] * 0.5,
+                 params, forcing[1::2])
+    forcing = np.fft.fft(forcing, axis=1)
+    forcing *= grid.dealias_mask[None, :]
+
+    def produce(rows, out):
+        out[...] = forcing[rows]
+
+    ((_, h),) = _duhamel_integral(grid, params, tau, produce, tau.size)
+    return np.conjugate(_flow_phase(grid, params, tau)[::2]) * (u0_hat - h[::2])
+
+
 def picard_carrying_frames(u0, params, config):
     """(last iterate's frames, distances, ratio) of picard_iterate by the loop
-    that carried each iterate's frames next to its spectrum: the forcing
-    formed as one refined stack from the whole frame and u_x stacks, the
-    integral in one block, each new iterate's frames transformed whole, and
-    each distance as _xt_norm of the frames' and the spectra's differences."""
+    that carried each iterate's frames next to its spectrum: each step by
+    carried_step, each new iterate's frames transformed whole, and each
+    distance as _xt_norm of the frames' and the spectra's differences."""
     grid, times = u0.grid, config.times()
     tau = _refined_times(times)
     u0_hat = np.fft.fft(u0.values)
@@ -493,19 +512,7 @@ def picard_carrying_frames(u0, params, config):
         if linear:
             new_spec = duhamel_flow(grid, params, u0_hat, times)
         else:
-            du = np.fft.ifft(spec * (1j * grid.xi_fft), axis=1)
-            forcing = np.empty((tau.size, grid.num_points), dtype=np.complex128)
-            _cubic_terms(frames, du, params, forcing[0::2])
-            _cubic_terms(frames[:-1] * 0.5 + frames[1:] * 0.5, du[:-1] * 0.5 + du[1:] * 0.5,
-                         params, forcing[1::2])
-            forcing = np.fft.fft(forcing, axis=1)
-            forcing *= grid.dealias_mask[None, :]
-
-            def produce(rows, out):
-                out[...] = forcing[rows]
-
-            ((_, h),) = _duhamel_integral(grid, params, tau, produce, tau.size)
-            new_spec = np.conjugate(_flow_phase(grid, params, tau)[::2]) * (u0_hat - h[::2])
+            new_spec = carried_step(grid, params, tau, frames, spec, u0_hat)
         new = frames_of(new_spec)
         distances.append(_xt_norm(SpaceTimeField(grid, times, new - frames), new_spec - spec,
                                   params))
@@ -538,6 +545,33 @@ def test_picard_from_the_spectrum_is_the_frame_carrying_loop_bit_for_bit(
     assert u.frames.tobytes() == frames.tobytes()
     assert np.array(report.distances).tobytes() == np.array(distances).tobytes()
     assert report.ratio.hex() == ratio.hex()
+
+
+@pytest.mark.parametrize("name", ["mkdv", "nlsa-default"])
+def test_a_large_amplitude_duhamel_step_is_the_carried_step_bit_for_bit(monkeypatch, name):
+    # the solver's pins see the forcing only through rounding boundaries: at
+    # their amplitudes the Duhamel term is about 1e-3 of u0_hat, and its last
+    # bits vanish in u0_hat - h.  At amplitude 4 it is of u0_hat's size, so
+    # the output spectrum pins the forcing and the integral directly
+    grid = Grid(256, 40.0)
+    params = reduction_preset(name)
+    u0 = gaussian_packet(grid, amplitude=4.0)
+    times = PicardConfig(horizon=0.1, time_nodes=16).times()
+    u0_hat = np.fft.fft(u0.values)
+    frames = np.fft.ifft(duhamel_flow(grid, params, u0_hat, times), axis=1)
+    frames[0] = u0.values
+    spectra = []
+    frames_of = picard._frames_of
+    monkeypatch.setattr(picard, "_frames_of", lambda spec, u0: spectra.append(spec.copy())
+                        or frames_of(spec, u0))
+    duhamel_apply(SpaceTimeField(grid, times, frames), u0, params)
+    want = carried_step(grid, params, _refined_times(times), frames,
+                        np.fft.fft(frames, axis=1), u0_hat)
+    (got,) = spectra
+    assert got.tobytes() == want.tobytes()
+    # the Duhamel term, u0_hat less the output pulled back, is not small
+    duhamel = u0_hat[None, :] - _flow_phase(grid, params, times) * got
+    assert np.abs(duhamel).max() > 0.1 * np.abs(u0_hat).max()
 
 
 def test_one_picard_iteration_transforms_1031_rows(monkeypatch):
